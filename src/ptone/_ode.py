@@ -7,10 +7,11 @@ a pair of floats because the shooting loop integrates (omega, flux) states
 millions of times and tuple arithmetic beats tiny numpy arrays by a wide
 margin there.
 
-Dense re-evaluation between accepted mesh nodes uses four classical RK4
-sub-steps from the nearest node at or before the query point.  Accepted
-steps are short at the solver tolerances, so the sub-step error sits far
-below the integration error itself.
+Dense re-evaluation between accepted mesh nodes (`dense_eval`, the anchor
+of the solution's dense march) uses four classical RK4 sub-steps from the
+nearest node at or before the query point.  Accepted steps are short at
+the solver tolerances, so the sub-step error sits far below the
+integration error itself.
 """
 
 from bisect import bisect_right
@@ -43,8 +44,8 @@ _E6 = _B6 - 187.0 / 2100.0
 _E7 = -1.0 / 40.0
 
 
-def integrate(f, t0, t1, y0, rtol=1e-12, atol=1e-12, max_step=None,
-              first_step=None, stop=None, max_steps=1000000):
+def integrate(f, t0, t1, y0, rtol=1e-12, atol=1e-12, stop=None,
+              max_steps=1000000):
     """Integrate y' = f(t, y), y a pair of floats, from t0 to t1 (t1 > t0).
 
     Returns (ts, ys): the accepted mesh nodes and states, starting at
@@ -56,8 +57,7 @@ def integrate(f, t0, t1, y0, rtol=1e-12, atol=1e-12, max_step=None,
     span = t1 - t0
     if span <= 0:
         raise ValueError("integrate requires t1 > t0")
-    h = first_step if first_step is not None else 0.01 * span
-    hmax = max_step if max_step is not None else span
+    h = 0.01 * span
     hmin = 1e-15 * span
     t = t0
     u, v = float(y0[0]), float(y0[1])
@@ -66,8 +66,6 @@ def integrate(f, t0, t1, y0, rtol=1e-12, atol=1e-12, max_step=None,
     k1u, k1v = f(t, (u, v))
     steps = 0
     while t < t1:
-        if h > hmax:
-            h = hmax
         if t + h > t1:
             h = t1 - t
         if h < hmin:

@@ -383,22 +383,6 @@ def stability_criterion_meancurv(A_sup, m, p, r):
     return bool(A_sup <= meancurv_threshold(m, p, r))
 
 
-def meancurv_crosscheck(A_sup, m, p, r):
-    """Report how the (m-1)/(pr) threshold sits against the cotangent barrier.
-
-    The barrier route would give ((m-2)/(pr))^p for a flat ambient ball,
-    whose p-th root uses m-2 where the threshold uses m-1; the discrepancy
-    is reported for inspection, not enforced.
-    """
-    thr = meancurv_threshold(m, p, r)
-    barrier = theorem17_bound(m, p, 0.0, r, 0.0)
-    alt = barrier.value ** (1.0 / p) if not barrier.vacuous else 0.0
-    return {"threshold": thr, "barrier_root": alt,
-            "verdict": bool(A_sup <= thr),
-            "barrier_verdict": bool(A_sup <= alt) if alt > 0 else None,
-            "note": "threshold uses m-1, barrier root uses m-2"}
-
-
 def radius_lower_bound(k, p, lambda_unit_ball, lambda_omega):
     """Radius bound (k^{p-2} lambda_unit / lambda_Omega)^{1/p} from scaling."""
     if lambda_omega <= 0 or lambda_unit_ball <= 0:

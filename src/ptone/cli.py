@@ -2,10 +2,10 @@
 
 Eight subcommands (eig, rstar, barta, compare, surface, kazdan, sweep,
 selftest) share one plumbing layer: list/range flag parsing, JSON config
-merging (flags beat config beats defaults), a thread pool capped by
-PTONE_THREADS with a deterministic sorted merge, and RFC-4180 CSV output
-with 17-significant-digit floats.  Timestamps appear only on the leading
-``#`` metadata line so two identical runs emit byte-identical bodies.
+merging (flags beat config beats defaults), rows built serially and
+sorted by (p, m, c, r), and RFC-4180 CSV output with 17-significant-digit
+floats.  Timestamps appear only on the leading ``#`` metadata line so two
+identical runs emit byte-identical bodies.
 
 Exit codes: 0 success, 1 acceptance failure, 2 invalid input,
 3 numerical non-convergence.
@@ -16,9 +16,8 @@ import csv
 import io
 import json
 import math
-import os
+import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 
 import numpy as np
@@ -87,26 +86,6 @@ def _scalar(args, config, key, default, cast=float):
     if raw is None:
         raw = config.get(key, default)
     return None if raw is None else cast(raw)
-
-
-def _threads():
-    raw = os.environ.get("PTONE_THREADS", "").strip()
-    if raw:
-        n = int(raw)
-        if n < 1:
-            raise ValueError("PTONE_THREADS must be a positive integer")
-        return n
-    return os.cpu_count() or 1
-
-
-def _pmap(fn, items):
-    """Map preserving order, threaded when PTONE_THREADS allows."""
-    items = list(items)
-    workers = min(_threads(), len(items)) if items else 1
-    if workers <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _sort_rows(rows):
@@ -188,31 +167,28 @@ def eig_rows(p_list, m_list, c_list, r_list, tol=None, n_grid=None):
     if n_grid is not None:
         kwargs["n_grid"] = n_grid
 
-    def solve_one(combo):
-        p, m, c, r = combo
+    def solve_one(p, m, c, r):
         sol = radial.solve_ball_eigenvalue(
             radial.ball_problem(p, m, c, r), **kwargs)
         return {"p": p, "m": m, "c": c, "r": r, "lambda": sol.lam,
                 "residual": sol.residual, "iterations": sol.iterations}
 
-    return _sort_rows(_pmap(solve_one,
-                            _grid_combos(p_list, m_list, c_list, r_list)))
+    return _sort_rows([solve_one(*combo) for combo in
+                       _grid_combos(p_list, m_list, c_list, r_list)])
 
 
 def rstar_rows(combos):
-    def one(combo):
-        p, m, c, r = combo
+    def one(p, m, c, r):
         sol = radial.solve_ball_eigenvalue(radial.ball_problem(p, m, c, r))
         rep = critical.compute_r_star(c, sol)
         return {"c": c, "p": p, "m": m, "r": r, "lambda": rep.lam,
                 "r_star": rep.r_star, "min_W_margin": rep.min_margin}
 
-    return _sort_rows(_pmap(one, list(combos)))
+    return _sort_rows([one(*combo) for combo in combos])
 
 
 def barta_rows(p_list, m_list, c_list, r_list):
-    def one(combo):
-        p, m, c, r = combo
+    def one(p, m, c, r):
         problem = radial.ball_problem(p, m, c, r)
         sol = radial.solve_ball_eigenvalue(problem)
         cert = bounds.barta_bound(sol.omega, problem, nodes=sol.grid)
@@ -220,13 +196,12 @@ def barta_rows(p_list, m_list, c_list, r_list):
                 "barta_value": cert.value,
                 "rel_gap": (cert.value - sol.lam) / sol.lam}
 
-    return _sort_rows(_pmap(one,
-                            _grid_combos(p_list, m_list, c_list, r_list)))
+    return _sort_rows([one(*combo) for combo in
+                       _grid_combos(p_list, m_list, c_list, r_list)])
 
 
 def sweep_rows(p_list, m_list, c_list, r_list, n_rayleigh=2000):
-    def one(combo):
-        p, m, c, r = combo
+    def one(p, m, c, r):
         problem = radial.ball_problem(p, m, c, r)
         sol = radial.solve_ball_eigenvalue(problem)
         est = rayleigh.minimize_rayleigh(
@@ -237,8 +212,8 @@ def sweep_rows(p_list, m_list, c_list, r_list, n_rayleigh=2000):
                 "rayleigh": est, "barta": cert.value,
                 "residual": sol.residual}
 
-    return _sort_rows(_pmap(one,
-                            _grid_combos(p_list, m_list, c_list, r_list)))
+    return _sort_rows([one(*combo) for combo in
+                       _grid_combos(p_list, m_list, c_list, r_list)])
 
 
 def compare_profiles():
@@ -513,9 +488,30 @@ def build_parser():
     return parser
 
 
+_LIST_FLAGS = ("--p", "--m", "--c", "--r")
+
+
+def _join_list_values(argv):
+    """Rewrite ``--c -1,0,1`` as ``--c=-1,0,1``.
+
+    argparse takes a token that starts with '-' and is not a plain
+    number for an option, so a list or range with a negative first
+    value would otherwise be refused.  No option starts with '-' and a
+    digit, so such a token after a list flag is always its value.
+    """
+    out = []
+    for tok in argv:
+        if out and out[-1] in _LIST_FLAGS and re.match(r"-[\d.]", tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_list_values(
+        sys.argv[1:] if argv is None else argv))
     try:
         return args.handler(args)
     except radial.NonConvergenceError as exc:

@@ -93,11 +93,6 @@ def _solution_c(solution):
     return prof.c
 
 
-def _sample(solution, t):
-    """(omega, omega') at scalar or array t, via the stored trajectory."""
-    return solution.evaluate(t)
-
-
 def restriction_W(t, solution, c=None):
     """W(t) = (p+m-2) cot_c(t) |omega'|^{p-2} omega' + lambda omega^{p-1}.
 
@@ -119,7 +114,7 @@ def restriction_W(t, solution, c=None):
         out[pole] = lam * (2.0 - p) / m
     if np.any(~pole):
         ts = tt[~pole]
-        om, dom = _sample(solution, ts)
+        om, dom = solution.evaluate(ts)
         out[~pole] = (K * cot_c(c, ts) * signed_power(dom, p - 1.0)
                       + lam * signed_power(om, p - 1.0))
     return float(out[0]) if scalar else out
@@ -177,7 +172,7 @@ def phi0(s, solution, lam=None):
         lam = solution.lam
     K = p + m - 2.0
     ss = np.asarray(s, dtype=float)
-    om, dom = _sample(solution, ss)
+    om, dom = solution.evaluate(ss)
     aom, adom = np.abs(om), np.abs(dom)
     out = ((p - 2.0) * aom ** (p - 1.0)
            + lam / K * ss ** 2 * aom ** (p - 1.0)
@@ -200,7 +195,7 @@ def phi1(s, solution, lam=None):
     ss = np.asarray(s, dtype=float)
     if np.any(ss >= np.pi / 2):
         raise ValueError("spherical integrand needs s < pi/2")
-    om, dom = _sample(solution, ss)
+    om, dom = solution.evaluate(ss)
     aom, adom = np.abs(om), np.abs(dom)
     tan = np.tan(ss)
     out = ((cst["C1"] + cst["C2"] * tan ** 2) * aom ** (p - 1.0)
@@ -209,27 +204,25 @@ def phi1(s, solution, lam=None):
     return float(out) if np.ndim(s) == 0 else out
 
 
-def phi_minus1(s, solution, lam=None, c4_with_lambda=False):
+def phi_minus1(s, solution, lam=None):
     """Hyperbolic case integrand (C4 + C2 tanh^2 s)|omega|^{p-1}
     + C3 tanh s |omega'| G, with G = (p-1)|omega|^{p-2} - |omega'|^{p-2}.
 
     The G factor is a reconstruction (the source leaves its symbol
     undefined) fixed by the stated endpoint values Phi_{-1}(0) = C4 and
-    Phi_{-1}(r) = -C3 tanh(r) |omega'(r)|^{p-1}.  C4 defaults to the
-    printed lambda-free constant; pass c4_with_lambda=True for the
-    dimensionally consistent variant.
+    Phi_{-1}(r) = -C3 tanh(r) |omega'(r)|^{p-1}.  C4 is the printed
+    lambda-free constant.
     """
     p, m = solution.p, solution.m
     if lam is None:
         lam = solution.lam
     cst = case_constants(p, m, lam)
-    c4 = cst["C4_lambda"] if c4_with_lambda else cst["C4"]
     ss = np.asarray(s, dtype=float)
-    om, dom = _sample(solution, ss)
+    om, dom = solution.evaluate(ss)
     aom, adom = np.abs(om), np.abs(dom)
     tanh = np.tanh(ss)
     g = (p - 1.0) * aom ** (p - 2.0) - adom ** (p - 2.0)
-    out = ((c4 + cst["C2"] * tanh ** 2) * aom ** (p - 1.0)
+    out = ((cst["C4"] + cst["C2"] * tanh ** 2) * aom ** (p - 1.0)
            + cst["C3"] * tanh * adom * g)
     return float(out) if np.ndim(s) == 0 else out
 
@@ -246,7 +239,7 @@ def lhs_expression(c, t, solution, lam=None):
     if lam is None:
         lam = solution.lam
     tt = np.asarray(t, dtype=float)
-    om, dom = _sample(solution, tt)
+    om, dom = solution.evaluate(tt)
     v = weight_V(c, tt, lam, p, m)
     vp_over_v = _weight_V_prime_over_V(c, tt, lam, p, m)
     sm = s_c(c, tt) ** (m - 1)
@@ -270,7 +263,7 @@ def flateq_integrand(s, solution, lam=None):
         lam = solution.lam
     K = p + m - 2.0
     ss = np.asarray(s, dtype=float)
-    om, dom = _sample(solution, ss)
+    om, dom = solution.evaluate(ss)
     aom, adom = np.abs(om), np.abs(dom)
     v = weight_V(0, ss, lam, p, m)
     bracket = ((p - 2.0) * signed_power(om, p - 1.0)
@@ -357,7 +350,7 @@ def verify_spherical_positivity(solution, lam=None, r=None, n=SCAN_GRID):
     p, m = solution.p, solution.m
     t = np.linspace(0.0, r, n)[1:-1]
     vals = phi1(t, solution, lam)
-    om = np.abs(_sample(solution, t)[0])
+    om = np.abs(solution.evaluate(t)[0])
     cst = case_constants(p, m, lam)
     tan = np.tan(t)
     barrier = (cst["C1"] + cst["C2"] * tan ** 2
@@ -453,7 +446,7 @@ def compute_r_star(c, solution, lam=None, n=SCAN_GRID, tol_w=TOL_W_REL):
         diagnostics["psi_final"] = float(psi[-1])
         diagnostics["psi_min"] = float(np.min(psi[1:]))
         if c == 0.0:
-            om_r, dom_r = _sample(solution, r)
+            om_r, dom_r = solution.evaluate(r)
             diagnostics["phi0_r_displayed"] = float(phi[-1])
             diagnostics["phi0_r_pm1"] = -abs(dom_r) ** (p - 1.0)
             diagnostics["phi0_r_pm2"] = -abs(dom_r) ** (p - 2.0)

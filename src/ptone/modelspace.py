@@ -282,11 +282,6 @@ def from_csv(path):
     return tabulated(data[:, 0], data[:, 1], label=str(path))
 
 
-def warping_eval(profile, t):
-    """Evaluate (f, f', f'') of a profile; plain function form of eval()."""
-    return profile.eval(t)
-
-
 class CurvatureReport:
     """Outcome of a curvature-bound check; truthy iff the bound holds."""
 

@@ -46,6 +46,9 @@ _DEFAULT_GRID = 2048
 _RTOL = 1e-12
 _ATOL = 1e-12
 _STARTUP_FRAC = 1e-4
+# A query whose node step exceeds this fraction of the domain is coarse:
+# reading the pole expansion at t = step would be far outside its range.
+_COARSE_FRAC = 1e-3
 
 # Relative windows for the residual sup: nodes closer to the pole than
 # POLE_FRAC*r or with omega below OMEGA_FLOOR*max|omega| are excluded,
@@ -259,6 +262,22 @@ def _shoot(problem, lam, keep_mesh=True):
     return ts, ys, zero, rhs
 
 
+def _omega_prime(problem, t, phi):
+    """omega' = sign(Phi) (|Phi| / f^{m-1})^{1/(p-1)} from the flux Phi.
+
+    Zero where the weight f^{m-1} vanishes (the pole of a ball).
+    """
+    mm1 = problem.m - 1
+    if mm1:
+        fm = problem.profile.eval(t)[0] ** mm1
+    else:
+        fm = np.ones(t.size)
+    out = np.zeros(t.size)
+    ok = fm > 0.0
+    out[ok] = signed_power(phi[ok] / fm[ok], 1.0 / (problem.p - 1.0))
+    return out
+
+
 class RadialSolution:
     """A solved radial eigenpair with dense re-evaluation.
 
@@ -284,15 +303,18 @@ class RadialSolution:
         self._scale = scale
 
         d = problem.domain
-        left = 0.0 if d.kind == "ball" else d.a
-        right = d.r if d.kind == "ball" else d.b
-        self.r = right
-        grid = np.linspace(left, right, n_grid)
+        self._left = 0.0 if d.kind == "ball" else d.a
+        self.r = d.r if d.kind == "ball" else d.b
+        grid = np.linspace(self._left, self.r, n_grid)
         omega, phi = self._march(grid)
         self.grid = grid
         self.omega = omega
-        self.omega_prime = self._wprime_array(grid, phi)
+        self.omega_prime = _omega_prime(problem, grid, phi)
         self.flux = -phi / self.lam
+        # Solutions are memoized and shared: an in-place write by one
+        # caller would corrupt every later cache hit.
+        for arr in (self.grid, self.omega, self.omega_prime, self.flux):
+            arr.setflags(write=False)
         self.residual = eigen_equation_residual(self)
 
     def _march(self, ts):
@@ -301,111 +323,83 @@ class RadialSolution:
         Marching keeps neighboring samples on a smooth shared error
         profile; independent dense queries would carry O(1e-12)
         interpolation jumps at the adaptive step boundaries, which second
-        differences of the arrays amplify by 1/h^2.  Sub-steps are graded
-        near a pole, where omega - 1 ~ t^(p/(p-1)) has unbounded higher
-        derivatives for p > 2.  A sweep whose first node sits well inside
-        the domain (a band query) is anchored on the stored adaptive
-        trajectory instead, so it never crosses the pole region in
-        grid-sized hops; the single interpolation offset at the anchor is
-        shared by every node and stays invisible to differences.
+        differences of the arrays amplify by 1/h^2.
+
+        A dense sweep from the pole (node step h <= _COARSE_FRAC of the
+        domain, first node near the left end) starts from the pole
+        expansion at max(t0, h) and grades its sub-steps there, where
+        omega - 1 ~ t^(p/(p-1)) has unbounded higher derivatives for
+        p > 2.  Every other sweep -- a band whose first node sits well
+        inside the domain, or a coarse query, for which the expansion at
+        t = h would be read far outside its range -- is anchored on the
+        stored adaptive trajectory at its first node beyond t0 and
+        marched from there with sub-steps proportional to each gap.  The
+        single interpolation offset at the anchor is shared by every node
+        and stays invisible to differences.  Nodes before the march start
+        take the pole state (the expansion for balls, the initial state
+        for annuli), exactly as a one-node query does.
         """
+        n = ts.size
+        omega = np.empty(n)
+        phi = np.empty(n)
+        if n == 0:
+            return omega, phi
         startup, rhs, scale = self._startup, self._rhs, self._scale
-        left = 0.0 if self.problem.domain.kind == "ball" \
-            else self.problem.domain.a
-        span = self.r - left
-        h = max((ts[-1] - ts[0]) / max(ts.size - 1, 1), 1e-12 * self.r)
-        omega = np.empty(ts.size)
-        phi = np.empty(ts.size)
+        t0, y0 = self._ts[0], self._ys[0]
+        span = self.r - self._left
+        h = max((ts[-1] - ts[0]) / max(n - 1, 1), 1e-12 * self.r)
         if startup is not None:
-            t_march = max(startup.t0, left + h)
+            t_march = max(t0, self._left + h)
             y = startup.state(t_march)
         else:
-            t_march = left
-            y = (0.0, 1.0)
-        anchored = False
-        if ts[0] > t_march + 8.0 * h and ts[0] >= self._ts[0]:
-            t_march = float(ts[0])
+            t_march, y = t0, y0
+        k = int(np.searchsorted(ts, t0, side="right"))
+        anchored = k < n and (h > _COARSE_FRAC * span
+                              or ts[0] > t_march + 8.0 * h)
+        if anchored:
+            t_march = float(ts[k])
             y = _ode.dense_eval(rhs, self._ts, self._ys, t_march)
-            anchored = True
-        for i, t in enumerate(ts):
-            t = float(t)
-            if t <= t_march:
-                y_i = startup.state(t) if startup is not None \
-                    and t < t_march and not anchored else y
+        pre = int(np.searchsorted(ts, t_march))
+        for i in range(n):
+            t = float(ts[i])
+            if i < pre:
+                y_i = startup.state(t) if startup is not None else y0
             else:
-                if anchored:
-                    nsub = max(4, min(4096, int(math.ceil(
-                        4096.0 * (t - t_march) / span))))
-                else:
-                    nsub = 4
-                    if startup is not None:
+                if t > t_march:
+                    if anchored:
                         nsub = max(4, min(4096, int(math.ceil(
-                            256.0 * h / (t_march - left)))))
-                y = _ode.rk4_between(rhs, t_march, y, t, nsub=nsub)
-                t_march = t
+                            4096.0 * (t - t_march) / span))))
+                    elif startup is not None:
+                        nsub = max(4, min(4096, int(math.ceil(
+                            256.0 * h / (t_march - self._left)))))
+                    else:
+                        nsub = 4
+                    y = _ode.rk4_between(rhs, t_march, y, t, nsub=nsub)
+                    t_march = t
                 y_i = y
             omega[i] = y_i[0] * scale
             phi[i] = y_i[1] * scale ** (self.p - 1.0)
         return omega, phi
 
-    def _wprime_array(self, ts, phi):
-        mm1 = self.m - 1
-        if mm1:
-            fm = self.profile.eval(ts)[0] ** mm1
-        else:
-            fm = np.ones(ts.size)
-        out = np.zeros(ts.size)
-        ok = fm > 0.0
-        out[ok] = signed_power(phi[ok] / fm[ok], 1.0 / (self.p - 1.0))
-        return out
-
-    # -- dense evaluation ------------------------------------------------
-
-    def _state_at(self, t):
-        if self._startup is not None and t <= self._startup.t0:
-            w, phi = self._startup.state(t)
-        else:
-            w, phi = _ode.dense_eval(self._rhs, self._ts, self._ys, t)
-        s = self._scale
-        if s != 1.0:
-            return w * s, phi * s ** (self.p - 1.0)
-        return w, phi
-
-    def _wprime(self, t, phi):
-        mm1 = self.m - 1
-        fm = self.profile.f_scalar(t) ** mm1 if mm1 else 1.0
-        if fm == 0.0:
-            return 0.0
-        em1 = 1.0 / (self.p - 1.0)
-        return (phi / fm) ** em1 if phi >= 0.0 else -(((-phi) / fm) ** em1)
-
     def evaluate(self, t):
         """Dense (omega, omega') at scalar or array t inside the domain.
 
-        Sorted arrays are swept in one sequential march (fast and smooth
-        in the node index); unsorted input falls back to per-point
-        queries of the adaptive trajectory.
+        Every query is one march: the nodes are sorted (stably), swept by
+        `_march`, converted from flux to omega' and returned in the input
+        order and shape; a scalar comes back as a pair of floats.
         """
-        if np.ndim(t) == 0:
-            w, phi = self._state_at(float(t))
-            return w, self._wprime(float(t), phi)
-        t = np.asarray(t, dtype=float)
-        if t.ndim == 1 and t.size >= 8 and np.all(np.diff(t) >= 0.0):
-            w, phi = self._march(t)
-            return w, self._wprime_array(t, phi)
-        w = np.empty(t.shape)
-        wp = np.empty(t.shape)
-        for i, ti in enumerate(t.ravel()):
-            wi, phii = self._state_at(float(ti))
-            w.flat[i] = wi
-            wp.flat[i] = self._wprime(float(ti), phii)
-        return w, wp
-
-    def omega_at(self, t):
-        return self.evaluate(t)[0]
-
-    def omega_prime_at(self, t):
-        return self.evaluate(t)[1]
+        tt = np.asarray(t, dtype=float)
+        flat = tt.ravel()
+        order = np.argsort(flat, kind="stable")
+        ts = flat[order]
+        w_sorted, phi = self._march(ts)
+        w = np.empty(flat.size)
+        wp = np.empty(flat.size)
+        w[order] = w_sorted
+        wp[order] = _omega_prime(self.problem, ts, phi)
+        if tt.ndim == 0:
+            return float(w[0]), float(wp[0])
+        return w.reshape(tt.shape), wp.reshape(tt.shape)
 
     # -- serialization ---------------------------------------------------
 
@@ -441,9 +435,6 @@ def integrate_profile(problem, lam):
     if lam <= 0:
         raise ValueError("trial eigenvalue must be positive")
     ts, ys, zero, rhs = _shoot(problem, lam)
-    p, m = problem.p, problem.m
-    fs = problem.profile.f_scalar
-    em1 = 1.0 / (p - 1.0)
     grid = list(ts)
     omega = [y[0] for y in ys]
     phi = [y[1] for y in ys]
@@ -454,9 +445,7 @@ def integrate_profile(problem, lam):
     grid = np.array(grid)
     omega = np.array(omega)
     phi = np.array(phi)
-    fm = np.array([fs(t) ** (m - 1) if m > 1 else 1.0 for t in grid])
-    ratio = np.divide(np.abs(phi), fm, out=np.zeros_like(phi), where=fm > 0)
-    omega_prime = np.sign(phi) * ratio ** em1
+    omega_prime = _omega_prime(problem, grid, phi)
     return {
         "grid": grid,
         "omega": omega,

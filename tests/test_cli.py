@@ -1,8 +1,10 @@
 import csv
 import io
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,14 +12,9 @@ import pytest
 from ptone import cli
 
 
-def run_cli(*args, env_extra=None, cwd=None):
-    import os
-    env = dict(os.environ)
-    env.setdefault("PTONE_THREADS", "1")
-    if env_extra:
-        env.update(env_extra)
+def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "ptone.cli", *args],
-                          capture_output=True, text=True, env=env, cwd=cwd)
+                          capture_output=True, text=True)
 
 
 def parse_csv(text):
@@ -72,17 +69,6 @@ def test_sort_rows_by_parameter_tuple():
     out = cli._sort_rows(rows)
     assert [(r["p"], r["c"]) for r in out] == [(2.0, -1.0), (2.0, 1.0),
                                                (3.0, 0.0)]
-
-
-def test_pmap_preserves_order(monkeypatch):
-    monkeypatch.setenv("PTONE_THREADS", "4")
-    assert cli._pmap(lambda x: x * x, range(10)) == [x * x for x in
-                                                     range(10)]
-    monkeypatch.setenv("PTONE_THREADS", "1")
-    assert cli._pmap(lambda x: -x, [3, 1, 2]) == [-3, -1, -2]
-    monkeypatch.setenv("PTONE_THREADS", "0")
-    with pytest.raises(ValueError):
-        cli._threads()
 
 
 # subcommands end to end
@@ -177,12 +163,44 @@ def test_config_file_merging(tmp_path):
     assert [r["p"] for r in rows] == ["2", "3"]        # config list used
 
 
-def test_thread_count_does_not_change_output():
+def test_repeat_runs_are_byte_identical():
+    # "--c -1,0,1" also checks that a list starting with '-' parses.
     args = ("eig", "--p", "2,3", "--m", "2", "--c", "-1,0,1", "--r", "1")
-    serial = run_cli(*args, env_extra={"PTONE_THREADS": "1"})
-    threaded = run_cli(*args, env_extra={"PTONE_THREADS": "4"})
+    first, second = run_cli(*args), run_cli(*args)
+    assert first.returncode == 0 and second.returncode == 0
     strip = lambda s: [ln for ln in s.splitlines() if not ln.startswith("#")]
-    assert strip(serial.stdout) == strip(threaded.stdout)
+    assert strip(first.stdout) == strip(second.stdout)
+    rows = parse_csv(first.stdout)
+    assert len(rows) == 6
+    assert [(r["p"], r["c"]) for r in rows] == [
+        (p, c) for p in ("2", "3") for c in ("-1", "0", "1")]
+
+
+def test_negative_list_values_parse():
+    assert cli._join_list_values(
+        ["sweep", "--c", "-1,0,1", "--r", "-1:0:0.5", "--p", "2"]) == [
+        "sweep", "--c=-1,0,1", "--r=-1:0:0.5", "--p", "2"]
+    args = cli.build_parser().parse_args(
+        cli._join_list_values(["eig", "--c", "-.5,1", "--m", "2"]))
+    assert args.c == "-.5,1" and args.m == "2"
+
+
+def _readme_commands():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    return [shlex.split(line.split("#", 1)[0])[1:]
+            for line in block.splitlines() if line.startswith("ptone ")]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_command_runs(argv, tmp_path):
+    # The full battery has its own tests; one filtered criterion stands in
+    # for the unfiltered selftest commands.
+    if argv[0] == "selftest" and "--filter" not in argv:
+        argv = ["selftest", "--filter", "barta"] + [
+            str(tmp_path / a) if a.endswith(".csv") else a for a in argv[1:]]
+    res = run_cli(*argv)
+    assert res.returncode == 0, res.stderr
 
 
 def test_unknown_subcommand_exits_two():

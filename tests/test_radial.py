@@ -133,11 +133,33 @@ def test_evaluate_band_query_matches_scalars():
 
 
 def test_evaluate_unsorted_array():
-    sol = solve_ball_eigenvalue(ball_problem(2.0, 2, 0.0, 1.0))
-    t = np.array([0.9, 0.1, 0.5])
-    w, _ = sol.evaluate(t)
-    for ti, wi in zip(t, w):
-        assert wi == pytest.approx(sol.evaluate(float(ti))[0], abs=1e-12)
+    # Coarse and unsorted queries take the same march as dense ones; each
+    # node must agree with an independent scalar query, including nodes
+    # far from the pole, where the pole expansion does not hold.
+    queries = (np.array([0.9, 0.1, 0.5]), np.linspace(0.0, 1.0, 9),
+               np.linspace(0.1, 0.9, 8))
+    for p in (2.0, 3.0, 8.0):
+        sol = solve_ball_eigenvalue(ball_problem(p, 2, 0.0, 1.0))
+        for t in queries:
+            w, wp = sol.evaluate(t)
+            for ti, wi, wpi in zip(t, w, wp):
+                ws, wps = sol.evaluate(float(ti))
+                assert wi == pytest.approx(ws, abs=1e-11)
+                assert wpi == pytest.approx(wps, abs=1e-10)
+
+
+def test_cached_solution_is_read_only():
+    problem = ball_problem(2.0, 2, 0.0, 1.0)
+    sol = solve_ball_eigenvalue(problem)
+    peak = sol.omega.max()
+    for arr in (sol.grid, sol.omega, sol.omega_prime, sol.flux):
+        with pytest.raises(ValueError):
+            arr[:] = 0.0
+        with pytest.raises(ValueError):
+            arr *= 2.0
+    again = solve_ball_eigenvalue(problem)
+    assert again is sol
+    assert again.omega.max() == peak == pytest.approx(1.0, abs=1e-12)
 
 
 def test_residual_detects_doctored_eigenvalue():
