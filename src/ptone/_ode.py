@@ -14,6 +14,7 @@ the solver tolerances, so the sub-step error sits far below the
 integration error itself.
 """
 
+import math
 from bisect import bisect_right
 
 
@@ -131,6 +132,25 @@ def rk4_between(f, t_from, y, t_to, nsub=4):
         v += h * (a1v + 2.0 * a2v + 2.0 * a3v + a4v) / 6.0
         t += h
     return u, v
+
+
+def rk4_graded(f, t_from, y, t_to, s, nsub):
+    """rk4_between for a field that is not smooth at s, near or inside
+    (t_from, t_to).
+
+    The interval is cut at s and at s +- (t_to - t_from) 2^-j, j < 40,
+    so every piece is about as long as its distance from s; each piece
+    takes its share of the nsub sub-steps, but at least four.
+    """
+    span = t_to - t_from
+    cuts = [s] + [s + sign * span * 0.5 ** j for j in range(40)
+                  for sign in (-1.0, 1.0)]
+    cuts = sorted({c for c in cuts if t_from < c < t_to})
+    for t_next in cuts + [t_to]:
+        k = max(4, int(math.ceil(nsub * (t_next - t_from) / span)))
+        y = rk4_between(f, t_from, y, t_next, nsub=k)
+        t_from = t_next
+    return y
 
 
 def dense_eval(f, ts, ys, t):

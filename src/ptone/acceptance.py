@@ -319,7 +319,7 @@ def criterion_09():
     for c in (-1.0, 0.0, 1.0):
         r = 1.4 if c == 1.0 else 1.0
         sol = _solve(2.0, 2, c, r)
-        rep = critical.compute_r_star(c, sol)
+        rep = critical.compute_r_star(sol)
         ok = abs(rep.r_star - r) <= 1e-12
         checks.append(ok)
         rows.append({"clause": "p2", "c": c, "p": 2.0, "m": 2, "r": r,
@@ -328,7 +328,7 @@ def criterion_09():
 
     for p in (3.0, 4.0):
         sol = _solve(p, 2, 1.0, 1.4)
-        rep = critical.compute_r_star(1.0, sol)
+        rep = critical.compute_r_star(sol)
         margin = rep.diagnostics["positivity_margin"]
         ok = abs(rep.r_star - 1.4) <= 1e-12 and margin > 0.0
         checks.append(ok)
@@ -337,8 +337,8 @@ def criterion_09():
                      "positivity_margin": margin, "ok": ok})
 
     sol = _solve(3.0, 2, -1.0, 1.0)
-    rep = critical.compute_r_star(-1.0, sol, n=16384)
-    rep_fine = critical.compute_r_star(-1.0, sol, n=32768)
+    rep = critical.compute_r_star(sol, n=16384)
+    rep_fine = critical.compute_r_star(sol, n=32768)
     cell = 1.0 / 16383.0
     drift = abs(rep.r_star - rep_fine.r_star)
     interior = 0.0 < rep.r_star < 1.0
@@ -351,9 +351,9 @@ def criterion_09():
 
     p, m, r = 3.0, 2, 1.0
     sol0 = _solve(p, m, 0.0, r)
-    rep0 = critical.compute_r_star(0.0, sol0, n=16384)
-    om0 = sol0.evaluate(rep0.t_samples)[0]
-    barrier = sol0.lam * (2.0 - p) * np.abs(om0) ** (p - 1.0) / m
+    rep0 = critical.compute_r_star(sol0, n=16384)
+    barrier = (sol0.lam * (2.0 - p) * np.abs(rep0.omega_samples) ** (p - 1.0)
+               / m)
     gap = barrier - rep0.W_samples
     barrier_margin = float(np.min(gap[rep0.t_samples > 0.0]))
     ok = (rep0.r_star == r and rep0.method == "Integral-LHS"
@@ -418,7 +418,7 @@ def criterion_12():
         for p in (2.0, 3.0):
             sol = _solve(p, 2, 0.0, r)
             if p > 2.0:  # precondition r <= r_star of the flat model
-                rep = critical.compute_r_star(0.0, sol)
+                rep = critical.compute_r_star(sol)
                 r_star = rep.r_star
             else:
                 r_star = r
@@ -624,14 +624,6 @@ REGISTRY = [
     (14, "stability arithmetic", criterion_14),
     (15, "harness determinism", criterion_15),
 ]
-
-
-def run_criterion(number):
-    """Run one criterion by number."""
-    for num, _, fn in REGISTRY:
-        if num == number:
-            return fn()
-    raise ValueError("no criterion %r" % (number,))
 
 
 def run_all(name_filter=None):

@@ -1,8 +1,9 @@
 """Eigenvalue bounds and certificates for radial p-Laplacians.
 
-Lower bounds come from three routes, each returning a BoundCertificate
-that records the evaluated node range so a bound is never quietly
-extrapolated into regions where finite differences are unreliable:
+Lower bounds come from three routes, each returning a BoundCertificate;
+the differenced routes take their infimum only over an interior window,
+so a bound is never quietly extrapolated into regions where finite
+differences are unreliable:
 
   * Barta: lambda >= inf over positive test fields eta of the ratio
     -Delta_p eta / eta^(p-1), sharp exactly at the eigenfunction.
@@ -41,46 +42,23 @@ DIV_OMEGA_FLOOR = 0.25      # eigen_field keeps omega >= floor * max
 class RadialField:
     """A radial vector field t -> X(t) d/dt sampled on increasing nodes."""
 
-    def __init__(self, nodes, values, label="field"):
+    def __init__(self, nodes, values):
         self.nodes = np.asarray(nodes, dtype=float)
         self.values = np.asarray(values, dtype=float)
         if self.nodes.shape != self.values.shape or self.nodes.ndim != 1:
             raise ValueError("nodes and values must be 1-d of equal length")
         if np.any(np.diff(self.nodes) <= 0):
             raise ValueError("nodes must be strictly increasing")
-        self.label = label
 
 
 class BoundCertificate:
-    """A certified one-sided bound with its evaluation provenance."""
+    """A certified one-sided bound; data holds route-specific details."""
 
-    def __init__(self, kind, value, problem, witness, evaluation_range,
-                 vacuous=False, data=None):
+    def __init__(self, kind, value, vacuous=False, data=None):
         self.kind = kind
         self.value = float(value)
-        self.problem = problem
-        self.witness = witness
-        self.evaluation_range = (int(evaluation_range[0]),
-                                 int(evaluation_range[1]))
         self.vacuous = bool(vacuous)
         self.data = dict(data or {})
-
-    def to_json(self):
-        out = {"kind": self.kind, "value": self.value,
-               "problem": self.problem,
-               "evaluation_range": list(self.evaluation_range)}
-        if self.vacuous:
-            out["vacuous"] = True
-        if self.witness is not None:
-            out["witness"] = self.witness
-        return out
-
-
-def problem_summary(problem):
-    d = problem.domain
-    dom = ["ball", d.r] if d.kind == "ball" else ["annulus", d.a, d.b]
-    return {"p": problem.p, "m": problem.m,
-            "profile": problem.profile.describe(), "domain": dom}
 
 
 def _default_nodes(problem, n):
@@ -114,20 +92,18 @@ def discrete_plap_radial(eta, problem, nodes):
     return np.diff(flux) / (hc * wnode)
 
 
-def _interior_window(vals, nodes, problem, floor, pole_frac, layers):
-    """Indices (into the interior range 1..n-2) kept for ratio bounds."""
-    inner = vals[1:-1]
-    keep = inner >= floor * float(np.max(np.abs(vals)))
+def _window(keep, t, problem):
+    """Indices where keep holds, without ball nodes t < BARTA_POLE_FRAC r,
+    and with BOUNDARY_LAYERS trimmed at each end."""
     if problem.domain.kind == "ball":
-        keep &= nodes[1:-1] >= pole_frac * problem.domain.r
+        keep = keep & (t >= BARTA_POLE_FRAC * problem.domain.r)
     idx = np.flatnonzero(keep)
-    if idx.size <= 2 * layers:
-        raise ValueError("evaluation window is empty; eta is too thin")
-    return idx[layers:idx.size - layers]
+    if idx.size <= 2 * BOUNDARY_LAYERS:
+        raise ValueError("evaluation window is empty")
+    return idx[BOUNDARY_LAYERS:idx.size - BOUNDARY_LAYERS]
 
 
-def barta_bound(eta, problem, nodes=None, *, eta_floor=BARTA_ETA_FLOOR,
-                pole_frac=BARTA_POLE_FRAC, layers=BOUNDARY_LAYERS):
+def barta_bound(eta, problem, nodes=None):
     """Lower bound inf(-Delta_p eta / eta^(p-1)) over a positive field.
 
     eta must be positive on interior nodes and vanish at Dirichlet
@@ -141,14 +117,11 @@ def barta_bound(eta, problem, nodes=None, *, eta_floor=BARTA_ETA_FLOOR,
     if np.any(vals[1:-1] <= 0):
         raise ValueError("eta must be positive on interior nodes")
     plap = discrete_plap_radial(vals, problem, nodes)
-    idx = _interior_window(vals, nodes, problem, eta_floor, pole_frac, layers)
+    keep = vals[1:-1] >= BARTA_ETA_FLOOR * float(np.max(np.abs(vals)))
+    idx = _window(keep, nodes[1:-1], problem)
     ratio = -plap[idx] / vals[1:-1][idx] ** (problem.p - 1.0)
-    k = int(np.argmin(ratio))
-    return BoundCertificate(
-        kind="barta", value=float(ratio[k]), problem=problem_summary(problem),
-        witness="inf -Delta_p eta / eta^(p-1) at t=%.6g" % nodes[1:-1][idx][k],
-        evaluation_range=(idx[0] + 1, idx[-1] + 1),
-        data={"n_evaluated": int(idx.size)})
+    return BoundCertificate(kind="barta", value=float(np.min(ratio)),
+                            data={"n_evaluated": int(idx.size)})
 
 
 def picone_defect(u, grad_u, v, grad_v, p):
@@ -170,119 +143,87 @@ def picone_defect(u, grad_u, v, grad_v, p):
             - p * w ** (p - 1.0) * signed_power(gv, p - 1.0) * gu)
 
 
-def eigen_field(solution, omega_floor=DIV_OMEGA_FLOOR):
+def eigen_field(solution):
     """The optimal divergence field X = -|omega'|^{p-2} omega' / omega^{p-1}.
 
-    Restricted to nodes where omega >= omega_floor * max omega: past that
-    the field blows up like omega^{1-p} toward the Dirichlet endpoint and
-    certifies nothing that the kept window does not already certify.
+    Restricted to nodes where omega >= DIV_OMEGA_FLOOR * max omega: past
+    that the field blows up like omega^{1-p} toward the Dirichlet endpoint
+    and certifies nothing that the kept window does not already certify.
     """
     p = solution.problem.p
     om, dom = solution.omega, solution.omega_prime
-    keep = om >= omega_floor * float(np.max(om))
+    keep = om >= DIV_OMEGA_FLOOR * float(np.max(om))
     idx = np.flatnonzero(keep)
     i0, i1 = int(idx[0]), int(idx[-1])
     if i1 - i0 + 1 != idx.size:
         raise ValueError("omega window is not contiguous")
     sl = slice(i0, i1 + 1)
     x = -signed_power(dom[sl], p - 1.0) / om[sl] ** (p - 1.0)
-    return RadialField(solution.grid[sl], x,
-                       label="eigen_field(p=%g, floor=%g)" % (p, omega_floor))
+    return RadialField(solution.grid[sl], x)
 
 
-def div_radial(field, problem, *, order=4):
-    """(f^{m-1} X)' / f^{m-1} on interior nodes of the field's uniform grid.
-
-    order=4 uses the five-point centered stencil (values on indices
-    2..n-3), order=2 the three-point one (1..n-2).
-    """
+def div_radial(field, problem):
+    """(f^{m-1} X)' / f^{m-1} on nodes 2..n-3 of the field's uniform grid,
+    by the five-point centered stencil."""
     t = field.nodes
     h = np.diff(t)
     if not np.allclose(h, h[0], rtol=1e-9):
         raise ValueError("div_radial needs a uniform grid")
     h = float(h[0])
     g = _weight_at(problem, t) * field.values
-    w_in = None
-    if order == 4:
-        d = (g[:-4] - 8 * g[1:-3] + 8 * g[3:-1] - g[4:]) / (12 * h)
-        w_in = _weight_at(problem, t[2:-2])
-    elif order == 2:
-        d = (g[2:] - g[:-2]) / (2 * h)
-        w_in = _weight_at(problem, t[1:-1])
-    else:
-        raise ValueError("order must be 2 or 4")
-    return d / w_in
+    d = (g[:-4] - 8 * g[1:-3] + 8 * g[3:-1] - g[4:]) / (12 * h)
+    return d / _weight_at(problem, t[2:-2])
 
 
-def div_field_bound(field, problem, *, layers=BOUNDARY_LAYERS,
-                    pole_frac=BARTA_POLE_FRAC):
+def _div_window(field, problem):
+    """div X on the window of the field's nodes 2..n-3, and the window."""
+    dv = div_radial(field, problem)
+    idx = _window(np.ones(dv.size, dtype=bool), field.nodes[2:-2], problem)
+    return dv[idx], idx
+
+
+def _field_expression(field, problem):
+    """(1-p)|X|^q + div X, q = p/(p-1), on the window of _div_window."""
+    dv, idx = _div_window(field, problem)
+    return ((1.0 - problem.p) * np.abs(field.values[2:-2][idx]) ** problem.q
+            + dv)
+
+
+def div_field_bound(field, problem):
     """Lower bound inf over the window of (1-p)|X|^q + div X, q = p/(p-1).
 
     Any radial field gives a valid lower bound; the eigen_field makes it
     sharp (the expression is then identically lambda).
     """
-    p = problem.p
-    q = p / (p - 1.0)
-    dv = div_radial(field, problem, order=4)
-    t_in = field.nodes[2:-2]
-    expr = (1.0 - p) * np.abs(field.values[2:-2]) ** q + dv
-    keep = np.ones(t_in.size, dtype=bool)
-    if problem.domain.kind == "ball":
-        keep &= t_in >= pole_frac * problem.domain.r
-    idx = np.flatnonzero(keep)
-    if idx.size <= 2 * layers:
-        raise ValueError("field has too few nodes for a windowed bound")
-    idx = idx[layers:idx.size - layers]
-    k = int(np.argmin(expr[idx]))
+    expr = _field_expression(field, problem)
     return BoundCertificate(
-        kind="div-field", value=float(expr[idx][k]),
-        problem=problem_summary(problem),
-        witness="inf (1-p)|X|^q + div X over %s" % field.label,
-        evaluation_range=(idx[0] + 2, idx[-1] + 2),
-        data={"q": q, "n_evaluated": int(idx.size)})
+        kind="div-field", value=float(np.min(expr)),
+        data={"q": problem.q, "n_evaluated": int(expr.size)})
 
 
-def div_identity_residual(solution, omega_floor=DIV_OMEGA_FLOOR):
+def div_identity_residual(solution):
     """sup |((1-p)|X|^q + div X) - lambda| / lambda for the eigen field.
 
     The continuum identity says the expression is exactly lambda; the
     residual measures stencil error over the certificate window.
     """
-    problem = solution.problem
-    field = eigen_field(solution, omega_floor)
-    cert = div_field_bound(field, problem)
-    p, q = problem.p, problem.p / (problem.p - 1.0)
-    dv = div_radial(field, problem, order=4)
-    expr = (1.0 - p) * np.abs(field.values[2:-2]) ** q + dv
-    i0, i1 = cert.evaluation_range
-    window = expr[i0 - 2:i1 - 1]
-    return float(np.max(np.abs(window - solution.lam)) / solution.lam)
+    expr = _field_expression(eigen_field(solution), solution.problem)
+    return float(np.max(np.abs(expr - solution.lam)) / solution.lam)
 
 
-def div_sup_bound(field, problem, *, layers=BOUNDARY_LAYERS,
-                  pole_frac=BARTA_POLE_FRAC):
+def div_sup_bound(field, problem):
     """Lower bound (inf div X / (p ||X||_inf))^p, vacuous if inf div <= 0."""
     p = problem.p
-    dv = div_radial(field, problem, order=4)
-    t_in = field.nodes[2:-2]
-    keep = np.ones(t_in.size, dtype=bool)
-    if problem.domain.kind == "ball":
-        keep &= t_in >= pole_frac * problem.domain.r
-    idx = np.flatnonzero(keep)
-    if idx.size <= 2 * layers:
-        raise ValueError("field has too few nodes for a windowed bound")
-    idx = idx[layers:idx.size - layers]
-    inf_div = float(np.min(dv[idx]))
+    dv, _ = _div_window(field, problem)
+    inf_div = float(np.min(dv))
     sup_x = float(np.max(np.abs(field.values)))
     if sup_x == 0.0:
         raise ValueError("field is identically zero")
     vacuous = inf_div <= 0.0
     value = 0.0 if vacuous else (inf_div / (p * sup_x)) ** p
     return BoundCertificate(
-        kind="div-sup", value=value, problem=problem_summary(problem),
-        witness="(inf div X / (p sup |X|))^p over %s" % field.label,
-        evaluation_range=(idx[0] + 2, idx[-1] + 2),
-        vacuous=vacuous, data={"inf_div": inf_div, "sup_X": sup_x})
+        kind="div-sup", value=value, vacuous=vacuous,
+        data={"inf_div": inf_div, "sup_X": sup_x})
 
 
 def theorem17_bound(m, p, c, r, h=0.0):
@@ -297,11 +238,8 @@ def theorem17_bound(m, p, c, r, h=0.0):
     base = (m - 2) * cot_c(float(c), float(r)) - float(h)
     vacuous = base <= 0.0
     value = 0.0 if vacuous else (base / p) ** p
-    return BoundCertificate(
-        kind="cotangent-barrier", value=value,
-        problem={"m": m, "p": p, "c": c, "r": r, "h": h},
-        witness="((m-2) cot_c(r) - h)/p to the p-th power",
-        evaluation_range=(0, 0), vacuous=vacuous, data={"base": base})
+    return BoundCertificate(kind="cotangent-barrier", value=value,
+                            vacuous=vacuous, data={"base": base})
 
 
 def transplant_barta_certificate(flat_solution, problem):
@@ -339,9 +277,6 @@ def transplant_barta_certificate(flat_solution, problem):
     k = int(np.argmin(values))
     return BoundCertificate(
         kind="transplant-barta", value=float(values[k]),
-        problem=problem_summary(problem),
-        witness="flat eigenfunction transplanted along the radius",
-        evaluation_range=(int(idx[0]), int(idx[-1])),
         data={"lambda_flat": lam, "min_margin": float(margin[k]),
               "argmin_t": float(t_k[k])})
 

@@ -180,7 +180,7 @@ def eig_rows(p_list, m_list, c_list, r_list, tol=None, n_grid=None):
 def rstar_rows(combos):
     def one(p, m, c, r):
         sol = radial.solve_ball_eigenvalue(radial.ball_problem(p, m, c, r))
-        rep = critical.compute_r_star(c, sol)
+        rep = critical.compute_r_star(sol)
         return {"c": c, "p": p, "m": m, "r": r, "lambda": rep.lam,
                 "r_star": rep.r_star, "min_W_margin": rep.min_margin}
 

@@ -35,7 +35,8 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import rayleigh
-from .bounds import stability_criterion_immersion, stability_criterion_meancurv
+from .bounds import (meancurv_threshold, stability_criterion_immersion,
+                     stability_criterion_meancurv)
 from .radial import ball_problem, signed_power, solve_ball_eigenvalue
 
 __all__ = [
@@ -559,7 +560,7 @@ def band_report(surface, r, p, solution_model=None, n=TRANSPLANT_GRID,
         details={
             "s_range": list(band.s_range),
             "sup_A": a_sup,
-            "meancurv_threshold": (2 - 1) / (p * r),
+            "meancurv_threshold": meancurv_threshold(2, p, r),
             "modelcontrol_pass": check["pass"],
             "modelcontrol_argmin_s": check["argmin_s"],
             "rayleigh_iterations": int(result["iterations"]),

@@ -83,7 +83,7 @@ def scan_pins():
                                     radial.Ball(1.4))
         sol = radial.solve_ball_eigenvalue(prob)
         for n in (16384, 32768):
-            rep = critical.compute_r_star(1.0, sol, n=n)
+            rep = critical.compute_r_star(sol, n=n)
             line("spherical margin p=%g n=%d" % (p, n),
                  rep.diagnostics["positivity_margin"])
         radial.clear_solver_cache()
@@ -92,14 +92,14 @@ def scan_pins():
                                     radial.Ball(1.0))
         sol = radial.solve_ball_eigenvalue(prob)
         for n in (16384, 32768):
-            rep = critical.compute_r_star(-1.0, sol, n=n)
+            rep = critical.compute_r_star(sol, n=n)
             line("hyperbolic r_star p=%g n=%d" % (p, n), rep.r_star)
         radial.clear_solver_cache()
     prob = radial.RadialProblem(3.0, 2, radial.space_form(0.0),
                                 radial.Ball(1.0))
     sol = radial.solve_ball_eigenvalue(prob)
     for n in (16384, 32768):
-        rep = critical.compute_r_star(0.0, sol, n=n)
+        rep = critical.compute_r_star(sol, n=n)
         line("flat psi_min n=%d" % n, rep.diagnostics["psi_min"],
              "stays positive: no interior r_star")
         line("flat psi_final n=%d" % n, rep.diagnostics["psi_final"])

@@ -206,3 +206,16 @@ def test_readme_command_runs(argv, tmp_path):
 def test_unknown_subcommand_exits_two():
     res = run_cli("frobnicate")
     assert res.returncode == 2
+
+
+def test_oracles_script_runs():
+    # tests/oracles.py regenerates the frozen fixtures; it is not collected,
+    # so only this run keeps it in step with the API it calls.
+    script = Path(__file__).resolve().parent / "oracles.py"
+    proc = subprocess.run([sys.executable, str(script)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    for section in ("== closed-form oracles ==",
+                    "== catenoid extrinsic-distance oracles ==",
+                    "== solver pins", "== critical-radius scan pins"):
+        assert section in proc.stdout

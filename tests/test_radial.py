@@ -90,6 +90,17 @@ def test_annulus_m3_flat_is_pi_squared():
     assert abs(sol.omega[0]) <= 1e-8 and abs(sol.omega[-1]) <= 1e-8
 
 
+@pytest.mark.parametrize("p", [3.0, 8.0])
+def test_annulus_grid_matches_scalar_evaluate(p):
+    # omega' ~ |Phi|^(1/(p-1)) is not smooth at the interior peak, where
+    # the flux crosses zero; the grid march must still agree with scalar
+    # queries of the adaptive trajectory at every node.
+    prob = RadialProblem(p, 2, modelspace.space_form(0.0), Annulus(0.5, 1.))
+    sol = solve_annulus_eigenvalue(prob)
+    scalar = np.array([sol.evaluate(float(t))[0] for t in sol.grid])
+    assert np.max(np.abs(sol.omega - scalar)) <= 1e-8
+
+
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_annulus_m1_is_string(p):
     prob = RadialProblem(p, 1, modelspace.space_form(0.0),
