@@ -396,6 +396,15 @@ def cmd_selftest(args):
         with open(out, "w") as fh:
             fh.write(format_csv(["criterion", "record", "field", "value"],
                                 selftest_manifest_rows(results), meta=meta))
+    json_path = getattr(args, "json", None)
+    if json_path:
+        payload = {"command": "selftest", "criteria": [
+            {"number": res.number, "name": res.name, "passed": res.passed,
+             "detail": res.detail, "runtime_s": res.runtime}
+            for res in results]}
+        with open(json_path, "w") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write("\n")
     if failures:
         print("\nFAILURE MANIFEST")
         sys.stdout.write(format_csv(

@@ -22,7 +22,11 @@ Profiles come in three kinds:
     conditions f(0) = 0, f'(0) = 1 and, for eps >= 0, satisfies the same
     curvature bound as S_c (checked at construction, not assumed);
   * tabulated(nodes, values): monotone cubic (PCHIP) interpolation of
-    sampled data, with derivatives taken from the interpolant.
+    sampled data, with derivatives taken from the interpolant.  The
+    shooting loop reads f through `f_scalar`, a pure-Python evaluator of
+    the same piecewise cubic that sums each local polynomial in scipy's
+    own order, so its values equal the interpolant's bit for bit at
+    about a tenth of the cost of a scipy call per point.
 
 Everything here is a pure function of its inputs; profiles are immutable
 after construction and safe to share between threads.
@@ -30,6 +34,7 @@ after construction and safe to share between threads.
 
 import hashlib
 import math
+from bisect import bisect_right
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
@@ -131,7 +136,17 @@ def cot_c(c, t):
 
 
 def _scalar_warping(kind, c, eps, interp):
-    """Build a fast float->float evaluator of f for the shooting loop."""
+    """Build a fast float->float evaluator of f for the shooting loop.
+
+    A tabulated profile is read from its interpolant's own breakpoints
+    and coefficients, one point at a time, without a scipy call.  The
+    interval search and its clamp to [0, n-2] (the end polynomials
+    extrapolate) are those of PPoly, and the local cubic is summed in
+    PPoly's order -- the power sum c3 + c2 s + c1 s^2 + c0 s^3 with
+    s^3 = (s s) s, not Horner -- so every value equals interp(t) bit for
+    bit.  Horner rounds differently by an ulp, which CSV cells printed
+    to 17 digits would show.
+    """
     if kind == "spaceform" or kind == "perturbed":
         if c > 0:
             rc = math.sqrt(c)
@@ -144,7 +159,20 @@ def _scalar_warping(kind, c, eps, interp):
         if kind == "spaceform":
             return base
         return lambda t: base(t) * (1.0 + eps * t * t)
-    return lambda t: float(interp(t))
+    x = interp.x.tolist()
+    c0, c1, c2, c3 = interp.c.tolist()
+    last = len(x) - 2
+
+    def f(t):
+        i = bisect_right(x, t) - 1
+        if i < 0:
+            i = 0
+        elif i > last:
+            i = last
+        s = t - x[i]
+        z = s * s
+        return c3[i] + c2[i] * s + c1[i] * z + c0[i] * (z * s)
+    return f
 
 
 class WarpingProfile:

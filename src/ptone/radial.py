@@ -190,12 +190,6 @@ class _Startup:
         b = self.beta
         return 1.0 - self.a * t ** b + self.b2 * t ** (2.0 * b)
 
-    def omega_prime(self, t):
-        b = self.beta
-        if t == 0.0:
-            return 0.0
-        return -self.a * b * t ** (b - 1.0) + 2.0 * b * self.b2 * t ** (2.0 * b - 1.0)
-
     def flux_F(self, t):
         # F = int_0^t f^{m-1} omega^{p-1}, with f ~ t + f3_0 t^3/6.
         m, b = self.m, self.beta
@@ -234,7 +228,7 @@ def _refine_zero(rhs, ts, ys, k, tol_t, comp=0):
     return 0.5 * (lo + up)
 
 
-def _shoot(problem, lam, keep_mesh=True):
+def _shoot(problem, lam):
     """Integrate the trial-lam trajectory; return (ts, ys, first_zero, rhs).
 
     For balls the mesh starts at t0 = 1e-4 r with the startup state; for
@@ -360,7 +354,12 @@ class RadialSolution:
         that point.  Uniform sub-steps across it lose accuracy where
         omega' ~ |Phi|^(1/(p-1)) is not smooth: on Annulus(0.5, 1), m = 2,
         c = 0, the 2048-node omega was 3.7e-7 (p = 3) and 6.6e-7 (p = 8)
-        off the adaptive trajectory, and is 2e-9 and 6e-10 graded.
+        off the adaptive trajectory, and is 2e-9 and 6e-10 graded.  For
+        p < 2 the field is not smooth at the walls either, where omega
+        vanishes and Phi' ~ |omega|^(p-1); a gap within its own length of
+        a wall is graded toward it.  Uniform sub-steps in the first gap
+        put an error on every later node: on the same annulus the grid
+        was 4.1e-7 (p = 1.5) and 2.9e-5 (p = 1.2) off near the peak.
         """
         n = ts.size
         omega = np.empty(n)
@@ -369,6 +368,7 @@ class RadialSolution:
             return omega, phi
         startup, rhs, scale = self._startup, self._rhs, self._scale
         peak = self._t_peak
+        walls = startup is None and self.p < 2.0
         t0, y0 = self._ts[0], self._ys[0]
         span = self.r - self._left
         h = max((ts[-1] - ts[0]) / max(n - 1, 1), 1e-12 * self.r)
@@ -402,6 +402,11 @@ class RadialSolution:
                     if peak is not None and \
                             t_march - gap < peak < t + gap:
                         y = _ode.rk4_graded(rhs, t_march, y, t, peak, nsub)
+                    elif walls and t_march - gap < self._left:
+                        y = _ode.rk4_graded(rhs, t_march, y, t, self._left,
+                                            nsub)
+                    elif walls and t + gap > self.r:
+                        y = _ode.rk4_graded(rhs, t_march, y, t, self.r, nsub)
                     else:
                         y = _ode.rk4_between(rhs, t_march, y, t, nsub=nsub)
                     t_march = t

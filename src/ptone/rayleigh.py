@@ -5,9 +5,13 @@ The quotient
     R(u) = int w |u'|^p dt / int w |u|^p dt,    w = f^{m-1},
 
 discretized with midpoint gradient weights, gives an independent
-variational route to the first Dirichlet p-eigenvalue: its minimum over
-fields vanishing at the Dirichlet endpoints converges to lambda from
-above as the grid refines.  The minimizer here is a projected
+variational estimate of the first Dirichlet p-eigenvalue: its minimum
+over fields vanishing at the Dirichlet endpoints converges to lambda as
+the grid refines.  It is not an upper bound: the node-quadrature mass
+can pull the discrete minimum below lambda (m = 1, p = 2, n = 2000 gives
+2.4674009733 against (pi/2)^2 = 2.4674011003).  A certified upper bound
+would take the continuous quotient of the minimizer as a P1 function
+(ROADMAP, open item 5).  The minimizer here is a projected
 preconditioned gradient descent: plain gradient steps on the p-energy
 contract like 1 - lambda h^2 per sweep and would need millions of
 iterations at n = 2000, so the descent direction is preconditioned by

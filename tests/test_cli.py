@@ -149,6 +149,18 @@ def test_selftest_filter_and_determinism(tmp_path):
     assert body1 == body2 and len(body1) > 1
 
 
+def test_selftest_json_writes_criteria(tmp_path):
+    path = tmp_path / "selftest.json"
+    res = run_cli("selftest", "--filter", "barta", "--json", str(path))
+    assert res.returncode == 0, res.stderr
+    payload = json.loads(path.read_text())
+    assert payload["command"] == "selftest"
+    [crit] = payload["criteria"]
+    assert crit["number"] == 4 and crit["name"] == "barta sharpness"
+    assert crit["passed"] is True and crit["runtime_s"] > 0.0
+    assert crit["detail"] in res.stdout and "[ 4] PASS" in res.stdout
+
+
 def test_selftest_unknown_filter():
     res = run_cli("selftest", "--filter", "nonexistent-criterion")
     assert res.returncode == 2

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ptone import modelspace
+from ptone import modelspace, radial
 from ptone.modelspace import (c_c, cot_c, from_csv, perturbed, s_c,
                               space_form, tabulated, verify_curvature_bound)
 
@@ -154,3 +154,46 @@ def test_profile_domain_guard():
     prof = space_form(0.0, r_max=1.0)
     with pytest.raises(ValueError):
         prof.eval(1.5)
+
+
+# the scalar evaluator of tabulated profiles
+
+
+def _tabulated_profiles(tmp_path):
+    t = np.linspace(0.0, 1.05, 2001)
+    profs = [tabulated(t, np.sinh(t), label="tab-sinh"),
+             tabulated(t, t * (1.0 + t * t / 10.0), label="tab-cubic"),
+             tabulated(t, np.sin(t), label="inadmissible-sin")]
+    tc = np.linspace(0.0, 1.5, 2001)
+    path = tmp_path / "profile.csv"
+    rows = "\n".join("%.17g,%.17g" % (a, b) for a, b in zip(tc, np.sinh(tc)))
+    path.write_text("t,f\n" + rows + "\n")
+    return profs + [from_csv(path)]
+
+
+def test_tabulated_f_scalar_equals_interpolant_bitwise(tmp_path):
+    rng = np.random.default_rng(20261018)
+    for prof in _tabulated_profiles(tmp_path):
+        interp = prof._interp
+        r = prof.r_max
+        pts = np.concatenate([interp.x, rng.uniform(0.0, r, 10000),
+                              [0.0, r, r * (1 + 1e-12), r * (1 + 1e-3),
+                               -1e-3]])
+        for t in pts.tolist():
+            assert prof.f_scalar(t) == float(interp(t)), (prof.label, t)
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
+def test_tabulated_solve_unchanged_by_scalar_evaluator(p, monkeypatch):
+    t = np.linspace(0.0, 1.05, 2001)
+    fast = tabulated(t, np.sinh(t))
+    ref = tabulated(t, np.sinh(t))
+    monkeypatch.setattr(ref, "f_scalar", lambda s: float(ref._interp(s)))
+    sols = [radial.solve_ball_eigenvalue(
+                radial.RadialProblem(p, 2, prof, radial.Ball(1.0)),
+                use_cache=False)
+            for prof in (fast, ref)]
+    assert sols[0].lam == sols[1].lam
+    assert np.array_equal(sols[0].omega, sols[1].omega)
+    assert np.array_equal(sols[0].omega_prime, sols[1].omega_prime)
+    assert sols[0].residual == sols[1].residual

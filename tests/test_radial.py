@@ -90,10 +90,11 @@ def test_annulus_m3_flat_is_pi_squared():
     assert abs(sol.omega[0]) <= 1e-8 and abs(sol.omega[-1]) <= 1e-8
 
 
-@pytest.mark.parametrize("p", [3.0, 8.0])
+@pytest.mark.parametrize("p", [1.2, 1.5, 3.0, 8.0])
 def test_annulus_grid_matches_scalar_evaluate(p):
     # omega' ~ |Phi|^(1/(p-1)) is not smooth at the interior peak, where
-    # the flux crosses zero; the grid march must still agree with scalar
+    # the flux crosses zero, and for p < 2 Phi' ~ |omega|^(p-1) is not
+    # smooth at the walls; the grid march must still agree with scalar
     # queries of the adaptive trajectory at every node.
     prob = RadialProblem(p, 2, modelspace.space_form(0.0), Annulus(0.5, 1.))
     sol = solve_annulus_eigenvalue(prob)
