@@ -12,14 +12,27 @@ of the solution's dense march) uses four classical RK4 sub-steps from the
 nearest node at or before the query point.  Accepted steps are short at
 the solver tolerances, so the sub-step error sits far below the
 integration error itself.
+
+`brent` is the package's one root-finder: the eigenvalue miss, the zeros
+of a state component inside one step, and the catenoid band end.
 """
 
 import math
 from bisect import bisect_right
 
 
-class IntegrationError(RuntimeError):
-    """Step-size underflow or NaN propagation inside the integrator."""
+class NonConvergenceError(RuntimeError):
+    """A numerical iteration stopped short of its tolerance.
+
+    Raised by `brent` when it runs out of steps, by `integrate` (as
+    IntegrationError), and by the eigenvalue solver when it cannot
+    bracket lam; the solver adds p, m, the domain, the profile and the
+    final eigenvalue bracket to the message.
+    """
+
+
+class IntegrationError(NonConvergenceError):
+    """Step-size underflow, NaN propagation or step limit in `integrate`."""
 
 
 # Dormand-Prince coefficients (the classic ode45 pair).  The last row of
@@ -43,6 +56,9 @@ _E4 = _B4 - 393.0 / 640.0
 _E5 = _B5 + 92097.0 / 339200.0
 _E6 = _B6 - 187.0 / 2100.0
 _E7 = -1.0 / 40.0
+
+# Brent steps before giving up; the package's roots take 2 to 12.
+_BRENT_STEPS = 100
 
 
 def integrate(f, t0, t1, y0, rtol=1e-12, atol=1e-12, stop=None,
@@ -167,3 +183,76 @@ def dense_eval(f, ts, ys, t):
     if ts[k] == t:
         return ys[k]
     return rk4_between(f, ts[k], ys[k], t)
+
+
+def brent(f, a, b, xtol, rtol=8.9e-16, fa=None, fb=None):
+    """Root of f between a and b by Brent's method (Brent 1973, ch. 4).
+
+    f(a) and f(b) (evaluated here unless given) must lie on opposite
+    sides of zero; a value counts as one side if it is positive and as
+    the other if not.  Each step interpolates (inverse quadratic, or
+    secant when only two points are distinct) if the step lands inside
+    the bracket and is less than half the step before last, and bisects
+    otherwise: it converges on any bracket, and superlinearly near a
+    simple root.  It stops once the bracket is no wider than
+    xtol + rtol |x| or f(x) is exactly zero.
+
+    Returns (x, y, steps): x is the best estimate, y the other end of the
+    final bracket, f(x) and f(y) lie on opposite sides, and steps counts
+    the evaluations of f after the two ends.  Raises ValueError when the
+    ends do not bracket a root, and NonConvergenceError naming the final
+    bracket after _BRENT_STEPS steps.
+    """
+    if fa is None:
+        fa = f(a)
+    if fb is None:
+        fb = f(b)
+    if (fa > 0.0) == (fb > 0.0):
+        raise ValueError("brent: f(%.17g) = %.3g and f(%.17g) = %.3g do not "
+                         "bracket a root" % (a, fa, b, fb))
+    # b is the best estimate, c the other end of the bracket, a the
+    # previous b; d is the last step and e the one before it.
+    c, fc = a, fa
+    d = e = b - a
+    steps = 0
+    while True:
+        if abs(fc) < abs(fb):
+            a, fa = b, fb
+            b, fb = c, fc
+            c, fc = a, fa
+        tol = 0.5 * (xtol + rtol * abs(b))
+        half = 0.5 * (c - b)
+        if fb == 0.0 or abs(half) <= tol:
+            return b, c, steps
+        if steps == _BRENT_STEPS:
+            raise NonConvergenceError(
+                "brent: bracket [%.17g, %.17g] still wider than %.3g after "
+                "%d steps" % (min(b, c), max(b, c), 2.0 * tol, steps))
+        if abs(e) >= tol and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:
+                num, den = 2.0 * half * s, 1.0 - s
+            else:
+                q, r = fa / fc, fb / fc
+                num = s * (2.0 * half * q * (q - r) - (b - a) * (r - 1.0))
+                den = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if num > 0.0:
+                den = -den
+            else:
+                num = -num
+            # Accept the interpolated step if it lands well inside the
+            # bracket and is less than half the step before last.
+            if 2.0 * num < min(3.0 * half * den - abs(tol * den),
+                               abs(e * den)):
+                e, d = d, num / den
+            else:
+                d = e = half
+        else:
+            d = e = half
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, half)
+        fb = f(b)
+        steps += 1
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a

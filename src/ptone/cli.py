@@ -443,7 +443,8 @@ def build_parser():
 
     sub = subs.add_parser("eig", help="eigenvalue sweep")
     _add_grid_flags(sub)
-    sub.add_argument("--tol", type=float, help="bisection tolerance")
+    sub.add_argument("--tol", type=float,
+                     help="relative width of the final eigenvalue bracket")
     sub.add_argument("--n", help="output grid size")
     _add_common(sub)
     sub.set_defaults(handler=cmd_eig)

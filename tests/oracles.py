@@ -18,7 +18,7 @@ import math
 import numpy as np
 from scipy import optimize, special
 
-from ptone import critical, radial
+from ptone import acceptance, critical, radial
 
 
 def line(name, value, note=""):
@@ -28,7 +28,7 @@ def line(name, value, note=""):
 def closed_forms():
     print("== closed-form oracles ==")
     j01 = special.jn_zeros(0, 1)[0]
-    line("j01", j01)
+    line("j01", j01, "acceptance.J01 - j01 = %.1e" % (acceptance.J01 - j01))
     line("j01^2", j01 ** 2, "lambda(p=2, m=2, c=0, r=1)")
     line("pi^2", math.pi ** 2, "lambda(p=2, m=3, c=0, r=1); annulus m=3")
     for p in (1.5, 2.0, 3.0, 4.0):
@@ -70,9 +70,9 @@ def solver_pins():
         prob = radial.RadialProblem(p, m, radial.space_form(c),
                                     radial.Ball(1.0))
         base = radial.solve_ball_eigenvalue(prob)
-        fine = radial.solve_ball_eigenvalue(prob, tol=1e-10)
+        fine = radial.solve_ball_eigenvalue(prob, tol=1e-14)
         line("lambda(%g,%d,%g)" % (p, m, c), base.lam,
-             "tol=1e-10 drift %.1e" % abs(fine.lam - base.lam))
+             "tol=1e-14 drift %.1e" % abs(fine.lam - base.lam))
         radial.clear_solver_cache()
 
 

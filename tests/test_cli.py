@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ptone import cli
+from ptone import _ode, cli, radial
 
 
 def run_cli(*args):
@@ -218,6 +218,21 @@ def test_readme_command_runs(argv, tmp_path):
 def test_unknown_subcommand_exits_two():
     res = run_cli("frobnicate")
     assert res.returncode == 2
+
+
+def test_integration_failure_exits_three(monkeypatch, capsys):
+    # A failed integration is a numerical non-convergence: exit 3, with
+    # the parameters that caused it, not a traceback.
+    def fail(*args, **kwargs):
+        raise _ode.IntegrationError("step-size underflow at t=0.5")
+
+    monkeypatch.setattr(_ode, "integrate", fail)
+    radial.clear_solver_cache()
+    assert cli.main(["eig", "--p", "2.5", "--m", "3", "--c", "0",
+                     "--r", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("non-convergence: step-size underflow")
+    assert "p=2.5" in err and "m=3" in err
 
 
 def test_oracles_script_runs():

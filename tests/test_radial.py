@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.special import jn_zeros
 
-from ptone import modelspace, radial
+from ptone import _ode, acceptance, modelspace, radial
 from ptone.radial import (Annulus, Ball, RadialProblem, ball_problem,
                           eigen_equation_residual, integrate_profile, pi_p,
                           scaled_eigenvalue, signed_power,
@@ -37,6 +37,11 @@ def test_flat_ball_m3_is_pi_squared():
     assert sol.lam == pytest.approx(math.pi ** 2, rel=1e-7)
 
 
+def test_j01_literal_matches_scipy():
+    assert acceptance.J01 == pytest.approx(float(jn_zeros(0, 1)[0]),
+                                           rel=1e-15)
+
+
 def test_flat_ball_m2_is_bessel_zero_squared():
     sol = solve_ball_eigenvalue(ball_problem(2.0, 2, 0.0, 1.0))
     assert sol.lam == pytest.approx(float(jn_zeros(0, 1)[0]) ** 2, rel=1e-7)
@@ -49,7 +54,19 @@ def test_one_dimensional_string(p):
                                     rel=1e-7)
 
 
-@pytest.mark.parametrize("p,m,c,lam_ref", [
+# Unit-ball eigenvalues at the default tolerance (tests/oracles.py).
+FROZEN_UNIT_BALL = {
+    (2.0, 2, 0.0): 5.7831859629434943,
+    (3.0, 2, 0.0): 9.8314984046049609,
+    (2.0, 3, 0.0): 9.86960440108437,
+    (2.0, 2, -1.0): 6.113081819708639,
+    (2.0, 2, 1.0): 5.4459932747994291,
+    (2.5, 2, 1.0): 7.265442334299653,
+    (3.0, 2, -1.0): 10.392918901063121,
+}
+
+
+@pytest.mark.parametrize("p,m,c,lam_1e8", [
     (2.0, 2, 0.0, 5.7831859436989781),
     (3.0, 2, 0.0, 9.8314983848569035),
     (2.0, 3, 0.0, 9.8696043860151086),
@@ -58,9 +75,13 @@ def test_one_dimensional_string(p):
     (2.5, 2, 1.0, 7.2654423116121389),
     (3.0, 2, -1.0, 10.392918869985543),
 ])
-def test_frozen_unit_ball_eigenvalues(p, m, c, lam_ref):
+def test_frozen_unit_ball_eigenvalues(p, m, c, lam_1e8):
+    # lam_1e8 is the zero-free lower end of a bisection bracket 1e-8 wide
+    # (relative) on the same shots, so the eigenvalue lies above it and
+    # within that width of it.
     sol = solve_ball_eigenvalue(ball_problem(p, m, c, 1.0))
-    assert sol.lam == pytest.approx(lam_ref, rel=1e-9)
+    assert sol.lam == pytest.approx(FROZEN_UNIT_BALL[(p, m, c)], rel=1e-9)
+    assert lam_1e8 < sol.lam <= lam_1e8 * (1.0 + 1e-8)
 
 
 @pytest.mark.parametrize("p,m", [(2.0, 2), (3.0, 3), (1.5, 1)])
@@ -108,6 +129,105 @@ def test_annulus_m1_is_string(p):
                          Annulus(0.0, 1.0))
     sol = solve_annulus_eigenvalue(prob)
     assert sol.lam == pytest.approx((p - 1.0) * pi_p(p) ** p, rel=1e-8)
+
+
+def test_annulus_p8_residual_is_the_stencil_error():
+    # The 2048-node audit reads 2.8e-5 because its stencils straddle the
+    # flux zero, where the flux is only C^{2,1/7}; four times the nodes
+    # take the audit below 1e-7 on the same eigenvalue.
+    prob = RadialProblem(8.0, 2, modelspace.space_form(0.0),
+                         Annulus(0.5, 1.))
+    coarse = solve_annulus_eigenvalue(prob)
+    fine = solve_annulus_eigenvalue(prob, n_grid=8192)
+    assert fine.lam == coarse.lam
+    assert fine.residual <= 1e-7
+
+
+# the root-finder and the eigenvalue bracket
+
+
+def test_brent_rejects_unbracketed_interval():
+    with pytest.raises(ValueError):
+        _ode.brent(lambda x: x * x + 1.0, -1.0, 2.0, xtol=1e-12)
+    with pytest.raises(ValueError):
+        _ode.brent(lambda x: x - 5.0, 0.0, 1.0, xtol=1e-12)
+
+
+def test_brent_returns_an_exact_root():
+    x, y, steps = _ode.brent(lambda x: x, -1.0, 1.0, xtol=1e-12)
+    assert x == 0.0 and steps == 1
+    assert y > 0.0                  # the other end keeps its side
+    assert _ode.brent(lambda x: x - 2.0, 2.0, 3.0, xtol=1e-12)[0] == 2.0
+
+
+@pytest.mark.parametrize("f,a,b,root", [
+    (lambda x: x ** 3 - 2.0, 0.0, 3.0, 2.0 ** (1.0 / 3.0)),
+    (math.cos, 0.0, 3.0, 0.5 * math.pi),
+    (lambda x: 10.0 - math.exp(x), -5.0, 10.0, math.log(10.0)),
+])
+def test_brent_meets_xtol(f, a, b, root):
+    for xtol in (1e-6, 1e-12):
+        x, y, steps = _ode.brent(f, a, b, xtol=xtol, rtol=0.0)
+        assert abs(x - y) <= xtol and abs(x - root) <= xtol
+        assert (f(x) > 0.0) != (f(y) > 0.0)
+        assert steps <= 12
+
+
+def _criterion_01_cases():
+    return [(2.0, 3, math.pi ** 2), (2.0, 2, acceptance.J01 ** 2)] + [
+        (p, 1, (p - 1.0) * (pi_p(p) / 2.0) ** p) for p in (1.5, 3.0, 4.0)]
+
+
+def test_shots_per_solve(monkeypatch):
+    # The bisection on "has a zero before r" took 30-31 shots per solve.
+    shots = []
+    shoot = radial._shoot
+    monkeypatch.setattr(radial, "_shoot",
+                        lambda *args: shots.append(1) or shoot(*args))
+    for p, m, _ in _criterion_01_cases():
+        del shots[:]
+        sol = solve_ball_eigenvalue(ball_problem(p, m, 0.0, 1.0),
+                                    use_cache=False)
+        assert len(shots) <= 12
+        assert sol.iterations < len(shots)
+
+
+@pytest.mark.parametrize("p,m,anchor", _criterion_01_cases())
+def test_anchor_approached_from_below(p, m, anchor):
+    lam = solve_ball_eigenvalue(ball_problem(p, m, 0.0, 1.0)).lam
+    assert anchor * (1.0 - 1e-11) <= lam < anchor
+
+
+@pytest.mark.parametrize("problem", [
+    ball_problem(1.05, 2, 0.0, 1.0),
+    ball_problem(2.0, 2, -1.0, 1.0),
+    ball_problem(16.0, 3, 1.0, 1.0),
+    RadialProblem(3.0, 2, modelspace.space_form(0.0), Annulus(0.5, 1.0)),
+], ids=["ball-p1.05", "ball-p2", "ball-p16", "annulus-p3"])
+def test_reported_eigenvalue_is_zero_free(problem):
+    # lam is the zero-free end of the final bracket: its trajectory has no
+    # zero before the right endpoint, and a trial lam 1e-9 above it has.
+    if problem.domain.kind == "ball":
+        sol = solve_ball_eigenvalue(problem)
+    else:
+        sol = solve_annulus_eigenvalue(problem)
+    assert integrate_profile(problem, sol.lam)["first_zero"] is None
+    above = sol.lam * (1.0 + 1e-9)
+    assert integrate_profile(problem, above)["first_zero"] is not None
+
+
+def test_solve_errors_name_the_problem(monkeypatch):
+    def fail(*args, **kwargs):
+        raise _ode.IntegrationError("step-size underflow at t=0.5")
+
+    monkeypatch.setattr(_ode, "integrate", fail)
+    problem = ball_problem(2.5, 3, 0.0, 0.8)
+    with pytest.raises(radial.NonConvergenceError) as info:
+        solve_ball_eigenvalue(problem, use_cache=False)
+    assert isinstance(info.value, _ode.IntegrationError)
+    msg = str(info.value)
+    for part in ("p=2.5", "m=3", "Ball(r=0.8)", "S_c(c=0)", "bracket"):
+        assert part in msg
 
 
 # solution-object invariants

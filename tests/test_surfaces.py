@@ -118,6 +118,16 @@ def test_band_from_radius_catenoid(r, smax_ref):
                                                                  abs=1e-12)
 
 
+@pytest.mark.parametrize("r", [1.05, 1.1, 1.2, 2.0, 5.0])
+def test_band_end_matches_scipy_brentq(r):
+    from scipy.optimize import brentq
+
+    surface = get_surface("catenoid")
+    ref = brentq(lambda s: float(extrinsic_distance(surface, s)) - r,
+                 0.0, r, xtol=1e-14, rtol=8.9e-16)
+    assert abs(SurfaceBand.from_radius(surface, r).s_range[1] - ref) <= 1e-14
+
+
 def test_band_requires_radius_beyond_neck():
     with pytest.raises(ValueError):
         SurfaceBand.from_radius(get_surface("catenoid"), 0.9)
@@ -207,12 +217,12 @@ def test_modelcontrol_requires_p_at_least_two():
 def test_band_report_catenoid_frozen():
     rep = band_report(get_surface("catenoid"), 1.2, 2.0)
     assert rep.k == 0.0
-    assert rep.lambda_model == pytest.approx(4.0161013497909579, rel=1e-10)
+    assert rep.lambda_model == pytest.approx(4.0161013631552, rel=1e-10)
     assert rep.rhs == pytest.approx(rep.lambda_model)  # p = 2: k drops out
-    assert rep.lambda_band_upper == pytest.approx(11.301498329927332,
+    assert rep.lambda_band_upper == pytest.approx(11.301498329927336,
                                                   rel=1e-6)
     assert rep.lambda_band_upper > rep.lambda_model
-    assert rep.modelcontrol_margin == pytest.approx(6.411594385286822,
+    assert rep.modelcontrol_margin == pytest.approx(6.411594475746857,
                                                     rel=1e-6)
     assert rep.cor13 is True        # ||A||^2 = 2 <= lambda_model
     assert rep.cor15 is False       # sqrt(2) > 1/(p r) = 1/2.4
