@@ -7,11 +7,15 @@ a pair of floats because the shooting loop integrates (omega, flux) states
 millions of times and tuple arithmetic beats tiny numpy arrays by a wide
 margin there.
 
-Dense re-evaluation between accepted mesh nodes (`dense_eval`, the anchor
-of the solution's dense march) uses four classical RK4 sub-steps from the
-nearest node at or before the query point.  Accepted steps are short at
-the solver tolerances, so the sub-step error sits far below the
-integration error itself.
+The dense march of a solution (`dp_graded`) takes fixed steps of the
+same pair without error control: the fifth-order solution, six
+right-hand-side evaluations per step, refined toward the points where
+the field is not smooth.  `dp_step` holds the stage arithmetic that both
+use.  Classical RK4 sub-steps (`rk4_between`) serve the zero refinement
+of the shooting loop and `dense_eval`, the restart from the nearest
+accepted mesh node that answers one-node queries and anchors a band
+query; accepted steps are short at the solver tolerances, so their
+sub-step error sits far below the integration error itself.
 
 `brent` is the package's one root-finder: the eigenvalue miss, the zeros
 of a state component inside one step, and the catenoid band end.
@@ -91,28 +95,7 @@ def integrate(f, t0, t1, y0, rtol=1e-12, atol=1e-12, stop=None,
         if steps > max_steps:
             raise IntegrationError("step limit exceeded at t=%.12g" % t)
 
-        k2u, k2v = f(t + _C2 * h, (u + h * _A21 * k1u,
-                                   v + h * _A21 * k1v))
-        k3u, k3v = f(t + _C3 * h, (u + h * (_A31 * k1u + _A32 * k2u),
-                                   v + h * (_A31 * k1v + _A32 * k2v)))
-        k4u, k4v = f(t + _C4 * h, (u + h * (_A41 * k1u + _A42 * k2u + _A43 * k3u),
-                                   v + h * (_A41 * k1v + _A42 * k2v + _A43 * k3v)))
-        k5u, k5v = f(t + _C5 * h, (u + h * (_A51 * k1u + _A52 * k2u + _A53 * k3u
-                                            + _A54 * k4u),
-                                   v + h * (_A51 * k1v + _A52 * k2v + _A53 * k3v
-                                            + _A54 * k4v)))
-        k6u, k6v = f(t + h, (u + h * (_A61 * k1u + _A62 * k2u + _A63 * k3u
-                                      + _A64 * k4u + _A65 * k5u),
-                             v + h * (_A61 * k1v + _A62 * k2v + _A63 * k3v
-                                      + _A64 * k4v + _A65 * k5v)))
-        nu = u + h * (_B1 * k1u + _B3 * k3u + _B4 * k4u + _B5 * k5u + _B6 * k6u)
-        nv = v + h * (_B1 * k1v + _B3 * k3v + _B4 * k4v + _B5 * k5v + _B6 * k6v)
-        k7u, k7v = f(t + h, (nu, nv))
-
-        eu = h * (_E1 * k1u + _E3 * k3u + _E4 * k4u + _E5 * k5u + _E6 * k6u
-                  + _E7 * k7u)
-        ev = h * (_E1 * k1v + _E3 * k3v + _E4 * k4v + _E5 * k5v + _E6 * k6v
-                  + _E7 * k7v)
+        nu, nv, k7u, k7v, eu, ev = dp_step(f, t, h, u, v, k1u, k1v)
         su = atol + rtol * max(abs(u), abs(nu))
         sv = atol + rtol * max(abs(v), abs(nv))
         err = ((eu / su) ** 2 + (ev / sv) ** 2) ** 0.5 * 0.7071067811865476
@@ -134,8 +117,83 @@ def integrate(f, t0, t1, y0, rtol=1e-12, atol=1e-12, stop=None,
     return ts, ys
 
 
+def dp_step(f, t, h, u, v, k1u, k1v):
+    """One Dormand-Prince step of length h from the state (u, v) at t.
+
+    k1 = f(t, (u, v)) is passed in.  Returns (nu, nv, k7u, k7v, eu, ev):
+    the fifth-order state at t + h, the slope there (k1 of the next step,
+    FSAL), and h times the fifth- minus fourth-order weights, the local
+    error estimate.
+    """
+    k2u, k2v = f(t + _C2 * h, (u + h * _A21 * k1u,
+                               v + h * _A21 * k1v))
+    k3u, k3v = f(t + _C3 * h, (u + h * (_A31 * k1u + _A32 * k2u),
+                               v + h * (_A31 * k1v + _A32 * k2v)))
+    k4u, k4v = f(t + _C4 * h, (u + h * (_A41 * k1u + _A42 * k2u + _A43 * k3u),
+                               v + h * (_A41 * k1v + _A42 * k2v + _A43 * k3v)))
+    k5u, k5v = f(t + _C5 * h, (u + h * (_A51 * k1u + _A52 * k2u + _A53 * k3u
+                                        + _A54 * k4u),
+                               v + h * (_A51 * k1v + _A52 * k2v + _A53 * k3v
+                                        + _A54 * k4v)))
+    k6u, k6v = f(t + h, (u + h * (_A61 * k1u + _A62 * k2u + _A63 * k3u
+                                  + _A64 * k4u + _A65 * k5u),
+                         v + h * (_A61 * k1v + _A62 * k2v + _A63 * k3v
+                                  + _A64 * k4v + _A65 * k5v)))
+    nu = u + h * (_B1 * k1u + _B3 * k3u + _B4 * k4u + _B5 * k5u + _B6 * k6u)
+    nv = v + h * (_B1 * k1v + _B3 * k3v + _B4 * k4v + _B5 * k5v + _B6 * k6v)
+    k7u, k7v = f(t + h, (nu, nv))
+    eu = h * (_E1 * k1u + _E3 * k3u + _E4 * k4u + _E5 * k5u + _E6 * k6u
+              + _E7 * k7u)
+    ev = h * (_E1 * k1v + _E3 * k3v + _E4 * k4v + _E5 * k5v + _E6 * k6v
+              + _E7 * k7v)
+    return nu, nv, k7u, k7v, eu, ev
+
+
+def dp_graded(f, t_from, y, k, t_to, nsub, points):
+    """Advance (y, k = f(t_from, y)) to t_to by fixed Dormand-Prince steps.
+
+    Returns the state and slope at t_to.  The interval takes nsub equal
+    steps, refined toward each (s, ratio) in `points`, a point where f is
+    not smooth: the interval is cut at s and at s +- (t_to - t_from) 2^-j,
+    j < 40, and a piece at distance d > 0 from s takes at least
+    ratio * length / d steps, so no step is longer than d / ratio.  A
+    piece that ends at s is at most 2^-39 of the interval and takes one
+    step.  No piece takes more than ratio steps for one point: a piece
+    longer than its distance from s arises only when s lies outside the
+    interval within 2^-39 of its length.
+    """
+    span = t_to - t_from
+    cuts = {t_to}
+    for s, _ in points:
+        cuts.update(c for c in [s] + [s + sign * span * 0.5 ** j
+                                      for j in range(40)
+                                      for sign in (-1.0, 1.0)]
+                    if t_from < c < t_to)
+    u, v = y
+    ku, kv = k
+    t = t_from
+    for t_next in sorted(cuts):
+        piece = t_next - t
+        steps = nsub * piece / span
+        for s, ratio in points:
+            d = max(s - t_next, t - s)
+            if d > 0.0:
+                steps = max(steps, ratio * piece / max(d, piece))
+        steps = max(1, int(math.ceil(steps)))
+        h = piece / steps
+        for i in range(steps):
+            t_i = t + i * h
+            h_i = t_next - t_i if i == steps - 1 else h
+            u, v, ku, kv = dp_step(f, t_i, h_i, u, v, ku, kv)[:4]
+        t = t_next
+    return (u, v), (ku, kv)
+
+
 def rk4_between(f, t_from, y, t_to, nsub=4):
-    """Advance y from t_from to t_to with nsub classical RK4 sub-steps."""
+    """Advance y from t_from to t_to with nsub classical RK4 sub-steps.
+
+    Serves the zero refinement of the shooting loop and `dense_eval`.
+    """
     h = (t_to - t_from) / nsub
     u, v = y
     t = t_from
@@ -148,25 +206,6 @@ def rk4_between(f, t_from, y, t_to, nsub=4):
         v += h * (a1v + 2.0 * a2v + 2.0 * a3v + a4v) / 6.0
         t += h
     return u, v
-
-
-def rk4_graded(f, t_from, y, t_to, s, nsub):
-    """rk4_between for a field that is not smooth at s, near or inside
-    (t_from, t_to).
-
-    The interval is cut at s and at s +- (t_to - t_from) 2^-j, j < 40,
-    so every piece is about as long as its distance from s; each piece
-    takes its share of the nsub sub-steps, but at least four.
-    """
-    span = t_to - t_from
-    cuts = [s] + [s + sign * span * 0.5 ** j for j in range(40)
-                  for sign in (-1.0, 1.0)]
-    cuts = sorted({c for c in cuts if t_from < c < t_to})
-    for t_next in cuts + [t_to]:
-        k = max(4, int(math.ceil(nsub * (t_next - t_from) / span)))
-        y = rk4_between(f, t_from, y, t_next, nsub=k)
-        t_from = t_next
-    return y
 
 
 def dense_eval(f, ts, ys, t):

@@ -62,6 +62,13 @@ _STARTUP_FRAC = 1e-4
 # A query whose node step exceeds this fraction of the domain is coarse:
 # reading the pole expansion at t = step would be far outside its range.
 _COARSE_FRAC = 1e-3
+# Dense-march step control (`RadialSolution._march`): an anchored sweep
+# takes _ANCHOR_STEPS steps per domain length, and steps near a point
+# where the field is not smooth are at most 1/ratio of their distance
+# from it: the pole, the walls and an annulus's interior peak.
+_ANCHOR_STEPS = 2048
+_POLE_RATIO = 32.0
+_KINK_RATIO = 8.0
 
 # Relative windows for the residual sup: nodes closer to the pole than
 # POLE_FRAC*r or with omega below OMEGA_FLOOR*max|omega| are excluded,
@@ -279,8 +286,8 @@ class RadialSolution:
 
     Public arrays live on a uniform grid of n_grid nodes over the closed
     domain; between nodes `evaluate` advances the stored adaptive
-    trajectory with fixed RK4 sub-steps, so derived quantities (Barta
-    ratios, restriction inequalities, transplants) can be sampled
+    trajectory with fixed Dormand-Prince steps, so derived quantities
+    (Barta ratios, restriction inequalities, transplants) can be sampled
     anywhere without interpolation error.
 
     `grid`, `omega`, `omega_prime`, `flux` and `residual` are one build
@@ -307,7 +314,7 @@ class RadialSolution:
         if startup is None:
             # An annulus eigenfunction peaks where the flux Phi crosses
             # zero; omega' ~ |Phi|^(1/(p-1)) is not smooth there, so the
-            # march grades its sub-steps toward that point.  The solution
+            # march grades its steps toward that point.  The solution
             # is normalized by the trajectory's value at it: the mesh-node
             # maximum undershoots the true peak by O(step^2).
             peak = max(y[0] for y in ys)
@@ -345,55 +352,60 @@ class RadialSolution:
         return getattr(self, name)
 
     def _march(self, ts):
-        """(omega, Phi) along sorted ts, by one sequential RK4 sweep.
+        """(omega, Phi) along sorted ts, by one sequential sweep.
 
-        Marching keeps neighboring samples on a smooth shared error
-        profile; independent dense queries would carry O(1e-12)
+        Each gap between nodes takes fixed Dormand-Prince 5(4) steps
+        (`_ode.dp_step`, the fifth-order solution without error control,
+        the last stage of a step reused as the first of the next): one
+        step where the field is smooth, six right-hand-side evaluations
+        per node.  Marching keeps neighboring samples on a smooth shared
+        error profile; independent dense queries would carry O(1e-12)
         interpolation jumps at the adaptive step boundaries, which second
         differences of the arrays amplify by 1/h^2.
 
         A dense sweep from the pole (node step h <= _COARSE_FRAC of the
         domain, first node near the left end) starts from the pole
-        expansion at max(t0, h) and grades its sub-steps there, where
-        omega - 1 ~ t^(p/(p-1)) has unbounded higher derivatives for
-        p > 2.  Every other sweep -- a band whose first node sits well
-        inside the domain, or a coarse query, for which the expansion at
-        t = h would be read far outside its range -- is anchored on the
-        stored adaptive trajectory at its first node beyond t0 and
-        marched from there with sub-steps proportional to each gap.  The
-        single interpolation offset at the anchor is shared by every node
-        and stays invisible to differences.  Nodes before the march start
-        take the pole state (the expansion for balls, the initial state
-        for annuli), exactly as a one-node query does.
+        expansion at max(t0, h).  Every other sweep -- a band whose first
+        node sits well inside the domain, or a coarse query, for which
+        the expansion at t = h would be read far outside its range -- is
+        anchored on the stored adaptive trajectory at its first node
+        beyond t0 and takes _ANCHOR_STEPS steps per domain length from
+        there.  The single interpolation offset at the anchor is shared
+        by every node and stays invisible to differences.  Nodes before
+        the march start take the pole state (the expansion for balls, the
+        initial state for annuli), exactly as a one-node query does.
 
-        On an annulus, a gap that lies within its own length of the flux
-        zero (the interior peak) is stepped by `_ode.rk4_graded` toward
-        that point.  Uniform sub-steps across it lose accuracy where
-        omega' ~ |Phi|^(1/(p-1)) is not smooth: on Annulus(0.5, 1), m = 2,
-        c = 0, the 2048-node omega was 3.7e-7 (p = 3) and 6.6e-7 (p = 8)
-        off the adaptive trajectory, and is 2e-9 and 6e-10 graded.  For
-        p < 2 the field is not smooth at the walls either, where omega
-        vanishes and Phi' ~ |omega|^(p-1); a gap within its own length of
-        a wall is graded toward it.  Uniform sub-steps in the first gap
-        put an error on every later node: on the same annulus the grid
-        was 4.1e-7 (p = 1.5) and 2.9e-5 (p = 1.2) off near the peak.
+        The field is not smooth at the pole, where omega - 1 ~
+        t^(p/(p-1)) and the weight f^(m-1) vanishes; at both walls, where
+        omega vanishes and Phi' ~ |omega|^(p-1); and at an annulus's
+        interior peak, where Phi vanishes and omega' ~ |Phi|^(1/(p-1)).
+        `_ode.dp_graded` steps every gap near one of these points so that
+        no step is longer than 1/_POLE_RATIO (pole) or 1/_KINK_RATIO
+        (walls, peak) of its distance from it; the ratios were sized
+        against marches with 8 times the steps.  Measured against scipy's
+        DOP853 at rtol 1e-13 from the same start, the 2048-node omega' of
+        the flat ball, m = 2, p = 1.2 is 1.3e-11 off (3.0e-4 with the
+        walls ungraded, 1.0e-8 with a kink ratio of 1), and omega on
+        Annulus(0.5, 1), m = 2, c = 0, p = 8 is 1.8e-12 off (4.3e-8
+        ungraded).  At p = 2 the flat unit ball's omega matches cos, J0
+        and sin(x)/x (m = 1, 2, 3) to 1.7e-15 on 2048 nodes.
         """
         n = ts.size
-        omega = np.empty(n)
-        phi = np.empty(n)
         if n == 0:
-            return omega, phi
-        startup, rhs, scale = self._startup, self._rhs, self._scale
-        peak = self._t_peak
-        walls = startup is None and self.p < 2.0
+            return np.empty(0), np.empty(0)
+        startup, rhs = self._startup, self._rhs
         t0, y0 = self._ts[0], self._ys[0]
         span = self.r - self._left
         h = max((ts[-1] - ts[0]) / max(n - 1, 1), 1e-12 * self.r)
         if startup is not None:
             t_march = max(t0, self._left + h)
             y = startup.state(t_march)
+            points = [(self._left, _POLE_RATIO), (self.r, _KINK_RATIO)]
         else:
             t_march, y = t0, y0
+            points = [(s, _KINK_RATIO) for s in (self._left, self.r,
+                                                 self._t_peak)
+                      if s is not None]
         k = int(np.searchsorted(ts, t0, side="right"))
         anchored = k < n and (h > _COARSE_FRAC * span
                               or ts[0] > t_march + 8.0 * h)
@@ -401,35 +413,33 @@ class RadialSolution:
             t_march = float(ts[k])
             y = _ode.dense_eval(rhs, self._ts, self._ys, t_march)
         pre = int(np.searchsorted(ts, t_march))
+        u, v = y
+        ku, kv = rhs(t_march, y)
+        omega = np.empty(n)
+        phi = np.empty(n)
         for i in range(n):
             t = float(ts[i])
             if i < pre:
-                y_i = startup.state(t) if startup is not None else y0
-            else:
-                if t > t_march:
-                    gap = t - t_march
-                    if anchored:
-                        nsub = max(4, min(4096, int(math.ceil(
-                            4096.0 * gap / span))))
-                    elif startup is not None:
-                        nsub = max(4, min(4096, int(math.ceil(
-                            256.0 * h / (t_march - self._left)))))
-                    else:
-                        nsub = 4
-                    if peak is not None and \
-                            t_march - gap < peak < t + gap:
-                        y = _ode.rk4_graded(rhs, t_march, y, t, peak, nsub)
-                    elif walls and t_march - gap < self._left:
-                        y = _ode.rk4_graded(rhs, t_march, y, t, self._left,
-                                            nsub)
-                    elif walls and t + gap > self.r:
-                        y = _ode.rk4_graded(rhs, t_march, y, t, self.r, nsub)
-                    else:
-                        y = _ode.rk4_between(rhs, t_march, y, t, nsub=nsub)
-                    t_march = t
-                y_i = y
-            omega[i] = y_i[0] * scale
-            phi[i] = y_i[1] * scale ** (self.p - 1.0)
+                omega[i], phi[i] = (startup.state(t) if startup is not None
+                                    else y0)
+                continue
+            if t > t_march:
+                gap = t - t_march
+                nsub = (int(math.ceil(_ANCHOR_STEPS * gap / span))
+                        if anchored else 1)
+                near = [(s, q) for s, q in points
+                        if q * gap > max(s - t, t_march - s)]
+                if near or nsub > 1:
+                    (u, v), (ku, kv) = _ode.dp_graded(
+                        rhs, t_march, (u, v), (ku, kv), t, nsub, near)
+                else:   # one step: dp_graded's case, without its cuts
+                    u, v, ku, kv = _ode.dp_step(rhs, t_march, gap, u, v,
+                                                ku, kv)[:4]
+                t_march = t
+            omega[i] = u
+            phi[i] = v
+        omega *= self._scale
+        phi *= self._scale ** (self.p - 1.0)
         return omega, phi
 
     def evaluate(self, t):
@@ -569,6 +579,13 @@ def _solve(problem, tol):
 
 
 _SOLVE_CACHE = {}
+_MIN_GRID = 5   # the residual audit's five-point stencil
+
+
+def _check_grid(n_grid):
+    if int(n_grid) != n_grid or n_grid < _MIN_GRID:
+        raise ValueError("grid size n=%r: the dense grid needs an integer "
+                         "n >= %d" % (n_grid, _MIN_GRID))
 
 
 def clear_solver_cache():
@@ -587,6 +604,7 @@ def solve_ball_eigenvalue(problem, tol=_DEFAULT_TOL, n_grid=_DEFAULT_GRID,
     """
     if problem.domain.kind != "ball":
         raise ValueError("solve_ball_eigenvalue needs a Ball domain")
+    _check_grid(n_grid)
     key = problem.cache_key(tol, n_grid)
     if use_cache and key in _SOLVE_CACHE:
         return _SOLVE_CACHE[key]
@@ -604,6 +622,7 @@ def solve_annulus_eigenvalue(problem, tol=_DEFAULT_TOL, n_grid=_DEFAULT_GRID,
     """First Dirichlet p-eigenvalue of an annulus, normalized to max 1."""
     if problem.domain.kind != "annulus":
         raise ValueError("solve_annulus_eigenvalue needs an Annulus domain")
+    _check_grid(n_grid)
     key = problem.cache_key(tol, n_grid)
     if use_cache and key in _SOLVE_CACHE:
         return _SOLVE_CACHE[key]

@@ -56,6 +56,17 @@ class Grid1D:
         self.nodes = nodes
         self.weight = weight
         self.bc = (bool(bc[0]), bool(bc[1]))
+        # The quadrature geometry, read by every energy, mass and
+        # preconditioner evaluation of the minimizer.
+        h = np.diff(nodes)
+        dual = np.empty(nodes.size)
+        dual[0] = h[0] / 2
+        dual[-1] = h[-1] / 2
+        dual[1:-1] = (h[:-1] + h[1:]) / 2
+        wmid = 0.5 * (weight[:-1] + weight[1:])
+        for arr in (h, dual, wmid):
+            arr.setflags(write=False)
+        self._cells, self._duals, self._wmid = h, dual, wmid
 
     @classmethod
     def from_problem(cls, problem, n=2000):
@@ -75,16 +86,13 @@ class Grid1D:
         return self.nodes.size
 
     def cell_sizes(self):
-        return np.diff(self.nodes)
+        """Cell lengths (read-only)."""
+        return self._cells
 
     def dual_sizes(self):
-        """Node-centered quadrature lengths (half cells at the ends)."""
-        h = np.diff(self.nodes)
-        d = np.empty(self.nodes.size)
-        d[0] = h[0] / 2
-        d[-1] = h[-1] / 2
-        d[1:-1] = (h[:-1] + h[1:]) / 2
-        return d
+        """Node-centered quadrature lengths, half cells at the ends
+        (read-only)."""
+        return self._duals
 
     def boundary_profile(self):
         """Distance-to-Dirichlet-boundary field, the default initializer."""
@@ -127,7 +135,7 @@ def p_energy(u, grid, p):
     vals = _values(u)
     _check_bc(vals, grid)
     h = grid.cell_sizes()
-    wmid = 0.5 * (grid.weight[:-1] + grid.weight[1:])
+    wmid = grid._wmid
     d = np.diff(vals) / h
     return float(np.sum(wmid * np.abs(d) ** p * h))
 
@@ -148,7 +156,7 @@ def rayleigh_quotient(u, grid, p):
 
 def _energy_gradient(vals, grid, p):
     h = grid.cell_sizes()
-    wmid = 0.5 * (grid.weight[:-1] + grid.weight[1:])
+    wmid = grid._wmid
     d = np.diff(vals) / h
     phi = wmid * signed_power(d, p - 1.0)
     g = np.zeros_like(vals)
@@ -164,7 +172,7 @@ def _mass_gradient(vals, grid, p):
 def _precondition(vals, grid, p, free):
     """Solve T d = rhs with T the frozen-coefficient stiffness matrix."""
     h = grid.cell_sizes()
-    wmid = 0.5 * (grid.weight[:-1] + grid.weight[1:])
+    wmid = grid._wmid
     d = np.diff(vals) / h
     floor = _GRAD_FLOOR * max(float(np.max(np.abs(d))), 1e-300)
     c = wmid * np.maximum(np.abs(d), floor) ** (p - 2.0) / h

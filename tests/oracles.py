@@ -76,6 +76,24 @@ def solver_pins():
         radial.clear_solver_cache()
 
 
+def march_closed_forms():
+    print("\n== dense march vs p = 2 closed forms ==")
+    # omega(t) for the computed lam on the flat unit ball: cos, J0 and
+    # sin(x)/x for m = 1, 2, 3; the error is the march's alone.
+    forms = {1: lambda x: np.cos(x), 2: special.j0,
+             3: lambda x: np.sinc(x / math.pi)}
+    for m, form in forms.items():
+        sol = radial.solve_ball_eigenvalue(radial.ball_problem(2.0, m, 0.0,
+                                                               1.0))
+        for n in (2048, 16384):
+            t = np.linspace(0.0, 1.0, n)
+            w, _ = sol.evaluate(t)
+            line("march err m=%d n=%d" % (m, n),
+                 float(np.max(np.abs(w - form(math.sqrt(sol.lam) * t)))),
+                 "max |omega - closed form|")
+    radial.clear_solver_cache()
+
+
 def scan_pins():
     print("\n== critical-radius scan pins (refinement consistency) ==")
     for p in (3.0, 4.0):
@@ -110,4 +128,5 @@ if __name__ == "__main__":
     closed_forms()
     catenoid_chords()
     solver_pins()
+    march_closed_forms()
     scan_pins()

@@ -89,6 +89,13 @@ def test_eig_rejects_bad_p():
     assert "invalid input" in res.stderr
 
 
+@pytest.mark.parametrize("n", ["0", "1", "4"])
+def test_eig_rejects_too_small_grid(n, capsys):
+    assert cli.main(["eig", "--p", "2", "--m", "2", "--c", "0", "--r", "1",
+                     "--n", n]) == 2
+    assert "n=%s" % n in capsys.readouterr().err
+
+
 def test_eig_scaling_ratio():
     res = run_cli("eig", "--p", "2", "--m", "2", "--c", "0", "--r", "1,2")
     rows = parse_csv(res.stdout)
@@ -244,5 +251,6 @@ def test_oracles_script_runs():
     assert proc.returncode == 0, proc.stderr
     for section in ("== closed-form oracles ==",
                     "== catenoid extrinsic-distance oracles ==",
-                    "== solver pins", "== critical-radius scan pins"):
+                    "== solver pins", "== dense march vs p = 2 closed forms",
+                    "== critical-radius scan pins"):
         assert section in proc.stdout

@@ -4,7 +4,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.special import jn_zeros
+from scipy.integrate import solve_ivp
+from scipy.special import j0, jn_zeros
 
 from ptone import _ode, acceptance, modelspace, radial
 from ptone.radial import (Annulus, Ball, RadialProblem, ball_problem,
@@ -124,6 +125,66 @@ def test_annulus_grid_matches_scalar_evaluate(p):
     sol = solve_annulus_eigenvalue(prob)
     scalar = np.array([sol.evaluate(float(t))[0] for t in sol.grid])
     assert np.max(np.abs(sol.omega - scalar)) <= 1e-8
+
+
+@pytest.mark.parametrize("n", [2048, 16384])
+@pytest.mark.parametrize("m,form", [
+    (1, lambda k, t: np.cos(k * t)),
+    (2, lambda k, t: j0(k * t)),
+    (3, lambda k, t: np.sinc(k * t / math.pi)),     # sin(kt)/(kt)
+], ids=["m1", "m2", "m3"])
+def test_march_matches_p2_closed_forms(m, form, n):
+    # At p = 2 the flat unit ball's eigenfunction is known in closed form
+    # for the computed lam; the dense march must reproduce it to rounding.
+    # The RK4 march read 5.4e-15, 3.0e-15 and 2.4e-14 on 2048 nodes.
+    sol = solve_ball_eigenvalue(ball_problem(2.0, m, 0.0, 1.0))
+    t = np.linspace(0.0, 1.0, n)
+    w, _ = sol.evaluate(t)
+    tol = 2.5e-15 if n == 2048 else 7e-15
+    assert np.max(np.abs(w - form(math.sqrt(sol.lam), t))) <= tol
+
+
+@pytest.mark.parametrize("problem,tol_w,tol_wp", [
+    (ball_problem(1.2, 2, 0.0, 1.0), 1e-11, 1e-10),
+    (RadialProblem(4.0, 2, modelspace.space_form(0.0), Annulus(0.5, 1.)),
+     1e-11, 1e-10),
+    (RadialProblem(8.0, 2, modelspace.space_form(0.0), Annulus(0.5, 1.)),
+     1e-11, 1e-10),
+], ids=["ball-p1.2", "annulus-p4", "annulus-p8"])
+def test_march_matches_dop853(problem, tol_w, tol_wp):
+    # The field is not smooth at the walls for p < 2 and at an annulus's
+    # interior peak for p > 2.  The grid must still match an independent
+    # integration (scipy's DOP853 at rtol 1e-13) from the same start.
+    # Four RK4 sub-steps per gap, graded only within one gap of the peak,
+    # were 9.8e-5 off in omega' on the ball and 9.0e-11 off in omega on
+    # both annuli.
+    sol = (solve_ball_eigenvalue(problem) if problem.domain.kind == "ball"
+           else solve_annulus_eigenvalue(problem))
+    t = sol.grid[1:]
+    ref = solve_ivp(lambda s, y: sol._rhs(s, (y[0], y[1])),
+                    (sol._ts[0], t[-1]), list(sol._ys[0]), method="DOP853",
+                    rtol=1e-13, atol=1e-15, t_eval=t)
+    w = ref.y[0] * sol._scale
+    wp = radial._omega_prime(problem, t,
+                             ref.y[1] * sol._scale ** (problem.p - 1.0))
+    assert np.max(np.abs(sol.omega[1:] - w)) <= tol_w
+    assert np.max(np.abs(sol.omega_prime[1:] - wp)) <= tol_wp
+
+
+def test_query_next_to_the_peak_costs_no_extra_steps():
+    # A node one ulp short of the flux zero leaves a sliver between it
+    # and the peak; grading toward the peak must not step it thousands
+    # of times (it took 12x the right-hand-side calls of the plain query).
+    prob = RadialProblem(3.0, 2, modelspace.space_form(0.0), Annulus(0.5, 1.))
+    sol = solve_annulus_eigenvalue(prob, use_cache=False)
+    calls = []
+    rhs = sol._rhs
+    sol._rhs = lambda t, y: calls.append(t) or rhs(t, y)
+    sol.evaluate(np.array([0.55, 0.95]))
+    plain = len(calls)
+    del calls[:]
+    sol.evaluate(np.array([0.55, np.nextafter(sol._t_peak, 0.0), 0.95]))
+    assert len(calls) <= 1.1 * plain
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])

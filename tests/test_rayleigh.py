@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -48,6 +49,20 @@ def test_from_problem_annulus():
     grid = Grid1D.from_problem(problem, n=64)
     assert grid.bc == (True, True)
     assert grid.nodes[0] == 0.5 and grid.nodes[-1] == 1.5
+
+
+def test_grid_geometry_is_read_only():
+    # Computed once per grid and shared by every minimizer iteration, so
+    # a write through one caller must not change the next quotient.
+    grid = Grid1D([0.0, 0.1, 0.3, 0.6, 1.0], [0.0, 1.0, 2.0, 3.0, 4.0],
+                  (False, True))
+    assert_allclose(grid.cell_sizes(), [0.1, 0.2, 0.3, 0.4], rtol=1e-15)
+    assert_allclose(grid.dual_sizes(), [0.05, 0.15, 0.25, 0.35, 0.2],
+                    rtol=1e-15)
+    assert_allclose(grid._wmid, [0.5, 1.5, 2.5, 3.5], rtol=1e-15)
+    for arr in (grid.cell_sizes(), grid.dual_sizes(), grid._wmid):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
 
 
 def test_boundary_profile_is_distance_field():
