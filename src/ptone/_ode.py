@@ -5,17 +5,26 @@ away from the pole, so an embedded 5(4) Runge-Kutta pair with proportional
 step control is enough.  The module is private: it hardcodes the state as
 a pair of floats because the shooting loop integrates (omega, flux) states
 millions of times and tuple arithmetic beats tiny numpy arrays by a wide
-margin there.
+margin there.  The right-hand side is called as f(t, u, v) and returns
+the pair of slopes.
 
 The dense march of a solution (`dp_graded`) takes fixed steps of the
 same pair without error control: the fifth-order solution, six
 right-hand-side evaluations per step, refined toward the points where
 the field is not smooth.  `dp_step` holds the stage arithmetic that both
-use.  Classical RK4 sub-steps (`rk4_between`) serve the zero refinement
-of the shooting loop and `dense_eval`, the restart from the nearest
-accepted mesh node that answers one-node queries and anchors a band
-query; accepted steps are short at the solver tolerances, so their
-sub-step error sits far below the integration error itself.
+use; the march skips the error estimate.  Classical RK4 sub-steps
+(`rk4_between`) serve the zero refinement of the shooting loop and
+`dense_eval`, the restart from the nearest accepted mesh node that
+answers one-node queries and anchors a band query; accepted steps are
+short at the solver tolerances, so their sub-step error sits far below
+the integration error itself.
+
+Every step state (t, h and the states and slopes) is a Python float,
+never a numpy scalar, whose arithmetic costs several times a float's.
+One march step of the space-form right-hand side (c = -1, p = 2.5,
+m = 2) takes a median 6 us on floats and 13 us on np.float64 (one
+process, interleaved runs, 2-vCPU x86_64 virtual machine, Python 3.11).
+Callers cast once, where numpy values enter.
 
 `brent` is the package's one root-finder: the eigenvalue miss, the zeros
 of a state component inside one step, and the catenoid band end.
@@ -67,7 +76,7 @@ _BRENT_STEPS = 100
 
 def integrate(f, t0, t1, y0, rtol=1e-12, atol=1e-12, stop=None,
               max_steps=1000000):
-    """Integrate y' = f(t, y), y a pair of floats, from t0 to t1 (t1 > t0).
+    """Integrate y' = f(t, u, v), y = (u, v) floats, from t0 to t1 > t0.
 
     Returns (ts, ys): the accepted mesh nodes and states, starting at
     (t0, y0).  If `stop(t, y)` returns True after an accepted step,
@@ -84,7 +93,7 @@ def integrate(f, t0, t1, y0, rtol=1e-12, atol=1e-12, stop=None,
     u, v = float(y0[0]), float(y0[1])
     ts = [t]
     ys = [(u, v)]
-    k1u, k1v = f(t, (u, v))
+    k1u, k1v = f(t, u, v)
     steps = 0
     while t < t1:
         if t + h > t1:
@@ -95,7 +104,7 @@ def integrate(f, t0, t1, y0, rtol=1e-12, atol=1e-12, stop=None,
         if steps > max_steps:
             raise IntegrationError("step limit exceeded at t=%.12g" % t)
 
-        nu, nv, k7u, k7v, eu, ev = dp_step(f, t, h, u, v, k1u, k1v)
+        nu, nv, k7u, k7v, eu, ev = dp_step(f, t, h, u, v, k1u, k1v, True)
         su = atol + rtol * max(abs(u), abs(nu))
         sv = atol + rtol * max(abs(v), abs(nv))
         err = ((eu / su) ** 2 + (ev / sv) ** 2) ** 0.5 * 0.7071067811865476
@@ -117,31 +126,32 @@ def integrate(f, t0, t1, y0, rtol=1e-12, atol=1e-12, stop=None,
     return ts, ys
 
 
-def dp_step(f, t, h, u, v, k1u, k1v):
+def dp_step(f, t, h, u, v, k1u, k1v, estimate=False):
     """One Dormand-Prince step of length h from the state (u, v) at t.
 
-    k1 = f(t, (u, v)) is passed in.  Returns (nu, nv, k7u, k7v, eu, ev):
-    the fifth-order state at t + h, the slope there (k1 of the next step,
-    FSAL), and h times the fifth- minus fourth-order weights, the local
-    error estimate.
+    k1 = f(t, u, v) is passed in.  Returns (nu, nv, k7u, k7v): the
+    fifth-order state at t + h and the slope there (k1 of the next step,
+    FSAL).  With `estimate` it appends (eu, ev), h times the fifth- minus
+    fourth-order weights, the local error estimate of `integrate`; the
+    march has no use for it and skips its arithmetic.
     """
-    k2u, k2v = f(t + _C2 * h, (u + h * _A21 * k1u,
-                               v + h * _A21 * k1v))
-    k3u, k3v = f(t + _C3 * h, (u + h * (_A31 * k1u + _A32 * k2u),
-                               v + h * (_A31 * k1v + _A32 * k2v)))
-    k4u, k4v = f(t + _C4 * h, (u + h * (_A41 * k1u + _A42 * k2u + _A43 * k3u),
-                               v + h * (_A41 * k1v + _A42 * k2v + _A43 * k3v)))
-    k5u, k5v = f(t + _C5 * h, (u + h * (_A51 * k1u + _A52 * k2u + _A53 * k3u
-                                        + _A54 * k4u),
-                               v + h * (_A51 * k1v + _A52 * k2v + _A53 * k3v
-                                        + _A54 * k4v)))
-    k6u, k6v = f(t + h, (u + h * (_A61 * k1u + _A62 * k2u + _A63 * k3u
-                                  + _A64 * k4u + _A65 * k5u),
-                         v + h * (_A61 * k1v + _A62 * k2v + _A63 * k3v
-                                  + _A64 * k4v + _A65 * k5v)))
+    k2u, k2v = f(t + _C2 * h, u + h * _A21 * k1u, v + h * _A21 * k1v)
+    k3u, k3v = f(t + _C3 * h, u + h * (_A31 * k1u + _A32 * k2u),
+                 v + h * (_A31 * k1v + _A32 * k2v))
+    k4u, k4v = f(t + _C4 * h, u + h * (_A41 * k1u + _A42 * k2u + _A43 * k3u),
+                 v + h * (_A41 * k1v + _A42 * k2v + _A43 * k3v))
+    k5u, k5v = f(t + _C5 * h, u + h * (_A51 * k1u + _A52 * k2u + _A53 * k3u
+                                       + _A54 * k4u),
+                 v + h * (_A51 * k1v + _A52 * k2v + _A53 * k3v + _A54 * k4v))
+    k6u, k6v = f(t + h, u + h * (_A61 * k1u + _A62 * k2u + _A63 * k3u
+                                 + _A64 * k4u + _A65 * k5u),
+                 v + h * (_A61 * k1v + _A62 * k2v + _A63 * k3v
+                          + _A64 * k4v + _A65 * k5v))
     nu = u + h * (_B1 * k1u + _B3 * k3u + _B4 * k4u + _B5 * k5u + _B6 * k6u)
     nv = v + h * (_B1 * k1v + _B3 * k3v + _B4 * k4v + _B5 * k5v + _B6 * k6v)
-    k7u, k7v = f(t + h, (nu, nv))
+    k7u, k7v = f(t + h, nu, nv)
+    if not estimate:
+        return nu, nv, k7u, k7v
     eu = h * (_E1 * k1u + _E3 * k3u + _E4 * k4u + _E5 * k5u + _E6 * k6u
               + _E7 * k7u)
     ev = h * (_E1 * k1v + _E3 * k3v + _E4 * k4v + _E5 * k5v + _E6 * k6v
@@ -184,7 +194,7 @@ def dp_graded(f, t_from, y, k, t_to, nsub, points):
         for i in range(steps):
             t_i = t + i * h
             h_i = t_next - t_i if i == steps - 1 else h
-            u, v, ku, kv = dp_step(f, t_i, h_i, u, v, ku, kv)[:4]
+            u, v, ku, kv = dp_step(f, t_i, h_i, u, v, ku, kv)
         t = t_next
     return (u, v), (ku, kv)
 
@@ -198,10 +208,10 @@ def rk4_between(f, t_from, y, t_to, nsub=4):
     u, v = y
     t = t_from
     for _ in range(nsub):
-        a1u, a1v = f(t, (u, v))
-        a2u, a2v = f(t + 0.5 * h, (u + 0.5 * h * a1u, v + 0.5 * h * a1v))
-        a3u, a3v = f(t + 0.5 * h, (u + 0.5 * h * a2u, v + 0.5 * h * a2v))
-        a4u, a4v = f(t + h, (u + h * a3u, v + h * a3v))
+        a1u, a1v = f(t, u, v)
+        a2u, a2v = f(t + 0.5 * h, u + 0.5 * h * a1u, v + 0.5 * h * a1v)
+        a3u, a3v = f(t + 0.5 * h, u + 0.5 * h * a2u, v + 0.5 * h * a2v)
+        a4u, a4v = f(t + h, u + h * a3u, v + h * a3v)
         u += h * (a1u + 2.0 * a2u + 2.0 * a3u + a4u) / 6.0
         v += h * (a1v + 2.0 * a2v + 2.0 * a3v + a4v) / 6.0
         t += h

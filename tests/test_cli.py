@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import shlex
@@ -254,3 +255,18 @@ def test_oracles_script_runs():
                     "== solver pins", "== dense march vs p = 2 closed forms",
                     "== critical-radius scan pins"):
         assert section in proc.stdout
+
+
+def test_csv_bodies_script_hashes_the_body():
+    # tests/csv_bodies.py is not collected either; one cheap command keeps
+    # it running and checks that it hashes the CSV without its # line.
+    script = Path(__file__).resolve().parent / "csv_bodies.py"
+    proc = subprocess.run([sys.executable, str(script), "eig"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    argv = next(a for a in _readme_commands() if a[0] == "eig")
+    body = "".join(ln for ln in run_cli(*argv).stdout.splitlines(True)
+                   if not ln.startswith("# "))
+    assert proc.stdout == "%s  eig\n" % hashlib.sha256(
+        body.encode()).hexdigest()
+

@@ -9,7 +9,7 @@ from scipy.special import j0, jn_zeros
 
 from ptone import _ode, acceptance, modelspace, radial
 from ptone.radial import (Annulus, Ball, RadialProblem, ball_problem,
-                          eigen_equation_residual, integrate_profile, pi_p,
+                          eigen_equation_residual, pi_p,
                           scaled_eigenvalue, signed_power,
                           solve_annulus_eigenvalue, solve_ball_eigenvalue)
 
@@ -161,7 +161,7 @@ def test_march_matches_dop853(problem, tol_w, tol_wp):
     sol = (solve_ball_eigenvalue(problem) if problem.domain.kind == "ball"
            else solve_annulus_eigenvalue(problem))
     t = sol.grid[1:]
-    ref = solve_ivp(lambda s, y: sol._rhs(s, (y[0], y[1])),
+    ref = solve_ivp(lambda s, y: sol._rhs(s, y[0], y[1]),
                     (sol._ts[0], t[-1]), list(sol._ys[0]), method="DOP853",
                     rtol=1e-13, atol=1e-15, t_eval=t)
     w = ref.y[0] * sol._scale
@@ -179,7 +179,7 @@ def test_query_next_to_the_peak_costs_no_extra_steps():
     sol = solve_annulus_eigenvalue(prob, use_cache=False)
     calls = []
     rhs = sol._rhs
-    sol._rhs = lambda t, y: calls.append(t) or rhs(t, y)
+    sol._rhs = lambda t, w, phi: calls.append(t) or rhs(t, w, phi)
     sol.evaluate(np.array([0.55, 0.95]))
     plain = len(calls)
     del calls[:]
@@ -284,13 +284,14 @@ def test_anchor_approached_from_below(p, m, anchor):
 def test_reported_eigenvalue_is_zero_free(problem):
     # lam is the zero-free end of the final bracket: its trajectory has no
     # zero before the right endpoint, and a trial lam 1e-9 above it has.
+    # A shot's miss is positive exactly when it has no zero.
     if problem.domain.kind == "ball":
         sol = solve_ball_eigenvalue(problem)
     else:
         sol = solve_annulus_eigenvalue(problem)
-    assert integrate_profile(problem, sol.lam)["first_zero"] is None
+    assert radial._shoot(problem, sol.lam)[3] > 0.0
     above = sol.lam * (1.0 + 1e-9)
-    assert integrate_profile(problem, above)["first_zero"] is not None
+    assert radial._shoot(problem, above)[3] <= 0.0
 
 
 def test_solve_errors_name_the_problem(monkeypatch):
@@ -308,6 +309,38 @@ def test_solve_errors_name_the_problem(monkeypatch):
 
 
 # solution-object invariants
+
+
+def _fresh_ball(c=0.0, r=1.0):
+    return solve_ball_eigenvalue(ball_problem(2.5, 2, c, r), use_cache=False)
+
+
+@pytest.mark.parametrize("run", [
+    lambda: _fresh_ball(-1.0).grid,
+    lambda: _fresh_ball(0.0).grid,
+    lambda: _fresh_ball(1.0).grid,
+    lambda: _fresh_ball().evaluate(np.linspace(0.0, 1.0, 4096)),
+    lambda: _fresh_ball(r=1.2).evaluate(np.linspace(0.9, 1.15, 64)),
+    lambda: solve_annulus_eigenvalue(
+        RadialProblem(3.0, 2, modelspace.space_form(0.0), Annulus(0.5, 1.0)),
+        use_cache=False).grid,
+    _fresh_ball,
+], ids=["grid-c-1", "grid-c0", "grid-c1", "evaluate-pole", "evaluate-band",
+        "annulus-grid", "shots"])
+def test_steps_run_on_python_floats(run, monkeypatch):
+    # A numpy scalar in a step state makes every later step of its march
+    # cost about twice its time on floats; the ball marches of a 2048-node
+    # grid and of a dense query from the pole once ran on them.
+    types = set()
+    step = _ode.dp_step
+
+    def typed(f, t, h, u, v, ku, kv, *rest):
+        types.update(map(type, (t, h, u, v, ku, kv)))
+        return step(f, t, h, u, v, ku, kv, *rest)
+
+    monkeypatch.setattr(_ode, "dp_step", typed)
+    run()
+    assert types == {float}
 
 
 def test_solution_shape_and_boundary():
@@ -445,20 +478,18 @@ def test_residual_detects_doctored_profile():
     assert eigen_equation_residual(sol, wrong) > 1e3 * sol.residual
 
 
-def test_integrate_profile_first_zero_monotone_in_lambda():
+def test_shot_first_zero_monotone_in_lambda():
     # Oscillation: larger lam pulls the first zero inward; below the
     # eigenvalue there is no zero at all.
     problem = ball_problem(2.5, 2, 0.0, 1.0)
     lam_star = solve_ball_eigenvalue(problem).lam
     zeros = []
     for factor in (1.1, 1.5, 2.5):
-        rep = integrate_profile(problem, factor * lam_star)
-        assert rep["first_zero"] is not None
-        zeros.append(rep["first_zero"])
+        ts, ys, rhs, miss = radial._shoot(problem, factor * lam_star)
+        assert miss <= 0.0
+        zeros.append(radial._refine_zero(rhs, ts, ys, len(ts) - 1, 1e-12))
     assert zeros[0] > zeros[1] > zeros[2]
-    assert integrate_profile(problem, 0.9 * lam_star)["first_zero"] is None
-    with pytest.raises(ValueError):
-        integrate_profile(problem, -1.0)
+    assert radial._shoot(problem, 0.9 * lam_star)[3] > 0.0
 
 
 def test_solver_cache_and_determinism():
