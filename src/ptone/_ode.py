@@ -27,7 +27,8 @@ process, interleaved runs, 2-vCPU x86_64 virtual machine, Python 3.11).
 Callers cast once, where numpy values enter.
 
 `brent` is the package's one root-finder: the eigenvalue miss, the zeros
-of a state component inside one step, and the catenoid band end.
+of a state component inside one step, the catenoid band end, and the
+flux constant of a Rayleigh inverse-iteration step.
 """
 
 import math
@@ -38,9 +39,11 @@ class NonConvergenceError(RuntimeError):
     """A numerical iteration stopped short of its tolerance.
 
     Raised by `brent` when it runs out of steps, by `integrate` (as
-    IntegrationError), and by the eigenvalue solver when it cannot
-    bracket lam; the solver adds p, m, the domain, the profile and the
-    final eigenvalue bracket to the message.
+    IntegrationError), by the eigenvalue solver when it cannot bracket
+    lam (it adds p, m, the domain, the profile and the final eigenvalue
+    bracket to the message), and by the Rayleigh minimizer at its step
+    cap (naming p, the grid size, the Dirichlet ends and its last two
+    quotients).
     """
 
 

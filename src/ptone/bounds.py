@@ -31,7 +31,7 @@ import numpy as np
 
 from .modelspace import cot_c
 from .radial import signed_power
-from .rayleigh import p_energy, _values, Grid1D, DiscreteField
+from .rayleigh import p_energy, _values
 
 BARTA_ETA_FLOOR = 0.05      # keep nodes with eta >= floor * max eta
 BARTA_POLE_FRAC = 0.02      # drop ball nodes with t < frac * r

@@ -37,7 +37,6 @@ import math
 from bisect import bisect_right
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 # Absolute tolerance for the curvature check: closed-form profiles satisfy
 # their bounds exactly, so this only absorbs rounding.
@@ -284,6 +283,9 @@ def tabulated(nodes, values, label=None):
         raise ValueError("smooth pole requires f(0) = 0")
     if np.any(f[1:] <= 0):
         raise ValueError("warping must be positive on (0, r_max]")
+    # Imported here: scipy.interpolate costs about half a second, and
+    # only tabulated profiles need it.
+    from scipy.interpolate import PchipInterpolator
     interp = PchipInterpolator(t, f)
     d1_0 = float(interp.derivative(1)(0.0))
     if abs(d1_0 - 1.0) > 1e-6:

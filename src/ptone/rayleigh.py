@@ -11,23 +11,24 @@ the grid refines.  It is not an upper bound: the node-quadrature mass
 can pull the discrete minimum below lambda (m = 1, p = 2, n = 2000 gives
 2.4674009733 against (pi/2)^2 = 2.4674011003).  A certified upper bound
 would take the continuous quotient of the minimizer as a P1 function
-(ROADMAP, open item 5).  The minimizer here is a projected
-preconditioned gradient descent: plain gradient steps on the p-energy
-contract like 1 - lambda h^2 per sweep and would need millions of
-iterations at n = 2000, so the descent direction is preconditioned by
-the frozen-coefficient stiffness matrix (the linearization of the
-p-Laplacian around the current iterate), solved as a banded system.
+(ROADMAP, open item 5).
+
+The minimizer is nonlinear inverse power iteration (Biezuner, Ercole
+and Martins 2009): each step solves the discrete Euler-Lagrange system
+-Delta_p v = w |u_k|^{p-2} u_k for the next iterate.  On a 1-d grid that
+system telescopes: the equation at each free node says the cell flux
+w_mid |v'|^{p-2} v' drops by the node's load across it, so the fluxes
+are one cumulative sum of the loads, the slopes follow pointwise, and v
+is a second cumulative sum from a Dirichlet end.  No linear solve is
+needed.  A free end (the pole of a ball) fixes the flux constant; with
+two Dirichlet ends (an annulus, a catenoid band) the constant is the
+root of a monotone scalar miss, found by `_ode.brent`.
 """
 
 import numpy as np
-from scipy.linalg import solveh_banded
 
+from ._ode import NonConvergenceError, brent
 from .radial import signed_power
-
-_GRAD_FLOOR = 1e-3   # relative floor on |u'| inside the preconditioner
-_ARMIJO = 1e-4
-_SHRINK = 0.5
-_STALL_WINDOW = 20
 
 
 class Grid1D:
@@ -57,7 +58,7 @@ class Grid1D:
         self.weight = weight
         self.bc = (bool(bc[0]), bool(bc[1]))
         # The quadrature geometry, read by every energy, mass and
-        # preconditioner evaluation of the minimizer.
+        # inverse-iteration step of the minimizer.
         h = np.diff(nodes)
         dual = np.empty(nodes.size)
         dual[0] = h[0] / 2
@@ -154,114 +155,82 @@ def rayleigh_quotient(u, grid, p):
     return p_energy(u, grid, p) / mass
 
 
-def _energy_gradient(vals, grid, p):
-    h = grid.cell_sizes()
-    wmid = grid._wmid
-    d = np.diff(vals) / h
-    phi = wmid * signed_power(d, p - 1.0)
-    g = np.zeros_like(vals)
-    g[:-1] -= p * phi
-    g[1:] += p * phi
-    return g
+def _inverse_step(vals, grid, p):
+    """One inverse-iteration step: the v with -Delta_p v = w |u|^{p-2} u.
+
+    The discrete equations at the free nodes telescope into the cell
+    fluxes F = w_mid |d|^{p-2} d of the slopes d = diff(v)/h:
+    F_j = C - sum_{0<i<=j} b_i with b = w dual |u|^{p-2} u.  A free end
+    fixes C; with two Dirichlet ends C is the root of the miss
+    sum_j d_j h_j = v[-1] - v[0], increasing in C, which changes sign
+    on [0, sum of the interior b].
+    """
+    h, wmid = grid._cells, grid._wmid
+    q = 1.0 / (p - 1.0)
+    b = grid.weight * grid._duals * signed_power(vals, p - 1.0)
+    if not grid.bc[0]:
+        flux = -np.cumsum(b[:-1])
+    else:
+        load = np.concatenate(([0.0], np.cumsum(b[1:-1])))
+        if grid.bc[1]:
+            def miss(c):
+                return float(np.dot(signed_power((c - load) / wmid, q), h))
+            c = brent(miss, 0.0, float(load[-1]), 0.0)[0]
+        else:
+            c = load[-1] + b[-1]
+        flux = c - load
+    dh = signed_power(flux / wmid, q) * h
+    down = np.append(-np.cumsum(dh[::-1])[::-1], 0.0)    # from the right
+    if not grid.bc[0]:
+        return down
+    up = np.concatenate(([0.0], np.cumsum(dh)))          # from the left
+    if not grid.bc[1]:
+        return up
+    # The root leaves a miss, far above rounding at large p: the iterates
+    # drive one cell's flux to zero, where the slope is its (p-1)-th
+    # root and one ulp of C moves it by about ulp^{1/(p-1)}.  Leave the
+    # miss in that cell, whose energy is nil, not in a wall cell, which
+    # carries the most.
+    peak = int(np.argmin(np.abs(flux)))
+    return np.concatenate((up[:peak + 1], down[peak + 1:]))
 
 
-def _mass_gradient(vals, grid, p):
-    return p * grid.weight * signed_power(vals, p - 1.0) * grid.dual_sizes()
-
-
-def _precondition(vals, grid, p, free):
-    """Solve T d = rhs with T the frozen-coefficient stiffness matrix."""
-    h = grid.cell_sizes()
-    wmid = grid._wmid
-    d = np.diff(vals) / h
-    floor = _GRAD_FLOOR * max(float(np.max(np.abs(d))), 1e-300)
-    c = wmid * np.maximum(np.abs(d), floor) ** (p - 2.0) / h
-    n = vals.size
-    diag = np.zeros(n)
-    diag[:-1] += c
-    diag[1:] += c
-    upper = -c
-    # restrict to free nodes (Dirichlet nodes pinned to zero)
-    idx = np.flatnonzero(free)
-    sub = np.zeros((2, idx.size))
-    sub[1] = diag[idx]
-    # couplings survive only between adjacent free nodes
-    adj = idx[1:] == idx[:-1] + 1
-    sub[0, 1:][adj] = upper[idx[:-1]][adj]
-    return idx, sub
-
-
-def minimize_rayleigh(grid, p, init=None, tol=1e-10, max_iter=200000):
+def minimize_rayleigh(grid, p, init=None, tol=1e-13, max_iter=1000):
     """Minimize the discrete quotient over the unit p-norm sphere.
 
-    Projected preconditioned descent with Armijo backtracking; iterates
-    are replaced by their absolute value (never energy-increasing) so the
-    minimizer is the positive ground state.  Stops when the quotient has
-    decreased by less than tol*quotient over 20 successive iterations.
-    Returns {"lambda_est", "u_min", "iterations"}.
+    Inverse power iteration (Biezuner, Ercole and Martins 2009): each
+    step solves the discrete Euler-Lagrange system -Delta_p v =
+    w |u_k|^{p-2} u_k (`_inverse_step`) and normalizes v to unit
+    p-mass.  The quotient of the iterates decreases toward the discrete
+    minimum; the iteration stops at the first step that lowers it by no
+    more than tol times its value, a step that raises it by rounding
+    included, and returns the iterate with the lower quotient, which is
+    positive (the ground state).  Returns
+    {"lambda_est", "u_min", "iterations"}; raises ValueError for a grid
+    without a Dirichlet end or a zero initial field, and
+    NonConvergenceError after max_iter steps.
     """
+    if not any(grid.bc):
+        raise ValueError("grid has no Dirichlet endpoint")
     if init is None:
         init = grid.boundary_profile()
-    vals = np.abs(_values(init)).astype(float).copy()
+    vals = np.abs(_values(init))
     _check_bc(vals, grid)
     if not np.any(vals > 0):
         raise ValueError("initial field is identically zero")
-    free = np.ones(vals.size, dtype=bool)
-    if grid.bc[0]:
-        free[0] = False
-    if grid.bc[1]:
-        free[-1] = False
-
     vals /= p_norm_mass(vals, grid, p) ** (1.0 / p)
-    quot = rayleigh_quotient(vals, grid, p)
-    stall = 0
-    iterations = 0
-    while iterations < max_iter:
-        iterations += 1
-        g = _energy_gradient(vals, grid, p) - quot * _mass_gradient(vals, grid, p)
-        g[~free] = 0.0
-        idx, banded = _precondition(vals, grid, p, free)
-        step = np.zeros_like(vals)
-        step[idx] = solveh_banded(banded, -g[idx])
-        slope = float(np.dot(g, step))
-        if slope >= 0.0:
-            step = -g
-            slope = -float(np.dot(g, g))
-        def _trial(a):
-            t = np.abs(vals + a * step)
-            mass = p_norm_mass(t, grid, p)
-            if mass <= 0:
-                return None, np.inf
-            t /= mass ** (1.0 / p)
-            return t, rayleigh_quotient(t, grid, p)
-
-        alpha = 1.0
-        new_quot = quot
-        for _ in range(60):
-            trial, q = _trial(alpha)
-            if trial is not None and q <= quot + _ARMIJO * alpha * slope:
-                # the full step can leave high modes marginally damped
-                # (factor -> -1 as the mode eigenvalue grows); probing
-                # halved steps recovers inverse-iteration behavior
-                for _ in range(6):
-                    trial2, q2 = _trial(alpha * _SHRINK)
-                    if q2 >= q:
-                        break
-                    alpha *= _SHRINK
-                    trial, q = trial2, q2
-                new_quot, vals = q, trial
-                break
-            alpha *= _SHRINK
-        if quot - new_quot < tol * quot:
-            stall += 1
-            if stall >= _STALL_WINDOW:
-                quot = min(quot, new_quot)
-                break
-        else:
-            stall = 0
-        quot = new_quot
-    else:
-        raise RuntimeError("minimize_rayleigh hit the iteration cap %d"
-                           % max_iter)
-    return {"lambda_est": quot, "u_min": DiscreteField(vals),
-            "iterations": iterations}
+    quot = last = rayleigh_quotient(vals, grid, p)
+    for iterations in range(1, max_iter + 1):
+        new = _inverse_step(vals, grid, p)
+        new /= p_norm_mass(new, grid, p) ** (1.0 / p)
+        new_quot = rayleigh_quotient(new, grid, p)
+        if quot - new_quot <= tol * quot:
+            if new_quot < quot:
+                vals, quot = new, new_quot
+            return {"lambda_est": quot, "u_min": DiscreteField(vals),
+                    "iterations": iterations}
+        vals, quot, last = new, new_quot, quot
+    raise NonConvergenceError(
+        "minimize_rayleigh: quotient still falling after %d steps "
+        "(p=%g, n=%d, Dirichlet ends %s; quotients %.17g then %.17g)"
+        % (max_iter, p, grid.n, grid.bc, last, quot))

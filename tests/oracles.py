@@ -18,7 +18,7 @@ import math
 import numpy as np
 from scipy import optimize, special
 
-from ptone import acceptance, critical, radial
+from ptone import acceptance, critical, radial, rayleigh, surfaces
 
 
 def line(name, value, note=""):
@@ -124,9 +124,45 @@ def scan_pins():
     radial.clear_solver_cache()
 
 
+#: (kind, p, m, c, domain) of the pinned Rayleigh minima: domain is the
+#: radius of a ball or catenoid band, or the (a, b) of an annulus.
+RAYLEIGH_PINS = [
+    ("ball", 1.5, 1, 0.0, 1.0),
+    ("ball", 2.0, 2, 0.0, 1.0),
+    ("ball", 3.0, 3, -1.0, 1.0),
+    ("ball", 8.0, 2, 1.0, 1.0),
+    ("annulus", 3.0, 2, 0.0, (0.5, 1.0)),
+    ("catenoid", 3.0, 2, 0.0, 1.2),
+]
+
+
+def rayleigh_pin_grid(kind, p, m, c, domain, n=2000):
+    """The n-node grid of one RAYLEIGH_PINS entry."""
+    if kind == "catenoid":
+        band = surfaces.SurfaceBand.from_radius(
+            surfaces.get_surface("catenoid"), domain)
+        return surfaces._band_grid(band, n)
+    if kind == "ball":
+        shape = radial.Ball(domain)
+    else:
+        shape = radial.Annulus(*domain)
+    prob = radial.RadialProblem(p, m, radial.space_form(c), shape)
+    return rayleigh.Grid1D.from_problem(prob, n=n)
+
+
+def rayleigh_pins():
+    print("\n== discrete Rayleigh minima, n = 2000 (frozen outputs) ==")
+    for kind, p, m, c, domain in RAYLEIGH_PINS:
+        res = rayleigh.minimize_rayleigh(
+            rayleigh_pin_grid(kind, p, m, c, domain), p)
+        line("rayleigh %s(%g,%d,%g)" % (kind, p, m, c), res["lambda_est"],
+             "%d iterations" % res["iterations"])
+
+
 if __name__ == "__main__":
     closed_forms()
     catenoid_chords()
     solver_pins()
     march_closed_forms()
     scan_pins()
+    rayleigh_pins()

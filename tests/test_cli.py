@@ -253,8 +253,20 @@ def test_oracles_script_runs():
     for section in ("== closed-form oracles ==",
                     "== catenoid extrinsic-distance oracles ==",
                     "== solver pins", "== dense march vs p = 2 closed forms",
-                    "== critical-radius scan pins"):
+                    "== critical-radius scan pins",
+                    "== discrete Rayleigh minima"):
         assert section in proc.stdout
+
+
+def test_import_loads_no_scipy():
+    # scipy.interpolate costs about half a second of start-up; only a
+    # tabulated profile needs it, so the CLI must import without it.
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, ptone.cli; print(sorted("
+         "m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_csv_bodies_script_hashes_the_body():

@@ -6,7 +6,8 @@ from numpy.testing import assert_allclose
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ptone import radial
+from oracles import RAYLEIGH_PINS, rayleigh_pin_grid
+from ptone import radial, rayleigh
 from ptone.radial import Annulus, RadialProblem, ball_problem
 from ptone.modelspace import space_form
 from ptone.rayleigh import (DiscreteField, Grid1D, minimize_rayleigh,
@@ -152,3 +153,90 @@ def test_minimize_accepts_custom_init():
     res = minimize_rayleigh(grid, 2.0, init=init)
     lam = radial.solve_ball_eigenvalue(problem).lam
     assert res["lambda_est"] == pytest.approx(lam, rel=1e-3)
+
+
+def test_minimize_near_p_one():
+    # At p = 1.1 the slope is the tenth power of the flux, so descent on
+    # the quotient crawls; inverse iteration does not.
+    problem = ball_problem(1.1, 2, 0.0, 1.0)
+    lam = radial.solve_ball_eigenvalue(problem).lam
+    res = minimize_rayleigh(Grid1D.from_problem(problem, n=2000), 1.1)
+    assert res["iterations"] <= 20
+    assert res["lambda_est"] == pytest.approx(lam, rel=1e-6)
+
+
+def test_minimize_annulus_p8_matches_descent():
+    problem = RadialProblem(8.0, 1, space_form(0.0), Annulus(0.5, 1.0))
+    grid = Grid1D.from_problem(problem, n=2000)
+    res = minimize_rayleigh(grid, 8.0)
+    assert res["iterations"] <= 30
+    assert res["lambda_est"] == pytest.approx(564078.399949072, rel=1e-8)
+    assert rayleigh_quotient(res["u_min"], grid, 8.0) == res["lambda_est"]
+
+
+@pytest.mark.parametrize("p,m,n", [(8.0, 1, 2000), (12.0, 1, 2000),
+                                   (16.0, 2, 1000), (16.0, 3, 500)])
+def test_minimize_annulus_large_p_stops_at_minimum(p, m, n):
+    # Between two Dirichlet ends the iterates drive one cell's flux to
+    # zero, where one ulp of the flux constant moves the slope by about
+    # ulp^{1/(p-1)}.  Left in a wall cell, the root's miss made the
+    # quotient jump by up to 3e-4 and the stop rule end early; no later
+    # iterate may sit below the reported minimum.
+    problem = RadialProblem(p, m, space_form(0.0), Annulus(0.5, 1.0))
+    grid = Grid1D.from_problem(problem, n=n)
+    res = minimize_rayleigh(grid, p)
+    u = np.asarray(res["u_min"])
+    for _ in range(30):
+        u = rayleigh._inverse_step(u, grid, p)
+        u /= p_norm_mass(u, grid, p) ** (1.0 / p)
+        assert rayleigh_quotient(u, grid, p) >= res["lambda_est"] * (
+            1.0 - 1e-12)
+
+
+# Minima of the projected preconditioned descent this minimizer replaced,
+# printed by tests/oracles.py (rayleigh_pins) on that code.  At p = 1.5 the
+# descent stopped at its own tolerance, 1.3e-11 above the minimum for the
+# m = 1 ball, so that pin holds to 5e-11; the others hold to 1e-12.
+RAYLEIGH_PIN_VALUES = [1.8804507250428009, 5.7831864873240768,
+                       21.237220491720091, 39.730137594418487,
+                       223.16754921211867, 33.867721845847733]
+
+
+@pytest.mark.parametrize("pin,value", zip(RAYLEIGH_PINS, RAYLEIGH_PIN_VALUES),
+                         ids=["%s-p%g" % (pin[0], pin[1])
+                              for pin in RAYLEIGH_PINS])
+def test_minimum_matches_pin(pin, value):
+    p = pin[1]
+    res = minimize_rayleigh(rayleigh_pin_grid(*pin), p)
+    assert res["lambda_est"] == pytest.approx(
+        value, rel=1e-12 if p >= 2 else 5e-11)
+
+
+def test_minimize_iteration_cap_is_non_convergence():
+    problem = RadialProblem(3.0, 2, space_form(0.0), Annulus(0.5, 1.0))
+    grid = Grid1D.from_problem(problem, n=200)
+    with pytest.raises(radial.NonConvergenceError) as info:
+        minimize_rayleigh(grid, 3.0, max_iter=1)
+    msg = str(info.value)
+    assert "p=3" in msg and "n=200" in msg and "(True, True)" in msg
+    assert "quotients" in msg
+
+
+def test_minimize_rejects_grid_without_dirichlet_end():
+    grid = Grid1D([0.0, 0.5, 1.0], np.ones(3), (False, False))
+    with pytest.raises(ValueError):
+        minimize_rayleigh(grid, 2.0, init=np.ones(3))
+
+
+def test_minimize_left_dirichlet_end_mirrors_ball():
+    # A grid pinned only at its left end is the mirror image of one
+    # pinned only at its right end.
+    t = np.linspace(0.0, 1.0, 401)
+    w = 1.0 + t ** 2
+    right = minimize_rayleigh(Grid1D(t, w, (False, True)), 3.0)
+    left = minimize_rayleigh(Grid1D(1.0 - t[::-1], w[::-1], (True, False)),
+                             3.0)
+    assert left["lambda_est"] == pytest.approx(right["lambda_est"],
+                                               rel=1e-12)
+    assert_allclose(np.asarray(left["u_min"])[::-1],
+                    np.asarray(right["u_min"]), rtol=1e-9, atol=1e-12)
