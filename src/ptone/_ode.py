@@ -22,9 +22,14 @@ the integration error itself.
 Every step state (t, h and the states and slopes) is a Python float,
 never a numpy scalar, whose arithmetic costs several times a float's.
 One march step of the space-form right-hand side (c = -1, p = 2.5,
-m = 2) takes a median 6 us on floats and 13 us on np.float64 (one
-process, interleaved runs, 2-vCPU x86_64 virtual machine, Python 3.11).
-Callers cast once, where numpy values enter.
+m = 2) takes a median 5.2-6.6 us on floats and 13.0-15.4 us on
+np.float64 (40 interleaved runs of 2000 steps per process, five
+processes, 2-vCPU x86_64 virtual machine, Python 3.11.7; the ranges are
+the host's drift between processes).  Callers cast once, where numpy
+values enter.  The loops around the steps keep their own work small
+too: `integrate` selects its error scales and step clamps by
+conditional expressions, not calls of abs, max and min, and the march
+of a solution decides which gaps to grade before it steps.
 
 `brent` is the package's one root-finder: the eigenvalue miss, the zeros
 of a state component inside one step, the catenoid band end, and the
@@ -77,15 +82,16 @@ _E7 = -1.0 / 40.0
 _BRENT_STEPS = 100
 
 
-def integrate(f, t0, t1, y0, rtol=1e-12, atol=1e-12, stop=None,
-              max_steps=1000000):
+def integrate(f, t0, t1, y0, rtol=1e-12, atol=1e-12, max_steps=1000000):
     """Integrate y' = f(t, u, v), y = (u, v) floats, from t0 to t1 > t0.
 
     Returns (ts, ys): the accepted mesh nodes and states, starting at
-    (t0, y0).  If `stop(t, y)` returns True after an accepted step,
-    integration ends there (the mesh still contains that step).
+    (t0, y0).  Integration ends at t1 or at the first accepted node where
+    u <= 0, which the mesh still contains: a shot needs its trajectory
+    only up to the first zero of omega.
 
-    Raises IntegrationError on step-size underflow or NaN propagation.
+    Raises IntegrationError on step-size underflow, NaN propagation or
+    more than max_steps steps.
     """
     span = t1 - t0
     if span <= 0:
@@ -98,6 +104,8 @@ def integrate(f, t0, t1, y0, rtol=1e-12, atol=1e-12, stop=None,
     ys = [(u, v)]
     k1u, k1v = f(t, u, v)
     steps = 0
+    # The scales and clamps below select what abs, max and min would,
+    # without a call.
     while t < t1:
         if t + h > t1:
             h = t1 - t
@@ -108,8 +116,12 @@ def integrate(f, t0, t1, y0, rtol=1e-12, atol=1e-12, stop=None,
             raise IntegrationError("step limit exceeded at t=%.12g" % t)
 
         nu, nv, k7u, k7v, eu, ev = dp_step(f, t, h, u, v, k1u, k1v, True)
-        su = atol + rtol * max(abs(u), abs(nu))
-        sv = atol + rtol * max(abs(v), abs(nv))
+        au = u if u >= 0.0 else -u
+        a = nu if nu >= 0.0 else -nu
+        su = atol + rtol * (a if a > au else au)
+        av = v if v >= 0.0 else -v
+        a = nv if nv >= 0.0 else -nv
+        sv = atol + rtol * (a if a > av else av)
         err = ((eu / su) ** 2 + (ev / sv) ** 2) ** 0.5 * 0.7071067811865476
 
         if err != err:  # NaN
@@ -119,13 +131,17 @@ def integrate(f, t0, t1, y0, rtol=1e-12, atol=1e-12, stop=None,
             u, v = nu, nv
             ts.append(t)
             ys.append((u, v))
-            k1u, k1v = k7u, k7v
-            if stop is not None and stop(t, (u, v)):
+            if u <= 0.0:
                 break
-            factor = 5.0 if err == 0.0 else min(5.0, 0.9 * err ** -0.2)
+            k1u, k1v = k7u, k7v
+            if err == 0.0:
+                h *= 5.0
+            else:
+                factor = 0.9 * err ** -0.2
+                h *= factor if factor < 5.0 else 5.0
         else:
-            factor = max(0.2, 0.9 * err ** -0.2)
-        h *= factor
+            factor = 0.9 * err ** -0.2
+            h *= factor if factor > 0.2 else 0.2
     return ts, ys
 
 

@@ -187,6 +187,95 @@ def test_query_next_to_the_peak_costs_no_extra_steps():
     assert len(calls) <= 1.1 * plain
 
 
+def _pointwise_plan(nodes, start, points, anchored, span):
+    """The steps of a march over sorted nodes, decided node by node."""
+    plan, t_prev = [], start
+    for t in nodes:
+        if t <= t_prev:     # before the march start, or a duplicate
+            continue
+        gap = t - t_prev
+        near = [(s, q) for s, q in points
+                if q * gap > max(s - t, t_prev - s)]
+        if near or anchored:
+            nsub = (math.ceil(radial._ANCHOR_STEPS * gap / span)
+                    if anchored else 1)
+            plan.append(("graded", t_prev, t, nsub, near))
+        else:
+            plan.append(("step", t_prev, gap))
+        t_prev = t
+    return plan
+
+
+def _ball_query():
+    # unsorted, with duplicates (of the pole, the fourth node, the last
+    # two) and two more nodes between the pole and t0 = 1e-4
+    t = np.linspace(0.0, 1.0, 2048)
+    t = np.concatenate([t, t[[0, 3, 2046, 2047]], [2e-5, 5e-5]])
+    return np.random.default_rng(3).permutation(t)
+
+
+_ANNULUS = [RadialProblem(p, 2, modelspace.space_form(0.0), Annulus(0.5, 1.))
+            for p in (3.0, 8.0)]
+
+
+@pytest.mark.parametrize("problem,query,anchored", [
+    (ball_problem(2.5, 2, -1.0, 1.0), None, False),
+    (ball_problem(2.5, 2, 0.0, 1.0), None, False),
+    (ball_problem(2.5, 2, 1.0, 1.0), None, False),
+    (_ANNULUS[0], None, False),
+    (_ANNULUS[1], None, False),
+    (ball_problem(3.0, 2, 0.0, 1.2), np.linspace(0.9, 1.15, 64), True),
+    (ball_problem(2.5, 2, 0.0, 1.0), _ball_query(), False),
+], ids=["grid-c-1", "grid-c0", "grid-c1", "annulus-p3", "annulus-p8",
+        "band", "unsorted"])
+def test_march_grades_exactly_the_pointwise_gaps(monkeypatch, problem, query,
+                                                 anchored):
+    # The march decides which gaps to grade for all nodes at once; its
+    # steps must be those of the rule applied to each node in turn.
+    sol = _fresh_solve(problem)
+    calls, inside = [], []
+    step, graded = _ode.dp_step, _ode.dp_graded
+
+    def step_spy(f, t, h, *rest):
+        if not inside:
+            calls.append(("step", t, h))
+        return step(f, t, h, *rest)
+
+    def graded_spy(f, t_from, y, k, t_to, nsub, points):
+        calls.append(("graded", t_from, t_to, nsub, list(points)))
+        inside.append(True)
+        try:
+            return graded(f, t_from, y, k, t_to, nsub, points)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(_ode, "dp_step", step_spy)
+    monkeypatch.setattr(_ode, "dp_graded", graded_spy)
+    if query is None:
+        query = np.linspace(sol._left, sol.r, sol.n_grid)
+        assert np.array_equal(sol.grid, query)
+    else:
+        sol.evaluate(query)
+    if sol._startup is not None:
+        points = [(sol._left, radial._POLE_RATIO), (sol.r, radial._KINK_RATIO)]
+    else:
+        assert sol._left < sol._t_peak < sol.r
+        points = [(s, radial._KINK_RATIO)
+                  for s in (sol._left, sol.r, sol._t_peak)]
+    nodes = np.sort(query).tolist()
+    t0 = sol._ts[0]
+    if anchored:        # on the stored trajectory, at the first node past t0
+        start = min(t for t in nodes if t > t0)
+    elif sol._startup is not None:      # the pole expansion at max(t0, h)
+        start = max(t0, sol._left + (nodes[-1] - nodes[0]) / (len(nodes) - 1))
+    else:
+        start = t0
+    plan = _pointwise_plan(nodes, start, points, anchored, sol.r - sol._left)
+    assert calls == plan
+    assert any(c[0] == "graded" for c in plan)
+    assert anchored or any(c[0] == "step" for c in plan)
+
+
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_annulus_m1_is_string(p):
     prob = RadialProblem(p, 1, modelspace.space_form(0.0),
@@ -248,6 +337,77 @@ def test_brent_meets_xtol(f, a, b, root):
         assert abs(x - y) <= xtol and abs(x - root) <= xtol
         assert (f(x) > 0.0) != (f(y) > 0.0)
         assert steps <= 12
+
+
+def _generic_slopes(p, m, fscalar, lam, t, w, phi):
+    """The right-hand side of the module docstring, every power written."""
+    em1, pm1, mm1 = 1.0 / (p - 1.0), p - 1.0, m - 1
+    if mm1 == 0:
+        wp = phi ** em1 if phi >= 0.0 else -((-phi) ** em1)
+        pp = -lam * (w ** pm1) if w >= 0.0 else lam * ((-w) ** pm1)
+    else:
+        fm = fscalar(t) ** mm1
+        wp = (phi / fm) ** em1 if phi >= 0.0 else -(((-phi) / fm) ** em1)
+        pp = (-lam * fm * (w ** pm1) if w >= 0.0
+              else lam * fm * ((-w) ** pm1))
+    return wp, pp
+
+
+@pytest.mark.parametrize("p,m", [(2.0, 1), (2.0, 2), (2.0, 3), (1.05, 2),
+                                 (1.5, 2), (3.0, 2), (16.0, 2)])
+def test_rhs_exponent_one_forms_are_exact(p, m):
+    # _make_rhs leaves out the powers with exponent 1 (both at p = 2, the
+    # weight power at m = 2); every slope must keep its bits, signed
+    # zeros included.
+    rng = np.random.default_rng(7)
+    size = rng.standard_normal((400, 2)) * 10.0 ** rng.uniform(-6, 2, (400, 2))
+    states = size.tolist() + [[a, b] for a in (0.0, -0.0, 0.5, -0.5)
+                              for b in (0.0, -0.0, 0.25, -0.25)]
+    for c in (-1.0, 0.0, 1.0):
+        fscalar = modelspace.space_form(c).f_scalar
+        rhs = radial._make_rhs(p, m, fscalar, 7.25)
+        for t, (w, phi) in zip(rng.uniform(1e-4, 1.0, len(states)).tolist(),
+                               states):
+            got = rhs(t, w, phi)
+            want = _generic_slopes(p, m, fscalar, 7.25, t, w, phi)
+            assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
+@pytest.mark.parametrize("problem", [
+    ball_problem(1.05, 2, 0.0, 1.0),
+    ball_problem(2.5, 2, -1.0, 1.0),
+    ball_problem(16.0, 3, 1.0, 1.0),
+    RadialProblem(3.0, 2, modelspace.space_form(0.0), Annulus(0.5, 1.0)),
+], ids=["ball-p1.05", "ball-p2.5", "ball-p16", "annulus-p3"])
+def test_shot_mesh_stops_at_first_nonpositive_omega(problem):
+    # A shot's mesh ends at the first node where omega <= 0 (or at the
+    # right end when there is none), and an accepted step is at most five
+    # times the one before it.
+    solve = (solve_ball_eigenvalue if problem.domain.kind == "ball"
+             else solve_annulus_eigenvalue)
+    lam = solve(problem).lam
+    t_end = problem.domain.r if problem.domain.kind == "ball" else \
+        problem.domain.b
+    for factor in (0.9, 1.0, 1.3, 3.0):
+        ts, ys, _, miss = radial._shoot(problem, factor * lam)
+        omega = [y[0] for y in ys]
+        assert all(w > 0.0 for w in omega[1:-1])
+        if omega[-1] > 0.0:
+            assert ts[-1] == t_end and miss > 0.0
+        else:
+            assert ts[-1] <= t_end and miss <= 0.0
+        h = np.diff(ts)
+        assert np.all(h > 0.0)
+        assert np.max(h[1:] / h[:-1]) <= 5.0 * (1.0 + 1e-9)
+
+
+def test_integrate_raises_on_nan():
+    def nan_from_half(t, u, v):
+        return (math.nan if t > 0.5 else -u), -v
+
+    for f in (lambda t, u, v: (math.nan, 0.0), nan_from_half):
+        with pytest.raises(_ode.IntegrationError, match="NaN"):
+            _ode.integrate(f, 0.0, 1.0, (1.0, 1.0))
 
 
 def _criterion_01_cases():
