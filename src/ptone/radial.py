@@ -167,51 +167,38 @@ def ball_problem(p, m, c, r):
     return RadialProblem(p, m, space_form(c), Ball(r))
 
 
-def _make_rhs(p, m, fscalar, lam):
-    """Right-hand side rhs(t, omega, Phi) -> (omega', Phi') as a closure.
+# The right-hand side as source for `_ode.compile_form`, over the point
+# s, the state (w, phi) = (omega, Phi) and the weight fm = f(s)^(m-1):
+# the slopes (omega', Phi') by (p == 2, weighted) and the weight by
+# min(m - 1, 2).  A power whose exponent is exactly 1 is left out: both
+# powers at p = 2, the weight power at m = 2.  The slopes keep their
+# bits: pow(x, 1.0) returns x, and -((-Phi)/f) = Phi/f and
+# lam (-omega) = -lam omega in IEEE arithmetic.
+_SLOPES = {
+    (True, False): ("phi", "-lam * w"),
+    (True, True): ("phi / fm", "-lam * fm * w"),
+    (False, False): ("phi ** em1 if phi >= 0.0 else -((-phi) ** em1)",
+                     "-lam * (w ** pm1) if w >= 0.0 else lam * ((-w) ** pm1)"),
+    (False, True): ("(phi / fm) ** em1 if phi >= 0.0"
+                    " else -(((-phi) / fm) ** em1)",
+                    "-lam * fm * (w ** pm1) if w >= 0.0"
+                    " else lam * fm * ((-w) ** pm1)"),
+}
+_WEIGHTS = (None, "fscalar(s)", "fscalar(s) ** mm1")
 
-    A power whose exponent is exactly 1 is left out: both powers at
-    p = 2, the weight power f^{m-1} at m = 2.  The slopes keep their
-    bits: pow(x, 1.0) returns x, and -((-Phi)/f) = Phi/f and
-    lam (-omega) = -lam omega in IEEE arithmetic.
+
+def _make_rhs(p, m, fscalar, lam):
+    """(rhs, step) of the trial-lam system, from its form in `_SLOPES`.
+
+    rhs(t, omega, Phi) -> (omega', Phi') is the right-hand side, and
+    step(t, h, omega, Phi, k1w, k1phi, estimate=False) its Dormand-Prince
+    step (`_ode.compile_form`).  The form is compiled on its first use in
+    the process; this binds f, lam and the exponents.
     """
-    em1 = 1.0 / (p - 1.0)
-    pm1 = p - 1.0
-    mm1 = m - 1
-    if p == 2.0:
-        if mm1 == 0:
-            def rhs(t, w, phi):
-                return phi, -lam * w
-        elif mm1 == 1:
-            def rhs(t, w, phi):
-                fm = fscalar(t)
-                return phi / fm, -lam * fm * w
-        else:
-            def rhs(t, w, phi):
-                fm = fscalar(t) ** mm1
-                return phi / fm, -lam * fm * w
-    elif mm1 == 0:
-        def rhs(t, w, phi):
-            wp = phi ** em1 if phi >= 0.0 else -((-phi) ** em1)
-            pp = -lam * (w ** pm1) if w >= 0.0 else lam * ((-w) ** pm1)
-            return wp, pp
-    elif mm1 == 1:
-        def rhs(t, w, phi):
-            fm = fscalar(t)
-            wp = ((phi / fm) ** em1 if phi >= 0.0
-                  else -(((-phi) / fm) ** em1))
-            pp = (-lam * fm * (w ** pm1) if w >= 0.0
-                  else lam * fm * ((-w) ** pm1))
-            return wp, pp
-    else:
-        def rhs(t, w, phi):
-            fm = fscalar(t) ** mm1
-            wp = ((phi / fm) ** em1 if phi >= 0.0
-                  else -(((-phi) / fm) ** em1))
-            pp = (-lam * fm * (w ** pm1) if w >= 0.0
-                  else lam * fm * ((-w) ** pm1))
-            return wp, pp
-    return rhs
+    k = min(m - 1, 2)
+    make = _ode.compile_form("fscalar, lam, em1, pm1, mm1", _WEIGHTS[k],
+                             *_SLOPES[p == 2.0, k > 0])
+    return make(fscalar, lam, 1.0 / (p - 1.0), p - 1.0, m - 1)
 
 
 class _Startup:
@@ -266,7 +253,7 @@ def _shoot(problem, lam):
     A zero exactly at the endpoint counts as a zero.
     """
     p, m, prof = problem.p, problem.m, problem.profile
-    rhs = _make_rhs(p, m, prof.f_scalar, lam)
+    rhs, step = _make_rhs(p, m, prof.f_scalar, lam)
     d = problem.domain
     if d.kind == "ball":
         t_start = _STARTUP_FRAC * d.r
@@ -275,7 +262,7 @@ def _shoot(problem, lam):
     else:
         t_start, y_start = d.a, (0.0, 1.0)
         t_end = d.b
-    ts, ys = _ode.integrate(rhs, t_start, t_end, y_start,
+    ts, ys = _ode.integrate(rhs, step, t_start, t_end, y_start,
                             rtol=_RTOL, atol=_ATOL)
     if ys[-1][0] > 0.0 or ts[-1] >= t_end:
         return ts, ys, rhs, ys[-1][0] or -math.ulp(0.0)
@@ -321,7 +308,7 @@ class RadialSolution:
     them with every other holder of the solution.
     """
 
-    def __init__(self, problem, lam, ts, ys, rhs, iterations, n_grid,
+    def __init__(self, problem, lam, ts, ys, iterations, n_grid,
                  startup=None):
         self.problem = problem
         self.p = problem.p
@@ -331,6 +318,8 @@ class RadialSolution:
         self.iterations = int(iterations)
         self._ts = ts
         self._ys = ys
+        rhs, self._step = _make_rhs(self.p, self.m, self.profile.f_scalar,
+                                    self.lam)
         self._rhs = rhs
         self._startup = startup
         self._scale = 1.0
@@ -379,13 +368,14 @@ class RadialSolution:
         """(omega, Phi) along sorted ts, by one sequential sweep.
 
         Each gap between nodes takes fixed Dormand-Prince 5(4) steps
-        (`_ode.dp_step`, the fifth-order solution without error control,
-        the last stage of a step reused as the first of the next): one
-        step where the field is smooth, six right-hand-side evaluations
-        per node.  Marching keeps neighboring samples on a smooth shared
-        error profile; independent dense queries would carry O(1e-12)
-        interpolation jumps at the adaptive step boundaries, which second
-        differences of the arrays amplify by 1/h^2.
+        (the solution's step from `_make_rhs`, the fifth-order solution
+        without error control, the last stage of a step reused as the
+        first of the next): one step where the field is smooth, six
+        right-hand-side evaluations per node.  Marching keeps neighboring
+        samples on a smooth shared error profile; independent dense
+        queries would carry O(1e-12) interpolation jumps at the adaptive
+        step boundaries, which second differences of the arrays amplify
+        by 1/h^2.
 
         A dense sweep from the pole (node step h <= _COARSE_FRAC of the
         domain, first node near the left end) starts from the pole
@@ -402,17 +392,19 @@ class RadialSolution:
         The nodes are cast to Python floats once, on entry, so every
         step state of the sweep is a float, also where a node or the node
         step h (through the pole start max(t0, h)) sets the start: a step
-        on numpy scalars costs more than twice a step on floats (13.0-15.4
-        us against 5.2-6.6 us, see `_ode`).  The output buffers stay numpy
+        on numpy scalars costs more than twice a step on floats (13.4-15.4
+        us against 5.1-5.8 us, see `_ode`).  The output buffers stay numpy
         arrays.
 
         Which gaps take graded steps is decided for all nodes at once,
-        with numpy, before the sweep; the sweep makes one `dp_step` or
-        one `dp_graded` call per node and writes the state.  The
-        2048-node grid of the ball timed in `_ode` (c = -1, p = 2.5,
-        m = 2) takes 2489 steps and 8.3-9.7 us per node: the steps, 0.3 us
-        of loop and writes, and the cuts of `dp_graded` on its 39 graded
-        gaps.
+        with numpy, before the sweep; the sweep makes one step or one
+        `dp_graded` call per node and writes the state.  The 2048-node
+        grid of the ball timed in `_ode` (c = -1, p = 2.5, m = 2) takes
+        2489 steps and 6.6-7.9 us per node, against 8.4-10.0 us with the
+        step over a right-hand-side callable and all 81 candidate cuts per
+        graded point (median of 25 marches per process, eight processes
+        of each, alternating): the steps, 0.3 us of loop and writes, and
+        the 0.06-0.09 ms of cuts of `dp_graded` on its 39 graded gaps.
 
         The field is not smooth at the pole, where omega - 1 ~
         t^(p/(p-1)) and the weight f^(m-1) vanishes; at both walls, where
@@ -433,7 +425,7 @@ class RadialSolution:
         n = len(tl)
         if n == 0:
             return np.empty(0), np.empty(0)
-        startup, rhs = self._startup, self._rhs
+        startup, rhs, step = self._startup, self._rhs, self._step
         t0, y0 = self._ts[0], self._ys[0]
         span = self.r - self._left
         h = max((tl[-1] - tl[0]) / max(n - 1, 1), 1e-12 * self.r)
@@ -475,17 +467,17 @@ class RadialSolution:
         near = {j: [pt for pt, hit in zip(points, hits) if hit[j]]
                 for j in np.flatnonzero(flagged).tolist()}
 
-        step, graded = _ode.dp_step, _ode.dp_graded
+        graded = _ode.dp_graded
         out_w, out_phi = omega[pre:], phi[pre:]
         u, v = y
         ku, kv = rhs(t_march, u, v)
         for j, (t, code) in enumerate(zip(tl[pre:], codes)):
             if code == 1:
-                u, v, ku, kv = step(rhs, t_march, t - t_march, u, v, ku, kv)
+                u, v, ku, kv = step(t_march, t - t_march, u, v, ku, kv)
             elif code:
                 nsub = (int(math.ceil(_ANCHOR_STEPS * (t - t_march) / span))
                         if anchored else 1)
-                (u, v), (ku, kv) = graded(rhs, t_march, (u, v), (ku, kv), t,
+                (u, v), (ku, kv) = graded(step, t_march, (u, v), (ku, kv), t,
                                           nsub, near.get(j, []))
             t_march = t
             out_w[j] = u
@@ -552,7 +544,7 @@ def _barta_seed(problem):
 
 
 def _solve(problem, tol):
-    """(lam, ts, ys, rhs, steps) for the zero-free end of the final bracket.
+    """(lam, ts, ys, steps) for the zero-free end of the final bracket.
 
     steps counts the Brent steps after the bracketing shots.  A
     NonConvergenceError (IntegrationError included) leaves with the
@@ -591,8 +583,8 @@ def _solve(problem, tol):
                                        free, hit)) from exc
     if miss(lam) <= 0.0:
         lam = other
-    ts, ys, rhs = shots[lam][:3]
-    return lam, ts, ys, rhs, steps
+    ts, ys = shots[lam][:2]
+    return lam, ts, ys, steps
 
 
 _SOLVE_CACHE = {}
@@ -625,9 +617,9 @@ def solve_ball_eigenvalue(problem, tol=_DEFAULT_TOL, n_grid=_DEFAULT_GRID,
     key = problem.cache_key(tol, n_grid)
     if use_cache and key in _SOLVE_CACHE:
         return _SOLVE_CACHE[key]
-    lam, ts, ys, rhs, iterations = _solve(problem, tol)
+    lam, ts, ys, iterations = _solve(problem, tol)
     startup = _Startup(problem.p, problem.m, problem.profile, lam, ts[0])
-    sol = RadialSolution(problem, lam, ts, ys, rhs, iterations, n_grid,
+    sol = RadialSolution(problem, lam, ts, ys, iterations, n_grid,
                          startup=startup)
     if use_cache:
         _SOLVE_CACHE[key] = sol
@@ -643,8 +635,8 @@ def solve_annulus_eigenvalue(problem, tol=_DEFAULT_TOL, n_grid=_DEFAULT_GRID,
     key = problem.cache_key(tol, n_grid)
     if use_cache and key in _SOLVE_CACHE:
         return _SOLVE_CACHE[key]
-    lam, ts, ys, rhs, iterations = _solve(problem, tol)
-    sol = RadialSolution(problem, lam, ts, ys, rhs, iterations, n_grid)
+    lam, ts, ys, iterations = _solve(problem, tol)
+    sol = RadialSolution(problem, lam, ts, ys, iterations, n_grid)
     if use_cache:
         _SOLVE_CACHE[key] = sol
     return sol

@@ -223,6 +223,32 @@ def test_readme_command_runs(argv, tmp_path):
     assert res.returncode == 0, res.stderr
 
 
+def test_readme_quick_start_runs():
+    # Every line of the Quick start runs, and each expression line
+    # returns the value its comment prints: to every digit, to the digits
+    # before "...", or, for "~x", within a factor 2 of x.
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Quick start", 1)[1].split("```")[1]
+    scope, checked = {}, 0
+    for line in block.splitlines()[1:]:
+        code, _, comment = line.partition("#")
+        try:
+            expr = compile(code, "<README>", "eval")
+        except SyntaxError:
+            exec(code, scope)
+            continue
+        value = eval(expr, scope)
+        printed = comment.split()[0].rstrip(",")
+        if printed.startswith("~"):
+            assert 0.5 <= value / float(printed[1:]) <= 2.0, line
+        elif printed.endswith("..."):
+            assert repr(value).startswith(printed[:-3]), line
+        else:
+            assert repr(value) == printed, line
+        checked += 1
+    assert checked == 3
+
+
 def test_unknown_subcommand_exits_two():
     res = run_cli("frobnicate")
     assert res.returncode == 2

@@ -8,6 +8,10 @@ from scipy.integrate import solve_ivp
 from scipy.special import j0, jn_zeros
 
 from ptone import _ode, acceptance, modelspace, radial
+from ptone._ode import (_A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52,
+                        _A53, _A54, _A61, _A62, _A63, _A64, _A65, _B1, _B3,
+                        _B4, _B5, _B6, _C2, _C3, _C4, _C5, _E1, _E3, _E4,
+                        _E5, _E6, _E7)
 from ptone.radial import (Annulus, Ball, RadialProblem, ball_problem,
                           eigen_equation_residual, pi_p,
                           scaled_eigenvalue, signed_power,
@@ -174,12 +178,13 @@ def test_march_matches_dop853(problem, tol_w, tol_wp):
 def test_query_next_to_the_peak_costs_no_extra_steps():
     # A node one ulp short of the flux zero leaves a sliver between it
     # and the peak; grading toward the peak must not step it thousands
-    # of times (it took 12x the right-hand-side calls of the plain query).
+    # of times (it took 12x the right-hand-side calls of the plain query,
+    # six per step).
     prob = RadialProblem(3.0, 2, modelspace.space_form(0.0), Annulus(0.5, 1.))
     sol = solve_annulus_eigenvalue(prob, use_cache=False)
     calls = []
-    rhs = sol._rhs
-    sol._rhs = lambda t, w, phi: calls.append(t) or rhs(t, w, phi)
+    step = sol._step
+    sol._step = lambda t, *rest: calls.append(t) or step(t, *rest)
     sol.evaluate(np.array([0.55, 0.95]))
     plain = len(calls)
     del calls[:]
@@ -234,22 +239,22 @@ def test_march_grades_exactly_the_pointwise_gaps(monkeypatch, problem, query,
     # steps must be those of the rule applied to each node in turn.
     sol = _fresh_solve(problem)
     calls, inside = [], []
-    step, graded = _ode.dp_step, _ode.dp_graded
+    step, graded = sol._step, _ode.dp_graded
 
-    def step_spy(f, t, h, *rest):
+    def step_spy(t, h, *rest):
         if not inside:
             calls.append(("step", t, h))
-        return step(f, t, h, *rest)
+        return step(t, h, *rest)
 
-    def graded_spy(f, t_from, y, k, t_to, nsub, points):
+    def graded_spy(step, t_from, y, k, t_to, nsub, points):
         calls.append(("graded", t_from, t_to, nsub, list(points)))
         inside.append(True)
         try:
-            return graded(f, t_from, y, k, t_to, nsub, points)
+            return graded(step, t_from, y, k, t_to, nsub, points)
         finally:
             inside.pop()
 
-    monkeypatch.setattr(_ode, "dp_step", step_spy)
+    sol._step = step_spy
     monkeypatch.setattr(_ode, "dp_graded", graded_spy)
     if query is None:
         query = np.linspace(sol._left, sol.r, sol.n_grid)
@@ -365,12 +370,132 @@ def test_rhs_exponent_one_forms_are_exact(p, m):
                               for b in (0.0, -0.0, 0.25, -0.25)]
     for c in (-1.0, 0.0, 1.0):
         fscalar = modelspace.space_form(c).f_scalar
-        rhs = radial._make_rhs(p, m, fscalar, 7.25)
+        rhs, _ = radial._make_rhs(p, m, fscalar, 7.25)
         for t, (w, phi) in zip(rng.uniform(1e-4, 1.0, len(states)).tolist(),
                                states):
             got = rhs(t, w, phi)
             want = _generic_slopes(p, m, fscalar, 7.25, t, w, phi)
             assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
+def _reference_dp_step(f, t, h, u, v, k1u, k1v, estimate=False):
+    """One Dormand-Prince step through seven calls of f(t, u, v)."""
+    k2u, k2v = f(t + _C2 * h, u + h * _A21 * k1u, v + h * _A21 * k1v)
+    k3u, k3v = f(t + _C3 * h, u + h * (_A31 * k1u + _A32 * k2u),
+                 v + h * (_A31 * k1v + _A32 * k2v))
+    k4u, k4v = f(t + _C4 * h, u + h * (_A41 * k1u + _A42 * k2u + _A43 * k3u),
+                 v + h * (_A41 * k1v + _A42 * k2v + _A43 * k3v))
+    k5u, k5v = f(t + _C5 * h, u + h * (_A51 * k1u + _A52 * k2u + _A53 * k3u
+                                       + _A54 * k4u),
+                 v + h * (_A51 * k1v + _A52 * k2v + _A53 * k3v + _A54 * k4v))
+    k6u, k6v = f(t + h, u + h * (_A61 * k1u + _A62 * k2u + _A63 * k3u
+                                 + _A64 * k4u + _A65 * k5u),
+                 v + h * (_A61 * k1v + _A62 * k2v + _A63 * k3v
+                          + _A64 * k4v + _A65 * k5v))
+    nu = u + h * (_B1 * k1u + _B3 * k3u + _B4 * k4u + _B5 * k5u + _B6 * k6u)
+    nv = v + h * (_B1 * k1v + _B3 * k3v + _B4 * k4v + _B5 * k5v + _B6 * k6v)
+    k7u, k7v = f(t + h, nu, nv)
+    if not estimate:
+        return nu, nv, k7u, k7v
+    eu = h * (_E1 * k1u + _E3 * k3u + _E4 * k4u + _E5 * k5u + _E6 * k6u
+              + _E7 * k7u)
+    ev = h * (_E1 * k1v + _E3 * k3v + _E4 * k4v + _E5 * k5v + _E6 * k6v
+              + _E7 * k7v)
+    return nu, nv, k7u, k7v, eu, ev
+
+
+# One (p, m) per right-hand-side form: p = 2 or not, m - 1 = 0, 1 or >= 2.
+_FORMS = [(2.0, 1), (2.0, 2), (2.0, 3), (2.5, 1), (2.5, 2), (2.5, 3)]
+
+
+@pytest.mark.parametrize("p,m", _FORMS)
+def test_generated_step_matches_reference_dp(p, m):
+    # The generated step inlines the slopes and shares the weight at
+    # t + h between stage 6 and k7; every output must keep its bits,
+    # with and without the error estimate, signed zeros included.
+    rng = np.random.default_rng(5)
+    n = 300
+    size = rng.standard_normal((n, 4)) * 10.0 ** rng.uniform(-6, 1, (n, 4))
+    states = size.tolist() + [[a, b, ka, kb] for a in (0.0, -0.0, 0.5)
+                              for b in (0.0, -0.0, -0.25)
+                              for ka, kb in ((0.0, -0.0), (-0.0, 1.5),
+                                             (-2.0, 0.0))]
+    t_nodes = np.linspace(0.0, 2.0, 2001)
+    profiles = [modelspace.space_form(c) for c in (-1.0, 0.0, 1.0)] + [
+        modelspace.tabulated(t_nodes, np.sinh(t_nodes))]
+    for prof in profiles:
+        fscalar = prof.f_scalar
+        step = radial._make_rhs(p, m, fscalar, 7.25)[1]
+
+        def f(t, w, phi):
+            return _generic_slopes(p, m, fscalar, 7.25, t, w, phi)
+
+        ts = rng.uniform(1e-4, 1.0, len(states)).tolist()
+        hs = (10.0 ** rng.uniform(-5, -1, len(states))).tolist()
+        for t, h, state in zip(ts, hs, states):
+            for estimate in (False, True):
+                got = step(t, h, *state, estimate)
+                want = _reference_dp_step(f, t, h, *state, estimate)
+                assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
+def test_step_compiles_once_per_form():
+    # Each form is compiled once: the steps (and right-hand sides) of
+    # two trial lam share one code object, m = 4 shares the m = 3 form,
+    # and the six forms are six codes.
+    fscalar = modelspace.space_form(-1.0).f_scalar
+    codes = set()
+    for p, m in _FORMS:
+        rhs, step = radial._make_rhs(p, m, fscalar, 7.25)
+        rhs2, step2 = radial._make_rhs(p, m, fscalar, 9.5)
+        assert step2 is not step and step2.__code__ is step.__code__
+        assert rhs2.__code__ is rhs.__code__
+        codes.add(step.__code__)
+        if m == 3:
+            assert radial._make_rhs(p, 4, fscalar, 1.0)[1].__code__ is \
+                step.__code__
+    assert len(codes) == len(_FORMS)
+
+
+def _reference_cuts(t_from, t_to, points):
+    """The cuts of `_ode.dp_graded`, from all 81 candidates per point."""
+    span = t_to - t_from
+    cuts = {t_to}
+    for s, _ in points:
+        cuts.update(c for c in [s] + [s + sign * span * 0.5 ** j
+                                      for j in range(40)
+                                      for sign in (-1.0, 1.0)]
+                    if t_from < c < t_to)
+    return sorted(cuts)
+
+
+def test_graded_cuts_match_every_candidate():
+    # dp_graded forms only the candidate cuts inside its interval; the
+    # cuts must be those of all 81 candidates per point, bit for bit,
+    # for points inside the interval, outside it and at or next to an
+    # end.
+    rng = np.random.default_rng(17)
+    for _ in range(3000):
+        t_from = float(rng.choice([0.0, rng.uniform(-2.0, 2.0)]))
+        span = float(10.0 ** rng.uniform(-9, 0.5))
+        t_to = t_from + span
+        points = []
+        for kind in rng.integers(0, 5, rng.integers(1, 4)).tolist():
+            if kind == 0:
+                s = t_from + rng.uniform(0.0, 1.0) * span
+            elif kind == 1:
+                s = t_from - float(10.0 ** rng.uniform(-13, 1)) * span
+            elif kind == 2:
+                s = t_to + float(10.0 ** rng.uniform(-13, 1)) * span
+            elif kind == 3:
+                s = t_from if rng.uniform() < 0.5 else t_to
+            else:
+                s = float(np.nextafter(t_from if rng.uniform() < 0.5
+                                       else t_to, rng.choice([-9.0, 9.0])))
+            points.append((float(s), 8.0))
+        got = _ode._graded_cuts(t_from, t_to, points)
+        want = _reference_cuts(t_from, t_to, points)
+        assert [x.hex() for x in got] == [x.hex() for x in want]
 
 
 @pytest.mark.parametrize("problem", [
@@ -402,12 +527,16 @@ def test_shot_mesh_stops_at_first_nonpositive_omega(problem):
 
 
 def test_integrate_raises_on_nan():
-    def nan_from_half(t, u, v):
-        return (math.nan if t > 0.5 else -u), -v
+    # NaN slopes from the first step (lam = NaN) and from t > 0.5 on (a
+    # weight that turns NaN there).
+    def nan_from_half(t):
+        return math.nan if t > 0.5 else 1.0 + t
 
-    for f in (lambda t, u, v: (math.nan, 0.0), nan_from_half):
+    for p, m, fscalar, lam in ((2.0, 1, None, math.nan),
+                               (2.5, 2, nan_from_half, 3.0)):
+        rhs, step = radial._make_rhs(p, m, fscalar, lam)
         with pytest.raises(_ode.IntegrationError, match="NaN"):
-            _ode.integrate(f, 0.0, 1.0, (1.0, 1.0))
+            _ode.integrate(rhs, step, 0.0, 1.0, (1.0, 1.0))
 
 
 def _criterion_01_cases():
@@ -491,14 +620,19 @@ def test_steps_run_on_python_floats(run, monkeypatch):
     # A numpy scalar in a step state makes every later step of its march
     # cost about twice its time on floats; the ball marches of a 2048-node
     # grid and of a dense query from the pole once ran on them.
+    # Every step of the shots and of the march comes from _make_rhs.
     types = set()
-    step = _ode.dp_step
+    make_rhs = radial._make_rhs
 
-    def typed(f, t, h, u, v, ku, kv, *rest):
-        types.update(map(type, (t, h, u, v, ku, kv)))
-        return step(f, t, h, u, v, ku, kv, *rest)
+    def typed_make_rhs(*args):
+        rhs, step = make_rhs(*args)
 
-    monkeypatch.setattr(_ode, "dp_step", typed)
+        def typed(t, h, u, v, ku, kv, *rest):
+            types.update(map(type, (t, h, u, v, ku, kv)))
+            return step(t, h, u, v, ku, kv, *rest)
+        return rhs, typed
+
+    monkeypatch.setattr(radial, "_make_rhs", typed_make_rhs)
     run()
     assert types == {float}
 
