@@ -23,10 +23,10 @@ Profiles come in three kinds:
     curvature bound as S_c (checked at construction, not assumed);
   * tabulated(nodes, values): monotone cubic (PCHIP) interpolation of
     sampled data, with derivatives taken from the interpolant.  The
-    shooting loop reads f through `f_scalar`, a pure-Python evaluator of
-    the same piecewise cubic that sums each local polynomial in scipy's
-    own order, so its values equal the interpolant's bit for bit at
-    about a tenth of the cost of a scipy call per point.
+    interpolant is ptone's own (`_pchip`, `_pchip_eval`); it repeats
+    scipy's PchipInterpolator operation for operation, and a test shows
+    the two equal bit for bit.  The shooting loop reads f through
+    `f_scalar`, a pure-Python evaluator of the same piecewise cubic.
 
 Everything here is a pure function of its inputs; profiles are immutable
 after construction and safe to share between threads.
@@ -134,17 +134,76 @@ def cot_c(c, t):
     return float(out) if scalar else out
 
 
-def _scalar_warping(kind, c, eps, interp):
+def _pchip_end(h0, h1, m0, m1):
+    """One-sided three-point end slope, kept monotone (Moler's pchiptx)."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _pchip(t, f):
+    """Read-only PCHIP knots x and table of samples f at knots t.
+
+    Slopes follow Fritsch & Carlson (1980) with the weighted harmonic
+    mean of Fritsch & Butland (1984): d_k = 0 where the secants m_{k-1},
+    m_k vanish or change sign.  Column k of the table holds the cubic
+    of knot interval k, c0 s^3 + c1 s^2 + c2 s + c3 with s = t - x[k],
+    as rows 0-3, then its derivatives' coefficients (3 c0, 2 c1, c2) and
+    (6 c0, 2 c1) as rows 4-6 and 7-8.  Every operation, and its order,
+    is that of scipy's PchipInterpolator and PPoly.derivative, so each
+    coefficient keeps scipy's bits.
+    """
+    x = np.array(t)
+    h = x[1:] - x[:-1]
+    m = (f[1:] - f[:-1]) / h
+    sm = np.sign(m)
+    flat = (sm[1:] != sm[:-1]) | (m[1:] == 0) | (m[:-1] == 0)
+    w1 = 2 * h[1:] + h[:-1]
+    w2 = h[1:] + 2 * h[:-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inner = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))
+    d = np.concatenate(([_pchip_end(h[0], h[1], m[0], m[1])],
+                        np.where(flat, 0.0, inner),
+                        [_pchip_end(h[-1], h[-2], m[-1], m[-2])]))
+    k = (d[:-1] + d[1:] - 2 * m) / h
+    c = (k / h, (m - d[:-1]) / h - k, d[:-1], f[:-1])
+    table = np.vstack(c + (3.0 * c[0], 2.0 * c[1], c[2],
+                           6.0 * c[0], 2.0 * c[1]))
+    x.setflags(write=False)
+    table.setflags(write=False)
+    return x, table
+
+
+def _pchip_eval(pchip, t):
+    """(f, f', f'') of a PCHIP (x, table) at t, summed as PPoly sums them.
+
+    The interval is the count of interior knots <= t, which equals
+    PPoly's searchsorted(x, t, "right") - 1 clamped to [0, n-2], so the
+    end cubics extrapolate.  Each value is the power sum from 0.0 in
+    ascending powers with s^2 = s s and s^3 = (s s) s, not Horner, which
+    rounds differently by an ulp.
+    """
+    x, table = pchip
+    i = np.searchsorted(x[1:-1], t, "right")
+    s = t - x[i]
+    s2 = s * s
+    k = table[:, i]
+    return (0.0 + k[3] + k[2] * s + k[1] * s2 + k[0] * (s2 * s),
+            0.0 + k[6] + k[5] * s + k[4] * s2,
+            0.0 + k[8] + k[7] * s)
+
+
+def _scalar_warping(kind, c, eps, pchip):
     """Build a fast float->float evaluator of f for the shooting loop.
 
-    A tabulated profile is read from its interpolant's own breakpoints
-    and coefficients, one point at a time, without a scipy call.  The
-    interval search and its clamp to [0, n-2] (the end polynomials
-    extrapolate) are those of PPoly, and the local cubic is summed in
-    PPoly's order -- the power sum c3 + c2 s + c1 s^2 + c0 s^3 with
-    s^3 = (s s) s, not Horner -- so every value equals interp(t) bit for
-    bit.  Horner rounds differently by an ulp, which CSV cells printed
-    to 17 digits would show.
+    A tabulated profile is read from its PCHIP knots and coefficients,
+    one point at a time, with `_pchip_eval`'s interval rule and the
+    same power sum c3 + c2 s + c1 s^2 + c0 s^3 with s^3 = (s s) s, so
+    every value equals the interpolant's bit for bit (and so scipy's,
+    which a test checks).
     """
     if kind == "spaceform" or kind == "perturbed":
         if c > 0:
@@ -158,8 +217,8 @@ def _scalar_warping(kind, c, eps, interp):
         if kind == "spaceform":
             return base
         return lambda t: base(t) * (1.0 + eps * t * t)
-    x = interp.x.tolist()
-    c0, c1, c2, c3 = interp.c.tolist()
+    x = pchip[0].tolist()
+    c0, c1, c2, c3 = pchip[1][:4].tolist()
     last = len(x) - 2
 
     def f(t):
@@ -181,21 +240,19 @@ class WarpingProfile:
     `from_csv` rather than calling the class directly.
     """
 
-    def __init__(self, kind, c=None, eps=None, r_max=None, interp=None,
+    def __init__(self, kind, c=None, eps=None, r_max=None, pchip=None,
                  label=None, f3_0=0.0, data_key=None):
         self.kind = kind
         self.c = c
         self.eps = eps
         self.r_max = float(r_max)
-        self._interp = interp
-        self._d1 = interp.derivative(1) if interp is not None else None
-        self._d2 = interp.derivative(2) if interp is not None else None
+        self._pchip = pchip
         self.label = label or kind
         # Third derivative of f at the pole; the solver's startup expansion
         # uses it for the O(t^{m+2}) flux correction.
         self.f3_0 = float(f3_0)
         self._data_key = data_key
-        self.f_scalar = _scalar_warping(kind, c, eps, interp)
+        self.f_scalar = _scalar_warping(kind, c, eps, pchip)
 
     def eval(self, t):
         """Return (f, f', f'') at t (scalar or array), t in [0, r_max]."""
@@ -215,9 +272,7 @@ class WarpingProfile:
             f1 = sc * w + 2.0 * self.eps * tt * s
             f2 = -self.c * s * w + 4.0 * self.eps * tt * sc + 2.0 * self.eps * s
         else:
-            f = self._interp(tt)
-            f1 = self._d1(tt)
-            f2 = self._d2(tt)
+            f, f1, f2 = _pchip_eval(self._pchip, tt)
         if scalar:
             return float(f), float(f1), float(f2)
         return np.asarray(f, float), np.asarray(f1, float), np.asarray(f2, float)
@@ -277,25 +332,24 @@ def tabulated(nodes, values, label=None):
     f = np.asarray(values, dtype=float)
     if t.ndim != 1 or t.shape != f.shape or t.size < 4:
         raise ValueError("tabulated profiles need matching 1-d arrays, >= 4 samples")
+    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(f))):
+        raise ValueError("tabulated samples must be finite")
     if t[0] != 0.0 or np.any(np.diff(t) <= 0):
         raise ValueError("sample radii must be strictly increasing and start at 0")
     if f[0] != 0.0:
         raise ValueError("smooth pole requires f(0) = 0")
     if np.any(f[1:] <= 0):
         raise ValueError("warping must be positive on (0, r_max]")
-    # Imported here: scipy.interpolate costs about half a second, and
-    # only tabulated profiles need it.
-    from scipy.interpolate import PchipInterpolator
-    interp = PchipInterpolator(t, f)
-    d1_0 = float(interp.derivative(1)(0.0))
+    pchip = _pchip(t, f)
+    d1_0 = float(_pchip_eval(pchip, 0.0)[1])
     if abs(d1_0 - 1.0) > 1e-6:
         raise ValueError("smooth pole requires f'(0) = 1, interpolant gives %.8g" % d1_0)
     # Estimate f'''(0) ~ f''(delta)/delta from the interpolant for the
     # solver's startup flux correction (f'' (0) = 0 at a smooth pole).
     delta = t[-1] / 1000.0
-    f3_0 = float(interp.derivative(2)(delta)) / delta
+    f3_0 = float(_pchip_eval(pchip, delta)[2]) / delta
     key = hashlib.sha1(t.tobytes() + f.tobytes()).hexdigest()[:12]
-    return WarpingProfile("tabulated", r_max=t[-1], interp=interp,
+    return WarpingProfile("tabulated", r_max=t[-1], pchip=pchip,
                           label=label or "tabulated[%d]" % t.size,
                           f3_0=f3_0, data_key=key)
 

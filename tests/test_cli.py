@@ -295,6 +295,30 @@ def test_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_tabulated_path_loads_no_scipy(tmp_path):
+    # Tabulated profiles build and evaluate their own PCHIP; scipy is
+    # needed only by the tests.
+    path = tmp_path / "profile.csv"
+    t = np.linspace(0.0, 1.05, 2001)
+    path.write_text("t,f\n" + "\n".join(
+        "%.17g,%.17g" % (a, b) for a, b in zip(t, np.sinh(t))) + "\n")
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from ptone import cli, modelspace, radial\n"
+        "cli.compare_profiles()\n"
+        "prof = modelspace.from_csv(sys.argv[1])\n"
+        "prof.eval(np.linspace(0.0, 1.0, 9))\n"
+        "sol = radial.solve_ball_eigenvalue(radial.RadialProblem(\n"
+        "    2.0, 2, prof, radial.Ball(1.0)), use_cache=False)\n"
+        "assert sol.lam > 0 and sol.omega.size\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    proc = subprocess.run([sys.executable, "-c", code, str(path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_csv_bodies_script_hashes_the_body():
     # tests/csv_bodies.py is not collected either; one cheap command keeps
     # it running and checks that it hashes the CSV without its # line.

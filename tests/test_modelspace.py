@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.interpolate import PchipInterpolator
 
 from ptone import modelspace, radial
 from ptone.modelspace import (c_c, cot_c, from_csv, perturbed, s_c,
@@ -122,6 +123,30 @@ def test_tabulated_validation_errors():
         tabulated(shuffled, shuffled)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("where", ["t", "f"])
+def test_tabulated_rejects_non_finite_samples(bad, where):
+    # The last sample: a NaN there passes the ordering and positivity
+    # checks (comparisons with NaN are False), and so does an inf.
+    t = np.linspace(0.0, 1.0, 50)
+    f = np.sinh(t)
+    (t if where == "t" else f)[-1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        tabulated(t, f)
+
+
+def test_tabulated_coefficients_are_read_only():
+    # Profiles are shared through the solver cache; callers must not be
+    # able to change one in place.  The caller's own arrays stay writable.
+    t = np.linspace(0.0, 1.0, 2001)
+    f = np.sinh(t)
+    x, table = tabulated(t, f)._pchip
+    for a in (x, table, table[4:7], table[7:]):
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+    assert t.flags.writeable and f.flags.writeable
+
+
 def test_curvature_check_flags_violations():
     # f = sin has -f''/f = +1 > 0: inadmissible against the flat bound.
     t = np.linspace(0.0, 1.05, 2001)
@@ -160,21 +185,73 @@ def test_profile_domain_guard():
 
 
 def _tabulated_profiles(tmp_path):
+    """(profile, scipy PchipInterpolator of the same samples) pairs."""
     t = np.linspace(0.0, 1.05, 2001)
-    profs = [tabulated(t, np.sinh(t), label="tab-sinh"),
-             tabulated(t, t * (1.0 + t * t / 10.0), label="tab-cubic"),
-             tabulated(t, np.sin(t), label="inadmissible-sin")]
+    samples = [(t, np.sinh(t), "tab-sinh"),
+               (t, t * (1.0 + t * t / 10.0), "tab-cubic"),
+               (t, np.sin(t), "inadmissible-sin")]
+    pairs = [(tabulated(a, b, label=name), PchipInterpolator(a, b))
+             for a, b, name in samples]
     tc = np.linspace(0.0, 1.5, 2001)
     path = tmp_path / "profile.csv"
     rows = "\n".join("%.17g,%.17g" % (a, b) for a, b in zip(tc, np.sinh(tc)))
     path.write_text("t,f\n" + rows + "\n")
-    return profs + [from_csv(path)]
+    data = np.loadtxt(path, delimiter=",", skiprows=1).T
+    return pairs + [(from_csv(path), PchipInterpolator(*data))]
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+def _pchip_datasets():
+    """Samples that reach every branch of the PCHIP slope rule."""
+    rng = np.random.default_rng(20261019)
+    t = np.linspace(0.0, 1.05, 2001)
+    k = np.arange(6.0)
+    sets = [
+        (t, np.sinh(t)),                          # harmonic mean, plain ends
+        (k, np.array([0.0, 1.0, 1.0, 2.0, 4.0, 5.0])),    # zero secant
+        (k, np.array([0.0, 1.0, 0.5, 2.0, 1.5, 3.0])),    # sign changes
+        (k[:5], np.array([0.0, 0.1, 5.1, 6.0, 6.1])),     # ends flipped to 0
+        (k[:5], np.array([0.0, 1.0, -4.0, 1.0, 0.0])),    # ends clamped to 3 m
+        (np.array([0.0, 0.3, 1.0, 1.2]), np.array([0.0, 0.4, 0.5, 2.0])),
+    ]
+    for n in (4, 5, 17, 300):                     # non-uniform spacing
+        x = np.concatenate(([0.0], np.cumsum(rng.uniform(0.01, 1.0, n - 1))))
+        sets += [(x, np.cumsum(rng.uniform(0.0, 1.0, n))),
+                 (x, rng.normal(size=n))]
+    return sets
+
+
+def test_pchip_matches_scipy_bitwise():
+    sets = _pchip_datasets()
+    # Knot slopes show that the first five samples reach their branches.
+    d = [PchipInterpolator(x, y).derivative(1)(x) for x, y in sets[:5]]
+    assert np.all(d[0] > 0)
+    assert d[1][1] == d[1][2] == 0.0
+    assert np.all(d[2][1:-1] == 0.0)
+    assert d[3][0] == d[3][-1] == 0.0
+    assert d[4][0] == 3.0 and d[4][-1] == -3.0
+    rng = np.random.default_rng(20261020)
+    for x, y in sets:
+        ref = PchipInterpolator(x, y)
+        refs = (ref, ref.derivative(1), ref.derivative(2))
+        pchip = modelspace._pchip(x, y)
+        rows = (pchip[1][:4], pchip[1][4:7], pchip[1][7:])
+        span = x[-1] - x[0]
+        q = np.concatenate([x, np.nextafter(x, -np.inf),
+                            np.nextafter(x, np.inf),
+                            rng.uniform(x[0] - 0.1 * span, x[-1] + 0.1 * span,
+                                        5000)])
+        for c, v, r in zip(rows, modelspace._pchip_eval(pchip, q), refs):
+            assert np.array_equal(_bits(c), _bits(r.c)), (x.size, y[:3])
+            assert np.array_equal(_bits(v), _bits(r(q))), (x.size, y[:3])
 
 
 def test_tabulated_f_scalar_equals_interpolant_bitwise(tmp_path):
     rng = np.random.default_rng(20261018)
-    for prof in _tabulated_profiles(tmp_path):
-        interp = prof._interp
+    for prof, interp in _tabulated_profiles(tmp_path):
         r = prof.r_max
         pts = np.concatenate([interp.x, rng.uniform(0.0, r, 10000),
                               [0.0, r, r * (1 + 1e-12), r * (1 + 1e-3),
@@ -188,7 +265,8 @@ def test_tabulated_solve_unchanged_by_scalar_evaluator(p, monkeypatch):
     t = np.linspace(0.0, 1.05, 2001)
     fast = tabulated(t, np.sinh(t))
     ref = tabulated(t, np.sinh(t))
-    monkeypatch.setattr(ref, "f_scalar", lambda s: float(ref._interp(s)))
+    interp = PchipInterpolator(t, np.sinh(t))
+    monkeypatch.setattr(ref, "f_scalar", lambda s: float(interp(s)))
     sols = [radial.solve_ball_eigenvalue(
                 radial.RadialProblem(p, 2, prof, radial.Ball(1.0)),
                 use_cache=False)
