@@ -1,47 +1,52 @@
-"""Adaptive Dormand-Prince 5(4) integration for two-state systems.
+"""Dormand-Prince 5(4) integration for two-state systems, generated per form.
 
 The radial eigenvalue ODE is a smooth two-dimensional first-order system
 away from the pole, so an embedded 5(4) Runge-Kutta pair with proportional
 step control is enough.  The module is private: it hardcodes the state as
 a pair of floats because the shooting loop integrates (omega, flux) states
 millions of times and tuple arithmetic beats tiny numpy arrays by a wide
-margin there.  The right-hand side is called as f(t, u, v) and returns
-the pair of slopes.
+margin there.
 
-The dense march of a solution (`dp_graded`) takes fixed steps of the
-same pair without error control: the fifth-order solution, six
-right-hand-side evaluations per step, refined toward the points where
-the field is not smooth.  Both loops take the step of their right-hand
-side from `compile_form`; the march skips the error estimate.
+The integrators are generated per right-hand-side form, not written once
+over a callable f: `compile_form` writes the form's slopes, and the
+weight expression they read, into each stage of the one template of the
+step (`_STAGES`), and writes those stages into the step, into the
+adaptive loop of the shots (`_INTEGRATE`) and into the plain-step run of
+the dense march (`_RUN`).  It compiles the result once per process.  A
+closed-form weight (sinh(rc * s) / rc, say) is source in the stages too,
+not a call.  Every operation and its operands are those of a step over f
+(seven calls of f, each packing a tuple) driven by a loop that calls the
+step, so every result keeps its bits; the tests keep those as the
+references.
+
+In one process, alternating with the step over f and the loops that
+called it (medians of 40 runs each, three processes, Python 3.11.7,
+2-vCPU x86_64 virtual machine, ball of radius 1, p = 2.5, m = 2): a
+shot at 0.9 lam takes 4.5-6.9 us per attempted step against 5.2-8.0 us
+(c = -1, 160 steps) and 3.7-6.0 us against 4.2-7.1 us (c = 0), 11-16%
+less in each process; the 2048-node march takes 4.9-7.1 us per node
+against 5.7-8.2 us (c = -1) and 4.0-6.1 us against 4.4-7.2 us (c = 0),
+5-15% less (p = 2, m = 3: 15-20% less).  The ranges are the host's
+drift between processes.
+
+The dense march of a solution takes fixed steps of the same pair without
+error control: the fifth-order solution, six right-hand-side evaluations
+per step.  `run` takes one step per node where the field is smooth, and
+`dp_graded` refines its steps toward the points where it is not.
 Classical RK4 sub-steps (`rk4_between`) serve the zero refinement of the
 shooting loop and `dense_eval`, the restart from the nearest accepted
 mesh node that answers one-node queries and anchors a band query;
 accepted steps are short at the solver tolerances, so their sub-step
 error sits far below the integration error itself.
 
-A step is generated per right-hand-side form, not written once over a
-callable f: `compile_form` writes the form's slopes into each stage of
-the one template of the step (`_STAGES`) and compiles the result once
-per process.  A step over f made seven Python calls of f, each packing
-and unpacking a tuple, and computed the weight at t + h twice, for
-stage 6 and for k7.  The generated step makes no call but the weight's
-and computes that weight once.  Every operation and its operands are
-those of the step over f, so every result keeps its bits.  One march
-step of the space-form right-hand side (c = -1, p = 2.5, m = 2) takes a
-median 5.0-5.8 us against 6.2-7.0 us over f, 18% less; the six forms
-save 17-31% (40 runs of 2000 steps per process, the two steps
-alternating, three processes, 2-vCPU x86_64 virtual machine, Python
-3.11.7; the ranges are the host's drift between processes).
-
 Every step state (t, h and the states and slopes) is a Python float,
 never a numpy scalar, whose arithmetic costs several times a float's:
-the step above takes 13.4-15.4 us on np.float64 against 5.1-5.8 us on
-floats (40 alternating runs per process, three processes).  Callers
-cast once, where numpy values enter.  The loops around the steps keep
-their own work small too: `integrate` selects its error scales and step
-clamps by conditional expressions, not calls of abs, max and min, the
-march of a solution decides which gaps to grade before it steps, and
-`dp_graded` forms only the cuts that fall inside its interval.
+one step took 13.4-15.4 us on np.float64 against 5.1-5.8 us on floats.
+Callers cast once, where numpy values enter.  The loops keep their own
+work small too: `integrate` selects its error scales and step clamps by
+conditional expressions, not calls of abs, max and min, the march of a
+solution decides which gaps to grade before it steps, and `dp_graded`
+forms only the cuts that fall inside its interval.
 
 `brent` is the package's one root-finder: the eigenvalue miss, the zeros
 of a state component inside one step, the catenoid band end, and the
@@ -56,17 +61,17 @@ from bisect import bisect_right
 class NonConvergenceError(RuntimeError):
     """A numerical iteration stopped short of its tolerance.
 
-    Raised by `brent` when it runs out of steps, by `integrate` (as
-    IntegrationError), by the eigenvalue solver when it cannot bracket
-    lam (it adds p, m, the domain, the profile and the final eigenvalue
-    bracket to the message), and by the Rayleigh minimizer at its step
-    cap (naming p, the grid size, the Dirichlet ends and its last two
-    quotients).
+    Raised by `brent` when it runs out of steps, by a generated
+    `integrate` (as IntegrationError), by the eigenvalue solver when it
+    cannot bracket lam (it adds p, m, the domain, the profile and the
+    final eigenvalue bracket to the message), and by the Rayleigh
+    minimizer at its step cap (naming p, the grid size, the Dirichlet
+    ends and its last two quotients).
     """
 
 
 class IntegrationError(NonConvergenceError):
-    """Step-size underflow, NaN propagation or step limit in `integrate`."""
+    """Step-size underflow, NaN propagation or step limit in a shot."""
 
 
 # Dormand-Prince coefficients (the classic ode45 pair).  The last row of
@@ -113,118 +118,157 @@ _STAGES = (
 _ERROR = ("h * (_E1 * k1{y} + _E3 * k3{y} + _E4 * k4{y} + _E5 * k5{y}"
           " + _E6 * k6{y} + _E7 * k7{y})")
 
+# The two loops of a form around its stages, as source.  {stages} is one
+# step from (t, h, u, v, k1u, k1v) to the new state (w, phi) and its
+# slope (k7u, k7v), and {eu}, {ev} the error estimate of `_ERROR`.
+#
+# integrate is the adaptive loop of the shots.  Its error scales and step
+# clamps select what abs, max and min would, without a call.
+_INTEGRATE = """\
+    def integrate(t0, t1, y0, rtol=1e-12, atol=1e-12, max_steps=1000000):
+        span = t1 - t0
+        if span <= 0:
+            raise ValueError("integrate requires t1 > t0")
+        h = 0.01 * span
+        hmin = 1e-15 * span
+        t = t0
+        u, v = float(y0[0]), float(y0[1])
+        ts = [t]
+        ys = [(u, v)]
+        k1u, k1v = f(t, u, v)
+        steps = 0
+        while t < t1:
+            if t + h > t1:
+                h = t1 - t
+            if h < hmin:
+                raise IntegrationError("step-size underflow at t=%.12g" % t)
+            steps += 1
+            if steps > max_steps:
+                raise IntegrationError("step limit exceeded at t=%.12g" % t)
+{stages}
+            eu = {eu}
+            ev = {ev}
+            au = u if u >= 0.0 else -u
+            a = w if w >= 0.0 else -w
+            su = atol + rtol * (a if a > au else au)
+            av = v if v >= 0.0 else -v
+            a = phi if phi >= 0.0 else -phi
+            sv = atol + rtol * (a if a > av else av)
+            err = ((eu / su) ** 2 + (ev / sv) ** 2) ** 0.5 * 0.7071067811865476
+            if err != err:  # NaN
+                raise IntegrationError(
+                    "NaN in the error estimate at t=%.12g" % t)
+            if err <= 1.0:
+                t += h
+                u, v = w, phi
+                ts.append(t)
+                ys.append((u, v))
+                if u <= 0.0:
+                    break
+                k1u, k1v = k7u, k7v
+                if err == 0.0:
+                    h *= 5.0
+                else:
+                    factor = 0.9 * err ** -0.2
+                    h *= factor if factor < 5.0 else 5.0
+            else:
+                factor = 0.9 * err ** -0.2
+                h *= factor if factor > 0.2 else 0.2
+        return ts, ys
+"""
+
+# run is the plain-step loop of the march: one step per node, each state
+# written straight into the caller's buffers.
+_RUN = """\
+    def run(t, u, v, k1u, k1v, nodes, i, e, out_w, out_phi):
+        for j in range(i, e):
+            tn = nodes[j]
+            h = tn - t
+{stages}
+            t = tn
+            u, v, k1u, k1v = w, phi, k7u, k7v
+            out_w[j] = w
+            out_phi[j] = phi
+        return t, u, v, k1u, k1v
+"""
+
+
+def _stage_lines(weight, dw, dphi, indent):
+    """`_STAGES` with the slopes written out, as lines of source.
+
+    Stage 6 and k7 share the weight at t + h.
+    """
+    pad = " " * indent
+    lines = []
+    for i, (s, y) in enumerate(_STAGES, 2):
+        weighted = weight is not None and s is not None
+        if weighted:
+            lines.append(pad + "s = " + s)
+        lines += [pad + "w = " + y.format(y="u"),
+                  pad + "phi = " + y.format(y="v")]
+        if weighted:
+            lines.append(pad + "fm = " + weight)
+        lines += [pad + "k%du = %s" % (i, dw), pad + "k%dv = %s" % (i, dphi)]
+    return lines
+
 
 @functools.cache
 def compile_form(params, weight, dw, dphi):
-    """Compile one right-hand-side form; return make(*params) -> (f, step).
+    """Compile one right-hand-side form; return make(*params).
 
     The form is source over the names in `params` (a comma list): the
     slopes `dw` and `dphi` of the state (w, phi), which may read the
     weight fm = `weight`, an expression of the point s (None: the form
-    has no weight).  make binds the names and returns
+    has no weight).  make binds the names and returns (f, step,
+    integrate, run):
 
-        f(s, w, phi) -> (dw, dphi), and
-        step(t, h, u, v, k1u, k1v, estimate=False),
+    f(s, w, phi) -> (dw, dphi) is the right-hand side.
 
-    one Dormand-Prince step of length h from the state (u, v) at t,
-    with k1 = f(t, u, v) passed in.  The step returns (nu, nv, k7u, k7v):
-    the fifth-order state at t + h and the slope there (k1 of the next
-    step, FSAL).  With `estimate` it appends (eu, ev), h times the fifth-
-    minus fourth-order weights, the local error estimate of `integrate`;
-    the march has no use for it and skips its arithmetic.
+    step(t, h, u, v, k1u, k1v, estimate=False) is one Dormand-Prince step
+    of length h from the state (u, v) at t, with k1 = f(t, u, v) passed
+    in.  It returns (nu, nv, k7u, k7v): the fifth-order state at t + h
+    and the slope there (k1 of the next step, FSAL).  With `estimate` it
+    appends (eu, ev), the local error estimate of `integrate` (`_ERROR`:
+    h times the fifth- minus fourth-order weights); only the tests ask
+    for it, to check that arithmetic one step at a time.
 
-    The step is `_STAGES` with the slopes written out in each stage;
-    stage 6 and k7 share the weight at t + h.  Each form is compiled
-    once per process, on its first use: the cache holds one entry per
-    form its callers write, six for `radial`.
+    integrate(t0, t1, y0, rtol=1e-12, atol=1e-12, max_steps=1000000)
+    integrates from t0 to t1 > t0 with proportional step control and
+    returns (ts, ys): the accepted mesh nodes and states (u, v), starting
+    at (t0, y0).  It ends at t1 or at the first accepted node where
+    u <= 0, which the mesh still contains: a shot needs its trajectory
+    only up to the first zero of omega.  It raises IntegrationError on
+    step-size underflow, NaN propagation or more than max_steps steps.
+
+    run(t, u, v, k1u, k1v, nodes, i, e, out_w, out_phi) takes one plain
+    step from t to nodes[i], then from node to node up to nodes[e - 1],
+    writes each state to out_w[j] and out_phi[j], and returns the last
+    node, state and slope (t, u, v, k1u, k1v).
+
+    The stages of step, integrate and run are `_STAGES` with the slopes
+    written out (`_stage_lines`); integrate is `_INTEGRATE` and run is
+    `_RUN`.  Each form is compiled once per process, on its first use:
+    the cache holds one entry per form its callers write, at most 30
+    for `radial`.
     """
     lines = ["def make(%s):" % params, "    def f(s, w, phi):"]
     if weight is not None:
         lines.append("        fm = " + weight)
+    error = (_ERROR.format(y="u"), _ERROR.format(y="v"))
     lines += ["        return (%s), (%s)" % (dw, dphi),
               "    def step(t, h, u, v, k1u, k1v, estimate=False):"]
-    for i, (s, y) in enumerate(_STAGES, 2):
-        weighted = weight is not None and s is not None
-        if weighted:
-            lines.append("        s = " + s)
-        lines += ["        w = " + y.format(y="u"),
-                  "        phi = " + y.format(y="v")]
-        if weighted:
-            lines.append("        fm = " + weight)
-        lines += ["        k%du = %s" % (i, dw), "        k%dv = %s" % (i, dphi)]
+    lines += _stage_lines(weight, dw, dphi, 8)
     lines += ["        if not estimate:",
               "            return w, phi, k7u, k7v",
-              "        return (w, phi, k7u, k7v, %s, %s)"
-              % (_ERROR.format(y="u"), _ERROR.format(y="v")),
-              "    return f, step"]
+              "        return (w, phi, k7u, k7v, %s, %s)" % error]
+    stages = "\n".join(_stage_lines(weight, dw, dphi, 12))
+    lines += [_INTEGRATE.format(stages=stages, eu=error[0], ev=error[1]),
+              _RUN.format(stages=stages),
+              "    return f, step, integrate, run"]
     made = {}
     exec(compile("\n".join(lines) + "\n", "<dp form>", "exec"), globals(),
          made)
     return made["make"]
-
-
-def integrate(f, step, t0, t1, y0, rtol=1e-12, atol=1e-12, max_steps=1000000):
-    """Integrate y' = f(t, u, v), y = (u, v) floats, from t0 to t1 > t0.
-
-    `step` is the Dormand-Prince step of f (`compile_form`); f itself
-    gives only the first slope.  Returns (ts, ys): the accepted mesh
-    nodes and states, starting at (t0, y0).  Integration ends at t1 or at
-    the first accepted node where u <= 0, which the mesh still contains:
-    a shot needs its trajectory only up to the first zero of omega.
-
-    Raises IntegrationError on step-size underflow, NaN propagation or
-    more than max_steps steps.
-    """
-    span = t1 - t0
-    if span <= 0:
-        raise ValueError("integrate requires t1 > t0")
-    h = 0.01 * span
-    hmin = 1e-15 * span
-    t = t0
-    u, v = float(y0[0]), float(y0[1])
-    ts = [t]
-    ys = [(u, v)]
-    k1u, k1v = f(t, u, v)
-    steps = 0
-    # The scales and clamps below select what abs, max and min would,
-    # without a call.
-    while t < t1:
-        if t + h > t1:
-            h = t1 - t
-        if h < hmin:
-            raise IntegrationError("step-size underflow at t=%.12g" % t)
-        steps += 1
-        if steps > max_steps:
-            raise IntegrationError("step limit exceeded at t=%.12g" % t)
-
-        nu, nv, k7u, k7v, eu, ev = step(t, h, u, v, k1u, k1v, True)
-        au = u if u >= 0.0 else -u
-        a = nu if nu >= 0.0 else -nu
-        su = atol + rtol * (a if a > au else au)
-        av = v if v >= 0.0 else -v
-        a = nv if nv >= 0.0 else -nv
-        sv = atol + rtol * (a if a > av else av)
-        err = ((eu / su) ** 2 + (ev / sv) ** 2) ** 0.5 * 0.7071067811865476
-
-        if err != err:  # NaN
-            raise IntegrationError("NaN in the error estimate at t=%.12g" % t)
-        if err <= 1.0:
-            t += h
-            u, v = nu, nv
-            ts.append(t)
-            ys.append((u, v))
-            if u <= 0.0:
-                break
-            k1u, k1v = k7u, k7v
-            if err == 0.0:
-                h *= 5.0
-            else:
-                factor = 0.9 * err ** -0.2
-                h *= factor if factor < 5.0 else 5.0
-        else:
-            factor = 0.9 * err ** -0.2
-            h *= factor if factor > 0.2 else 0.2
-    return ts, ys
 
 
 def _graded_cuts(t_from, t_to, points):

@@ -25,13 +25,21 @@ Profiles come in three kinds:
     sampled data, with derivatives taken from the interpolant.  The
     interpolant is ptone's own (`_pchip`, `_pchip_eval`); it repeats
     scipy's PchipInterpolator operation for operation, and a test shows
-    the two equal bit for bit.  The shooting loop reads f through
-    `f_scalar`, a pure-Python evaluator of the same piecewise cubic.
+    the two equal bit for bit.
+
+Each profile also carries f as one expression over the point s,
+`f_expr`, with the values of the names it reads, `f_names`.  For the
+closed forms it is the one copy of the formula: the pure-Python
+`f_scalar` is compiled from it, and the solver writes it into the
+stages of its generated integrators (`radial._make_rhs`).  A tabulated
+profile's expression is `fscalar(s)`, a call of its `f_scalar`, a
+pure-Python evaluator of the same piecewise cubic.
 
 Everything here is a pure function of its inputs; profiles are immutable
 after construction and safe to share between threads.
 """
 
+import functools
 import hashlib
 import math
 from bisect import bisect_right
@@ -196,27 +204,51 @@ def _pchip_eval(pchip, t):
             0.0 + k[8] + k[7] * s)
 
 
-def _scalar_warping(kind, c, eps, pchip):
-    """Build a fast float->float evaluator of f for the shooting loop.
+def _scalar_warping(kind, c, eps):
+    """The warping of a closed-form profile as source: (expr, names).
 
-    A tabulated profile is read from its PCHIP knots and coefficients,
-    one point at a time, with `_pchip_eval`'s interval rule and the
-    same power sum c3 + c2 s + c1 s^2 + c0 s^3 with s^3 = (s s) s, so
-    every value equals the interpolant's bit for bit (and so scipy's,
-    which a test checks).
+    expr is one expression over the point s, and names maps the other
+    names it reads to their values: S_c is sin(rc * s) / rc, s or
+    sinh(rc * s) / rc, and a perturbed profile multiplies it by
+    (1.0 + eps * s * s).  This is the one copy of each closed form:
+    `f_scalar` is compiled from it, and the solver writes it into the
+    stages of its generated steps and loops (`radial._make_rhs`).
     """
-    if kind == "spaceform" or kind == "perturbed":
-        if c > 0:
-            rc = math.sqrt(c)
-            base = lambda t: math.sin(rc * t) / rc
-        elif c == 0:
-            base = lambda t: t
-        else:
-            rc = math.sqrt(-c)
-            base = lambda t: math.sinh(rc * t) / rc
-        if kind == "spaceform":
-            return base
-        return lambda t: base(t) * (1.0 + eps * t * t)
+    if c > 0:
+        expr, names = "sin(rc * s) / rc", {"rc": math.sqrt(c),
+                                            "sin": math.sin}
+    elif c == 0:
+        expr, names = "s", {}
+    else:
+        expr, names = "sinh(rc * s) / rc", {"rc": math.sqrt(-c),
+                                             "sinh": math.sinh}
+    if kind == "perturbed":
+        expr = "(%s) * (1.0 + eps * s * s)" % expr
+        names["eps"] = eps
+    return expr, names
+
+
+@functools.cache
+def _compile_warping(expr, names):
+    """make(**values) -> the function s -> expr of the given names.
+
+    Each expression is compiled once per process, so building a profile
+    costs no compile.
+    """
+    made = {}
+    exec("def make(%s):\n    return lambda s: %s\n" % (", ".join(names),
+                                                         expr), made)
+    return made["make"]
+
+
+def _pchip_scalar(pchip):
+    """A fast float->float evaluator of a PCHIP (x, table) for the shots.
+
+    It reads the knots and coefficients one point at a time, with
+    `_pchip_eval`'s interval rule and the same power sum c3 + c2 s +
+    c1 s^2 + c0 s^3 with s^3 = (s s) s, so every value equals the
+    interpolant's bit for bit (and so scipy's, which a test checks).
+    """
     x = pchip[0].tolist()
     c0, c1, c2, c3 = pchip[1][:4].tolist()
     last = len(x) - 2
@@ -252,14 +284,23 @@ class WarpingProfile:
         # uses it for the O(t^{m+2}) flux correction.
         self.f3_0 = float(f3_0)
         self._data_key = data_key
-        self.f_scalar = _scalar_warping(kind, c, eps, pchip)
+        if pchip is None:
+            self.f_expr, self.f_names = _scalar_warping(kind, c, eps)
+            self.f_scalar = _compile_warping(
+                self.f_expr, tuple(self.f_names))(**self.f_names)
+        else:
+            self.f_expr, self.f_names = "fscalar(s)", {}
+            self.f_scalar = _pchip_scalar(pchip)
 
     def eval(self, t):
         """Return (f, f', f'') at t (scalar or array), t in [0, r_max]."""
         scalar = np.ndim(t) == 0
         tt = np.asarray(t, dtype=float)
-        if np.any(tt < -1e-15) or np.any(tt > self.r_max * (1 + 1e-12)):
-            raise ValueError("t outside the profile domain [0, %g]" % self.r_max)
+        # Written as "not inside", so NaN fails the check too.
+        if not (np.all(tt >= -1e-15)
+                and np.all(tt <= self.r_max * (1 + 1e-12))):
+            raise ValueError("t outside the profile domain [0, %g] or not a "
+                             "number" % self.r_max)
         if self.kind == "spaceform":
             f = s_c(self.c, tt)
             f1 = c_c(self.c, tt)

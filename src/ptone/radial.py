@@ -90,8 +90,9 @@ class Ball:
     kind = "ball"
 
     def __init__(self, r):
-        if r <= 0:
-            raise ValueError("ball radius must be positive")
+        if not (math.isfinite(r) and r > 0):
+            raise ValueError("ball radius must be positive and finite, "
+                             "got r=%r" % (r,))
         self.r = float(r)
 
     def __repr__(self):
@@ -104,8 +105,9 @@ class Annulus:
     kind = "annulus"
 
     def __init__(self, a, b):
-        if not 0 <= a < b:
-            raise ValueError("annulus requires 0 <= a < b")
+        if not (math.isfinite(a) and math.isfinite(b) and 0 <= a < b):
+            raise ValueError("annulus requires finite 0 <= a < b, got "
+                             "a=%r, b=%r" % (a, b))
         self.a = float(a)
         self.b = float(b)
 
@@ -169,11 +171,11 @@ def ball_problem(p, m, c, r):
 
 # The right-hand side as source for `_ode.compile_form`, over the point
 # s, the state (w, phi) = (omega, Phi) and the weight fm = f(s)^(m-1):
-# the slopes (omega', Phi') by (p == 2, weighted) and the weight by
-# min(m - 1, 2).  A power whose exponent is exactly 1 is left out: both
-# powers at p = 2, the weight power at m = 2.  The slopes keep their
-# bits: pow(x, 1.0) returns x, and -((-Phi)/f) = Phi/f and
-# lam (-omega) = -lam omega in IEEE arithmetic.
+# the slopes (omega', Phi') by (p == 2, weighted).  A power whose
+# exponent is exactly 1 is left out: both powers at p = 2, the weight
+# power at m = 2.  The slopes keep their bits: pow(x, 1.0) returns x,
+# and -((-Phi)/f) = Phi/f and lam (-omega) = -lam omega in IEEE
+# arithmetic.
 _SLOPES = {
     (True, False): ("phi", "-lam * w"),
     (True, True): ("phi / fm", "-lam * fm * w"),
@@ -184,21 +186,32 @@ _SLOPES = {
                     "-lam * fm * (w ** pm1) if w >= 0.0"
                     " else lam * fm * ((-w) ** pm1)"),
 }
-_WEIGHTS = (None, "fscalar(s)", "fscalar(s) ** mm1")
 
 
-def _make_rhs(p, m, fscalar, lam):
-    """(rhs, step) of the trial-lam system, from its form in `_SLOPES`.
+def _make_rhs(p, m, profile, lam):
+    """(rhs, step, integrate, run) of the trial-lam system (`_ode`).
 
-    rhs(t, omega, Phi) -> (omega', Phi') is the right-hand side, and
-    step(t, h, omega, Phi, k1w, k1phi, estimate=False) its Dormand-Prince
-    step (`_ode.compile_form`).  The form is compiled on its first use in
-    the process; this binds f, lam and the exponents.
+    rhs(t, omega, Phi) -> (omega', Phi') is the right-hand side; step,
+    integrate and run are its Dormand-Prince step, adaptive loop and
+    plain-step march run (`_ode.compile_form`).  The form's slopes are
+    `_SLOPES`, and its weight is chosen by min(m - 1, 2): none, the
+    profile's f_expr, or (f_expr) ** mm1.  A closed-form warping is thus
+    written into every stage; a tabulated one calls `fscalar`, bound
+    here to the profile's f_scalar.  Each form (at most 30: 7 warping
+    expressions times 2 weight powers, plus unweighted, times p = 2 or
+    not) is compiled on its first use in the process; this binds lam,
+    the exponents and the profile's names.
     """
     k = min(m - 1, 2)
-    make = _ode.compile_form("fscalar, lam, em1, pm1, mm1", _WEIGHTS[k],
-                             *_SLOPES[p == 2.0, k > 0])
-    return make(fscalar, lam, 1.0 / (p - 1.0), p - 1.0, m - 1)
+    params = "lam, em1, pm1, mm1"
+    args = [lam, 1.0 / (p - 1.0), p - 1.0, m - 1]
+    weight = None
+    if k:
+        weight = profile.f_expr if k == 1 else "(%s) ** mm1" % profile.f_expr
+        params += "".join(", " + n for n in ("fscalar", *profile.f_names))
+        args += [profile.f_scalar, *profile.f_names.values()]
+    make = _ode.compile_form(params, weight, *_SLOPES[p == 2.0, k > 0])
+    return make(*args)
 
 
 class _Startup:
@@ -253,7 +266,7 @@ def _shoot(problem, lam):
     A zero exactly at the endpoint counts as a zero.
     """
     p, m, prof = problem.p, problem.m, problem.profile
-    rhs, step = _make_rhs(p, m, prof.f_scalar, lam)
+    rhs, _, integrate, _ = _make_rhs(p, m, prof, lam)
     d = problem.domain
     if d.kind == "ball":
         t_start = _STARTUP_FRAC * d.r
@@ -262,8 +275,7 @@ def _shoot(problem, lam):
     else:
         t_start, y_start = d.a, (0.0, 1.0)
         t_end = d.b
-    ts, ys = _ode.integrate(rhs, step, t_start, t_end, y_start,
-                            rtol=_RTOL, atol=_ATOL)
+    ts, ys = integrate(t_start, t_end, y_start, rtol=_RTOL, atol=_ATOL)
     if ys[-1][0] > 0.0 or ts[-1] >= t_end:
         return ts, ys, rhs, ys[-1][0] or -math.ulp(0.0)
     k = len(ts) - 1
@@ -318,8 +330,8 @@ class RadialSolution:
         self.iterations = int(iterations)
         self._ts = ts
         self._ys = ys
-        rhs, self._step = _make_rhs(self.p, self.m, self.profile.f_scalar,
-                                    self.lam)
+        rhs, self._step, _, self._run = _make_rhs(self.p, self.m,
+                                                  self.profile, self.lam)
         self._rhs = rhs
         self._startup = startup
         self._scale = 1.0
@@ -368,14 +380,13 @@ class RadialSolution:
         """(omega, Phi) along sorted ts, by one sequential sweep.
 
         Each gap between nodes takes fixed Dormand-Prince 5(4) steps
-        (the solution's step from `_make_rhs`, the fifth-order solution
-        without error control, the last stage of a step reused as the
-        first of the next): one step where the field is smooth, six
-        right-hand-side evaluations per node.  Marching keeps neighboring
-        samples on a smooth shared error profile; independent dense
-        queries would carry O(1e-12) interpolation jumps at the adaptive
-        step boundaries, which second differences of the arrays amplify
-        by 1/h^2.
+        (the fifth-order solution without error control, the last stage
+        of a step reused as the first of the next): one step where the
+        field is smooth, six right-hand-side evaluations per node.
+        Marching keeps neighboring samples on a smooth shared error
+        profile; independent dense queries would carry O(1e-12)
+        interpolation jumps at the adaptive step boundaries, which second
+        differences of the arrays amplify by 1/h^2.
 
         A dense sweep from the pole (node step h <= _COARSE_FRAC of the
         domain, first node near the left end) starts from the pole
@@ -397,14 +408,19 @@ class RadialSolution:
         arrays.
 
         Which gaps take graded steps is decided for all nodes at once,
-        with numpy, before the sweep; the sweep makes one step or one
-        `dp_graded` call per node and writes the state.  The 2048-node
-        grid of the ball timed in `_ode` (c = -1, p = 2.5, m = 2) takes
-        2489 steps and 6.6-7.9 us per node, against 8.4-10.0 us with the
-        step over a right-hand-side callable and all 81 candidate cuts per
-        graded point (median of 25 marches per process, eight processes
-        of each, alternating): the steps, 0.3 us of loop and writes, and
-        the 0.06-0.09 ms of cuts of `dp_graded` on its 39 graded gaps.
+        with numpy, before the sweep.  Each maximal run of plain gaps is
+        one call of the solution's generated `run` (`_make_rhs`), which
+        steps node to node and writes each state into the output
+        buffers; the sweep itself visits only the graded and the empty
+        gaps.  A gap of an anchored march that takes a single step and
+        lies near no point is a plain gap too: `dp_graded` would take
+        exactly that step.  The 2048-node grid of the ball timed in `_ode`
+        (c = -1, p = 2.5, m = 2) takes 2489 steps and 4.9-7.1 us per node,
+        against 5.7-8.2 us when the sweep called the step once per node
+        (medians of 40 marches, the two alternating in one process, three
+        processes); a 16385-node band of the radius-1.2 ball, anchored,
+        takes 3.6-4.9 us per node against 7.3-8.7 us when every gap went
+        through `dp_graded`.
 
         The field is not smooth at the pole, where omega - 1 ~
         t^(p/(p-1)) and the weight f^(m-1) vanishes; at both walls, where
@@ -453,28 +469,38 @@ class RadialSolution:
 
         # Every gap is decided before the sweep.  The gap before node t
         # starts at t_prev = max(march start, previous node).  Code 2:
-        # graded steps, near a point s with q gap > max(s - t, t_prev - s)
-        # or in an anchored march (with nsub = 1 and no point, dp_graded
-        # takes the one plain step); code 1: one plain step; code 0: none,
-        # the gap is empty (a duplicate node, or a node at the start).
-        nodes = ts[pre:]
-        t_prev = np.concatenate(([t_march], nodes))[:-1]
-        gap = nodes - t_prev
-        hits = [q * gap > np.maximum(s - nodes, t_prev - s)
+        # graded steps, near a point s with q gap > max(s - t, t_prev - s),
+        # or in an anchored march whose gap takes nsub > 1 steps; code 1:
+        # one plain step (with nsub = 1 and no point near, dp_graded would
+        # take exactly that step); code 0: none, the gap is empty (a
+        # duplicate node, or a node at the start).
+        tn = ts[pre:]
+        t_prev = np.concatenate(([t_march], tn))[:-1]
+        gap = tn - t_prev
+        hits = [q * gap > np.maximum(s - tn, t_prev - s)
                 for s, q in points]
         flagged = np.logical_or.reduce(hits)
-        codes = ((gap > 0.0) * (1 + (flagged | anchored))).tolist()
+        split = anchored & (_ANCHOR_STEPS * gap / span > 1.0)
+        codes = (gap > 0.0) * (1 + (flagged | split))
         near = {j: [pt for pt, hit in zip(points, hits) if hit[j]]
                 for j in np.flatnonzero(flagged).tolist()}
 
-        graded = _ode.dp_graded
+        # Each maximal run of code-1 gaps is one call of `run`; the
+        # sweep visits only the other nodes.
+        graded, run = _ode.dp_graded, self._run
+        nodes = tl[pre:]
         out_w, out_phi = omega[pre:], phi[pre:]
         u, v = y
         ku, kv = rhs(t_march, u, v)
-        for j, (t, code) in enumerate(zip(tl[pre:], codes)):
-            if code == 1:
-                u, v, ku, kv = step(t_march, t - t_march, u, v, ku, kv)
-            elif code:
+        i = 0
+        for j in np.flatnonzero(codes != 1).tolist() + [len(nodes)]:
+            if i < j:
+                t_march, u, v, ku, kv = run(t_march, u, v, ku, kv, nodes, i,
+                                            j, out_w, out_phi)
+            if j == len(nodes):
+                break
+            t = nodes[j]
+            if codes[j]:
                 nsub = (int(math.ceil(_ANCHOR_STEPS * (t - t_march) / span))
                         if anchored else 1)
                 (u, v), (ku, kv) = graded(step, t_march, (u, v), (ku, kv), t,
@@ -482,6 +508,7 @@ class RadialSolution:
             t_march = t
             out_w[j] = u
             out_phi[j] = v
+            i = j + 1
         omega *= self._scale
         phi *= self._scale ** (self.p - 1.0)
         return omega, phi

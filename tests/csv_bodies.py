@@ -4,6 +4,7 @@ Not collected by pytest (no ``test_`` prefix); run from a checkout's root:
 
     PYTHONPATH=src python3 tests/csv_bodies.py                # every command
     PYTHONPATH=src python3 tests/csv_bodies.py eig sweep-matrix
+    PYTHONPATH=src python3 tests/csv_bodies.py --check SAVED   # compare
 
 The commands are every README command that writes CSV (``selftest``
 is the README's ``selftest --out``) and the three matrices of the
@@ -12,7 +13,15 @@ given as arguments pick a subset.  Each command runs through
 ``cli.main`` on a cold solver cache and writes its CSV to a temporary
 file; the digest covers the file without its leading ``# `` line, which
 carries a timestamp.  Two checkouts whose digests agree print
-byte-identical CSV bodies.  Output lines read ``<sha256>  <name>``.
+byte-identical CSV bodies.  Output lines read ``<sha256>  <name>``,
+with ``  (exit N)`` appended when the command exits N != 0.
+
+``--check SAVED`` compares against a saved output of this script: save
+the digests of one checkout (``... csv_bodies.py > SAVED``), then run
+``--check SAVED`` in the other.  It runs the commands named in SAVED
+(or the subset named as arguments), prints one line per command whose
+body or exit code moved, with the saved and the new line, and a
+summary.  It exits 1 if any moved and 0 if every body matched.
 """
 
 import contextlib
@@ -70,17 +79,55 @@ def body_digest(argv):
     return hashlib.sha256(text.encode()).hexdigest(), code
 
 
-def main(names):
+def digest_line(name, argv):
+    digest, code = body_digest(argv)
+    return "%s  %s%s" % (digest, name, "" if code == 0 else
+                         "  (exit %d)" % code)
+
+
+def check(saved_path, names):
+    """Compare against the saved digest lines; return the exit status."""
+    saved = {}
+    for line in Path(saved_path).read_text().splitlines():
+        if line.strip():
+            saved[line.split()[1]] = line.rstrip()
+    cmds = commands()
+    unknown = [n for n in saved if n not in cmds]
+    if unknown:
+        raise SystemExit("%s names unknown command %s"
+                         % (saved_path, ", ".join(unknown)))
+    missing = [n for n in names if n not in saved]
+    if missing:
+        raise SystemExit("%s has no digest for %s"
+                         % (saved_path, ", ".join(missing)))
+    moved = 0
+    for name in names or saved:
+        line = digest_line(name, cmds[name])
+        if line != saved[name]:
+            moved += 1
+            print("moved: %s\n  saved %s\n  now   %s"
+                  % (name, saved[name], line))
+    count = len(names or saved)
+    print("%d of %d bodies moved" % (moved, count) if moved else
+          "all %d bodies match %s" % (count, saved_path))
+    return 1 if moved else 0
+
+
+def main(args):
+    if args[:1] == ["--check"]:
+        if len(args) < 2:
+            raise SystemExit("--check needs the file of saved digests")
+        return check(args[1], args[2:])
+    names = args
     cmds = commands()
     unknown = [n for n in names if n not in cmds]
     if unknown:
         raise SystemExit("unknown command %s; choose from %s"
                          % (", ".join(unknown), ", ".join(cmds)))
     for name in names or cmds:
-        digest, code = body_digest(cmds[name])
-        print("%s  %s%s" % (digest, name, "" if code == 0 else
-                            "  (exit %d)" % code))
+        print(digest_line(name, cmds[name]))
+    return 0
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    sys.exit(main(sys.argv[1:]))

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import shlex
 import subprocess
 import sys
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ptone import _ode, cli, radial
+from ptone import cli, modelspace, radial
 
 
 def run_cli(*args):
@@ -88,6 +89,14 @@ def test_eig_rejects_bad_p():
     res = run_cli("eig", "--p", "0.5", "--m", "2", "--c", "0", "--r", "1")
     assert res.returncode == 2
     assert "invalid input" in res.stderr
+
+
+@pytest.mark.parametrize("r", ["nan", "inf"])
+def test_eig_rejects_non_finite_radius(r):
+    res = run_cli("eig", "--p", "2", "--m", "2", "--c", "0", "--r", r)
+    assert res.returncode == 2
+    assert "invalid input: ball radius" in res.stderr
+    assert "r=%s" % r in res.stderr
 
 
 @pytest.mark.parametrize("n", ["0", "1", "4"])
@@ -256,17 +265,19 @@ def test_unknown_subcommand_exits_two():
 
 def test_integration_failure_exits_three(monkeypatch, capsys):
     # A failed integration is a numerical non-convergence: exit 3, with
-    # the parameters that caused it, not a traceback.
-    def fail(*args, **kwargs):
-        raise _ode.IntegrationError("step-size underflow at t=0.5")
-
-    monkeypatch.setattr(_ode, "integrate", fail)
+    # the parameters that caused it, not a traceback.  The shots fail for
+    # real: the profile's weight turns NaN past t = 0.5.
+    t = np.linspace(0.0, 2.0, 201)
+    prof = modelspace.tabulated(t, t, label="nan-past-half")
+    monkeypatch.setattr(prof, "f_scalar",
+                        lambda s: math.nan if s > 0.5 else s)
+    monkeypatch.setattr(radial, "space_form", lambda c: prof)
     radial.clear_solver_cache()
     assert cli.main(["eig", "--p", "2.5", "--m", "3", "--c", "0",
                      "--r", "1"]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("non-convergence: step-size underflow")
-    assert "p=2.5" in err and "m=3" in err
+    assert err.startswith("non-convergence: NaN in the error estimate")
+    assert "p=2.5" in err and "m=3" in err and "nan-past-half" in err
 
 
 def test_oracles_script_runs():
@@ -332,3 +343,20 @@ def test_csv_bodies_script_hashes_the_body():
     assert proc.stdout == "%s  eig\n" % hashlib.sha256(
         body.encode()).hexdigest()
 
+
+
+def test_csv_bodies_check_flags_a_moved_body(tmp_path):
+    # --check compares against a saved run: exit 0 when every body
+    # matches, exit 1 naming each command whose body moved.
+    script = Path(__file__).resolve().parent / "csv_bodies.py"
+    saved = subprocess.run([sys.executable, str(script), "eig"],
+                           capture_output=True, text=True).stdout
+    good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
+    good.write_text(saved)
+    bad.write_text(("0" if saved[0] != "0" else "1") + saved[1:])
+    for path, code, text in ((good, 0, "all 1 bodies match"),
+                             (bad, 1, "moved: eig")):
+        proc = subprocess.run([sys.executable, str(script), "--check",
+                               str(path)], capture_output=True, text=True)
+        assert proc.returncode == code, proc.stderr
+        assert text in proc.stdout

@@ -181,6 +181,52 @@ def test_profile_domain_guard():
         prof.eval(1.5)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_eval_rejects_non_finite_points(bad):
+    # NaN compares False both ways, so a check of "t < 0 or t > r_max"
+    # let it through; every kind must reject it, scalar or in an array.
+    t = np.linspace(0.0, 1.0, 2001)
+    for prof in (space_form(-1.0), space_form(0.0), space_form(1.0),
+                 perturbed(0.0, 0.1, r_max=2.0), tabulated(t, np.sinh(t))):
+        with pytest.raises(ValueError, match="profile domain"):
+            prof.eval(bad)
+        with pytest.raises(ValueError, match="profile domain"):
+            prof.eval(np.array([0.25, bad, 0.5]))
+
+
+def _reference_warpings():
+    """The closed-form f_scalar lambdas of the package before each closed
+    form was written once, as (profile, lambda) pairs."""
+    out = []
+    for c in (-2.0, -1.0, -0.3, 0.0, 0.5, 1.0, 2.0):
+        if c > 0:
+            rc = math.sqrt(c)
+            base = (lambda rc: lambda t: math.sin(rc * t) / rc)(rc)
+        elif c == 0:
+            base = lambda t: t
+        else:
+            rc = math.sqrt(-c)
+            base = (lambda rc: lambda t: math.sinh(rc * t) / rc)(rc)
+        out.append((space_form(c), base))
+        for eps in (0.05, 0.1):
+            out.append((perturbed(c, eps, r_max=1.0),
+                        (lambda b, e: lambda t: b(t) * (1.0 + e * t * t))(
+                            base, eps)))
+    return out
+
+
+def test_closed_form_f_scalar_keeps_its_bits():
+    # f_scalar is compiled from the profile's one expression of f; it
+    # must equal the lambdas it replaced bit for bit, also below the
+    # 1e-6 where s_c switches to its Taylor series.
+    rng = np.random.default_rng(4)
+    pts = np.concatenate([[0.0, 1e-300, 5e-324], 10.0 ** rng.uniform(
+        -12, -6, 2000), rng.uniform(0.0, 1.0, 8000)]).tolist()
+    for prof, ref in _reference_warpings():
+        got = [prof.f_scalar(t).hex() for t in pts]
+        assert got == [ref(t).hex() for t in pts], prof.label
+
+
 # the scalar evaluator of tabulated profiles
 
 

@@ -183,8 +183,14 @@ def test_query_next_to_the_peak_costs_no_extra_steps():
     prob = RadialProblem(3.0, 2, modelspace.space_form(0.0), Annulus(0.5, 1.))
     sol = solve_annulus_eigenvalue(prob, use_cache=False)
     calls = []
-    step = sol._step
+    step, run = sol._step, sol._run
     sol._step = lambda t, *rest: calls.append(t) or step(t, *rest)
+
+    def counted_run(t, u, v, ku, kv, nodes, i, e, *out):
+        calls.extend(nodes[i:e])
+        return run(t, u, v, ku, kv, nodes, i, e, *out)
+
+    sol._run = counted_run
     sol.evaluate(np.array([0.55, 0.95]))
     plain = len(calls)
     del calls[:]
@@ -201,9 +207,8 @@ def _pointwise_plan(nodes, start, points, anchored, span):
         gap = t - t_prev
         near = [(s, q) for s, q in points
                 if q * gap > max(s - t, t_prev - s)]
-        if near or anchored:
-            nsub = (math.ceil(radial._ANCHOR_STEPS * gap / span)
-                    if anchored else 1)
+        nsub = math.ceil(radial._ANCHOR_STEPS * gap / span) if anchored else 1
+        if near or nsub > 1:
             plan.append(("graded", t_prev, t, nsub, near))
         else:
             plan.append(("step", t_prev, gap))
@@ -230,21 +235,30 @@ _ANNULUS = [RadialProblem(p, 2, modelspace.space_form(0.0), Annulus(0.5, 1.))
     (_ANNULUS[0], None, False),
     (_ANNULUS[1], None, False),
     (ball_problem(3.0, 2, 0.0, 1.2), np.linspace(0.9, 1.15, 64), True),
+    (ball_problem(3.0, 2, 0.0, 1.2), np.linspace(0.9, 1.2, 4097), True),
     (ball_problem(2.5, 2, 0.0, 1.0), _ball_query(), False),
 ], ids=["grid-c-1", "grid-c0", "grid-c1", "annulus-p3", "annulus-p8",
-        "band", "unsorted"])
+        "band", "fine-band", "unsorted"])
 def test_march_grades_exactly_the_pointwise_gaps(monkeypatch, problem, query,
                                                  anchored):
     # The march decides which gaps to grade for all nodes at once; its
     # steps must be those of the rule applied to each node in turn.
     sol = _fresh_solve(problem)
     calls, inside = [], []
-    step, graded = sol._step, _ode.dp_graded
+    step, run, graded = sol._step, sol._run, _ode.dp_graded
 
     def step_spy(t, h, *rest):
         if not inside:
             calls.append(("step", t, h))
         return step(t, h, *rest)
+
+    def run_spy(t, u, v, ku, kv, nodes, i, e, *out):
+        # run takes one plain step to each node of nodes[i:e] in turn
+        t_prev = t
+        for t_node in nodes[i:e]:
+            calls.append(("step", t_prev, t_node - t_prev))
+            t_prev = t_node
+        return run(t, u, v, ku, kv, nodes, i, e, *out)
 
     def graded_spy(step, t_from, y, k, t_to, nsub, points):
         calls.append(("graded", t_from, t_to, nsub, list(points)))
@@ -255,6 +269,7 @@ def test_march_grades_exactly_the_pointwise_gaps(monkeypatch, problem, query,
             inside.pop()
 
     sol._step = step_spy
+    sol._run = run_spy
     monkeypatch.setattr(_ode, "dp_graded", graded_spy)
     if query is None:
         query = np.linspace(sol._left, sol.r, sol.n_grid)
@@ -369,12 +384,12 @@ def test_rhs_exponent_one_forms_are_exact(p, m):
     states = size.tolist() + [[a, b] for a in (0.0, -0.0, 0.5, -0.5)
                               for b in (0.0, -0.0, 0.25, -0.25)]
     for c in (-1.0, 0.0, 1.0):
-        fscalar = modelspace.space_form(c).f_scalar
-        rhs, _ = radial._make_rhs(p, m, fscalar, 7.25)
+        prof = modelspace.space_form(c)
+        rhs = radial._make_rhs(p, m, prof, 7.25)[0]
         for t, (w, phi) in zip(rng.uniform(1e-4, 1.0, len(states)).tolist(),
                                states):
             got = rhs(t, w, phi)
-            want = _generic_slopes(p, m, fscalar, 7.25, t, w, phi)
+            want = _generic_slopes(p, m, prof.f_scalar, 7.25, t, w, phi)
             assert [x.hex() for x in got] == [x.hex() for x in want]
 
 
@@ -407,6 +422,14 @@ def _reference_dp_step(f, t, h, u, v, k1u, k1v, estimate=False):
 # One (p, m) per right-hand-side form: p = 2 or not, m - 1 = 0, 1 or >= 2.
 _FORMS = [(2.0, 1), (2.0, 2), (2.0, 3), (2.5, 1), (2.5, 2), (2.5, 3)]
 
+# One profile per warping expression: the three space forms, the three
+# perturbed ones and a tabulated one.
+_T_NODES = np.linspace(0.0, 2.0, 2001)
+_PROFILES = ([modelspace.space_form(c) for c in (-1.0, 0.0, 1.0)]
+             + [modelspace.perturbed(c, 0.1, r_max=1.5)
+                for c in (-1.0, 0.0, 1.0)]
+             + [modelspace.tabulated(_T_NODES, np.sinh(_T_NODES))])
+
 
 @pytest.mark.parametrize("p,m", _FORMS)
 def test_generated_step_matches_reference_dp(p, m):
@@ -420,12 +443,9 @@ def test_generated_step_matches_reference_dp(p, m):
                               for b in (0.0, -0.0, -0.25)
                               for ka, kb in ((0.0, -0.0), (-0.0, 1.5),
                                              (-2.0, 0.0))]
-    t_nodes = np.linspace(0.0, 2.0, 2001)
-    profiles = [modelspace.space_form(c) for c in (-1.0, 0.0, 1.0)] + [
-        modelspace.tabulated(t_nodes, np.sinh(t_nodes))]
-    for prof in profiles:
+    for prof in _PROFILES:
         fscalar = prof.f_scalar
-        step = radial._make_rhs(p, m, fscalar, 7.25)[1]
+        step = radial._make_rhs(p, m, prof, 7.25)[1]
 
         def f(t, w, phi):
             return _generic_slopes(p, m, fscalar, 7.25, t, w, phi)
@@ -439,21 +459,140 @@ def test_generated_step_matches_reference_dp(p, m):
                 assert [x.hex() for x in got] == [x.hex() for x in want]
 
 
+def _reference_integrate(f, t0, t1, y0, rtol=1e-12, atol=1e-12,
+                         max_steps=1000000):
+    """The adaptive loop of the shots over `_reference_dp_step` of f."""
+    span = t1 - t0
+    if span <= 0:
+        raise ValueError("integrate requires t1 > t0")
+    h = 0.01 * span
+    hmin = 1e-15 * span
+    t = t0
+    u, v = float(y0[0]), float(y0[1])
+    ts = [t]
+    ys = [(u, v)]
+    k1u, k1v = f(t, u, v)
+    steps = 0
+    while t < t1:
+        if t + h > t1:
+            h = t1 - t
+        if h < hmin:
+            raise _ode.IntegrationError("step-size underflow at t=%.12g" % t)
+        steps += 1
+        if steps > max_steps:
+            raise _ode.IntegrationError("step limit exceeded at t=%.12g" % t)
+
+        nu, nv, k7u, k7v, eu, ev = _reference_dp_step(f, t, h, u, v, k1u,
+                                                      k1v, True)
+        au = u if u >= 0.0 else -u
+        a = nu if nu >= 0.0 else -nu
+        su = atol + rtol * (a if a > au else au)
+        av = v if v >= 0.0 else -v
+        a = nv if nv >= 0.0 else -nv
+        sv = atol + rtol * (a if a > av else av)
+        err = ((eu / su) ** 2 + (ev / sv) ** 2) ** 0.5 * 0.7071067811865476
+
+        if err != err:  # NaN
+            raise _ode.IntegrationError(
+                "NaN in the error estimate at t=%.12g" % t)
+        if err <= 1.0:
+            t += h
+            u, v = nu, nv
+            ts.append(t)
+            ys.append((u, v))
+            if u <= 0.0:
+                break
+            k1u, k1v = k7u, k7v
+            if err == 0.0:
+                h *= 5.0
+            else:
+                factor = 0.9 * err ** -0.2
+                h *= factor if factor < 5.0 else 5.0
+        else:
+            factor = 0.9 * err ** -0.2
+            h *= factor if factor > 0.2 else 0.2
+    return ts, ys
+
+
+@pytest.mark.parametrize("p,m", [(2.0, 3), (2.5, 2), (3.0, 1)])
+def test_generated_integrate_matches_reference(p, m):
+    # The shots' adaptive loop is generated per form, with the stages and
+    # a closed-form weight written in; its mesh and states must keep
+    # their bits for every warping expression, on ball and annulus shots
+    # below the eigenvalue (no zero) and above it (a zero before the end).
+    for prof in _PROFILES:
+        for domain in (Ball(1.0), Annulus(0.5, 1.0)):
+            problem = RadialProblem(p, m, prof, domain)
+            solve = (solve_ball_eigenvalue if domain.kind == "ball"
+                     else solve_annulus_eigenvalue)
+            lam = solve(problem, use_cache=False).lam
+            t_end = 1.0
+            for lam_shot in (0.8 * lam, 1.25 * lam):
+                ts, ys, _, miss = radial._shoot(problem, lam_shot)
+                assert (miss > 0.0) == (lam_shot < lam)
+
+                def f(t, w, phi):
+                    return _generic_slopes(p, m, prof.f_scalar, lam_shot,
+                                           t, w, phi)
+
+                want = _reference_integrate(f, ts[0], t_end, ys[0],
+                                            rtol=radial._RTOL,
+                                            atol=radial._ATOL)
+                assert [t.hex() for t in ts] == [t.hex() for t in want[0]]
+                assert [[x.hex() for x in y] for y in ys] == \
+                    [[x.hex() for x in y] for y in want[1]]
+
+
+@pytest.mark.parametrize("p,m", _FORMS)
+def test_generated_run_matches_steps(p, m):
+    # The march's plain-step run must write the states of one reference
+    # step per node, bit for bit, and return the last node, state and
+    # slope.
+    rng = np.random.default_rng(11)
+    for prof in _PROFILES:
+        def f(t, w, phi):
+            return _generic_slopes(p, m, prof.f_scalar, 7.25, t, w, phi)
+
+        run = radial._make_rhs(p, m, prof, 7.25)[3]
+        nodes = np.sort(rng.uniform(0.05, 1.0, 40)).tolist()
+        u, v = 0.75, -0.25
+        ku, kv = f(nodes[0], u, v)
+        out_w, out_phi = np.zeros(40), np.zeros(40)
+        got = run(nodes[0], u, v, ku, kv, nodes, 3, 37, out_w, out_phi)
+        t = nodes[0]
+        for j in range(3, 37):
+            u, v, ku, kv = _reference_dp_step(f, t, nodes[j] - t, u, v, ku,
+                                              kv)
+            t = nodes[j]
+            assert out_w[j].hex() == u.hex() and out_phi[j].hex() == v.hex()
+        assert [x.hex() for x in got] == [x.hex() for x in (t, u, v, ku, kv)]
+        assert not out_w[:3].any() and not out_w[37:].any()
+
+
 def test_step_compiles_once_per_form():
-    # Each form is compiled once: the steps (and right-hand sides) of
-    # two trial lam share one code object, m = 4 shares the m = 3 form,
-    # and the six forms are six codes.
-    fscalar = modelspace.space_form(-1.0).f_scalar
+    # Each form is compiled once: the functions of two trial lam share
+    # their code objects, m = 4 shares the m = 3 form, two profiles of
+    # the same kind and sign share one form, and the six forms are six
+    # codes.
+    prof = modelspace.space_form(-1.0)
+    same_kind = [(prof, modelspace.space_form(-2.5)),
+                 (modelspace.space_form(1.0), modelspace.space_form(0.3)),
+                 (modelspace.perturbed(-1.0, 0.1),
+                  modelspace.perturbed(-0.5, 0.2)),
+                 (_PROFILES[-1], modelspace.tabulated(_T_NODES, _T_NODES))]
     codes = set()
     for p, m in _FORMS:
-        rhs, step = radial._make_rhs(p, m, fscalar, 7.25)
-        rhs2, step2 = radial._make_rhs(p, m, fscalar, 9.5)
-        assert step2 is not step and step2.__code__ is step.__code__
-        assert rhs2.__code__ is rhs.__code__
-        codes.add(step.__code__)
+        made = radial._make_rhs(p, m, prof, 7.25)
+        again = radial._make_rhs(p, m, prof, 9.5)
+        for fn, fn2 in zip(made, again):
+            assert fn2 is not fn and fn2.__code__ is fn.__code__
+        codes.add(made[1].__code__)
         if m == 3:
-            assert radial._make_rhs(p, 4, fscalar, 1.0)[1].__code__ is \
-                step.__code__
+            assert radial._make_rhs(p, 4, prof, 1.0)[1].__code__ is \
+                made[1].__code__
+        for one, other in same_kind:
+            assert [fn.__code__ for fn in radial._make_rhs(p, m, one, 1.0)] \
+                == [fn.__code__ for fn in radial._make_rhs(p, m, other, 2.0)]
     assert len(codes) == len(_FORMS)
 
 
@@ -526,17 +665,22 @@ def test_shot_mesh_stops_at_first_nonpositive_omega(problem):
         assert np.max(h[1:] / h[:-1]) <= 5.0 * (1.0 + 1e-9)
 
 
-def test_integrate_raises_on_nan():
+def _nan_from_half(monkeypatch):
+    """A tabulated profile whose f_scalar turns NaN past t = 0.5."""
+    prof = modelspace.tabulated(_T_NODES, _T_NODES, label="nan-past-half")
+    monkeypatch.setattr(prof, "f_scalar",
+                        lambda t: math.nan if t > 0.5 else 1.0 + t)
+    return prof
+
+
+def test_integrate_raises_on_nan(monkeypatch):
     # NaN slopes from the first step (lam = NaN) and from t > 0.5 on (a
     # weight that turns NaN there).
-    def nan_from_half(t):
-        return math.nan if t > 0.5 else 1.0 + t
-
-    for p, m, fscalar, lam in ((2.0, 1, None, math.nan),
-                               (2.5, 2, nan_from_half, 3.0)):
-        rhs, step = radial._make_rhs(p, m, fscalar, lam)
+    for p, m, prof, lam in ((2.0, 1, modelspace.space_form(0.0), math.nan),
+                            (2.5, 2, _nan_from_half(monkeypatch), 3.0)):
+        integrate = radial._make_rhs(p, m, prof, lam)[2]
         with pytest.raises(_ode.IntegrationError, match="NaN"):
-            _ode.integrate(rhs, step, 0.0, 1.0, (1.0, 1.0))
+            integrate(0.0, 1.0, (1.0, 1.0))
 
 
 def _criterion_01_cases():
@@ -584,16 +728,14 @@ def test_reported_eigenvalue_is_zero_free(problem):
 
 
 def test_solve_errors_name_the_problem(monkeypatch):
-    def fail(*args, **kwargs):
-        raise _ode.IntegrationError("step-size underflow at t=0.5")
-
-    monkeypatch.setattr(_ode, "integrate", fail)
-    problem = ball_problem(2.5, 3, 0.0, 0.8)
+    # The first shot fails: its weight turns NaN past t = 0.5.
+    problem = RadialProblem(2.5, 3, _nan_from_half(monkeypatch), Ball(0.8))
     with pytest.raises(radial.NonConvergenceError) as info:
         solve_ball_eigenvalue(problem, use_cache=False)
     assert isinstance(info.value, _ode.IntegrationError)
     msg = str(info.value)
-    for part in ("p=2.5", "m=3", "Ball(r=0.8)", "S_c(c=0)", "bracket"):
+    for part in ("NaN in the error estimate", "p=2.5", "m=3", "Ball(r=0.8)",
+                 "nan-past-half", "bracket"):
         assert part in msg
 
 
@@ -620,17 +762,27 @@ def test_steps_run_on_python_floats(run, monkeypatch):
     # A numpy scalar in a step state makes every later step of its march
     # cost about twice its time on floats; the ball marches of a 2048-node
     # grid and of a dense query from the pole once ran on them.
-    # Every step of the shots and of the march comes from _make_rhs.
+    # Every step of the shots and of the march comes from _make_rhs: the
+    # shots' from integrate, the march's from step (graded gaps) and run
+    # (plain ones).  Their states, and the nodes of a run, are checked.
     types = set()
     make_rhs = radial._make_rhs
 
     def typed_make_rhs(*args):
-        rhs, step = make_rhs(*args)
+        rhs, step, integrate, run_nodes = make_rhs(*args)
 
-        def typed(t, h, u, v, ku, kv, *rest):
+        def typed_step(t, h, u, v, ku, kv, *rest):
             types.update(map(type, (t, h, u, v, ku, kv)))
             return step(t, h, u, v, ku, kv, *rest)
-        return rhs, typed
+
+        def typed_integrate(t0, t1, y0, **kwargs):
+            types.update(map(type, (t0, t1, *y0)))
+            return integrate(t0, t1, y0, **kwargs)
+
+        def typed_run(t, u, v, ku, kv, nodes, i, e, *out):
+            types.update(map(type, (t, u, v, ku, kv, *nodes[i:e])))
+            return run_nodes(t, u, v, ku, kv, nodes, i, e, *out)
+        return rhs, typed_step, typed_integrate, typed_run
 
     monkeypatch.setattr(radial, "_make_rhs", typed_make_rhs)
     run()
@@ -828,6 +980,16 @@ def test_problem_validation():
                       Ball(2.0))
     with pytest.raises(TypeError):
         RadialProblem(2.0, 2, "flat", Ball(1.0))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_domains_reject_non_finite_radii(bad):
+    # "r <= 0" and "0 <= a < b" read NaN as passing.
+    with pytest.raises(ValueError, match="r="):
+        Ball(bad)
+    for a, b in ((bad, 1.0), (0.0, bad), (bad, bad)):
+        with pytest.raises(ValueError, match="a="):
+            Annulus(a, b)
 
 
 def test_domain_mismatch_guards():
