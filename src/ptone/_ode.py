@@ -224,13 +224,10 @@ def compile_form(params, weight, dw, dphi):
 
     f(s, w, phi) -> (dw, dphi) is the right-hand side.
 
-    step(t, h, u, v, k1u, k1v, estimate=False) is one Dormand-Prince step
-    of length h from the state (u, v) at t, with k1 = f(t, u, v) passed
-    in.  It returns (nu, nv, k7u, k7v): the fifth-order state at t + h
-    and the slope there (k1 of the next step, FSAL).  With `estimate` it
-    appends (eu, ev), the local error estimate of `integrate` (`_ERROR`:
-    h times the fifth- minus fourth-order weights); only the tests ask
-    for it, to check that arithmetic one step at a time.
+    step(t, h, u, v, k1u, k1v) is one Dormand-Prince step of length h
+    from the state (u, v) at t, with k1 = f(t, u, v) passed in.  It
+    returns (nu, nv, k7u, k7v): the fifth-order state at t + h and the
+    slope there (k1 of the next step, FSAL).
 
     integrate(t0, t1, y0, rtol=1e-12, atol=1e-12, max_steps=1000000)
     integrates from t0 to t1 > t0 with proportional step control and
@@ -254,15 +251,13 @@ def compile_form(params, weight, dw, dphi):
     lines = ["def make(%s):" % params, "    def f(s, w, phi):"]
     if weight is not None:
         lines.append("        fm = " + weight)
-    error = (_ERROR.format(y="u"), _ERROR.format(y="v"))
     lines += ["        return (%s), (%s)" % (dw, dphi),
-              "    def step(t, h, u, v, k1u, k1v, estimate=False):"]
+              "    def step(t, h, u, v, k1u, k1v):"]
     lines += _stage_lines(weight, dw, dphi, 8)
-    lines += ["        if not estimate:",
-              "            return w, phi, k7u, k7v",
-              "        return (w, phi, k7u, k7v, %s, %s)" % error]
+    lines += ["        return w, phi, k7u, k7v"]
     stages = "\n".join(_stage_lines(weight, dw, dphi, 12))
-    lines += [_INTEGRATE.format(stages=stages, eu=error[0], ev=error[1]),
+    lines += [_INTEGRATE.format(stages=stages, eu=_ERROR.format(y="u"),
+                                ev=_ERROR.format(y="v")),
               _RUN.format(stages=stages),
               "    return f, step, integrate, run"]
     made = {}

@@ -28,12 +28,13 @@ Profiles come in three kinds:
     the two equal bit for bit.
 
 Each profile also carries f as one expression over the point s,
-`f_expr`, with the values of the names it reads, `f_names`.  For the
-closed forms it is the one copy of the formula: the pure-Python
-`f_scalar` is compiled from it, and the solver writes it into the
-stages of its generated integrators (`radial._make_rhs`).  A tabulated
-profile's expression is `fscalar(s)`, a call of its `f_scalar`, a
-pure-Python evaluator of the same piecewise cubic.
+`f_expr`, with the values of the names it reads, `f_names`, a read-only
+mapping.  For the closed forms it is the one copy of the formula: the
+pure-Python `f_scalar` is compiled from it, and the solver writes it
+into the stages of its generated integrators (`radial._make_rhs`).  A
+tabulated profile's expression is `fscalar(s)`, a call of its
+`f_scalar`, a pure-Python evaluator of the same piecewise cubic; the
+solver binds `fscalar` itself, so its `f_names` is empty.
 
 Everything here is a pure function of its inputs; profiles are immutable
 after construction and safe to share between threads.
@@ -42,6 +43,7 @@ after construction and safe to share between threads.
 import functools
 import hashlib
 import math
+import types
 from bisect import bisect_right
 
 import numpy as np
@@ -285,11 +287,13 @@ class WarpingProfile:
         self.f3_0 = float(f3_0)
         self._data_key = data_key
         if pchip is None:
-            self.f_expr, self.f_names = _scalar_warping(kind, c, eps)
+            self.f_expr, names = _scalar_warping(kind, c, eps)
+            self.f_names = types.MappingProxyType(names)
             self.f_scalar = _compile_warping(
-                self.f_expr, tuple(self.f_names))(**self.f_names)
+                self.f_expr, tuple(names))(**names)
         else:
-            self.f_expr, self.f_names = "fscalar(s)", {}
+            self.f_expr = "fscalar(s)"
+            self.f_names = types.MappingProxyType({})
             self.f_scalar = _pchip_scalar(pchip)
 
     def eval(self, t):

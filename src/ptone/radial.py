@@ -208,8 +208,11 @@ def _make_rhs(p, m, profile, lam):
     weight = None
     if k:
         weight = profile.f_expr if k == 1 else "(%s) ** mm1" % profile.f_expr
-        params += "".join(", " + n for n in ("fscalar", *profile.f_names))
-        args += [profile.f_scalar, *profile.f_names.values()]
+        names = dict(profile.f_names)
+        if profile._pchip is not None:
+            names["fscalar"] = profile.f_scalar
+        params += "".join(", " + n for n in names)
+        args += names.values()
     make = _ode.compile_form(params, weight, *_SLOPES[p == 2.0, k > 0])
     return make(*args)
 

@@ -227,6 +227,17 @@ def test_closed_form_f_scalar_keeps_its_bits():
         assert got == [ref(t).hex() for t in pts], prof.label
 
 
+def test_warping_names_are_read_only():
+    # The solver binds f_names into the forms it compiles for each solve,
+    # and cached solutions are keyed by c and eps, so the names of a
+    # profile must not change after it is built.
+    for prof in (space_form(1.0), perturbed(-1.0, 0.1, r_max=1.0),
+                 tabulated(np.linspace(0.0, 1.0, 2001),
+                           np.sinh(np.linspace(0.0, 1.0, 2001)))):
+        with pytest.raises(TypeError):
+            prof.f_names["rc"] = 2.0
+
+
 # the scalar evaluator of tabulated profiles
 
 

@@ -434,8 +434,9 @@ _PROFILES = ([modelspace.space_form(c) for c in (-1.0, 0.0, 1.0)]
 @pytest.mark.parametrize("p,m", _FORMS)
 def test_generated_step_matches_reference_dp(p, m):
     # The generated step inlines the slopes and shares the weight at
-    # t + h between stage 6 and k7; every output must keep its bits,
-    # with and without the error estimate, signed zeros included.
+    # t + h between stage 6 and k7; its state and slope must keep their
+    # bits, signed zeros included.  (The error estimate is checked
+    # through whole shots, by test_generated_integrate_matches_reference.)
     rng = np.random.default_rng(5)
     n = 300
     size = rng.standard_normal((n, 4)) * 10.0 ** rng.uniform(-6, 1, (n, 4))
@@ -453,10 +454,9 @@ def test_generated_step_matches_reference_dp(p, m):
         ts = rng.uniform(1e-4, 1.0, len(states)).tolist()
         hs = (10.0 ** rng.uniform(-5, -1, len(states))).tolist()
         for t, h, state in zip(ts, hs, states):
-            for estimate in (False, True):
-                got = step(t, h, *state, estimate)
-                want = _reference_dp_step(f, t, h, *state, estimate)
-                assert [x.hex() for x in got] == [x.hex() for x in want]
+            got = step(t, h, *state)
+            want = _reference_dp_step(f, t, h, *state)
+            assert [x.hex() for x in got] == [x.hex() for x in want]
 
 
 def _reference_integrate(f, t0, t1, y0, rtol=1e-12, atol=1e-12,
@@ -764,24 +764,35 @@ def test_steps_run_on_python_floats(run, monkeypatch):
     # grid and of a dense query from the pole once ran on them.
     # Every step of the shots and of the march comes from _make_rhs: the
     # shots' from integrate, the march's from step (graded gaps) and run
-    # (plain ones).  Their states, and the nodes of a run, are checked.
+    # (plain ones).  The trial lam, what each of them is given and what
+    # it returns (a shot's every node and state, which its stages
+    # computed from lam and the weight), and the nodes of a run are
+    # checked.
     types = set()
     make_rhs = radial._make_rhs
 
-    def typed_make_rhs(*args):
-        rhs, step, integrate, run_nodes = make_rhs(*args)
+    def typed_make_rhs(p, m, profile, lam):
+        types.add(type(lam))
+        rhs, step, integrate, run_nodes = make_rhs(p, m, profile, lam)
 
-        def typed_step(t, h, u, v, ku, kv, *rest):
+        def typed_step(t, h, u, v, ku, kv):
             types.update(map(type, (t, h, u, v, ku, kv)))
-            return step(t, h, u, v, ku, kv, *rest)
+            out = step(t, h, u, v, ku, kv)
+            types.update(map(type, out))
+            return out
 
         def typed_integrate(t0, t1, y0, **kwargs):
             types.update(map(type, (t0, t1, *y0)))
-            return integrate(t0, t1, y0, **kwargs)
+            ts, ys = integrate(t0, t1, y0, **kwargs)
+            types.update(map(type, ts))
+            types.update(type(x) for y in ys for x in y)
+            return ts, ys
 
         def typed_run(t, u, v, ku, kv, nodes, i, e, *out):
             types.update(map(type, (t, u, v, ku, kv, *nodes[i:e])))
-            return run_nodes(t, u, v, ku, kv, nodes, i, e, *out)
+            last = run_nodes(t, u, v, ku, kv, nodes, i, e, *out)
+            types.update(map(type, last))
+            return last
         return rhs, typed_step, typed_integrate, typed_run
 
     monkeypatch.setattr(radial, "_make_rhs", typed_make_rhs)
