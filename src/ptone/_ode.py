@@ -33,11 +33,11 @@ The dense march of a solution takes fixed steps of the same pair without
 error control: the fifth-order solution, six right-hand-side evaluations
 per step.  `run` takes one step per node where the field is smooth, and
 `dp_graded` refines its steps toward the points where it is not.
-Classical RK4 sub-steps (`rk4_between`) serve the zero refinement of the
-shooting loop and `dense_eval`, the restart from the nearest accepted
-mesh node that answers one-node queries and anchors a band query;
-accepted steps are short at the solver tolerances, so their sub-step
-error sits far below the integration error itself.
+The same step, from the accepted mesh node before a zero of the state,
+serves the zero refinement of a shot and of an annulus's flux (one step
+per root-finder evaluation): accepted steps are short at the solver
+tolerances, so one step's error there sits far below the integration
+error itself.
 
 Every step state (t, h and the states and slopes) is a Python float,
 never a numpy scalar, whose arithmetic costs several times a float's:
@@ -55,7 +55,6 @@ flux constant of a Rayleigh inverse-iteration step.
 
 import functools
 import math
-from bisect import bisect_right
 
 
 class NonConvergenceError(RuntimeError):
@@ -325,41 +324,6 @@ def dp_graded(step, t_from, y, k, t_to, nsub, points):
             u, v, ku, kv = step(t_i, h_i, u, v, ku, kv)
         t = t_next
     return (u, v), (ku, kv)
-
-
-def rk4_between(f, t_from, y, t_to, nsub=4):
-    """Advance y from t_from to t_to with nsub classical RK4 sub-steps.
-
-    Serves the zero refinement of the shooting loop and `dense_eval`.
-    """
-    h = (t_to - t_from) / nsub
-    u, v = y
-    t = t_from
-    for _ in range(nsub):
-        a1u, a1v = f(t, u, v)
-        a2u, a2v = f(t + 0.5 * h, u + 0.5 * h * a1u, v + 0.5 * h * a1v)
-        a3u, a3v = f(t + 0.5 * h, u + 0.5 * h * a2u, v + 0.5 * h * a2v)
-        a4u, a4v = f(t + h, u + h * a3u, v + h * a3v)
-        u += h * (a1u + 2.0 * a2u + 2.0 * a3u + a4u) / 6.0
-        v += h * (a1v + 2.0 * a2v + 2.0 * a3v + a4v) / 6.0
-        t += h
-    return u, v
-
-
-def dense_eval(f, ts, ys, t):
-    """Evaluate the stored trajectory at t in [ts[0], ts[-1]].
-
-    Restarts from the nearest mesh node at or before t, so repeated queries
-    are independent and do not accumulate error.
-    """
-    if t <= ts[0]:
-        return ys[0]
-    if t >= ts[-1]:
-        return ys[-1]
-    k = bisect_right(ts, t) - 1
-    if ts[k] == t:
-        return ys[k]
-    return rk4_between(f, ts[k], ys[k], t)
 
 
 def brent(f, a, b, xtol, rtol=8.9e-16, fa=None, fb=None):

@@ -10,9 +10,8 @@ differences are unreliable:
   * Divergence fields: lambda >= inf of (1-p)|X|^q + div X for any
     radial field X, with q = p/(p-1); the optimizer is the logarithmic
     gradient field of the eigenfunction.
-  * The sup-form variant lambda >= (inf div X / (p ||X||_inf))^p and the
-    closed-form barrier ((m-2) cot_c(r) - h)^p / p^p for immersions with
-    bounded mean curvature h.
+  * The closed-form barrier ((m-2) cot_c(r) - h)^p / p^p for immersions
+    with bounded mean curvature h.
 
 The ratio -Delta_p eta / eta^(p-1) amplifies finite-difference noise
 like h^2 / eta^(p-1) near a Dirichlet endpoint and like derivatives of
@@ -175,18 +174,12 @@ def div_radial(field, problem):
     return d / _weight_at(problem, t[2:-2])
 
 
-def _div_window(field, problem):
-    """div X on the window of the field's nodes 2..n-3, and the window."""
+def _field_expression(field, problem):
+    """(1-p)|X|^q + div X, q = p/(p-1), on the window of nodes 2..n-3."""
     dv = div_radial(field, problem)
     idx = _window(np.ones(dv.size, dtype=bool), field.nodes[2:-2], problem)
-    return dv[idx], idx
-
-
-def _field_expression(field, problem):
-    """(1-p)|X|^q + div X, q = p/(p-1), on the window of _div_window."""
-    dv, idx = _div_window(field, problem)
     return ((1.0 - problem.p) * np.abs(field.values[2:-2][idx]) ** problem.q
-            + dv)
+            + dv[idx])
 
 
 def div_field_bound(field, problem):
@@ -209,21 +202,6 @@ def div_identity_residual(solution):
     """
     expr = _field_expression(eigen_field(solution), solution.problem)
     return float(np.max(np.abs(expr - solution.lam)) / solution.lam)
-
-
-def div_sup_bound(field, problem):
-    """Lower bound (inf div X / (p ||X||_inf))^p, vacuous if inf div <= 0."""
-    p = problem.p
-    dv, _ = _div_window(field, problem)
-    inf_div = float(np.min(dv))
-    sup_x = float(np.max(np.abs(field.values)))
-    if sup_x == 0.0:
-        raise ValueError("field is identically zero")
-    vacuous = inf_div <= 0.0
-    value = 0.0 if vacuous else (inf_div / (p * sup_x)) ** p
-    return BoundCertificate(
-        kind="div-sup", value=value, vacuous=vacuous,
-        data={"inf_div": inf_div, "sup_X": sup_x})
 
 
 def theorem17_bound(m, p, c, r, h=0.0):
@@ -316,15 +294,6 @@ def stability_criterion_meancurv(A_sup, m, p, r):
     if A_sup < 0:
         raise ValueError("sup ||A|| must be nonnegative")
     return bool(A_sup <= meancurv_threshold(m, p, r))
-
-
-def radius_lower_bound(k, p, lambda_unit_ball, lambda_omega):
-    """Radius bound (k^{p-2} lambda_unit / lambda_Omega)^{1/p} from scaling."""
-    if lambda_omega <= 0 or lambda_unit_ball <= 0:
-        raise ValueError("eigenvalues must be positive")
-    if not 0.0 < k <= 1.0:
-        raise ValueError("k must lie in (0, 1]")
-    return (k ** (p - 2.0) * lambda_unit_ball / lambda_omega) ** (1.0 / p)
 
 
 def kazdan_transform(phi):

@@ -19,8 +19,10 @@ Profiles come in three kinds:
 
   * space_form(c): exact closed forms;
   * perturbed(c, eps): f = S_c(t) (1 + eps t^2), which keeps the pole
-    conditions f(0) = 0, f'(0) = 1 and, for eps >= 0, satisfies the same
-    curvature bound as S_c (checked at construction, not assumed);
+    conditions f(0) = 0, f'(0) = 1.  For eps >= 0 and c <= 0 it satisfies
+    the same curvature bound as S_c; for c > 0 and eps > 0 the bound
+    fails beyond t = 1.8366/sqrt(c), short of the conjugate point.  The
+    bound is checked at construction, not assumed;
   * tabulated(nodes, values): monotone cubic (PCHIP) interpolation of
     sampled data, with derivatives taken from the interpolant.  The
     interpolant is ptone's own (`_pchip`, `_pchip_eval`); it repeats
@@ -344,8 +346,16 @@ class WarpingProfile:
         return "WarpingProfile(%s)" % (self.describe(),)
 
 
+def _check_finite(**params):
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise ValueError("%s must be finite, got %s=%r"
+                             % (name, name, value))
+
+
 def space_form(c, r_max=None):
     """Constant-curvature profile f = S_c on [0, r_max]."""
+    _check_finite(c=c)
     if r_max is None:
         r_max = 8.0 if c <= 0 else min(8.0, 0.999999 * math.pi / math.sqrt(c))
     elif c > 0 and r_max >= math.pi / math.sqrt(c):
@@ -355,7 +365,16 @@ def space_form(c, r_max=None):
 
 
 def perturbed(c, eps, r_max=None):
-    """Profile f = S_c(t) (1 + eps t^2); curvature bound checked on a grid."""
+    """Profile f = S_c(t) (1 + eps t^2); curvature bound checked on a grid.
+
+    The bound -f''/f <= c holds on all of [0, r_max] for c <= 0.  For
+    c > 0 and eps > 0 it fails beyond t = 1.8366/sqrt(c), the zero of
+    2 sqrt(c) t cos(sqrt(c) t) + sin(sqrt(c) t), whatever eps: the
+    default r_max, just short of the conjugate point, always raises, and
+    the error names the first grid radius where the bound fails, which
+    r_max must stay below.
+    """
+    _check_finite(c=c, eps=eps)
     if eps < 0:
         raise ValueError("perturbed profiles require eps >= 0")
     if r_max is None:
@@ -366,8 +385,9 @@ def perturbed(c, eps, r_max=None):
     report = verify_curvature_bound(prof, c)
     if not report.ok:
         raise ValueError(
-            "perturbed profile violates -f''/f <= %g: excess %.3e at t=%.6g"
-            % (c, report.worst_excess, report.worst_t))
+            "perturbed profile violates -f''/f <= %g: excess %.3e at t=%.6g; "
+            "the bound first fails at t=%.6g, which r_max must stay below"
+            % (c, report.worst_excess, report.worst_t, report.first_t))
     return prof
 
 
@@ -414,10 +434,12 @@ def from_csv(path):
 class CurvatureReport:
     """Outcome of a curvature-bound check; truthy iff the bound holds."""
 
-    def __init__(self, ok, c, worst_t, worst_excess, n_nodes):
+    def __init__(self, ok, c, worst_t, worst_excess, n_nodes, first_t):
         self.ok = bool(ok)
         self.c = c
         self.worst_t = worst_t
+        # the first node where the bound fails; None when it holds
+        self.first_t = first_t
         # max over nodes of (-f''/f - c); <= TOL_CURV when the bound holds
         self.worst_excess = worst_excess
         self.margin = TOL_CURV - worst_excess
@@ -436,8 +458,8 @@ def verify_curvature_bound(profile, c, nodes=None):
     """Check -f''/f <= c + TOL_CURV at every node; report the worst one.
 
     Nodes default to a uniform grid of 4096 points on (0, r_max].  The
-    result carries the argmax node and the margin; it never raises on a
-    violated bound.
+    result carries the argmax node, the first failing node and the
+    margin; it never raises on a violated bound.
     """
     if nodes is None:
         nodes = np.linspace(0.0, profile.r_max, _CURV_GRID_N + 1)[1:]
@@ -449,5 +471,6 @@ def verify_curvature_bound(profile, c, nodes=None):
     excess = (-f2 / f) - c
     i = int(np.argmax(excess))
     worst = float(excess[i])
-    return CurvatureReport(worst <= TOL_CURV, c, float(nodes[i]), worst,
-                           nodes.size)
+    ok = worst <= TOL_CURV
+    first = None if ok else float(nodes[np.argmax(excess > TOL_CURV)])
+    return CurvatureReport(ok, c, float(nodes[i]), worst, nodes.size, first)

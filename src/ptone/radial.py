@@ -44,6 +44,7 @@ exact equation: at large p the shot's integration error exceeds the
 omega(a) = 0 and unit initial flux instead.
 """
 
+import functools
 import math
 from bisect import bisect_left, bisect_right
 
@@ -245,19 +246,31 @@ class _Startup:
         return self.omega(t), -self.lam * self.flux_F(t)
 
 
-def _refine_zero(rhs, ts, ys, k, tol_t, comp=0):
+def _refine_zero(rhs, step, ts, ys, k, tol_t, comp=0):
     """Zero of state component `comp` inside (ts[k-1], ts[k]).
 
-    The state is advanced from node k-1 by `_ode.rk4_between`, and
-    `_ode.brent` finds the zero to within tol_t.
+    Each evaluation is one Dormand-Prince `step` of the trajectory's
+    form from node k-1, and `_ode.brent` finds the zero to within tol_t.
+    Returns (z, (omega, Phi, omega', Phi')): the zero, and the state and
+    k7 slope of the step that ends there.
     """
-    return _ode.brent(
-        lambda t: _ode.rk4_between(rhs, ts[k - 1], ys[k - 1], t)[comp],
-        ts[k - 1], ts[k], tol_t, fa=ys[k - 1][comp], fb=ys[k][comp])[0]
+    t, (u, v) = ts[k - 1], ys[k - 1]
+    ku, kv = rhs(t, u, v)
+    steps = {}
+
+    def component(s):
+        steps[s] = step(t, s - t, u, v, ku, kv)
+        return steps[s][comp]
+
+    z = _ode.brent(component, t, ts[k], tol_t, fa=ys[k - 1][comp],
+                   fb=ys[k][comp])[0]
+    if z not in steps:      # an end of the bracket, never evaluated
+        component(z)
+    return z, steps[z]
 
 
 def _shoot(problem, lam):
-    """Integrate the trial-lam trajectory; return (ts, ys, rhs, miss).
+    """Integrate the trial-lam trajectory; return (ts, ys, miss).
 
     For balls the mesh starts at t0 = 1e-4 r with the startup state; for
     annuli it starts at (a, (0, 1)) (unit initial flux).  Integration stops
@@ -269,7 +282,7 @@ def _shoot(problem, lam):
     A zero exactly at the endpoint counts as a zero.
     """
     p, m, prof = problem.p, problem.m, problem.profile
-    rhs, _, integrate, _ = _make_rhs(p, m, prof, lam)
+    rhs, step, integrate, _ = _make_rhs(p, m, prof, lam)
     d = problem.domain
     if d.kind == "ball":
         t_start = _STARTUP_FRAC * d.r
@@ -280,11 +293,10 @@ def _shoot(problem, lam):
         t_end = d.b
     ts, ys = integrate(t_start, t_end, y_start, rtol=_RTOL, atol=_ATOL)
     if ys[-1][0] > 0.0 or ts[-1] >= t_end:
-        return ts, ys, rhs, ys[-1][0] or -math.ulp(0.0)
-    k = len(ts) - 1
-    zero = _refine_zero(rhs, ts, ys, k, 1e-12 * (t_end - t_start))
-    slope = rhs(zero, *_ode.rk4_between(rhs, ts[k - 1], ys[k - 1], zero))[0]
-    return ts, ys, rhs, -abs(slope) * (t_end - zero)
+        return ts, ys, ys[-1][0] or -math.ulp(0.0)
+    zero, (_, _, slope, _) = _refine_zero(rhs, step, ts, ys, len(ts) - 1,
+                                          1e-12 * (t_end - t_start))
+    return ts, ys, -abs(slope) * (t_end - zero)
 
 
 def _omega_prime(problem, t, phi):
@@ -333,28 +345,9 @@ class RadialSolution:
         self.iterations = int(iterations)
         self._ts = ts
         self._ys = ys
-        rhs, self._step, _, self._run = _make_rhs(self.p, self.m,
-                                                  self.profile, self.lam)
-        self._rhs = rhs
+        self._rhs, self._step, _, self._run = _make_rhs(
+            self.p, self.m, self.profile, self.lam)
         self._startup = startup
-        self._scale = 1.0
-        self._t_peak = None
-        if startup is None:
-            # An annulus eigenfunction peaks where the flux Phi crosses
-            # zero; omega' ~ |Phi|^(1/(p-1)) is not smooth there, so the
-            # march grades its steps toward that point.  The solution
-            # is normalized by the trajectory's value at it: the mesh-node
-            # maximum undershoots the true peak by O(step^2).
-            peak = max(y[0] for y in ys)
-            for k in range(1, len(ts)):
-                if ys[k][1] <= 0.0 < ys[k - 1][1]:
-                    self._t_peak = _refine_zero(
-                        rhs, ts, ys, k, 1e-12 * (ts[-1] - ts[0]), comp=1)
-                    peak = _ode.rk4_between(rhs, ts[k - 1], ys[k - 1],
-                                            self._t_peak)[0]
-                    break
-            self._scale = 1.0 / peak
-
         d = problem.domain
         self._left = 0.0 if d.kind == "ball" else d.a
         self.r = d.r if d.kind == "ball" else d.b
@@ -379,6 +372,43 @@ class RadialSolution:
         self.residual = eigen_equation_residual(self)
         return getattr(self, name)
 
+    @functools.cached_property
+    def _t_peak(self):
+        """An annulus's interior peak, where the flux Phi crosses zero.
+
+        None on a ball.  omega' ~ |Phi|^(1/(p-1)) is not smooth there, so
+        the march grades its steps toward it.  Built on the first march,
+        like `_scale`: a solve read only for lam does no peak work.
+        """
+        if self._startup is not None:
+            return None
+        ts, ys = self._ts, self._ys
+        k = next(k for k in range(1, len(ts)) if ys[k][1] <= 0.0)
+        return _refine_zero(self._rhs, self._step, ts, ys, k,
+                            1e-12 * (ts[-1] - ts[0]), comp=1)[0]
+
+    @functools.cached_property
+    def _scale(self):
+        """1 / omega(_t_peak) on an annulus, 1 on a ball.
+
+        The mesh-node maximum undershoots the peak by O(step^2).  omega at
+        the peak is reached from the mesh node before it by
+        `_ode.dp_graded`, one step per piece of its cuts toward the peak
+        (ratio 1).  On Annulus(0.5, 1), m = 2, c = 0, p = 4 that value is
+        2.2e-12 off scipy's DOP853 at rtol 3e-14, and one plain step from
+        the node is 5.8e-10 off.  The march's _KINK_RATIO of 8 takes eight
+        times the steps and comes no more than 1.8e-15 closer on 189
+        annuli (p from 1.05 to 16, m up to 3, c in {-1, 0, 1}).
+        """
+        t_peak = self._t_peak
+        if t_peak is None:
+            return 1.0
+        k = bisect_left(self._ts, t_peak) - 1
+        t, y = self._ts[k], self._ys[k]
+        (peak, _), _ = _ode.dp_graded(self._step, t, y, self._rhs(t, *y),
+                                      t_peak, 1, [(t_peak, 1.0)])
+        return 1.0 / peak
+
     def _march(self, ts):
         """(omega, Phi) along sorted ts, by one sequential sweep.
 
@@ -396,12 +426,12 @@ class RadialSolution:
         expansion at max(t0, h).  Every other sweep -- a band whose first
         node sits well inside the domain, or a coarse query, for which
         the expansion at t = h would be read far outside its range -- is
-        anchored on the stored adaptive trajectory at its first node
-        beyond t0 and takes _ANCHOR_STEPS steps per domain length from
-        there.  The single interpolation offset at the anchor is shared
-        by every node and stays invisible to differences.  Nodes before
-        the march start take the pole state (the expansion for balls, the
-        initial state for annuli), exactly as a one-node query does.
+        anchored on the stored adaptive trajectory: it starts from the
+        accepted mesh state at or before its first node beyond t0 and
+        steps forward like any other gap, at _ANCHOR_STEPS steps per
+        domain length.  Nodes before the march start take the pole state
+        (the expansion for balls, the initial state for annuli), exactly
+        as a one-node query does.
 
         The nodes are cast to Python floats once, on entry, so every
         step state of the sweep is a float, also where a node or the node
@@ -444,7 +474,7 @@ class RadialSolution:
         n = len(tl)
         if n == 0:
             return np.empty(0), np.empty(0)
-        startup, rhs, step = self._startup, self._rhs, self._step
+        startup, step = self._startup, self._step
         t0, y0 = self._ts[0], self._ys[0]
         span = self.r - self._left
         h = max((tl[-1] - tl[0]) / max(n - 1, 1), 1e-12 * self.r)
@@ -461,8 +491,8 @@ class RadialSolution:
         anchored = k < n and (h > _COARSE_FRAC * span
                               or tl[0] > t_march + 8.0 * h)
         if anchored:
-            t_march = tl[k]
-            y = _ode.dense_eval(rhs, self._ts, self._ys, t_march)
+            j = bisect_right(self._ts, tl[k]) - 1
+            t_march, y = self._ts[j], self._ys[j]
         pre = bisect_left(tl, t_march)
         omega = np.empty(n)
         phi = np.empty(n)
@@ -494,7 +524,7 @@ class RadialSolution:
         nodes = tl[pre:]
         out_w, out_phi = omega[pre:], phi[pre:]
         u, v = y
-        ku, kv = rhs(t_march, u, v)
+        ku, kv = self._rhs(t_march, u, v)
         i = 0
         for j in np.flatnonzero(codes != 1).tolist() + [len(nodes)]:
             if i < j:
@@ -585,7 +615,7 @@ def _solve(problem, tol):
     def miss(lam):
         if lam not in shots:
             shots[lam] = _shoot(problem, lam)
-        return shots[lam][3]
+        return shots[lam][2]
 
     try:
         lam_lo = 0.5 * _barta_seed(problem)

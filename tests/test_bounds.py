@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from ptone import bounds, modelspace, radial, rayleigh
 from ptone.bounds import (barta_bound, div_field_bound,
-                          div_identity_residual, div_sup_bound, eigen_field,
+                          div_identity_residual, eigen_field,
                           kazdan_source, kazdan_transform,
                           meancurv_threshold, picone_defect,
-                          radius_lower_bound, stability_criterion_immersion,
+                          stability_criterion_immersion,
                           stability_criterion_meancurv, stability_functional,
                           theorem17_bound, transplant_barta_certificate)
 from ptone.radial import Ball, RadialProblem, ball_problem
@@ -109,14 +109,6 @@ def test_div_field_bound_sharp(p, m, c):
     assert div_identity_residual(sol) <= 1e-6
 
 
-def test_div_sup_bound_vacuous_for_decreasing_flux():
-    problem, sol = solved(2.0, 2, 0.0)
-    cert = div_sup_bound(eigen_field(sol), problem)
-    assert isinstance(cert.vacuous, bool)
-    if not cert.vacuous:
-        assert cert.value <= sol.lam
-
-
 # closed-form barrier and stability arithmetic
 
 
@@ -153,15 +145,6 @@ def test_stability_criterion_meancurv():
     assert stability_criterion_meancurv(0.4, 2, 2.0, 1.2)
     with pytest.raises(ValueError):
         stability_criterion_meancurv(-1.0, 2, 2.0, 1.0)
-
-
-def test_radius_lower_bound_scaling():
-    # lam_Omega = r^-p lam_unit with k = 1 inverts to exactly r.
-    problem, sol = solved(2.0, 2, 0.0)
-    lam_half = radial.solve_ball_eigenvalue(
-        ball_problem(2.0, 2, 0.0, 0.5)).lam
-    est = radius_lower_bound(1.0, 2.0, sol.lam, lam_half)
-    assert est == pytest.approx(0.5, rel=1e-8)
 
 
 def test_stability_functional_zero_at_eigenpair():

@@ -91,12 +91,18 @@ def test_eig_rejects_bad_p():
     assert "invalid input" in res.stderr
 
 
-@pytest.mark.parametrize("r", ["nan", "inf"])
-def test_eig_rejects_non_finite_radius(r):
-    res = run_cli("eig", "--p", "2", "--m", "2", "--c", "0", "--r", r)
+@pytest.mark.parametrize("c,r,message", [
+    ("0", "nan", "ball radius"), ("0", "inf", "ball radius"),
+    ("nan", "1", "c must be finite"), ("inf", "1", "c must be finite"),
+], ids=["nan", "inf", "c-nan", "c-inf"])
+def test_eig_rejects_non_finite_radius(c, r, message):
+    # A non-finite curvature is invalid input (exit 2), not a failure of
+    # the shots (exit 3).
+    res = run_cli("eig", "--p", "2", "--m", "2", "--c", c, "--r", r)
     assert res.returncode == 2
-    assert "invalid input: ball radius" in res.stderr
-    assert "r=%s" % r in res.stderr
+    assert "invalid input: " + message in res.stderr
+    bad = ("c", c) if c != "0" else ("r", r)
+    assert "%s=%s" % bad in res.stderr
 
 
 @pytest.mark.parametrize("n", ["0", "1", "4"])

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -95,6 +96,30 @@ def test_perturbed_profile_pole_and_curvature():
     assert verify_curvature_bound(prof, 0.0).ok
     with pytest.raises(ValueError):
         perturbed(0.0, -0.5)
+
+
+def test_closed_forms_reject_non_finite_parameters():
+    # Refused when the profile is built, naming the parameter.
+    for x in (math.nan, math.inf, -math.inf):
+        for build, name in ((lambda: space_form(x), "c"),
+                            (lambda: perturbed(x, 0.1, r_max=1.0), "c"),
+                            (lambda: perturbed(-1.0, x, r_max=1.0), "eps")):
+            with pytest.raises(ValueError, match="%s must be finite" % name):
+                build()
+
+
+def test_perturbed_positive_curvature_names_the_failing_radius():
+    # For c > 0 the bound of S_c fails beyond the zero t* = 1.8366 of
+    # 2 t cos t + sin t (c = 1), whatever eps > 0; the default r_max,
+    # just short of pi, always raises.
+    t_star = 1.836597203152173
+    with pytest.raises(ValueError) as err:
+        perturbed(1.0, 0.1)
+    first = float(re.search(r"first fails at t=([0-9.]+)",
+                            str(err.value)).group(1))
+    assert t_star < first < t_star + 1e-3
+    prof = perturbed(1.0, 0.1, r_max=1.5)
+    assert verify_curvature_bound(prof, 1.0).ok
 
 
 def test_tabulated_matches_sampled_function():

@@ -175,6 +175,26 @@ def test_march_matches_dop853(problem, tol_w, tol_wp):
     assert np.max(np.abs(sol.omega_prime[1:] - wp)) <= tol_wp
 
 
+@pytest.mark.parametrize("p", [3.0, 4.0, 8.0])
+def test_annulus_peak_matches_dop853(p):
+    # An annulus solution is normalized by omega at the flux zero.  An
+    # independent integration (scipy's DOP853, stopped by an event at
+    # Phi = 0) must agree on that value.  The field is not smooth there:
+    # one plain step from the mesh node before the zero is up to 5.8e-10
+    # off (p = 4).
+    prob = RadialProblem(p, 2, modelspace.space_form(0.0), Annulus(0.5, 1.))
+    sol = solve_annulus_eigenvalue(prob)
+
+    def flux_zero(s, y):
+        return y[1]
+    flux_zero.terminal = True
+    ref = solve_ivp(lambda s, y: sol._rhs(s, y[0], y[1]), (0.5, 1.0),
+                    [0.0, 1.0], method="DOP853", rtol=3e-14, atol=1e-18,
+                    events=flux_zero)
+    peak = ref.y_events[0][0][0]
+    assert abs(1.0 / sol._scale - peak) <= 1e-11 * peak
+
+
 def test_query_next_to_the_peak_costs_no_extra_steps():
     # A node one ulp short of the flux zero leaves a sliver between it
     # and the peak; grading toward the peak must not step it thousands
@@ -182,6 +202,7 @@ def test_query_next_to_the_peak_costs_no_extra_steps():
     # six per step).
     prob = RadialProblem(3.0, 2, modelspace.space_form(0.0), Annulus(0.5, 1.))
     sol = solve_annulus_eigenvalue(prob, use_cache=False)
+    sol._scale      # the peak's own steps are built on the first march
     calls = []
     step, run = sol._step, sol._run
     sol._step = lambda t, *rest: calls.append(t) or step(t, *rest)
@@ -244,6 +265,7 @@ def test_march_grades_exactly_the_pointwise_gaps(monkeypatch, problem, query,
     # The march decides which gaps to grade for all nodes at once; its
     # steps must be those of the rule applied to each node in turn.
     sol = _fresh_solve(problem)
+    sol._scale      # the peak's own steps are built on the first march
     calls, inside = [], []
     step, run, graded = sol._step, sol._run, _ode.dp_graded
 
@@ -284,8 +306,10 @@ def test_march_grades_exactly_the_pointwise_gaps(monkeypatch, problem, query,
                   for s in (sol._left, sol.r, sol._t_peak)]
     nodes = np.sort(query).tolist()
     t0 = sol._ts[0]
-    if anchored:        # on the stored trajectory, at the first node past t0
-        start = min(t for t in nodes if t > t0)
+    if anchored:
+        # the stored mesh node at or before the first node past t0
+        first = min(t for t in nodes if t > t0)
+        start = max(t for t in sol._ts if t <= first)
     elif sol._startup is not None:      # the pole expansion at max(t0, h)
         start = max(t0, sol._left + (nodes[-1] - nodes[0]) / (len(nodes) - 1))
     else:
@@ -528,7 +552,7 @@ def test_generated_integrate_matches_reference(p, m):
             lam = solve(problem, use_cache=False).lam
             t_end = 1.0
             for lam_shot in (0.8 * lam, 1.25 * lam):
-                ts, ys, _, miss = radial._shoot(problem, lam_shot)
+                ts, ys, miss = radial._shoot(problem, lam_shot)
                 assert (miss > 0.0) == (lam_shot < lam)
 
                 def f(t, w, phi):
@@ -653,7 +677,7 @@ def test_shot_mesh_stops_at_first_nonpositive_omega(problem):
     t_end = problem.domain.r if problem.domain.kind == "ball" else \
         problem.domain.b
     for factor in (0.9, 1.0, 1.3, 3.0):
-        ts, ys, _, miss = radial._shoot(problem, factor * lam)
+        ts, ys, miss = radial._shoot(problem, factor * lam)
         omega = [y[0] for y in ys]
         assert all(w > 0.0 for w in omega[1:-1])
         if omega[-1] > 0.0:
@@ -722,9 +746,9 @@ def test_reported_eigenvalue_is_zero_free(problem):
         sol = solve_ball_eigenvalue(problem)
     else:
         sol = solve_annulus_eigenvalue(problem)
-    assert radial._shoot(problem, sol.lam)[3] > 0.0
+    assert radial._shoot(problem, sol.lam)[2] > 0.0
     above = sol.lam * (1.0 + 1e-9)
-    assert radial._shoot(problem, above)[3] <= 0.0
+    assert radial._shoot(problem, above)[2] <= 0.0
 
 
 def test_solve_errors_name_the_problem(monkeypatch):
@@ -942,11 +966,14 @@ def test_shot_first_zero_monotone_in_lambda():
     lam_star = solve_ball_eigenvalue(problem).lam
     zeros = []
     for factor in (1.1, 1.5, 2.5):
-        ts, ys, rhs, miss = radial._shoot(problem, factor * lam_star)
+        ts, ys, miss = radial._shoot(problem, factor * lam_star)
         assert miss <= 0.0
-        zeros.append(radial._refine_zero(rhs, ts, ys, len(ts) - 1, 1e-12))
+        rhs, step = radial._make_rhs(problem.p, problem.m, problem.profile,
+                                     factor * lam_star)[:2]
+        zeros.append(radial._refine_zero(rhs, step, ts, ys, len(ts) - 1,
+                                         1e-12)[0])
     assert zeros[0] > zeros[1] > zeros[2]
-    assert radial._shoot(problem, 0.9 * lam_star)[3] > 0.0
+    assert radial._shoot(problem, 0.9 * lam_star)[2] > 0.0
 
 
 def test_solver_cache_and_determinism():
