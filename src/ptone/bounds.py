@@ -30,7 +30,7 @@ import numpy as np
 
 from .modelspace import cot_c
 from .radial import signed_power
-from .rayleigh import p_energy, _values
+from .rayleigh import p_energy
 
 BARTA_ETA_FLOOR = 0.05      # keep nodes with eta >= floor * max eta
 BARTA_POLE_FRAC = 0.02      # drop ball nodes with t < frac * r
@@ -60,17 +60,6 @@ class BoundCertificate:
         self.data = dict(data or {})
 
 
-def _default_nodes(problem, n):
-    d = problem.domain
-    lo, hi = (0.0, d.r) if d.kind == "ball" else (d.a, d.b)
-    return np.linspace(lo, hi, n)
-
-
-def _weight_at(problem, t):
-    f = problem.profile.eval(t)[0]
-    return f ** (problem.m - 1) if problem.m > 1 else np.ones_like(f)
-
-
 def discrete_plap_radial(eta, problem, nodes):
     """Staggered-difference Delta_p eta at interior nodes (index 1..n-2).
 
@@ -78,15 +67,15 @@ def discrete_plap_radial(eta, problem, nodes):
     weight evaluated there exactly, then differenced back to nodes; both
     stages are second-order on uniform grids.
     """
-    vals = _values(eta)
+    vals = np.asarray(eta, dtype=float)
     nodes = np.asarray(nodes, dtype=float)
     if vals.shape != nodes.shape:
         raise ValueError("eta and nodes must have equal length")
     h = np.diff(nodes)
     mid = 0.5 * (nodes[:-1] + nodes[1:])
-    wmid = _weight_at(problem, mid)
+    wmid = problem.weight(mid)
     flux = wmid * signed_power(np.diff(vals) / h, problem.p - 1.0)
-    wnode = _weight_at(problem, nodes[1:-1])
+    wnode = problem.weight(nodes[1:-1])
     hc = 0.5 * (h[:-1] + h[1:])
     return np.diff(flux) / (hc * wnode)
 
@@ -107,11 +96,13 @@ def barta_bound(eta, problem, nodes=None):
 
     eta must be positive on interior nodes and vanish at Dirichlet
     endpoints; the infimum is taken over the windowed interior where the
-    staggered stencil meets its accuracy budget.
+    staggered stencil meets its accuracy budget.  nodes default to a
+    uniform grid over the domain's [left, right].
     """
-    vals = _values(eta)
+    vals = np.asarray(eta, dtype=float)
     if nodes is None:
-        nodes = _default_nodes(problem, vals.size)
+        d = problem.domain
+        nodes = np.linspace(d.left, d.right, vals.size)
     nodes = np.asarray(nodes, dtype=float)
     if np.any(vals[1:-1] <= 0):
         raise ValueError("eta must be positive on interior nodes")
@@ -169,9 +160,9 @@ def div_radial(field, problem):
     if not np.allclose(h, h[0], rtol=1e-9):
         raise ValueError("div_radial needs a uniform grid")
     h = float(h[0])
-    g = _weight_at(problem, t) * field.values
+    g = problem.weight(t) * field.values
     d = (g[:-4] - 8 * g[1:-3] + 8 * g[3:-1] - g[4:]) / (12 * h)
-    return d / _weight_at(problem, t[2:-2])
+    return d / problem.weight(t[2:-2])
 
 
 def _field_expression(field, problem):
@@ -261,7 +252,7 @@ def transplant_barta_certificate(flat_solution, problem):
 
 def stability_functional(u, potential, grid, p):
     """Q_p(u) = p-energy - sum w V |u|^p h over the grid quadrature."""
-    vals = _values(u)
+    vals = np.asarray(u, dtype=float)
     pot = np.broadcast_to(np.asarray(potential, dtype=float), vals.shape)
     mass = float(np.sum(grid.weight * pot * np.abs(vals) ** p
                         * grid.dual_sizes()))
@@ -298,7 +289,7 @@ def stability_criterion_meancurv(A_sup, m, p, r):
 
 def kazdan_transform(phi):
     """v = -log(phi); phi must be strictly positive on the given nodes."""
-    vals = _values(phi)
+    vals = np.asarray(phi, dtype=float)
     if np.any(vals <= 0):
         raise ValueError("phi must be positive away from the boundary")
     return -np.log(vals)
@@ -311,7 +302,7 @@ def kazdan_source(v, problem, nodes):
     blow-up notwithstanding; the caller restricts nodes to an interior
     window where v is finite.
     """
-    vals = _values(v)
+    vals = np.asarray(v, dtype=float)
     nodes = np.asarray(nodes, dtype=float)
     plap = discrete_plap_radial(vals, problem, nodes)
     h = np.diff(nodes)

@@ -200,13 +200,12 @@ def barta_rows(p_list, m_list, c_list, r_list):
                        _grid_combos(p_list, m_list, c_list, r_list)])
 
 
-def sweep_rows(p_list, m_list, c_list, r_list, n_rayleigh=2000):
+def sweep_rows(p_list, m_list, c_list, r_list):
     def one(p, m, c, r):
         problem = radial.ball_problem(p, m, c, r)
         sol = radial.solve_ball_eigenvalue(problem)
         est = rayleigh.minimize_rayleigh(
-            rayleigh.Grid1D.from_problem(problem, n=n_rayleigh),
-            p)["lambda_est"]
+            rayleigh.Grid1D.from_problem(problem), p)["lambda_est"]
         cert = bounds.barta_bound(sol.omega, problem, nodes=sol.grid)
         return {"p": p, "m": m, "c": c, "r": r, "lambda": sol.lam,
                 "rayleigh": est, "barta": cert.value,
@@ -231,7 +230,7 @@ def compare_profiles():
     ]
 
 
-def compare_rows(p_list, m, r, n_rayleigh=2000):
+def compare_rows(p_list, m, r):
     profiles = compare_profiles()
     rows, violations = [], []
     for p in sorted(p_list):
@@ -242,8 +241,7 @@ def compare_rows(p_list, m, r, n_rayleigh=2000):
             cert = bounds.transplant_barta_certificate(flat, problem)
             margin_rel = (cert.value - flat.lam) / flat.lam
             est = rayleigh.minimize_rayleigh(
-                rayleigh.Grid1D.from_problem(problem, n=n_rayleigh),
-                p)["lambda_est"]
+                rayleigh.Grid1D.from_problem(problem), p)["lambda_est"]
             rows.append({"profile": name, "p": p, "m": m, "r": r,
                          "lambda_model": flat.lam, "certificate": cert.value,
                          "margin_rel": margin_rel, "rayleigh_warped": est,

@@ -71,6 +71,7 @@ from .radial import signed_power
 
 TOL_W_REL = 1e-9          # certification tolerance on W, relative to lambda
 SCAN_GRID = 16384         # default dense scan resolution
+IDENTITY_WINDOW = 0.1     # flat_identity_check compares on t >= this * r
 
 
 def case_constants(p, m, lam):
@@ -236,15 +237,15 @@ def _cumulative_trapezoid(y, t):
                                             * np.diff(t))))
 
 
-def flat_identity_check(solution, window=0.1):
+def flat_identity_check(solution):
     """Compare cumulative trapezoid of flateq_integrand with
     lhs_expression(0, .), both on the solution's own grid.
 
     The grid, omega and omega' are the solution's arrays, built once and
     shared with every other reader, so the check marches no node.
     Returns (t, integral, lhs, sup_rel) with the sup of the relative gap
-    over t >= window * r, where the trapezoid's O(h^2/t^2) pole error has
-    decayed.
+    over t >= IDENTITY_WINDOW * r, where the trapezoid's O(h^2/t^2) pole
+    error has decayed.
     """
     if _solution_c(solution) != 0.0:
         raise ValueError("the flat identity needs a c=0 solution")
@@ -254,7 +255,7 @@ def flat_identity_check(solution, window=0.1):
         flateq_integrand(t, om, dom, p, m, lam), t)
     lhs = np.concatenate(([0.0], lhs_expression(0, t[1:], om[1:], dom[1:],
                                                 p, m, lam)))
-    keep = t >= window * r
+    keep = t >= IDENTITY_WINDOW * r
     rel = np.abs(integral[keep] - lhs[keep]) / np.abs(lhs[keep])
     return t, integral, lhs, float(np.max(rel))
 

@@ -86,15 +86,21 @@ def signed_power(x, q):
 
 
 class Ball:
-    """Geodesic ball domain of radius r (pole at t = 0)."""
+    """Geodesic ball domain of radius r (pole at t = 0).
+
+    Like `Annulus`, it carries its interval [left, right] and the
+    Dirichlet flags bc of the two ends; the pole end is free.
+    """
 
     kind = "ball"
+    bc = (False, True)
 
     def __init__(self, r):
         if not (math.isfinite(r) and r > 0):
             raise ValueError("ball radius must be positive and finite, "
                              "got r=%r" % (r,))
         self.r = float(r)
+        self.left, self.right = 0.0, self.r
 
     def __repr__(self):
         return "Ball(r=%g)" % self.r
@@ -104,6 +110,7 @@ class Annulus:
     """Annular domain a < t < b with Dirichlet conditions at both ends."""
 
     kind = "annulus"
+    bc = (True, True)
 
     def __init__(self, a, b):
         if not (math.isfinite(a) and math.isfinite(b) and 0 <= a < b):
@@ -111,6 +118,7 @@ class Annulus:
                              "a=%r, b=%r" % (a, b))
         self.a = float(a)
         self.b = float(b)
+        self.left, self.right = self.a, self.b
 
     def __repr__(self):
         return "Annulus(a=%g, b=%g)" % (self.a, self.b)
@@ -139,14 +147,13 @@ class RadialProblem:
         self.m = int(m)
         self.profile = profile
         self.domain = domain
-        right = domain.r if domain.kind == "ball" else domain.b
-        if right > profile.r_max * (1 + 1e-12):
+        if domain.right > profile.r_max * (1 + 1e-12):
             raise ValueError("domain exceeds the profile domain [0, %g]"
                              % profile.r_max)
         if profile.c is not None and profile.c > 0:
-            if right >= math.pi / math.sqrt(profile.c):
+            if domain.right >= math.pi / math.sqrt(profile.c):
                 raise ValueError("radius beyond the conjugate point of S_c")
-        if domain.kind == "annulus" and domain.a == 0 and self.m > 1:
+        if domain.bc[0] and domain.left == 0 and self.m > 1:
             raise ValueError("annulus with a = 0 needs m = 1 (vanishing "
                              "weight at the pole otherwise)")
 
@@ -155,10 +162,16 @@ class RadialProblem:
         """Conjugate exponent p/(p-1)."""
         return self.p / (self.p - 1.0)
 
+    def weight(self, t):
+        """The weight f^{m-1} at the nodes t; ones for m = 1."""
+        if self.m == 1:
+            return np.ones(np.shape(t))
+        return self.profile.eval(t)[0] ** (self.m - 1)
+
     def cache_key(self, tol, n_grid):
         d = self.domain
-        dom = ("ball", d.r) if d.kind == "ball" else ("annulus", d.a, d.b)
-        return (self.p, self.m, self.profile.cache_key(), dom, tol, n_grid)
+        return (self.p, self.m, self.profile.cache_key(),
+                (d.kind, d.left, d.right), tol, n_grid)
 
     def __repr__(self):
         return ("RadialProblem(p=%g, m=%d, %r, %r)"
@@ -284,13 +297,12 @@ def _shoot(problem, lam):
     p, m, prof = problem.p, problem.m, problem.profile
     rhs, step, integrate, _ = _make_rhs(p, m, prof, lam)
     d = problem.domain
+    t_end = d.right
     if d.kind == "ball":
-        t_start = _STARTUP_FRAC * d.r
+        t_start = _STARTUP_FRAC * t_end
         y_start = _Startup(p, m, prof, lam, t_start).state(t_start)
-        t_end = d.r
     else:
-        t_start, y_start = d.a, (0.0, 1.0)
-        t_end = d.b
+        t_start, y_start = d.left, (0.0, 1.0)
     ts, ys = integrate(t_start, t_end, y_start, rtol=_RTOL, atol=_ATOL)
     if ys[-1][0] > 0.0 or ts[-1] >= t_end:
         return ts, ys, ys[-1][0] or -math.ulp(0.0)
@@ -304,11 +316,7 @@ def _omega_prime(problem, t, phi):
 
     Zero where the weight f^{m-1} vanishes (the pole of a ball).
     """
-    mm1 = problem.m - 1
-    if mm1:
-        fm = problem.profile.eval(t)[0] ** mm1
-    else:
-        fm = np.ones(t.size)
+    fm = problem.weight(t)
     out = np.zeros(t.size)
     ok = fm > 0.0
     out[ok] = signed_power(phi[ok] / fm[ok], 1.0 / (problem.p - 1.0))
@@ -335,8 +343,7 @@ class RadialSolution:
     them with every other holder of the solution.
     """
 
-    def __init__(self, problem, lam, ts, ys, iterations, n_grid,
-                 startup=None):
+    def __init__(self, problem, lam, ts, ys, iterations, n_grid):
         self.problem = problem
         self.p = problem.p
         self.m = problem.m
@@ -347,10 +354,13 @@ class RadialSolution:
         self._ys = ys
         self._rhs, self._step, _, self._run = _make_rhs(
             self.p, self.m, self.profile, self.lam)
-        self._startup = startup
         d = problem.domain
-        self._left = 0.0 if d.kind == "ball" else d.a
-        self.r = d.r if d.kind == "ball" else d.b
+        # A ball's march starts from the pole expansion at t0 = ts[0]; an
+        # annulus's starts from the wall state ys[0].
+        self._startup = (_Startup(self.p, self.m, self.profile, self.lam,
+                                  ts[0]) if d.kind == "ball" else None)
+        self._left = d.left
+        self.r = d.right
         self.n_grid = n_grid
 
     def __getattr__(self, name):
@@ -584,13 +594,11 @@ def _barta_seed(problem):
     p, m = problem.p, problem.m
     d = problem.domain
     if d.kind == "annulus":
-        tt = np.linspace(d.a, d.b, 257)
-        f = problem.profile.eval(tt)[0]
-        fm = f ** (m - 1)
+        fm = problem.weight(np.linspace(d.left, d.right, 257))
         lo, hi = float(np.min(fm)), float(np.max(fm))
-        base = (p - 1.0) * (pi_p(p) / (d.b - d.a)) ** p
+        base = (p - 1.0) * (pi_p(p) / (d.right - d.left)) ** p
         return base * (lo / hi if hi > 0 else 1.0)
-    r = d.r
+    r = d.right
     beta = p / (p - 1.0)
     t = np.linspace(r / 256.0, r * (1 - 1.0 / 512.0), 256)
     f, f1, _ = problem.profile.eval(t)
@@ -651,15 +659,35 @@ _SOLVE_CACHE = {}
 _MIN_GRID = 5   # the residual audit's five-point stencil
 
 
-def _check_grid(n_grid):
-    if int(n_grid) != n_grid or n_grid < _MIN_GRID:
-        raise ValueError("grid size n=%r: the dense grid needs an integer "
-                         "n >= %d" % (n_grid, _MIN_GRID))
-
-
 def clear_solver_cache():
     """Drop memoized eigensolves (used by determinism checks)."""
     _SOLVE_CACHE.clear()
+
+
+def _solve_memoized(problem, kind, tol, n_grid, use_cache):
+    """The body of both solve functions, for a domain of the given kind.
+
+    Checks the domain kind, n_grid and tol, returns the cached solution
+    of (problem parameters, tol, n_grid) if there is one, and otherwise
+    solves and stores.
+    """
+    if problem.domain.kind != kind:
+        raise ValueError("solve_%s_eigenvalue needs a domain of kind %r, "
+                         "got %r" % (kind, kind, problem.domain))
+    if int(n_grid) != n_grid or n_grid < _MIN_GRID:
+        raise ValueError("grid size n=%r: the dense grid needs an integer "
+                         "n >= %d" % (n_grid, _MIN_GRID))
+    if not 0.0 < tol < 1.0:
+        raise ValueError("tol=%r: the relative bracket width needs a finite "
+                         "0 < tol < 1" % (tol,))
+    key = problem.cache_key(tol, n_grid)
+    if use_cache and key in _SOLVE_CACHE:
+        return _SOLVE_CACHE[key]
+    lam, ts, ys, iterations = _solve(problem, tol)
+    sol = RadialSolution(problem, lam, ts, ys, iterations, n_grid)
+    if use_cache:
+        _SOLVE_CACHE[key] = sol
+    return sol
 
 
 def solve_ball_eigenvalue(problem, tol=_DEFAULT_TOL, n_grid=_DEFAULT_GRID,
@@ -671,35 +699,13 @@ def solve_ball_eigenvalue(problem, tol=_DEFAULT_TOL, n_grid=_DEFAULT_GRID,
     memoized on (problem parameters, tol, n_grid); solves are pure, so the
     cache is transparent.
     """
-    if problem.domain.kind != "ball":
-        raise ValueError("solve_ball_eigenvalue needs a Ball domain")
-    _check_grid(n_grid)
-    key = problem.cache_key(tol, n_grid)
-    if use_cache and key in _SOLVE_CACHE:
-        return _SOLVE_CACHE[key]
-    lam, ts, ys, iterations = _solve(problem, tol)
-    startup = _Startup(problem.p, problem.m, problem.profile, lam, ts[0])
-    sol = RadialSolution(problem, lam, ts, ys, iterations, n_grid,
-                         startup=startup)
-    if use_cache:
-        _SOLVE_CACHE[key] = sol
-    return sol
+    return _solve_memoized(problem, "ball", tol, n_grid, use_cache)
 
 
 def solve_annulus_eigenvalue(problem, tol=_DEFAULT_TOL, n_grid=_DEFAULT_GRID,
                              use_cache=True):
     """First Dirichlet p-eigenvalue of an annulus, normalized to max 1."""
-    if problem.domain.kind != "annulus":
-        raise ValueError("solve_annulus_eigenvalue needs an Annulus domain")
-    _check_grid(n_grid)
-    key = problem.cache_key(tol, n_grid)
-    if use_cache and key in _SOLVE_CACHE:
-        return _SOLVE_CACHE[key]
-    lam, ts, ys, iterations = _solve(problem, tol)
-    sol = RadialSolution(problem, lam, ts, ys, iterations, n_grid)
-    if use_cache:
-        _SOLVE_CACHE[key] = sol
-    return sol
+    return _solve_memoized(problem, "annulus", tol, n_grid, use_cache)
 
 
 def eigen_equation_residual(solution, problem=None):
@@ -737,8 +743,7 @@ def eigen_equation_residual(solution, problem=None):
     w = solution.omega
     wp = solution.omega_prime
     h = t[1] - t[0]
-    f = problem.profile.eval(t)[0]
-    fm = f ** (m - 1) if m > 1 else np.ones_like(t)
+    fm = problem.weight(t)
     flux = fm * signed_power(wp, p - 1.0)
     n = t.size
     i = np.arange(2, n - 2)

@@ -30,6 +30,9 @@ import numpy as np
 from ._ode import NonConvergenceError, brent
 from .radial import signed_power
 
+#: relative fall of the quotient at which `minimize_rayleigh` stops
+STOP_RTOL = 1e-13
+
 
 class Grid1D:
     """Nodes, positive weight w = f^{m-1}, and Dirichlet endpoint flags.
@@ -71,16 +74,11 @@ class Grid1D:
 
     @classmethod
     def from_problem(cls, problem, n=2000):
-        """Uniform grid over a RadialProblem domain with weight f^{m-1}."""
+        """Uniform grid over a RadialProblem domain with weight f^{m-1}
+        and the domain's Dirichlet flags."""
         d = problem.domain
-        if d.kind == "ball":
-            left, right, bc = 0.0, d.r, (False, True)
-        else:
-            left, right, bc = d.a, d.b, (True, True)
-        nodes = np.linspace(left, right, n)
-        f = problem.profile.eval(nodes)[0]
-        weight = f ** (problem.m - 1) if problem.m > 1 else np.ones_like(nodes)
-        return cls(nodes, weight, bc)
+        nodes = np.linspace(d.left, d.right, n)
+        return cls(nodes, problem.weight(nodes), d.bc)
 
     @property
     def n(self):
@@ -96,7 +94,8 @@ class Grid1D:
         return self._duals
 
     def boundary_profile(self):
-        """Distance-to-Dirichlet-boundary field, the default initializer."""
+        """Distance-to-Dirichlet-boundary field, the default initializer
+        (a float array on the nodes)."""
         t = self.nodes
         vals = np.full(t.shape, np.inf)
         if self.bc[0]:
@@ -105,23 +104,7 @@ class Grid1D:
             vals = np.minimum(vals, t[-1] - t)
         if not np.all(np.isfinite(vals)):
             raise ValueError("grid has no Dirichlet endpoint")
-        return DiscreteField(vals)
-
-
-class DiscreteField:
-    """Node values of a test function (zero at Dirichlet endpoints)."""
-
-    def __init__(self, values):
-        self.values = np.asarray(values, dtype=float)
-
-    def __array__(self, dtype=None, copy=None):
-        if dtype is not None:
-            return self.values.astype(dtype)
-        return self.values
-
-
-def _values(u):
-    return u.values if isinstance(u, DiscreteField) else np.asarray(u, dtype=float)
+        return vals
 
 
 def _check_bc(vals, grid):
@@ -133,7 +116,7 @@ def _check_bc(vals, grid):
 
 def p_energy(u, grid, p):
     """Midpoint-weighted discrete energy sum_i w_{i+1/2} |du/h|^p h."""
-    vals = _values(u)
+    vals = np.asarray(u, dtype=float)
     _check_bc(vals, grid)
     h = grid.cell_sizes()
     wmid = grid._wmid
@@ -143,7 +126,7 @@ def p_energy(u, grid, p):
 
 def p_norm_mass(u, grid, p):
     """Node quadrature sum_i w_i |u_i|^p h_i of the p-th power."""
-    vals = _values(u)
+    vals = np.asarray(u, dtype=float)
     return float(np.sum(grid.weight * np.abs(vals) ** p * grid.dual_sizes()))
 
 
@@ -195,7 +178,7 @@ def _inverse_step(vals, grid, p):
     return np.concatenate((up[:peak + 1], down[peak + 1:]))
 
 
-def minimize_rayleigh(grid, p, init=None, tol=1e-13, max_iter=1000):
+def minimize_rayleigh(grid, p, init=None, max_iter=1000):
     """Minimize the discrete quotient over the unit p-norm sphere.
 
     Inverse power iteration (Biezuner, Ercole and Martins 2009): each
@@ -203,18 +186,19 @@ def minimize_rayleigh(grid, p, init=None, tol=1e-13, max_iter=1000):
     w |u_k|^{p-2} u_k (`_inverse_step`) and normalizes v to unit
     p-mass.  The quotient of the iterates decreases toward the discrete
     minimum; the iteration stops at the first step that lowers it by no
-    more than tol times its value, a step that raises it by rounding
-    included, and returns the iterate with the lower quotient, which is
-    positive (the ground state).  Returns
-    {"lambda_est", "u_min", "iterations"}; raises ValueError for a grid
-    without a Dirichlet end or a zero initial field, and
-    NonConvergenceError after max_iter steps.
+    more than STOP_RTOL times its value, a step that raises it by
+    rounding included, and returns the iterate with the lower quotient,
+    which is positive (the ground state).  init, an array of node values
+    (default `Grid1D.boundary_profile`), starts the iteration.  Returns
+    {"lambda_est", "u_min", "iterations"} with u_min a float array of
+    node values; raises ValueError for a grid without a Dirichlet end or
+    a zero initial field, and NonConvergenceError after max_iter steps.
     """
     if not any(grid.bc):
         raise ValueError("grid has no Dirichlet endpoint")
     if init is None:
         init = grid.boundary_profile()
-    vals = np.abs(_values(init))
+    vals = np.abs(np.asarray(init, dtype=float))
     _check_bc(vals, grid)
     if not np.any(vals > 0):
         raise ValueError("initial field is identically zero")
@@ -224,10 +208,10 @@ def minimize_rayleigh(grid, p, init=None, tol=1e-13, max_iter=1000):
         new = _inverse_step(vals, grid, p)
         new /= p_norm_mass(new, grid, p) ** (1.0 / p)
         new_quot = rayleigh_quotient(new, grid, p)
-        if quot - new_quot <= tol * quot:
+        if quot - new_quot <= STOP_RTOL * quot:
             if new_quot < quot:
                 vals, quot = new, new_quot
-            return {"lambda_est": quot, "u_min": DiscreteField(vals),
+            return {"lambda_est": quot, "u_min": vals,
                     "iterations": iterations}
         vals, quot, last = new, new_quot, quot
     raise NonConvergenceError(

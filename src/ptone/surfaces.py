@@ -51,8 +51,19 @@ COS_ALPHA_FLOOR = 1e-3
 #: eigenfunction cutoff below which the comparison quotient is not
 #: evaluated (the derivation divides by psi^{p-1}).
 PSI_FLOOR = 1e-6
-#: default meridian sample count for transplants.
+#: meridian sample count for transplants.
 TRANSPLANT_GRID = 8193
+#: meridian sample count of the transplant shared by the two routes in
+#: ``route_agreement``.
+ROUTE_GRID = 16385
+#: ``route_agreement`` skips nodes with |psi'| below this fraction of its
+#: maximum (degenerate flux at the catenoid's neck) ...
+ROUTE_GRAD_FLOOR = 1e-2
+#: ... and nodes with rho below this fraction of its maximum (the
+#: intrinsic operator divides by rho).
+ROUTE_RHO_FLOOR = 0.1
+#: meridian sample count of a band's Rayleigh grid.
+RAYLEIGH_GRID = 2000
 
 
 class RotSurface:
@@ -126,16 +137,17 @@ def get_surface(name):
         raise ValueError("unknown surface kind %r" % (name,))
 
 
-def shape_operator_numeric(surface, s, h=1e-3):
+def shape_operator_numeric(surface, s):
     """Principal curvatures by differencing the embedding; oracle route.
 
     Fourth-order five-point second differences of X(s, theta) in each
-    coordinate are projected on the unit normal; the parallel curvature
-    divides by the metric coefficient rho^2.  Truncation is O(h^4), so
-    the default step resolves curvatures to ~1e-10 and the trace test
-    |k_mer + k_par| <= 1e-9 is meaningful.
+    coordinate, with step h = 1e-3, are projected on the unit normal;
+    the parallel curvature divides by the metric coefficient rho^2.
+    Truncation is O(h^4), so the step resolves curvatures to ~1e-10 and
+    the trace test |k_mer + k_par| <= 1e-9 is meaningful.
     """
     s = float(s)
+    h = 1e-3
     stencil = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12.0 * h * h)
     offs = np.array([-2.0, -1.0, 0.0, 1.0, 2.0]) * h
 
@@ -324,15 +336,16 @@ def _psi_values(psi):
     return np.asarray(psi, dtype=float)
 
 
-def plap_intrinsic(psi, surface, p, band):
+def plap_intrinsic(psi, p, band):
     """Delta_p psi by staggered differences of the intrinsic operator.
 
     psi is a ``Transplant`` or an array sampled on the band's uniform
-    meridian grid; returns rho^{-1} (rho |psi'|^{p-2} psi')' at interior
-    nodes (index 1..n-2) with midpoint fluxes, second order where the
-    flux is smooth.
+    meridian grid, and rho is the profile of the band's surface; returns
+    rho^{-1} (rho |psi'|^{p-2} psi')' at interior nodes (index 1..n-2)
+    with midpoint fluxes, second order where the flux is smooth.
     """
     vals = _psi_values(psi)
+    surface = band.surface
     s = band.nodes(vals.size)
     h = s[1] - s[0]
     d_mid = np.diff(vals) / h
@@ -342,7 +355,7 @@ def plap_intrinsic(psi, surface, p, band):
     return np.diff(flux) / (h * rho_nodes[1:-1])
 
 
-def plap_jk(psi, surface, p, band=None):
+def plap_jk(psi):
     """Delta_p psi by the Jorge--Koutrofiotis decomposition; exact route.
 
     Assembles |grad psi|^{p-2} Delta psi
@@ -361,15 +374,12 @@ def plap_jk(psi, surface, p, band=None):
     catenoid's neck) are excluded and carry NaN.
 
     psi must be a ``Transplant``: the route needs omega' and the model
-    eigenvalue, not just the sampled values.
+    eigenvalue, not just the sampled values.  p is the model solution's.
     """
     if not isinstance(psi, Transplant):
         raise TypeError("plap_jk needs a Transplant")
-    if band is not None and band is not psi.band:
-        raise ValueError("band does not match the transplant")
     sol = psi.solution
-    if p != sol.p:
-        raise ValueError("p does not match the model solution")
+    p = sol.p
 
     t, om, om_p = psi.t, psi.omega, psi.omega_prime
     cos_a, tp, tpp = psi.cos_alpha, psi.t_prime, psi.t_second
@@ -395,60 +405,57 @@ def plap_jk(psi, surface, p, band=None):
     return out
 
 
-def route_agreement(surface, p, r, n=16385, grad_floor=1e-2,
-                    rho_floor=0.1):
+def route_agreement(surface, p, r):
     """Scaled sup distance between the two Delta_p psi assemblies.
 
     Cross-validates ``plap_jk`` against ``plap_intrinsic`` on a shared
-    transplant of n nodes.  The assembled route is exact; the difference
-    route is second order only where its ingredients are smooth, so two
-    collars are excluded from the comparison: nodes with |psi'| below
-    grad_floor * max |psi'| (degenerate flux at the catenoid's neck),
-    and nodes with rho below rho_floor * max rho (the intrinsic operator
-    divides by rho, and near the plane's axis the fluxes do not resolve
-    the t^{p/(p-1)} pole profile -- relative truncation there is
-    (h/s)^2).  Returns {"sup_scaled", "scale", "count", "n"}.
+    transplant of ROUTE_GRID nodes.  The assembled route is exact; the
+    difference route is second order only where its ingredients are
+    smooth, so two collars are excluded from the comparison: nodes with
+    |psi'| below ROUTE_GRAD_FLOOR * max |psi'| (degenerate flux at the
+    catenoid's neck), and nodes with rho below ROUTE_RHO_FLOOR * max rho
+    (the intrinsic operator divides by rho, and near the plane's axis
+    the fluxes do not resolve the t^{p/(p-1)} pole profile -- relative
+    truncation there is (h/s)^2).  Returns
+    {"sup_scaled", "scale", "count", "n"}.
     """
     problem = ball_problem(p, 2, 0.0, r)
     sol = solve_ball_eigenvalue(problem)
     band = SurfaceBand.from_radius(surface, r)
-    tp = transplant(sol, surface, band, n=n)
-    exact = plap_jk(tp, surface, p)
-    fd = plap_intrinsic(tp, surface, p, band)
+    tp = transplant(sol, surface, band, n=ROUTE_GRID)
+    exact = plap_jk(tp)
+    fd = plap_intrinsic(tp, p, band)
 
     inner = slice(1, -1)
     keep = (np.isfinite(exact[inner])
-            & (tp.grad[inner] >= grad_floor * np.max(tp.grad))
-            & (tp.rho[inner] >= rho_floor * np.max(tp.rho)))
+            & (tp.grad[inner] >= ROUTE_GRAD_FLOOR * np.max(tp.grad))
+            & (tp.rho[inner] >= ROUTE_RHO_FLOOR * np.max(tp.rho)))
     scale = float(np.max(np.abs(exact[inner][keep])))
     sup = float(np.max(np.abs(exact[inner][keep] - fd[keep])))
     return {"sup_scaled": sup / scale, "scale": scale,
-            "count": int(np.count_nonzero(keep)), "n": int(n)}
+            "count": int(np.count_nonzero(keep)), "n": ROUTE_GRID}
 
 
 # -- comparison inequality and reports ------------------------------------
 
 
-def modelcontrol_check(surface, solution, band=None, p=None,
-                       n=TRANSPLANT_GRID):
+def modelcontrol_check(surface, solution, band=None):
     """Pointwise transplanted-eigenfunction comparison on a band.
 
-    Evaluates -Delta_p psi / (psi^{p-1} cos^{p-2} alpha) - lambda over
-    the nodes with cos(alpha) >= COS_ALPHA_FLOOR and psi >= PSI_FLOOR
-    (the quotient divides by both) and reports the minimum.  The
-    comparison is the p >= 2 statement; it presumes the model radius does
-    not exceed the flat critical radius, which the critical-radius
-    routines put at the full radius for these solutions.  pass iff
+    Evaluates -Delta_p psi / (psi^{p-1} cos^{p-2} alpha) - lambda, p the
+    model solution's, on a transplant of TRANSPLANT_GRID nodes, over the
+    nodes with cos(alpha) >= COS_ALPHA_FLOOR and psi >= PSI_FLOOR (the
+    quotient divides by both) and reports the minimum.  The comparison
+    is the p >= 2 statement; it presumes the model radius does not
+    exceed the flat critical radius, which the critical-radius routines
+    put at the full radius for these solutions.  pass iff
     min >= -1e-6 lambda.
     """
-    if p is None:
-        p = solution.p
-    if p != solution.p:
-        raise ValueError("p does not match the model solution")
+    p = solution.p
     if p < 2.0:
         raise ValueError("the comparison needs p >= 2")
-    tp = transplant(solution, surface, band, n=n)
-    vals = plap_jk(tp, surface, p)
+    tp = transplant(solution, surface, band)
+    vals = plap_jk(tp)
     sel = (np.isfinite(vals) & (tp.cos_alpha >= COS_ALPHA_FLOOR)
            & (tp.psi >= PSI_FLOOR))
     if not np.any(sel):
@@ -505,17 +512,17 @@ class BandReport:
                    ", vacuous" if self.vacuous else ""))
 
 
-def _band_grid(band, n):
-    """Intrinsic Rayleigh grid of the band: weight rho, Dirichlet at t=r."""
-    s = band.nodes(n)
+def _band_grid(band):
+    """Intrinsic Rayleigh grid of the band, RAYLEIGH_GRID nodes: weight
+    rho, Dirichlet at t=r."""
+    s = band.nodes(RAYLEIGH_GRID)
     weight = band.surface.profile(s)[0]
     if band.surface.kind == "plane":
         return rayleigh.Grid1D(s, weight, (False, True))
     return rayleigh.Grid1D(s, weight, (True, True))
 
 
-def band_report(surface, r, p, solution_model=None, n=TRANSPLANT_GRID,
-                n_rayleigh=2000):
+def band_report(surface, r, p):
     """Assemble the comparison and stability verdicts for one band.
 
     lambda_model is the flat planar model eigenvalue on the ball of the
@@ -523,7 +530,8 @@ def band_report(surface, r, p, solution_model=None, n=TRANSPLANT_GRID,
     p = 2 the angle factor drops out); when k = 0 and p > 2 the bound
     degenerates and the report marks it vacuous instead of asserting it.
     lambda_band_upper is the rotationally invariant Rayleigh quotient
-    minimum on the band, an upper bound for the band's first eigenvalue.
+    minimum on the band's RAYLEIGH_GRID-node grid, an upper bound for
+    the band's first eigenvalue.
     cor13 is the curvature-vs-spectrum stability test
     sup ||A||^p <= k^{p-2} lambda_model; cor15 the mean-curvature test
     sup ||A|| <= (m-1)/(p r).  The plane band must reproduce the model
@@ -531,25 +539,22 @@ def band_report(surface, r, p, solution_model=None, n=TRANSPLANT_GRID,
     raises.
     """
     surface = get_surface(surface) if isinstance(surface, str) else surface
-    if solution_model is None:
-        solution_model = solve_ball_eigenvalue(ball_problem(p, 2, 0.0, r))
-    if solution_model.p != p or abs(solution_model.r - r) > 1e-12 * r:
-        raise ValueError("model solution does not match (p, r)")
-    lam = solution_model.lam
+    model = solve_ball_eigenvalue(ball_problem(p, 2, 0.0, r))
+    lam = model.lam
 
     band = SurfaceBand.from_radius(surface, r)
     k = band.k
     rhs = lam if p == 2.0 else k ** (p - 2.0) * lam
     vacuous = bool(k == 0.0 and p > 2.0)
 
-    result = rayleigh.minimize_rayleigh(_band_grid(band, n_rayleigh), p)
+    result = rayleigh.minimize_rayleigh(_band_grid(band), p)
     lam_band = float(result["lambda_est"])
     if surface.kind == "plane" and abs(lam_band - lam) > 1e-4 * max(1.0, lam):
         raise RuntimeError(
             "plane band failed to reproduce the model eigenvalue: "
             "%.12g vs %.12g" % (lam_band, lam))
 
-    check = modelcontrol_check(surface, solution_model, band, p, n=n)
+    check = modelcontrol_check(surface, model, band)
 
     a_sup = float(np.max(surface.second_form_norm(band.nodes(4097))))
     cor13 = stability_criterion_immersion(a_sup ** p, k, p, lam)

@@ -136,18 +136,19 @@ RAYLEIGH_PINS = [
 ]
 
 
-def rayleigh_pin_grid(kind, p, m, c, domain, n=2000):
-    """The n-node grid of one RAYLEIGH_PINS entry."""
+def rayleigh_pin_grid(kind, p, m, c, domain):
+    """The 2000-node grid of one RAYLEIGH_PINS entry: a band's Rayleigh
+    grid, or the default grid of a radial problem."""
     if kind == "catenoid":
         band = surfaces.SurfaceBand.from_radius(
             surfaces.get_surface("catenoid"), domain)
-        return surfaces._band_grid(band, n)
+        return surfaces._band_grid(band)
     if kind == "ball":
         shape = radial.Ball(domain)
     else:
         shape = radial.Annulus(*domain)
     prob = radial.RadialProblem(p, m, radial.space_form(c), shape)
-    return rayleigh.Grid1D.from_problem(prob, n=n)
+    return rayleigh.Grid1D.from_problem(prob)
 
 
 def rayleigh_pins():

@@ -112,6 +112,15 @@ def test_eig_rejects_too_small_grid(n, capsys):
     assert "n=%s" % n in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["nan", "0", "-1", "inf", "1"])
+def test_eig_rejects_bad_tol(tol, capsys):
+    # Invalid input, not a failed solve: unchecked, Brent would step to
+    # lam = NaN, never close the bracket, or stop far from j01^2.
+    assert cli.main(["eig", "--p", "2", "--m", "2", "--c", "0", "--r", "1",
+                     "--tol", tol]) == 2
+    assert "tol=" in capsys.readouterr().err
+
+
 def test_eig_scaling_ratio():
     res = run_cli("eig", "--p", "2", "--m", "2", "--c", "0", "--r", "1,2")
     rows = parse_csv(res.stdout)

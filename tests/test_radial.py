@@ -1038,3 +1038,23 @@ def test_domain_mismatch_guards():
         solve_ball_eigenvalue(ann_prob)
     with pytest.raises(ValueError):
         solve_annulus_eigenvalue(ball_prob)
+
+
+BAD_TOLS = (math.nan, 0.0, -1.0, math.inf, 1.0)
+
+
+def test_ball_solve_rejects_bad_tol():
+    # Unchecked, tol = inf stops Brent at 2.0000305 for j01^2 = 5.7832.
+    problem = ball_problem(2.0, 2, 0.0, 1.0)
+    for tol in BAD_TOLS:
+        with pytest.raises(ValueError, match="tol="):
+            solve_ball_eigenvalue(problem, tol=tol)
+
+
+def test_annulus_solve_rejects_bad_tol():
+    # Unchecked, tol = inf stops Brent at 1.2337 for pi^2 = 9.8696.
+    problem = RadialProblem(2.0, 1, modelspace.space_form(0.0),
+                            Annulus(0.0, 1.0))
+    for tol in BAD_TOLS:
+        with pytest.raises(ValueError, match="tol="):
+            solve_annulus_eigenvalue(problem, tol=tol)

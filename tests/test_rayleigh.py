@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from oracles import RAYLEIGH_PINS, rayleigh_pin_grid
 from ptone import radial, rayleigh
-from ptone.radial import Annulus, RadialProblem, ball_problem
-from ptone.modelspace import space_form
-from ptone.rayleigh import (DiscreteField, Grid1D, minimize_rayleigh,
-                            p_energy, p_norm_mass, rayleigh_quotient)
+from ptone.radial import Annulus, Ball, RadialProblem, ball_problem
+from ptone.modelspace import perturbed, space_form, tabulated
+from ptone.rayleigh import (Grid1D, minimize_rayleigh, p_energy,
+                            p_norm_mass, rayleigh_quotient)
 
 
 def unit_ball_grid(n=400, m=2):
@@ -30,23 +30,42 @@ def test_grid_validation():
         Grid1D([0.0, 0.5, 1.0], [1.0, -1.0, 1.0], (False, True))
 
 
+_T = np.linspace(0.0, 1.05, 2001)
+WEIGHT_PROFILES = (space_form(-1.0), perturbed(-1.0, 0.3),
+                   tabulated(_T, np.sinh(_T), label="tab-sinh"))
+
+
 def test_from_problem_ball():
     problem = ball_problem(2.0, 3, 0.0, 1.0)
+    d = problem.domain
+    assert (d.left, d.right, d.bc) == (0.0, 1.0, (False, True))
     grid = Grid1D.from_problem(problem, n=101)
     assert grid.n == 101
     assert grid.bc == (False, True)
     assert grid.weight[0] == 0.0                    # f^{m-1} at the pole
     assert grid.weight[50] == pytest.approx(grid.nodes[50] ** 2, rel=1e-12)
+    # RadialProblem.weight is the one f^{m-1}, bit for bit.
+    for prof in WEIGHT_PROFILES:
+        for m in (2, 3):
+            grid = Grid1D.from_problem(RadialProblem(3.0, m, prof, Ball(1.0)),
+                                       n=64)
+            expect = prof.eval(grid.nodes)[0] ** (m - 1)
+            assert np.array_equal(grid.weight, expect), (prof.label, m)
 
 
 def test_from_problem_m1_weight_is_one():
     problem = ball_problem(3.0, 1, 0.0, 1.0)
     grid = Grid1D.from_problem(problem, n=64)
     assert np.all(grid.weight == 1.0)
+    for prof in WEIGHT_PROFILES:
+        problem = RadialProblem(3.0, 1, prof, Ball(1.0))
+        assert np.array_equal(problem.weight(grid.nodes), np.ones(64))
 
 
 def test_from_problem_annulus():
     problem = RadialProblem(2.0, 2, space_form(0.0), Annulus(0.5, 1.5))
+    d = problem.domain
+    assert (d.left, d.right, d.bc) == (0.5, 1.5, (True, True))
     grid = Grid1D.from_problem(problem, n=64)
     assert grid.bc == (True, True)
     assert grid.nodes[0] == 0.5 and grid.nodes[-1] == 1.5
@@ -149,7 +168,7 @@ def test_minimizer_is_ground_state():
 def test_minimize_accepts_custom_init():
     problem = ball_problem(2.0, 2, 0.0, 1.0)
     grid = Grid1D.from_problem(problem, n=300)
-    init = DiscreteField(1.0 - grid.nodes ** 2)
+    init = 1.0 - grid.nodes ** 2
     res = minimize_rayleigh(grid, 2.0, init=init)
     lam = radial.solve_ball_eigenvalue(problem).lam
     assert res["lambda_est"] == pytest.approx(lam, rel=1e-3)

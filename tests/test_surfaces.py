@@ -181,13 +181,11 @@ def test_route_agreement(kind, p):
 def test_plap_jk_requires_transplant_fields():
     sol = flat_solution(2.0, 1.2)
     tr = transplant(sol, get_surface("catenoid"))
-    vals = plap_jk(tr, get_surface("catenoid"), 2.0)
+    vals = plap_jk(tr)
     assert vals.shape == tr.s.shape
     assert np.isnan(vals[tr.n // 2])                  # neck: grad = 0 there
-    with pytest.raises(ValueError):
-        plap_jk(tr, get_surface("catenoid"), 3.0)     # p mismatch
     with pytest.raises(TypeError):
-        plap_jk(tr.psi, get_surface("catenoid"), 2.0)
+        plap_jk(tr.psi)
 
 
 # model-control inequality and band reports
