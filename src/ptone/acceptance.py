@@ -1,9 +1,11 @@
 """Acceptance battery: fifteen verification criteria spanning every module.
 
-Each criterion function runs a self-contained battery against fixed
-grids, seeds and tolerances and returns a :class:`CriterionResult`; the
-registry drives both the CLI selftest and the pytest acceptance suite,
-so a criterion lives in exactly one place.  Result rows contain only
+Each criterion body runs a self-contained battery against fixed grids,
+seeds and tolerances and returns (passed, detail, rows); ``_criterion``
+registers it under its number and name, where it is defined, and times
+it into a :class:`CriterionResult`.  The registry drives both the CLI
+selftest and the pytest acceptance suite, so a criterion lives in
+exactly one place.  Result rows contain only
 deterministic numerics (no timings, no timestamps) -- the selftest CSV
 body must be byte-identical between runs.
 
@@ -17,6 +19,7 @@ cumulative integral starts at 0, peaks at 0.128 near t ~ 0.618 and
 falls to 0.0727 at r without reaching zero, so the scan keeps all of r.
 """
 
+import functools
 import math
 import time
 
@@ -73,10 +76,32 @@ def _tabulated_convex():
 
 # -- criteria ---------------------------------------------------------------
 
+#: (number, name, fn) of every criterion in order; fn() returns its
+#: CriterionResult.
+REGISTRY = []
 
+
+def _criterion(number, name):
+    """Register the decorated body as criterion `number`, timed here.
+
+    The body returns (passed, detail, rows); the registered function
+    returns them as a CriterionResult with the runtime of the call.
+    """
+    def register(body):
+        @functools.wraps(body)
+        def run():
+            t0 = time.time()
+            passed, detail, rows = body()
+            return CriterionResult(number, name, passed, detail, rows,
+                                   time.time() - t0)
+        REGISTRY.append((number, name, run))
+        return run
+    return register
+
+
+@_criterion(1, "closed-form eigenvalues")
 def criterion_01():
     """Closed-form flat eigenvalues within 1e-5, each solve within 1 s."""
-    t0 = time.time()
     cases = [
         (2.0, 3, math.pi ** 2, "pi^2"),
         (2.0, 2, J01 ** 2, "j01^2"),
@@ -97,14 +122,12 @@ def criterion_01():
     worst = max(row["rel_err"] for row in rows)
     detail = "max rel err %.2e (tol 1e-05), solves within 1 s: %s" % (
         worst, all(times_ok))
-    return CriterionResult(1, "closed-form eigenvalues",
-                           all(checks) and all(times_ok), detail, rows,
-                           time.time() - t0)
+    return all(checks) and all(times_ok), detail, rows
 
 
+@_criterion(2, "flat scaling law")
 def criterion_02():
     """Flat scaling law lambda(r) = r^-p lambda(1) within 1e-6."""
-    t0 = time.time()
     rows, checks = [], []
     for p in (1.5, 2.0, 3.0, 4.0):
         for m in (1, 2, 3):
@@ -118,13 +141,12 @@ def criterion_02():
                              "lambda": lam_r, "scaled_from_unit": pred,
                              "rel_err": rel})
     detail = "max rel err %.2e (tol 1e-06)" % max(r["rel_err"] for r in rows)
-    return CriterionResult(2, "flat scaling law", all(checks), detail, rows,
-                           time.time() - t0)
+    return all(checks), detail, rows
 
 
+@_criterion(3, "shooting vs rayleigh")
 def criterion_03():
     """Shooting vs discrete Rayleigh within 1e-3 relative at n = 2000."""
-    t0 = time.time()
     rows, checks = [], []
     for p, m, c in CROSS_MATRIX:
         problem = radial.ball_problem(p, m, c, 1.0)
@@ -136,13 +158,12 @@ def criterion_03():
         rows.append({"p": p, "m": m, "c": c, "r": 1.0, "lambda": lam,
                      "rayleigh": est, "rel_err": rel})
     detail = "max rel err %.2e (tol 1e-03)" % max(r["rel_err"] for r in rows)
-    return CriterionResult(3, "shooting vs rayleigh", all(checks), detail,
-                           rows, time.time() - t0)
+    return all(checks), detail, rows
 
 
+@_criterion(4, "barta sharpness")
 def criterion_04():
     """Barta sharpness at the eigenfunction; strict slack for perturbations."""
-    t0 = time.time()
     rng = np.random.default_rng(SEED)
     rows, checks = [], []
     for p, m, c in CROSS_MATRIX:
@@ -168,13 +189,12 @@ def criterion_04():
     detail = ("max |rel gap| %.2e (tol 1e-04); perturbed max %.2e (< 0)"
               % (max(abs(r["barta_rel_gap"]) for r in rows),
                  max(r["perturbed_max_rel_gap"] for r in rows)))
-    return CriterionResult(4, "barta sharpness", all(checks), detail, rows,
-                           time.time() - t0)
+    return all(checks), detail, rows
 
 
+@_criterion(5, "picone nonnegativity")
 def criterion_05():
     """Picone defect nonnegative; zero for proportional pairs."""
-    t0 = time.time()
     rng = np.random.default_rng(SEED)
     rows, checks = [], []
     for p in (1.5, 2.0, 3.0, 4.0):
@@ -201,13 +221,12 @@ def criterion_05():
     detail = ("min defect %.2e (>= -1e-12); proportional max %.2e "
               "(<= 1e-13)" % (min(r["min_defect_scaled"] for r in rows),
                               max(r["proportional_max_scaled"] for r in rows)))
-    return CriterionResult(5, "picone nonnegativity", all(checks), detail,
-                           rows, time.time() - t0)
+    return all(checks), detail, rows
 
 
+@_criterion(6, "divergence-field sharpness")
 def criterion_06():
     """Divergence-field bound sharp at the eigenfield; pointwise identity."""
-    t0 = time.time()
     rows, checks = [], []
     for p, m, c in CROSS_MATRIX:
         problem = radial.ball_problem(p, m, c, 1.0)
@@ -223,13 +242,12 @@ def criterion_06():
               "%.2e (tol 1e-06)"
               % (max(r["div_bound_rel_err"] for r in rows),
                  max(r["identity_residual"] for r in rows)))
-    return CriterionResult(6, "divergence-field sharpness", all(checks),
-                           detail, rows, time.time() - t0)
+    return all(checks), detail, rows
 
 
+@_criterion(7, "curvature monotonicity")
 def criterion_07():
     """Strict eigenvalue monotonicity in the curvature bound."""
-    t0 = time.time()
     rows, checks = [], []
     for p in (1.5, 2.0, 3.0):
         for m in (2, 3):
@@ -245,13 +263,12 @@ def criterion_07():
     gaps = [min(r["lambda_hyperbolic"] - r["lambda_flat"],
                 r["lambda_flat"] - r["lambda_spherical"]) for r in rows]
     detail = "min strict gap %.3e (> 0)" % min(gaps)
-    return CriterionResult(7, "curvature monotonicity", all(checks), detail,
-                           rows, time.time() - t0)
+    return all(checks), detail, rows
 
 
+@_criterion(8, "warped-model comparison")
 def criterion_08():
     """Warped-model comparison: transplant certificate >= flat eigenvalue."""
-    t0 = time.time()
     profiles = [(modelspace.space_form(-1.0), "hyperbolic")]
     profiles += [(prof, prof.label) for prof in _tabulated_convex()]
     rows, checks = [], []
@@ -279,10 +296,10 @@ def criterion_08():
                      r["profile"]),
                  max(r["rel_margin"] for r in rows if "equality" in
                      r["profile"])))
-    return CriterionResult(8, "warped-model comparison", all(checks), detail,
-                           rows, time.time() - t0)
+    return all(checks), detail, rows
 
 
+@_criterion(9, "critical radius")
 def criterion_09():
     """Critical radius: full-radius, spherical, hyperbolic and flat clauses.
 
@@ -316,7 +333,6 @@ def criterion_09():
     (W(0+) = lambda (2-p)/m, omega(0) = 1), so the reported barrier
     margin is the minimum of bound - W over the nodes t > 0.
     """
-    t0 = time.time()
     rows, checks = [], []
 
     for c in (-1.0, 0.0, 1.0):
@@ -372,13 +388,12 @@ def criterion_09():
               % ("failing clauses: " + ", ".join(failed) if failed
                  else "all clauses hold", rep0.r_star, rep0.min_margin,
                  barrier_margin))
-    return CriterionResult(9, "critical radius", all(checks), detail, rows,
-                           time.time() - t0)
+    return all(checks), detail, rows
 
 
+@_criterion(10, "flat integral identity")
 def criterion_10():
     """Flat integral identity: trapezoid vs closed-form left side."""
-    t0 = time.time()
     rows, checks = [], []
     for p in (2.5, 3.0):
         for m in (2, 3):
@@ -389,13 +404,12 @@ def criterion_10():
                          "lambda": sol.lam, "sup_rel_gap": sup_rel})
     detail = "max rel gap %.2e (tol 1e-04)" % max(
         r["sup_rel_gap"] for r in rows)
-    return CriterionResult(10, "flat integral identity", all(checks), detail,
-                           rows, time.time() - t0)
+    return all(checks), detail, rows
 
 
+@_criterion(11, "jorge-koutrofiotis routes")
 def criterion_11():
     """Jorge--Koutrofiotis assembly vs intrinsic differences, 1e-6."""
-    t0 = time.time()
     rows, checks = [], []
     for kind in ("plane", "catenoid"):
         surf = surfaces.get_surface(kind)
@@ -407,13 +421,12 @@ def criterion_11():
                          "nodes_compared": ra["count"]})
     detail = "max scaled sup %.2e (tol 1e-06)" % max(
         r["sup_scaled"] for r in rows)
-    return CriterionResult(11, "jorge-koutrofiotis routes", all(checks),
-                           detail, rows, time.time() - t0)
+    return all(checks), detail, rows
 
 
+@_criterion(12, "model-control inequality")
 def criterion_12():
     """Model-control inequality on catenoid bands; plane equality case."""
-    t0 = time.time()
     cat = surfaces.get_surface("catenoid")
     plane = surfaces.get_surface("plane")
     rows, checks = [], []
@@ -448,8 +461,7 @@ def criterion_12():
               "|margin| %.1e lambda (<= 1e-04)"
               % (min(r["margin_rel"] for r in cat_rows),
                  max(abs(r["margin_rel"]) for r in pl_rows)))
-    return CriterionResult(12, "model-control inequality", all(checks),
-                           detail, rows, time.time() - t0)
+    return all(checks), detail, rows
 
 
 def kazdan_eigen_stats(p, m, c, r, n):
@@ -488,10 +500,10 @@ def kazdan_quadratic_stats(p, m, c, r, n=2001):
             "sup": float(np.max(psi[window]))}
 
 
+@_criterion(13, "kazdan-kramer transform")
 def criterion_13():
     """Kazdan--Kramer transform: Psi = lambda at the eigenfunction; the
     inf/sup sandwich for an arbitrary positive profile."""
-    t0 = time.time()
     rows, checks = [], []
     for p, m, c in ((2.0, 2, 0.0), (3.0, 2, 1.0), (1.5, 3, -1.0),
                     (2.5, 1, 0.0)):
@@ -518,14 +530,13 @@ def criterion_13():
               % (max(r["sup_err_n2000"] / r["lambda"] for r in eigen_rows),
                  max(r["doubling_ratio"] for r in eigen_rows),
                  sandwich["inf"], sandwich["lambda"], sandwich["sup"]))
-    return CriterionResult(13, "kazdan-kramer transform", all(checks),
-                           detail, rows, time.time() - t0)
+    return all(checks), detail, rows
 
 
+@_criterion(14, "stability arithmetic")
 def criterion_14():
     """Cotangent-barrier fixtures, stability verdict tables, Q_p at the
     discrete minimizer."""
-    t0 = time.time()
     rows, checks = [], []
 
     fix1 = bounds.theorem17_bound(3, 2.0, 0.0, 1.0, 0.0).value
@@ -582,13 +593,12 @@ def criterion_14():
               "|Q_p| = %.1e energy (tol 1e-03)"
               % (abs(fix1 - ref1), abs(fix2 - ref2),
                  abs(q_val) / energy))
-    return CriterionResult(14, "stability arithmetic", all(checks), detail,
-                           rows, time.time() - t0)
+    return all(checks), detail, rows
 
 
+@_criterion(15, "harness determinism")
 def criterion_15():
     """Harness determinism: the sweep battery emits byte-identical CSV."""
-    t0 = time.time()
     from . import cli
 
     def battery():
@@ -606,27 +616,7 @@ def criterion_15():
              "identical": identical}]
     detail = "two battery emissions: %d bytes, identical: %s" % (
         len(first), identical)
-    return CriterionResult(15, "harness determinism", identical, detail,
-                           rows, time.time() - t0)
-
-
-REGISTRY = [
-    (1, "closed-form eigenvalues", criterion_01),
-    (2, "flat scaling law", criterion_02),
-    (3, "shooting vs rayleigh", criterion_03),
-    (4, "barta sharpness", criterion_04),
-    (5, "picone nonnegativity", criterion_05),
-    (6, "divergence-field sharpness", criterion_06),
-    (7, "curvature monotonicity", criterion_07),
-    (8, "warped-model comparison", criterion_08),
-    (9, "critical radius", criterion_09),
-    (10, "flat integral identity", criterion_10),
-    (11, "jorge-koutrofiotis routes", criterion_11),
-    (12, "model-control inequality", criterion_12),
-    (13, "kazdan-kramer transform", criterion_13),
-    (14, "stability arithmetic", criterion_14),
-    (15, "harness determinism", criterion_15),
-]
+    return identical, detail, rows
 
 
 def run_all(name_filter=None):

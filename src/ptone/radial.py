@@ -46,6 +46,7 @@ omega(a) = 0 and unit initial flux instead.
 
 import functools
 import math
+import sys
 from bisect import bisect_left, bisect_right
 
 import numpy as np
@@ -61,14 +62,13 @@ _DEFAULT_GRID = 2048
 _RTOL = 1e-12
 _ATOL = 1e-12
 _STARTUP_FRAC = 1e-4
-# A query whose node step exceeds this fraction of the domain is coarse:
-# reading the pole expansion at t = step would be far outside its range.
-_COARSE_FRAC = 1e-3
-# Dense-march step control (`RadialSolution._march`): an anchored sweep
-# takes _ANCHOR_STEPS steps per domain length, and steps near a point
-# where the field is not smooth are at most 1/ratio of their distance
-# from it: the pole, the walls and an annulus's interior peak.
-_ANCHOR_STEPS = 2048
+# Dense-march control (`RadialSolution._march`): a sweep starts from the
+# last mesh node at least span/_ANCHOR_STEPS before its first node past
+# t0, every gap takes at least _ANCHOR_STEPS steps per domain length,
+# and steps near a point where the field is not smooth are at most
+# 1/ratio of their distance from it: the pole, the walls and an
+# annulus's interior peak.
+_ANCHOR_STEPS = 1024
 _POLE_RATIO = 32.0
 _KINK_RATIO = 8.0
 
@@ -355,8 +355,8 @@ class RadialSolution:
         self._rhs, self._step, _, self._run = _make_rhs(
             self.p, self.m, self.profile, self.lam)
         d = problem.domain
-        # A ball's march starts from the pole expansion at t0 = ts[0]; an
-        # annulus's starts from the wall state ys[0].
+        # A ball's march gives nodes below t0 = ts[0] the pole expansion,
+        # as the shot does; an annulus's gives them the wall state ys[0].
         self._startup = (_Startup(self.p, self.m, self.profile, self.lam,
                                   ts[0]) if d.kind == "ball" else None)
         self._left = d.left
@@ -424,48 +424,34 @@ class RadialSolution:
 
         Each gap between nodes takes fixed Dormand-Prince 5(4) steps
         (the fifth-order solution without error control, the last stage
-        of a step reused as the first of the next): one step where the
-        field is smooth, six right-hand-side evaluations per node.
-        Marching keeps neighboring samples on a smooth shared error
-        profile; independent dense queries would carry O(1e-12)
-        interpolation jumps at the adaptive step boundaries, which second
-        differences of the arrays amplify by 1/h^2.
+        of a step reused as the first of the next), six right-hand-side
+        evaluations per step.  Marching keeps neighboring samples on a
+        smooth shared error profile; independent dense queries would
+        carry O(1e-12) interpolation jumps at the adaptive step
+        boundaries, which second differences of the arrays amplify by
+        1/h^2.
 
-        A dense sweep from the pole (node step h <= _COARSE_FRAC of the
-        domain, first node near the left end) starts from the pole
-        expansion at max(t0, h).  Every other sweep -- a band whose first
-        node sits well inside the domain, or a coarse query, for which
-        the expansion at t = h would be read far outside its range -- is
-        anchored on the stored adaptive trajectory: it starts from the
-        accepted mesh state at or before its first node beyond t0 and
-        steps forward like any other gap, at _ANCHOR_STEPS steps per
-        domain length.  Nodes before the march start take the pole state
-        (the expansion for balls, the initial state for annuli), exactly
-        as a one-node query does.
+        One start rule: the sweep starts from a state the shot accepted,
+        the last stored mesh node at or before (first node past t0) -
+        span/_ANCHOR_STEPS, or the mesh's first node (t0, ys[0]) if none
+        is.  A grid of more than _ANCHOR_STEPS nodes thus starts at t0,
+        and a scalar or band query a little before its first node.  Nodes
+        before the start take the pole state (the expansion for balls,
+        the initial state for annuli), as the shot does below t0, so the
+        pole expansion is read nowhere the shot does not read it.  The
+        back-off keeps the shot's own error out of the arrays: started at
+        the last mesh node at or before the first node, the flat p = 3
+        grid (m = 1, 2) sat 2.8e-12 to 3.0e-12 from a march over 8 times
+        the nodes, against 3.8e-15 from t0.  Starting every sweep at t0
+        gives the same grids but marches every scalar `evaluate` from the
+        start: the 2048 scalar queries of each annulus in
+        `test_annulus_grid_matches_scalar_evaluate` took 6.7-9.1 s
+        instead of 0.2-0.3 s.
 
-        The nodes are cast to Python floats once, on entry, so every
-        step state of the sweep is a float, also where a node or the node
-        step h (through the pole start max(t0, h)) sets the start: a step
-        on numpy scalars costs more than twice a step on floats (13.4-15.4
-        us against 5.1-5.8 us, see `_ode`).  The output buffers stay numpy
-        arrays.
-
-        Which gaps take graded steps is decided for all nodes at once,
-        with numpy, before the sweep.  Each maximal run of plain gaps is
-        one call of the solution's generated `run` (`_make_rhs`), which
-        steps node to node and writes each state into the output
-        buffers; the sweep itself visits only the graded and the empty
-        gaps.  A gap of an anchored march that takes a single step and
-        lies near no point is a plain gap too: `dp_graded` would take
-        exactly that step.  The 2048-node grid of the ball timed in `_ode`
-        (c = -1, p = 2.5, m = 2) takes 2489 steps and 4.9-7.1 us per node,
-        against 5.7-8.2 us when the sweep called the step once per node
-        (medians of 40 marches, the two alternating in one process, three
-        processes); a 16385-node band of the radius-1.2 ball, anchored,
-        takes 3.6-4.9 us per node against 7.3-8.7 us when every gap went
-        through `dp_graded`.
-
-        The field is not smooth at the pole, where omega - 1 ~
+        One step rule: a gap takes ceil(_ANCHOR_STEPS gap / span) steps,
+        so a grid of more than _ANCHOR_STEPS nodes (the 2048-node grid,
+        the Kazdan grids, r* scans, transplants) takes one plain step per
+        gap away from the points below.  The field is not smooth at the pole, where omega - 1 ~
         t^(p/(p-1)) and the weight f^(m-1) vanishes; at both walls, where
         omega vanishes and Phi' ~ |omega|^(p-1); and at an annulus's
         interior peak, where Phi vanishes and omega' ~ |Phi|^(1/(p-1)).
@@ -478,7 +464,29 @@ class RadialSolution:
         walls ungraded, 1.0e-8 with a kink ratio of 1), and omega on
         Annulus(0.5, 1), m = 2, c = 0, p = 8 is 1.8e-12 off (4.3e-8
         ungraded).  At p = 2 the flat unit ball's omega matches cos, J0
-        and sin(x)/x (m = 1, 2, 3) to 1.7e-15 on 2048 nodes.
+        and sin(x)/x (m = 1, 2, 3) to 1.9e-15 on 2048 nodes, and for p
+        from 2 to 16 the grid's omega and omega' agree with a march over
+        8 times the nodes to 1e-14 (omega' relative to its maximum).
+
+        The nodes are cast to Python floats once, on entry, so every
+        step state of the sweep is a float: a step on numpy scalars costs
+        more than twice a step on floats (13.4-15.4 us against 5.1-5.8
+        us, see `_ode`).  The output buffers stay numpy arrays.
+
+        Which gaps take graded steps is decided for all nodes at once,
+        with numpy, before the sweep.  Each maximal run of plain gaps is
+        one call of the solution's generated `run` (`_make_rhs`), which
+        steps node to node and writes each state into the output
+        buffers; the sweep itself visits only the graded and the empty
+        gaps.  A gap that takes a single step and lies near no point is a
+        plain gap: `dp_graded` would take exactly that step.  The
+        2048-node grid of the ball timed in `_ode` (c = -1, p = 2.5,
+        m = 2) takes 2561 steps, 72 of them from t0 to the first node
+        past the pole, and 3.3-6.5 us per node, against 4.6-9.8 us when
+        every plain gap went through `dp_graded`; a 16385-node band of
+        the radius-1.2 ball (p = 3) takes 2.3-3.7 us per node against
+        4.0-5.2 us (quartiles of 40 and 12 marches, the two alternating
+        in one process, three processes).
         """
         tl = ts.tolist()
         n = len(tl)
@@ -487,22 +495,16 @@ class RadialSolution:
         startup, step = self._startup, self._step
         t0, y0 = self._ts[0], self._ys[0]
         span = self.r - self._left
-        h = max((tl[-1] - tl[0]) / max(n - 1, 1), 1e-12 * self.r)
         if startup is not None:
-            t_march = max(t0, self._left + h)
-            y = startup.state(t_march)
             points = [(self._left, _POLE_RATIO), (self.r, _KINK_RATIO)]
         else:
-            t_march, y = t0, y0
             points = [(s, _KINK_RATIO) for s in (self._left, self.r,
                                                  self._t_peak)
                       if s is not None]
         k = bisect_right(tl, t0)
-        anchored = k < n and (h > _COARSE_FRAC * span
-                              or tl[0] > t_march + 8.0 * h)
-        if anchored:
-            j = bisect_right(self._ts, tl[k]) - 1
-            t_march, y = self._ts[j], self._ys[j]
+        back = tl[k] - span / _ANCHOR_STEPS if k < n else t0
+        j = max(bisect_right(self._ts, back) - 1, 0)
+        t_march, y = self._ts[j], self._ys[j]
         pre = bisect_left(tl, t_march)
         omega = np.empty(n)
         phi = np.empty(n)
@@ -513,17 +515,17 @@ class RadialSolution:
         # Every gap is decided before the sweep.  The gap before node t
         # starts at t_prev = max(march start, previous node).  Code 2:
         # graded steps, near a point s with q gap > max(s - t, t_prev - s),
-        # or in an anchored march whose gap takes nsub > 1 steps; code 1:
-        # one plain step (with nsub = 1 and no point near, dp_graded would
-        # take exactly that step); code 0: none, the gap is empty (a
-        # duplicate node, or a node at the start).
+        # or where the gap takes nsub > 1 steps; code 1: one plain step
+        # (with nsub = 1 and no point near, dp_graded would take exactly
+        # that step); code 0: none, the gap is empty (a duplicate node, or
+        # a node at the start).
         tn = ts[pre:]
         t_prev = np.concatenate(([t_march], tn))[:-1]
         gap = tn - t_prev
         hits = [q * gap > np.maximum(s - tn, t_prev - s)
                 for s, q in points]
         flagged = np.logical_or.reduce(hits)
-        split = anchored & (_ANCHOR_STEPS * gap / span > 1.0)
+        split = _ANCHOR_STEPS * gap / span > 1.0
         codes = (gap > 0.0) * (1 + (flagged | split))
         near = {j: [pt for pt, hit in zip(points, hits) if hit[j]]
                 for j in np.flatnonzero(flagged).tolist()}
@@ -544,8 +546,7 @@ class RadialSolution:
                 break
             t = nodes[j]
             if codes[j]:
-                nsub = (int(math.ceil(_ANCHOR_STEPS * (t - t_march) / span))
-                        if anchored else 1)
+                nsub = int(math.ceil(_ANCHOR_STEPS * (t - t_march) / span))
                 (u, v), (ku, kv) = graded(step, t_march, (u, v), (ku, kv), t,
                                           nsub, near.get(j, []))
             t_march = t
@@ -677,9 +678,10 @@ def _solve_memoized(problem, kind, tol, n_grid, use_cache):
     if int(n_grid) != n_grid or n_grid < _MIN_GRID:
         raise ValueError("grid size n=%r: the dense grid needs an integer "
                          "n >= %d" % (n_grid, _MIN_GRID))
-    if not 0.0 < tol < 1.0:
-        raise ValueError("tol=%r: the relative bracket width needs a finite "
-                         "0 < tol < 1" % (tol,))
+    # Brent cannot close a bracket narrower than one ulp of lam.
+    if not sys.float_info.epsilon <= tol < 1.0:
+        raise ValueError("tol=%r: the relative bracket width needs "
+                         "2**-52 <= tol < 1" % (tol,))
     key = problem.cache_key(tol, n_grid)
     if use_cache and key in _SOLVE_CACHE:
         return _SOLVE_CACHE[key]

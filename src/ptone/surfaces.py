@@ -330,29 +330,20 @@ def transplant(solution, surface, band=None, n=TRANSPLANT_GRID):
 # -- the two p-Laplacian routes -------------------------------------------
 
 
-def _psi_values(psi):
-    if isinstance(psi, Transplant):
-        return psi.psi
-    return np.asarray(psi, dtype=float)
-
-
-def plap_intrinsic(psi, p, band):
+def plap_intrinsic(tp):
     """Delta_p psi by staggered differences of the intrinsic operator.
 
-    psi is a ``Transplant`` or an array sampled on the band's uniform
-    meridian grid, and rho is the profile of the band's surface; returns
-    rho^{-1} (rho |psi'|^{p-2} psi')' at interior nodes (index 1..n-2)
-    with midpoint fluxes, second order where the flux is smooth.
+    Returns rho^{-1} (rho |psi'|^{p-2} psi')' on the uniform meridian
+    grid of the ``Transplant`` tp, p the model solution's and rho the
+    profile of the band's surface, at interior nodes (index 1..n-2) with
+    midpoint fluxes; second order where the flux is smooth.
     """
-    vals = _psi_values(psi)
-    surface = band.surface
-    s = band.nodes(vals.size)
+    s, p = tp.s, tp.solution.p
     h = s[1] - s[0]
-    d_mid = np.diff(vals) / h
-    rho_mid = surface.profile(s[:-1] + 0.5 * h)[0]
+    d_mid = np.diff(tp.psi) / h
+    rho_mid = tp.band.surface.profile(s[:-1] + 0.5 * h)[0]
     flux = rho_mid * signed_power(d_mid, p - 1.0)
-    rho_nodes = surface.profile(s)[0]
-    return np.diff(flux) / (h * rho_nodes[1:-1])
+    return np.diff(flux) / (h * tp.rho[1:-1])
 
 
 def plap_jk(psi):
@@ -424,7 +415,7 @@ def route_agreement(surface, p, r):
     band = SurfaceBand.from_radius(surface, r)
     tp = transplant(sol, surface, band, n=ROUTE_GRID)
     exact = plap_jk(tp)
-    fd = plap_intrinsic(tp, p, band)
+    fd = plap_intrinsic(tp)
 
     inner = slice(1, -1)
     keep = (np.isfinite(exact[inner])

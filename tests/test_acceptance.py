@@ -94,3 +94,14 @@ def test_criterion_15_harness_determinism(battery):
 
 def test_battery_runs_inside_time_budget(battery):
     assert sum(res.runtime for res in battery.values()) <= 600.0
+
+
+def test_registry_results_carry_their_number_name_and_runtime(battery):
+    # perfbench/workloads.py reads number, name and runtime off fn() of
+    # each (number, name, fn) triple; the battery holds the results in
+    # registry order.
+    assert [entry[0] for entry in acceptance.REGISTRY] == list(range(1, 16))
+    assert len(battery) == len(acceptance.REGISTRY)
+    for (number, name, _), res in zip(acceptance.REGISTRY, battery.values()):
+        assert (res.number, res.name) == (number, name)
+        assert res.runtime > 0.0

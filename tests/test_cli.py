@@ -112,13 +112,21 @@ def test_eig_rejects_too_small_grid(n, capsys):
     assert "n=%s" % n in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("tol", ["nan", "0", "-1", "inf", "1"])
+@pytest.mark.parametrize("tol", ["nan", "0", "-1", "inf", "1", "1e-17",
+                                 "1e-16"])
 def test_eig_rejects_bad_tol(tol, capsys):
     # Invalid input, not a failed solve: unchecked, Brent would step to
-    # lam = NaN, never close the bracket, or stop far from j01^2.
+    # lam = NaN, never close the bracket (below one ulp of lam, it took
+    # 100 steps and exited 3), or stop far from j01^2.
     assert cli.main(["eig", "--p", "2", "--m", "2", "--c", "0", "--r", "1",
                      "--tol", tol]) == 2
     assert "tol=" in capsys.readouterr().err
+
+
+def test_eig_accepts_the_smallest_tol():
+    # 2**-52, one ulp relative: Brent still closes the bracket.
+    assert cli.main(["eig", "--p", "2", "--m", "2", "--c", "0", "--r", "1",
+                     "--tol", repr(2.0 ** -52)]) == 0
 
 
 def test_eig_scaling_ratio():

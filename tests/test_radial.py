@@ -148,6 +148,21 @@ def test_march_matches_p2_closed_forms(m, form, n):
     assert np.max(np.abs(w - form(math.sqrt(sol.lam), t))) <= tol
 
 
+@pytest.mark.parametrize("p,m,c", [
+    (p, m, 0.0) for p in (8.0, 12.0, 16.0) for m in (1, 2)
+] + [(16.0, 2, 1.0), (16.0, 2, -1.0)])
+def test_grid_matches_eightfold_march(p, m, c):
+    # The 2048-node grid must agree with a march over 8 times the nodes
+    # (every 8th node compared) to rounding.  Started from the pole
+    # expansion at the node step h instead of at t0, the grid was 1.9e-9
+    # off in omega (p = 16, m = 1) and 3.5e-7 in omega' (p = 16, m = 2).
+    sol = solve_ball_eigenvalue(ball_problem(p, m, c, 1.0))
+    w, wp = sol.evaluate(np.linspace(0.0, 1.0, 8 * 2047 + 1))
+    assert np.max(np.abs(sol.omega - w[::8])) <= 1e-13
+    assert (np.max(np.abs(sol.omega_prime - wp[::8]))
+            <= 1e-13 * np.max(np.abs(wp)))
+
+
 @pytest.mark.parametrize("problem,tol_w,tol_wp", [
     (ball_problem(1.2, 2, 0.0, 1.0), 1e-11, 1e-10),
     (RadialProblem(4.0, 2, modelspace.space_form(0.0), Annulus(0.5, 1.)),
@@ -219,7 +234,7 @@ def test_query_next_to_the_peak_costs_no_extra_steps():
     assert len(calls) <= 1.1 * plain
 
 
-def _pointwise_plan(nodes, start, points, anchored, span):
+def _pointwise_plan(nodes, start, points, span):
     """The steps of a march over sorted nodes, decided node by node."""
     plan, t_prev = [], start
     for t in nodes:
@@ -228,7 +243,7 @@ def _pointwise_plan(nodes, start, points, anchored, span):
         gap = t - t_prev
         near = [(s, q) for s, q in points
                 if q * gap > max(s - t, t_prev - s)]
-        nsub = math.ceil(radial._ANCHOR_STEPS * gap / span) if anchored else 1
+        nsub = math.ceil(radial._ANCHOR_STEPS * gap / span)
         if near or nsub > 1:
             plan.append(("graded", t_prev, t, nsub, near))
         else:
@@ -249,19 +264,18 @@ _ANNULUS = [RadialProblem(p, 2, modelspace.space_form(0.0), Annulus(0.5, 1.))
             for p in (3.0, 8.0)]
 
 
-@pytest.mark.parametrize("problem,query,anchored", [
-    (ball_problem(2.5, 2, -1.0, 1.0), None, False),
-    (ball_problem(2.5, 2, 0.0, 1.0), None, False),
-    (ball_problem(2.5, 2, 1.0, 1.0), None, False),
-    (_ANNULUS[0], None, False),
-    (_ANNULUS[1], None, False),
-    (ball_problem(3.0, 2, 0.0, 1.2), np.linspace(0.9, 1.15, 64), True),
-    (ball_problem(3.0, 2, 0.0, 1.2), np.linspace(0.9, 1.2, 4097), True),
-    (ball_problem(2.5, 2, 0.0, 1.0), _ball_query(), False),
+@pytest.mark.parametrize("problem,query", [
+    (ball_problem(2.5, 2, -1.0, 1.0), None),
+    (ball_problem(2.5, 2, 0.0, 1.0), None),
+    (ball_problem(2.5, 2, 1.0, 1.0), None),
+    (_ANNULUS[0], None),
+    (_ANNULUS[1], None),
+    (ball_problem(3.0, 2, 0.0, 1.2), np.linspace(0.9, 1.15, 64)),
+    (ball_problem(3.0, 2, 0.0, 1.2), np.linspace(0.9, 1.2, 4097)),
+    (ball_problem(2.5, 2, 0.0, 1.0), _ball_query()),
 ], ids=["grid-c-1", "grid-c0", "grid-c1", "annulus-p3", "annulus-p8",
         "band", "fine-band", "unsorted"])
-def test_march_grades_exactly_the_pointwise_gaps(monkeypatch, problem, query,
-                                                 anchored):
+def test_march_grades_exactly_the_pointwise_gaps(monkeypatch, problem, query):
     # The march decides which gaps to grade for all nodes at once; its
     # steps must be those of the rule applied to each node in turn.
     sol = _fresh_solve(problem)
@@ -305,19 +319,17 @@ def test_march_grades_exactly_the_pointwise_gaps(monkeypatch, problem, query,
         points = [(s, radial._KINK_RATIO)
                   for s in (sol._left, sol.r, sol._t_peak)]
     nodes = np.sort(query).tolist()
-    t0 = sol._ts[0]
-    if anchored:
-        # the stored mesh node at or before the first node past t0
-        first = min(t for t in nodes if t > t0)
-        start = max(t for t in sol._ts if t <= first)
-    elif sol._startup is not None:      # the pole expansion at max(t0, h)
-        start = max(t0, sol._left + (nodes[-1] - nodes[0]) / (len(nodes) - 1))
-    else:
-        start = t0
-    plan = _pointwise_plan(nodes, start, points, anchored, sol.r - sol._left)
+    span = sol.r - sol._left
+    # the last stored mesh node at least span/_ANCHOR_STEPS before the
+    # first node past t0, or t0 itself
+    first = min(t for t in nodes if t > sol._ts[0])
+    start = max([t for t in sol._ts
+                 if t <= first - span / radial._ANCHOR_STEPS] or [sol._ts[0]])
+    plan = _pointwise_plan(nodes, start, points, span)
     assert calls == plan
     assert any(c[0] == "graded" for c in plan)
-    assert anchored or any(c[0] == "step" for c in plan)
+    # only a query whose every gap takes several steps has no plain one
+    assert any(c[0] == "step" for c in plan) or all(c[3] > 1 for c in plan)
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
@@ -1040,7 +1052,7 @@ def test_domain_mismatch_guards():
         solve_annulus_eigenvalue(ball_prob)
 
 
-BAD_TOLS = (math.nan, 0.0, -1.0, math.inf, 1.0)
+BAD_TOLS = (math.nan, 0.0, -1.0, math.inf, 1.0, 1e-16)
 
 
 def test_ball_solve_rejects_bad_tol():
