@@ -603,8 +603,8 @@ def criterion_15():
 
     def battery():
         radial.clear_solver_cache()
-        rows = cli.sweep_rows(p_list=(2.0, 3.0), m_list=(2,),
-                              c_list=(-1.0, 0.0, 1.0), r_list=(1.0,))
+        rows = cli.sweep_rows([(p, 2, c, 1.0) for p in (2.0, 3.0)
+                               for c in (-1.0, 0.0, 1.0)])
         rows += cli.rstar_rows([(2.0, 2, -1.0, 1.0), (2.0, 2, 0.0, 1.0),
                                 (2.0, 2, 1.0, 1.4), (3.0, 2, -1.0, 1.0)])
         return cli.format_csv(None, rows)

@@ -255,7 +255,7 @@ def stability_functional(u, potential, grid, p):
     vals = np.asarray(u, dtype=float)
     pot = np.broadcast_to(np.asarray(potential, dtype=float), vals.shape)
     mass = float(np.sum(grid.weight * pot * np.abs(vals) ** p
-                        * grid.dual_sizes()))
+                        * grid.duals))
     return p_energy(vals, grid, p) - mass
 
 

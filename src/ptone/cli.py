@@ -2,10 +2,13 @@
 
 Eight subcommands (eig, rstar, barta, compare, surface, kazdan, sweep,
 selftest) share one plumbing layer: list/range flag parsing, JSON config
-merging (flags beat config beats defaults), rows built serially and
-sorted by (p, m, c, r), and RFC-4180 CSV output with 17-significant-digit
-floats.  Timestamps appear only on the leading ``#`` metadata line so two
-identical runs emit byte-identical bodies.
+merging (flags beat config beats defaults), and RFC-4180 CSV output with
+17-significant-digit floats.  One row path serves the grid commands:
+``_combos`` reads the (p, m, c, r) grid once, and each builder maps one
+function over it and sorts the rows by (p, m, c, r) (``_rows``).  A row
+is a dict; the CSV writes the command's named columns and ``--json``
+writes every key.  Timestamps appear only on the leading ``#`` metadata
+line so two identical runs emit byte-identical bodies.
 
 Exit codes: 0 success, 1 acceptance failure, 2 invalid input,
 3 numerical non-convergence.
@@ -14,6 +17,7 @@ Exit codes: 0 success, 1 acceptance failure, 2 invalid input,
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import re
@@ -152,29 +156,36 @@ def _emit(args, fieldnames, rows, command):
             fh.write("\n")
 
 
-def _grid_combos(p_list, m_list, c_list, r_list):
-    return [(p, m, c, r) for p in p_list for m in m_list for c in c_list
-            for r in r_list]
+def _combos(args, config):
+    """The (p, m, c, r) grid of the --p/--m/--c/--r flags, in product
+    order."""
+    return list(itertools.product(_merged(args, config, "p", [2.0]),
+                                  _merged(args, config, "m", [2], cast=int),
+                                  _merged(args, config, "c", [0.0]),
+                                  _merged(args, config, "r", [1.0])))
+
+
+def _rows(one, combos):
+    return _sort_rows([one(*combo) for combo in combos])
 
 
 # -- row builders (shared with the acceptance battery) ----------------------
 
 
-def eig_rows(p_list, m_list, c_list, r_list, tol=None, n_grid=None):
+def eig_rows(combos, tol=None, n_grid=None):
     kwargs = {}
     if tol is not None:
         kwargs["tol"] = tol
     if n_grid is not None:
         kwargs["n_grid"] = n_grid
 
-    def solve_one(p, m, c, r):
+    def one(p, m, c, r):
         sol = radial.solve_ball_eigenvalue(
             radial.ball_problem(p, m, c, r), **kwargs)
         return {"p": p, "m": m, "c": c, "r": r, "lambda": sol.lam,
                 "residual": sol.residual, "iterations": sol.iterations}
 
-    return _sort_rows([solve_one(*combo) for combo in
-                       _grid_combos(p_list, m_list, c_list, r_list)])
+    return _rows(one, combos)
 
 
 def rstar_rows(combos):
@@ -184,10 +195,10 @@ def rstar_rows(combos):
         return {"c": c, "p": p, "m": m, "r": r, "lambda": rep.lam,
                 "r_star": rep.r_star, "min_W_margin": rep.min_margin}
 
-    return _sort_rows([one(*combo) for combo in combos])
+    return _rows(one, combos)
 
 
-def barta_rows(p_list, m_list, c_list, r_list):
+def barta_rows(combos):
     def one(p, m, c, r):
         problem = radial.ball_problem(p, m, c, r)
         sol = radial.solve_ball_eigenvalue(problem)
@@ -196,11 +207,10 @@ def barta_rows(p_list, m_list, c_list, r_list):
                 "barta_value": cert.value,
                 "rel_gap": (cert.value - sol.lam) / sol.lam}
 
-    return _sort_rows([one(*combo) for combo in
-                       _grid_combos(p_list, m_list, c_list, r_list)])
+    return _rows(one, combos)
 
 
-def sweep_rows(p_list, m_list, c_list, r_list):
+def sweep_rows(combos):
     def one(p, m, c, r):
         problem = radial.ball_problem(p, m, c, r)
         sol = radial.solve_ball_eigenvalue(problem)
@@ -211,8 +221,7 @@ def sweep_rows(p_list, m_list, c_list, r_list):
                 "rayleigh": est, "barta": cert.value,
                 "residual": sol.residual}
 
-    return _sort_rows([one(*combo) for combo in
-                       _grid_combos(p_list, m_list, c_list, r_list)])
+    return _rows(one, combos)
 
 
 def compare_profiles():
@@ -256,11 +265,7 @@ def compare_rows(p_list, m, r):
 
 def cmd_eig(args):
     cfg = _load_config(args.config)
-    rows = eig_rows(_merged(args, cfg, "p", [2.0]),
-                    _merged(args, cfg, "m", [2], cast=int),
-                    _merged(args, cfg, "c", [0.0]),
-                    _merged(args, cfg, "r", [1.0]),
-                    tol=_scalar(args, cfg, "tol", None),
+    rows = eig_rows(_combos(args, cfg), tol=_scalar(args, cfg, "tol", None),
                     n_grid=_scalar(args, cfg, "n", None, cast=int))
     _emit(args, ["p", "m", "c", "r", "lambda", "residual", "iterations"],
           rows, "eig")
@@ -269,11 +274,7 @@ def cmd_eig(args):
 
 def cmd_rstar(args):
     cfg = _load_config(args.config)
-    combos = _grid_combos(_merged(args, cfg, "p", [2.0]),
-                          _merged(args, cfg, "m", [2], cast=int),
-                          _merged(args, cfg, "c", [0.0]),
-                          _merged(args, cfg, "r", [1.0]))
-    rows = rstar_rows(combos)
+    rows = rstar_rows(_combos(args, cfg))
     _emit(args, ["c", "p", "m", "r", "lambda", "r_star", "min_W_margin"],
           rows, "rstar")
     return 0
@@ -281,10 +282,7 @@ def cmd_rstar(args):
 
 def cmd_barta(args):
     cfg = _load_config(args.config)
-    rows = barta_rows(_merged(args, cfg, "p", [2.0]),
-                      _merged(args, cfg, "m", [2], cast=int),
-                      _merged(args, cfg, "c", [0.0]),
-                      _merged(args, cfg, "r", [1.0]))
+    rows = barta_rows(_combos(args, cfg))
     _emit(args, ["p", "m", "c", "r", "lambda", "barta_value", "rel_gap"],
           rows, "barta")
     return 0
@@ -314,15 +312,9 @@ def cmd_surface(args):
     kinds = [s.strip() for s in str(raw).split(",") if s.strip()]
     p_list = _merged(args, cfg, "p", [2.0, 3.0])
     r_list = _merged(args, cfg, "r", [1.2])
-    rows = []
-    for kind in kinds:
-        surf = surfaces.get_surface(kind)
-        for p in sorted(p_list):
-            for r in sorted(r_list):
-                rep = surfaces.band_report(surf, r, p)
-                rows.append(dict(zip(surfaces.BandReport.CSV_FIELDS,
-                                     rep.csv_row())))
-    _emit(args, list(surfaces.BandReport.CSV_FIELDS), rows, "surface")
+    rows = [surfaces.band_report(kind, r, p)
+            for kind in kinds for p in sorted(p_list) for r in sorted(r_list)]
+    _emit(args, surfaces.BAND_COLUMNS, rows, "surface")
     return 0
 
 
@@ -331,13 +323,9 @@ def cmd_kazdan(args):
     phi = getattr(args, "phi", None) or cfg.get("phi") or "eigen"
     if phi not in ("eigen", "quadratic"):
         raise ValueError("--phi must be 'eigen' or 'quadratic'")
-    combos = _grid_combos(_merged(args, cfg, "p", [2.0]),
-                          _merged(args, cfg, "m", [2], cast=int),
-                          _merged(args, cfg, "c", [0.0]),
-                          _merged(args, cfg, "r", [1.0]))
     n = int(_scalar(args, cfg, "n", 2000, cast=int))
     rows = []
-    for p, m, c, r in combos:
+    for p, m, c, r in _combos(args, cfg):
         if phi == "eigen":
             st = acceptance.kazdan_eigen_stats(p, m, c, r, n)
             rows.append({"p": p, "m": m, "c": c, "r": r, "phi": "eigen",
@@ -358,10 +346,7 @@ def cmd_kazdan(args):
 
 def cmd_sweep(args):
     cfg = _load_config(args.config)
-    rows = sweep_rows(_merged(args, cfg, "p", [2.0]),
-                      _merged(args, cfg, "m", [2], cast=int),
-                      _merged(args, cfg, "c", [0.0]),
-                      _merged(args, cfg, "r", [1.0]))
+    rows = sweep_rows(_combos(args, cfg))
     _emit(args, ["p", "m", "c", "r", "lambda", "rayleigh", "barta",
                  "residual"], rows, "sweep")
     return 0

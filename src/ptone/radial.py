@@ -486,7 +486,11 @@ class RadialSolution:
         every plain gap went through `dp_graded`; a 16385-node band of
         the radius-1.2 ball (p = 3) takes 2.3-3.7 us per node against
         4.0-5.2 us (quartiles of 40 and 12 marches, the two alternating
-        in one process, three processes).
+        in one process, three processes).  Stepping each plain gap with
+        the generated step from the sweep instead, with no `run`, kept
+        every CSV body but was slower: `selftest` `wall_ref` 616.4 ->
+        627.2 (+1.8%, worse in 6 of 6 alternating pairs), `sweep` 102.9
+        -> 106.0 (+3.0%, 5 of 6), and 3-12% more per node in one process.
         """
         tl = ts.tolist()
         n = len(tl)
@@ -710,7 +714,7 @@ def solve_annulus_eigenvalue(problem, tol=_DEFAULT_TOL, n_grid=_DEFAULT_GRID,
     return _solve_memoized(problem, "annulus", tol, n_grid, use_cache)
 
 
-def eigen_equation_residual(solution, problem=None):
+def eigen_equation_residual(solution):
     """Scaled sup of the eigenvalue-equation defect on the solution grid.
 
     Evaluates (f^{m-1} |omega'|^{p-2} omega')' + lam f^{m-1} |omega|^{p-2}
@@ -718,8 +722,8 @@ def eigen_equation_residual(solution, problem=None):
     normalized pointwise by lam f^{m-1} max|omega|^{p-1}.  Nodes within
     1% of the pole or with |omega| below 1% of the maximum are excluded;
     the degenerate flux is not finite-differentiable to this accuracy
-    there.  Works on doctored solutions too: only the public arrays are
-    read.
+    there.  Works on doctored solutions too: only the public arrays and
+    ``solution.problem`` are read.
 
     On an annulus with p > 2 the flux is only C^{2,1/(p-1)} at the
     interior peak (Phi' ~ omega^(p-1) and omega' ~ |Phi|^(1/(p-1))), so
@@ -738,8 +742,7 @@ def eigen_equation_residual(solution, problem=None):
     p = 1.2 4.9e-5 and 1.7e-7), while lam for m = 1 is within 4e-13 of
     its closed form.
     """
-    if problem is None:
-        problem = solution.problem
+    problem = solution.problem
     p, m, lam = problem.p, problem.m, solution.lam
     t = solution.grid
     w = solution.omega
@@ -768,14 +771,12 @@ def eigen_equation_residual(solution, problem=None):
     return float(np.max(np.abs(res[keep]) / denom[keep]))
 
 
-def scaled_eigenvalue(lambda_unit, r, p, c=0.0):
-    """Flat-case rescaling lam(B_r) = r^{-p} lam(B_1).
+def scaled_eigenvalue(lambda_unit, r, p):
+    """Flat-case rescaling lam(B_r) = r^{-p} lam(B_1), flat only.
 
-    The identity holds only for c = 0 (dilations are isometries up to
-    scale there); any other curvature is rejected.
+    The identity holds only for c = 0, where dilations are isometries up
+    to scale.
     """
-    if c != 0.0:
-        raise ValueError("the scaling law holds only for flat profiles")
     if r <= 0:
         raise ValueError("radius must be positive")
     return float(lambda_unit) * r ** (-p)

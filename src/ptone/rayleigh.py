@@ -61,7 +61,9 @@ class Grid1D:
         self.weight = weight
         self.bc = (bool(bc[0]), bool(bc[1]))
         # The quadrature geometry, read by every energy, mass and
-        # inverse-iteration step of the minimizer.
+        # inverse-iteration step of the minimizer (all read-only): cell
+        # lengths, node-centered lengths with half cells at the ends,
+        # and the weight at cell midpoints.
         h = np.diff(nodes)
         dual = np.empty(nodes.size)
         dual[0] = h[0] / 2
@@ -70,7 +72,7 @@ class Grid1D:
         wmid = 0.5 * (weight[:-1] + weight[1:])
         for arr in (h, dual, wmid):
             arr.setflags(write=False)
-        self._cells, self._duals, self._wmid = h, dual, wmid
+        self.cells, self.duals, self.wmid = h, dual, wmid
 
     @classmethod
     def from_problem(cls, problem, n=2000):
@@ -83,15 +85,6 @@ class Grid1D:
     @property
     def n(self):
         return self.nodes.size
-
-    def cell_sizes(self):
-        """Cell lengths (read-only)."""
-        return self._cells
-
-    def dual_sizes(self):
-        """Node-centered quadrature lengths, half cells at the ends
-        (read-only)."""
-        return self._duals
 
     def boundary_profile(self):
         """Distance-to-Dirichlet-boundary field, the default initializer
@@ -118,16 +111,15 @@ def p_energy(u, grid, p):
     """Midpoint-weighted discrete energy sum_i w_{i+1/2} |du/h|^p h."""
     vals = np.asarray(u, dtype=float)
     _check_bc(vals, grid)
-    h = grid.cell_sizes()
-    wmid = grid._wmid
+    h = grid.cells
     d = np.diff(vals) / h
-    return float(np.sum(wmid * np.abs(d) ** p * h))
+    return float(np.sum(grid.wmid * np.abs(d) ** p * h))
 
 
 def p_norm_mass(u, grid, p):
     """Node quadrature sum_i w_i |u_i|^p h_i of the p-th power."""
     vals = np.asarray(u, dtype=float)
-    return float(np.sum(grid.weight * np.abs(vals) ** p * grid.dual_sizes()))
+    return float(np.sum(grid.weight * np.abs(vals) ** p * grid.duals))
 
 
 def rayleigh_quotient(u, grid, p):
@@ -148,9 +140,9 @@ def _inverse_step(vals, grid, p):
     sum_j d_j h_j = v[-1] - v[0], increasing in C, which changes sign
     on [0, sum of the interior b].
     """
-    h, wmid = grid._cells, grid._wmid
+    h, wmid = grid.cells, grid.wmid
     q = 1.0 / (p - 1.0)
-    b = grid.weight * grid._duals * signed_power(vals, p - 1.0)
+    b = grid.weight * grid.duals * signed_power(vals, p - 1.0)
     if not grid.bc[0]:
         flux = -np.cumsum(b[:-1])
     else:

@@ -26,7 +26,9 @@ independent routes:
 Agreement of the two routes validates the decomposition; the pointwise
 comparison -Delta_p psi / (psi^{p-1} cos^{p-2} alpha) >= lambda is then
 checked on the band (``modelcontrol_check``), and ``band_report``
-assembles the spectral and stability verdicts for the CSV interface.
+assembles the spectral and stability verdicts into one row: the
+``BAND_COLUMNS`` the CSV interface writes, then the vacuity flag and the
+band details, which only the JSON output carries.
 """
 
 import math
@@ -42,7 +44,7 @@ __all__ = [
     "RotSurface", "SurfaceBand", "Transplant", "get_surface",
     "extrinsic_distance", "angle_cos", "shape_operator_numeric",
     "transplant", "plap_intrinsic", "plap_jk", "route_agreement",
-    "modelcontrol_check", "BandReport", "band_report",
+    "modelcontrol_check", "BAND_COLUMNS", "band_report",
 ]
 
 #: angle cutoff below which the comparison quotient is not evaluated
@@ -51,6 +53,9 @@ COS_ALPHA_FLOOR = 1e-3
 #: eigenfunction cutoff below which the comparison quotient is not
 #: evaluated (the derivation divides by psi^{p-1}).
 PSI_FLOOR = 1e-6
+#: the CSV columns of a ``band_report`` row, its first ten keys.
+BAND_COLUMNS = ("surface", "p", "r", "k", "lambda_model", "rhs",
+                "lambda_band_upper", "modelcontrol_margin", "cor13", "cor15")
 #: meridian sample count for transplants.
 TRANSPLANT_GRID = 8193
 #: meridian sample count of the transplant shared by the two routes in
@@ -464,45 +469,6 @@ def modelcontrol_check(surface, solution, band=None):
     }
 
 
-class BandReport:
-    """Spectral and stability summary of one band; flattens to CSV."""
-
-    CSV_FIELDS = ("surface", "p", "r", "k", "lambda_model", "rhs",
-                  "lambda_band_upper", "modelcontrol_margin", "cor13",
-                  "cor15")
-
-    def __init__(self, surface, p, r, k, lambda_model, rhs,
-                 lambda_band_upper, modelcontrol_margin, cor13, cor15,
-                 vacuous, details=None):
-        self.surface = surface
-        self.p = p
-        self.r = r
-        self.k = k
-        self.lambda_model = lambda_model
-        self.rhs = rhs
-        self.lambda_band_upper = lambda_band_upper
-        self.modelcontrol_margin = modelcontrol_margin
-        self.cor13 = cor13
-        self.cor15 = cor15
-        self.vacuous = vacuous
-        self.details = details or {}
-
-    def to_json(self):
-        out = {f: getattr(self, f) for f in self.CSV_FIELDS}
-        out["vacuous"] = self.vacuous
-        out.update(self.details)
-        return out
-
-    def csv_row(self):
-        return [getattr(self, f) for f in self.CSV_FIELDS]
-
-    def __repr__(self):
-        return ("BandReport(%s, p=%g, r=%g, k=%g, margin=%.3e%s)"
-                % (self.surface, self.p, self.r, self.k,
-                   self.modelcontrol_margin,
-                   ", vacuous" if self.vacuous else ""))
-
-
 def _band_grid(band):
     """Intrinsic Rayleigh grid of the band, RAYLEIGH_GRID nodes: weight
     rho, Dirichlet at t=r."""
@@ -514,7 +480,7 @@ def _band_grid(band):
 
 
 def band_report(surface, r, p):
-    """Assemble the comparison and stability verdicts for one band.
+    """The comparison and stability verdicts for one band, as a row.
 
     lambda_model is the flat planar model eigenvalue on the ball of the
     band radius, rhs = k^{p-2} lambda_model its angle-weighted form (at
@@ -528,6 +494,11 @@ def band_report(surface, r, p):
     sup ||A|| <= (m-1)/(p r).  The plane band must reproduce the model
     eigenvalue (totally geodesic rigidity); a drift beyond 1e-4 lambda
     raises.
+
+    The row's keys are BAND_COLUMNS, then vacuous and the band details:
+    the meridian range s_left..s_right, sup_A = sup ||A||,
+    meancurv_threshold (m-1)/(p r), the model-control verdict and
+    argmin, and the minimizer's iteration count.
     """
     surface = get_surface(surface) if isinstance(surface, str) else surface
     model = solve_ball_eigenvalue(ball_problem(p, 2, 0.0, r))
@@ -551,14 +522,15 @@ def band_report(surface, r, p):
     cor13 = stability_criterion_immersion(a_sup ** p, k, p, lam)
     cor15 = stability_criterion_meancurv(a_sup, 2, p, r)
 
-    return BandReport(
-        surface.kind, p, r, k, lam, rhs, lam_band,
-        check["min_margin"], cor13, cor15, vacuous,
-        details={
-            "s_range": list(band.s_range),
-            "sup_A": a_sup,
-            "meancurv_threshold": meancurv_threshold(2, p, r),
-            "modelcontrol_pass": check["pass"],
-            "modelcontrol_argmin_s": check["argmin_s"],
-            "rayleigh_iterations": int(result["iterations"]),
-        })
+    s_left, s_right = band.s_range
+    return {
+        "surface": surface.kind, "p": p, "r": r, "k": k,
+        "lambda_model": lam, "rhs": rhs, "lambda_band_upper": lam_band,
+        "modelcontrol_margin": check["min_margin"], "cor13": cor13,
+        "cor15": cor15, "vacuous": vacuous, "s_left": s_left,
+        "s_right": s_right, "sup_A": a_sup,
+        "meancurv_threshold": meancurv_threshold(2, p, r),
+        "modelcontrol_pass": check["pass"],
+        "modelcontrol_argmin_s": check["argmin_s"],
+        "rayleigh_iterations": int(result["iterations"]),
+    }

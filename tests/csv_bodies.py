@@ -1,4 +1,4 @@
-"""Print a sha256 of the CSV body of each CSV-producing ptone command.
+"""Print a sha256 of the CSV body and the JSON file of each ptone command.
 
 Not collected by pytest (no ``test_`` prefix); run from a checkout's root:
 
@@ -12,16 +12,21 @@ ROADMAP (``eig-matrix``, ``sweep-matrix``, ``rstar-matrix``).  Names
 given as arguments pick a subset.  Each command runs through
 ``cli.main`` on a cold solver cache and writes its CSV to a temporary
 file; the digest covers the file without its leading ``# `` line, which
-carries a timestamp.  Two checkouts whose digests agree print
-byte-identical CSV bodies.  Output lines read ``<sha256>  <name>``,
-with ``  (exit N)`` appended when the command exits N != 0.
+carries a timestamp.  Every command but ``selftest``, whose JSON holds
+runtimes, also writes its ``--json`` file, which carries no timestamp,
+and gets a second line for it.  Two checkouts whose digests agree print
+byte-identical CSV bodies and JSON files.  Output lines read
+``<sha256>  <name>`` for the CSV body, with ``  (exit N)`` appended when
+the command exits N != 0, and ``<sha256>  <name>.json`` for the JSON.
 
 ``--check SAVED`` compares against a saved output of this script: save
 the digests of one checkout (``... csv_bodies.py > SAVED``), then run
 ``--check SAVED`` in the other.  It runs the commands named in SAVED
-(or the subset named as arguments), prints one line per command whose
-body or exit code moved, with the saved and the new line, and a
-summary.  It exits 1 if any moved and 0 if every body matched.
+(or the subset named as arguments), prints one line per digest that
+moved, with the saved and the new line, and a summary.  Only the lines
+SAVED holds are compared, so a SAVED without ``.json`` lines compares
+the CSV bodies alone.  It exits 1 if any moved and 0 if every one
+matched.
 """
 
 import contextlib
@@ -66,23 +71,31 @@ def commands():
     return cmds
 
 
-def body_digest(argv):
-    """(sha256 of the CSV body, exit code) of one cold-cache cli run."""
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def digest_lines(name, argv):
+    """Output lines of one cold-cache cli run: the CSV body's digest with
+    the exit code, then the JSON file's (all but selftest)."""
     radial.clear_solver_cache()
+    with_json = argv[0] != "selftest"
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "out.csv"
+        csv_path, json_path = Path(tmp) / "out.csv", Path(tmp) / "out.json"
+        extra = ["--out", str(csv_path)]
+        if with_json:
+            extra += ["--json", str(json_path)]
         with contextlib.redirect_stdout(io.StringIO()):
-            code = cli.main(argv + ["--out", str(path)])
-        text = path.read_text()
+            code = cli.main(argv + extra)
+        text = csv_path.read_text()
+        json_text = json_path.read_text() if with_json else None
     if text.startswith("# "):
         text = text.split("\n", 1)[1]
-    return hashlib.sha256(text.encode()).hexdigest(), code
-
-
-def digest_line(name, argv):
-    digest, code = body_digest(argv)
-    return "%s  %s%s" % (digest, name, "" if code == 0 else
-                         "  (exit %d)" % code)
+    lines = ["%s  %s%s" % (_sha(text), name, "" if code == 0 else
+                           "  (exit %d)" % code)]
+    if with_json:
+        lines.append("%s  %s.json" % (_sha(json_text), name))
+    return lines
 
 
 def check(saved_path, names):
@@ -92,24 +105,28 @@ def check(saved_path, names):
         if line.strip():
             saved[line.split()[1]] = line.rstrip()
     cmds = commands()
-    unknown = [n for n in saved if n not in cmds]
+    saved_cmds = list(dict.fromkeys(n.removesuffix(".json") for n in saved))
+    unknown = [n for n in saved_cmds if n not in cmds]
     if unknown:
         raise SystemExit("%s names unknown command %s"
                          % (saved_path, ", ".join(unknown)))
-    missing = [n for n in names if n not in saved]
+    missing = [n for n in names if n not in saved_cmds]
     if missing:
         raise SystemExit("%s has no digest for %s"
                          % (saved_path, ", ".join(missing)))
-    moved = 0
-    for name in names or saved:
-        line = digest_line(name, cmds[name])
-        if line != saved[name]:
-            moved += 1
-            print("moved: %s\n  saved %s\n  now   %s"
-                  % (name, saved[name], line))
-    count = len(names or saved)
-    print("%d of %d bodies moved" % (moved, count) if moved else
-          "all %d bodies match %s" % (count, saved_path))
+    moved = count = 0
+    for name in names or saved_cmds:
+        for line in digest_lines(name, cmds[name]):
+            key = line.split()[1]
+            if key not in saved:
+                continue
+            count += 1
+            if line != saved[key]:
+                moved += 1
+                print("moved: %s\n  saved %s\n  now   %s"
+                      % (key, saved[key], line))
+    print("%d of %d digests moved" % (moved, count) if moved else
+          "all %d digests match %s" % (count, saved_path))
     return 1 if moved else 0
 
 
@@ -125,7 +142,7 @@ def main(args):
         raise SystemExit("unknown command %s; choose from %s"
                          % (", ".join(unknown), ", ".join(cmds)))
     for name in names or cmds:
-        print(digest_line(name, cmds[name]))
+        print("\n".join(digest_lines(name, cmds[name])))
     return 0
 
 

@@ -174,6 +174,21 @@ def test_surface_report_rows(tmp_path):
     assert payload["rows"][0]["cor15"] is True
 
 
+def test_surface_json_carries_band_details(tmp_path):
+    # The CSV writes the ten BAND_COLUMNS; --json writes the whole row,
+    # with the vacuity flag and the band details.
+    path = tmp_path / "surface.json"
+    res = run_cli("surface", "--surfaces", "catenoid", "--p", "3", "--r",
+                  "1.2", "--json", str(path))
+    assert res.returncode == 0, res.stderr
+    row = json.loads(path.read_text())["rows"][0]
+    assert row["vacuous"] is True                  # k = 0 and p > 2
+    assert isinstance(row["modelcontrol_pass"], bool)
+    header = next(ln for ln in res.stdout.splitlines()
+                  if not ln.startswith("#"))
+    assert "vacuous" not in header.split(",")
+
+
 def test_selftest_filter_and_determinism(tmp_path):
     first = tmp_path / "a.csv"
     second = tmp_path / "b.csv"
@@ -353,32 +368,44 @@ def test_tabulated_path_loads_no_scipy(tmp_path):
     assert proc.stdout.strip() == "[]"
 
 
-def test_csv_bodies_script_hashes_the_body():
+def test_csv_bodies_script_hashes_the_body(tmp_path):
     # tests/csv_bodies.py is not collected either; one cheap command keeps
-    # it running and checks that it hashes the CSV without its # line.
+    # it running and checks that it hashes the CSV without its # line,
+    # and the whole --json file.
     script = Path(__file__).resolve().parent / "csv_bodies.py"
     proc = subprocess.run([sys.executable, str(script), "eig"],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     argv = next(a for a in _readme_commands() if a[0] == "eig")
-    body = "".join(ln for ln in run_cli(*argv).stdout.splitlines(True)
-                   if not ln.startswith("# "))
-    assert proc.stdout == "%s  eig\n" % hashlib.sha256(
-        body.encode()).hexdigest()
+    json_path = tmp_path / "eig.json"
+    body = "".join(ln for ln in run_cli(*argv, "--json", str(json_path))
+                   .stdout.splitlines(True) if not ln.startswith("# "))
+    assert proc.stdout == "%s  eig\n%s  eig.json\n" % (
+        hashlib.sha256(body.encode()).hexdigest(),
+        hashlib.sha256(json_path.read_bytes()).hexdigest())
 
+
+def _flip_first(line):
+    return ("0" if line[0] != "0" else "1") + line[1:]
 
 
 def test_csv_bodies_check_flags_a_moved_body(tmp_path):
-    # --check compares against a saved run: exit 0 when every body
-    # matches, exit 1 naming each command whose body moved.
+    # --check compares against a saved run: exit 0 when every digest
+    # matches, exit 1 naming each one that moved.  A saved run without
+    # .json lines compares the CSV bodies alone.
     script = Path(__file__).resolve().parent / "csv_bodies.py"
-    saved = subprocess.run([sys.executable, str(script), "eig"],
-                           capture_output=True, text=True).stdout
-    good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
-    good.write_text(saved)
-    bad.write_text(("0" if saved[0] != "0" else "1") + saved[1:])
-    for path, code, text in ((good, 0, "all 1 bodies match"),
-                             (bad, 1, "moved: eig")):
+    csv_line, json_line = subprocess.run(
+        [sys.executable, str(script), "eig"], capture_output=True,
+        text=True).stdout.splitlines(True)
+    cases = {"good": ([csv_line, json_line], 0, "all 2 digests match"),
+             "csv-only": ([csv_line], 0, "all 1 digests match"),
+             "bad-csv": ([_flip_first(csv_line), json_line], 1,
+                         "moved: eig\n"),
+             "bad-json": ([csv_line, _flip_first(json_line)], 1,
+                          "moved: eig.json")}
+    for name, (lines, code, text) in cases.items():
+        path = tmp_path / name
+        path.write_text("".join(lines))
         proc = subprocess.run([sys.executable, str(script), "--check",
                                str(path)], capture_output=True, text=True)
         assert proc.returncode == code, proc.stderr

@@ -99,8 +99,6 @@ def test_scaling_law(p, m):
         lam_r = solve_ball_eigenvalue(ball_problem(p, m, 0.0, r)).lam
         assert lam_r == pytest.approx(scaled_eigenvalue(lam1, r, p),
                                       rel=1e-8)
-    with pytest.raises(ValueError):
-        scaled_eigenvalue(lam1, 2.0, p, c=1.0)
 
 
 def test_curvature_monotonicity_single_case():
@@ -960,15 +958,17 @@ def test_residual_detects_doctored_eigenvalue():
     fake = SimpleNamespace(problem=sol.problem, lam=1.05 * sol.lam,
                            grid=sol.grid, omega=sol.omega,
                            omega_prime=sol.omega_prime, r=sol.r)
-    doctored = eigen_equation_residual(fake, sol.problem)
+    doctored = eigen_equation_residual(fake)
     assert doctored > 1e3 * sol.residual
     assert doctored == pytest.approx(0.05, rel=0.3)
 
 
 def test_residual_detects_doctored_profile():
     sol = solve_ball_eigenvalue(ball_problem(2.0, 2, 0.0, 1.0))
-    wrong = ball_problem(2.0, 2, -1.0, 1.0)
-    assert eigen_equation_residual(sol, wrong) > 1e3 * sol.residual
+    wrong = SimpleNamespace(problem=ball_problem(2.0, 2, -1.0, 1.0),
+                            lam=sol.lam, grid=sol.grid, omega=sol.omega,
+                            omega_prime=sol.omega_prime, r=sol.r)
+    assert eigen_equation_residual(wrong) > 1e3 * sol.residual
 
 
 def test_shot_first_zero_monotone_in_lambda():

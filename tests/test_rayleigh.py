@@ -76,11 +76,10 @@ def test_grid_geometry_is_read_only():
     # a write through one caller must not change the next quotient.
     grid = Grid1D([0.0, 0.1, 0.3, 0.6, 1.0], [0.0, 1.0, 2.0, 3.0, 4.0],
                   (False, True))
-    assert_allclose(grid.cell_sizes(), [0.1, 0.2, 0.3, 0.4], rtol=1e-15)
-    assert_allclose(grid.dual_sizes(), [0.05, 0.15, 0.25, 0.35, 0.2],
-                    rtol=1e-15)
-    assert_allclose(grid._wmid, [0.5, 1.5, 2.5, 3.5], rtol=1e-15)
-    for arr in (grid.cell_sizes(), grid.dual_sizes(), grid._wmid):
+    assert_allclose(grid.cells, [0.1, 0.2, 0.3, 0.4], rtol=1e-15)
+    assert_allclose(grid.duals, [0.05, 0.15, 0.25, 0.35, 0.2], rtol=1e-15)
+    assert_allclose(grid.wmid, [0.5, 1.5, 2.5, 3.5], rtol=1e-15)
+    for arr in (grid.cells, grid.duals, grid.wmid):
         with pytest.raises(ValueError):
             arr[0] = 1.0
 

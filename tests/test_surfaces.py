@@ -213,40 +213,39 @@ def test_modelcontrol_requires_p_at_least_two():
 
 
 def test_band_report_catenoid_frozen():
-    rep = band_report(get_surface("catenoid"), 1.2, 2.0)
-    assert rep.k == 0.0
-    assert rep.lambda_model == pytest.approx(4.0161013631552, rel=1e-10)
-    assert rep.rhs == pytest.approx(rep.lambda_model)  # p = 2: k drops out
-    assert rep.lambda_band_upper == pytest.approx(11.301498329927336,
-                                                  rel=1e-6)
-    assert rep.lambda_band_upper > rep.lambda_model
-    assert rep.modelcontrol_margin == pytest.approx(6.411594475746857,
-                                                    rel=1e-6)
-    assert rep.cor13 is True        # ||A||^2 = 2 <= lambda_model
-    assert rep.cor15 is False       # sqrt(2) > 1/(p r) = 1/2.4
-    assert not rep.vacuous
+    row = band_report(get_surface("catenoid"), 1.2, 2.0)
+    assert row["k"] == 0.0
+    assert row["lambda_model"] == pytest.approx(4.0161013631552, rel=1e-10)
+    assert row["rhs"] == pytest.approx(row["lambda_model"])  # p = 2: no k
+    assert row["lambda_band_upper"] == pytest.approx(11.301498329927336,
+                                                     rel=1e-6)
+    assert row["lambda_band_upper"] > row["lambda_model"]
+    assert row["modelcontrol_margin"] == pytest.approx(6.411594475746857,
+                                                       rel=1e-6)
+    assert row["cor13"] is True     # ||A||^2 = 2 <= lambda_model
+    assert row["cor15"] is False    # sqrt(2) > 1/(p r) = 1/2.4
+    assert not row["vacuous"]
 
 
 def test_band_report_catenoid_p3_vacuous():
-    rep = band_report(get_surface("catenoid"), 1.2, 3.0)
-    assert rep.vacuous                                # k = 0 kills k^{p-2}
-    assert rep.rhs == 0.0
-    assert rep.cor13 is False
-    assert rep.lambda_band_upper == pytest.approx(33.867722, rel=1e-4)
+    row = band_report(get_surface("catenoid"), 1.2, 3.0)
+    assert row["vacuous"]                             # k = 0 kills k^{p-2}
+    assert row["rhs"] == 0.0
+    assert row["cor13"] is False
+    assert row["lambda_band_upper"] == pytest.approx(33.867722, rel=1e-4)
 
 
 def test_band_report_plane_rigidity():
-    rep = band_report(get_surface("plane"), 1.2, 2.0)
-    assert rep.k == 1.0
-    assert rep.lambda_band_upper == pytest.approx(rep.lambda_model,
-                                                  rel=1e-4)
-    assert rep.cor13 is True and rep.cor15 is True    # ||A|| = 0
-    assert abs(rep.modelcontrol_margin) <= 1e-7 * rep.lambda_model
+    row = band_report(get_surface("plane"), 1.2, 2.0)
+    assert row["k"] == 1.0
+    assert row["lambda_band_upper"] == pytest.approx(row["lambda_model"],
+                                                     rel=1e-4)
+    assert row["cor13"] is True and row["cor15"] is True    # ||A|| = 0
+    assert abs(row["modelcontrol_margin"]) <= 1e-7 * row["lambda_model"]
 
 
 def test_band_report_csv_round_trip():
-    rep = band_report(get_surface("plane"), 1.1, 2.0)
-    row = rep.csv_row()
-    assert len(row) == len(surfaces.BandReport.CSV_FIELDS)
-    d = rep.to_json()
-    assert d["surface"] == "plane" and d["p"] == 2.0
+    row = band_report(get_surface("plane"), 1.1, 2.0)
+    assert tuple(row)[:len(surfaces.BAND_COLUMNS)] == surfaces.BAND_COLUMNS
+    assert len(surfaces.BAND_COLUMNS) == 10
+    assert row["surface"] == "plane" and row["p"] == 2.0
