@@ -31,8 +31,14 @@ drift between processes.
 
 The dense march of a solution takes fixed steps of the same pair without
 error control: the fifth-order solution, six right-hand-side evaluations
-per step.  `run` takes one step per node where the field is smooth, and
-`dp_graded` refines its steps toward the points where it is not.
+per step.  `run` takes one step per stride nodes where the field is
+smooth, and `dp_graded` refines its steps toward the points where it is
+not.  A step of `run` that covers several nodes fills the ones inside it
+from its own stages k1..k7, by the pair's fourth-order dense output
+(Shampine, Some Practical Runge-Kutta Formulas, Math. Comp. 46, 1986;
+Hairer, Norsett and Wanner, Solving ODEs I, II.6), with no further
+right-hand-side evaluation: two quartic coefficient rows per step, one
+Horner evaluation per node.
 The same step, from the accepted mesh node before a zero of the state,
 serves the zero refinement of a shot and of an annulus's flux (one step
 per root-finder evaluation): accepted steps are short at the solver
@@ -94,6 +100,27 @@ _E4 = _B4 - 393.0 / 640.0
 _E5 = _B5 + 92097.0 / 339200.0
 _E6 = _B6 - 187.0 / 2100.0
 _E7 = -1.0 / 40.0
+# Dense output of a step (Shampine 1986; Hairer, Norsett and Wanner,
+# Solving ODEs I, II.6), the rows of scipy's RK45.P: the state at
+# t + x h is u + x (a1 + x (a2 + x (a3 + x a4))), where a_k is h times
+# the sum over the stages i of _DENSE_P[i - 1][k - 1] ki.  k2 has a zero
+# row.  At x = 1 each stage's row sums to its fifth-order weight _Bi (0
+# for k7), so the interpolant ends on the step's own end state.
+_DENSE_P = (
+    (1.0, -8048581381.0 / 2820520608.0, 8663915743.0 / 2820520608.0,
+     -12715105075.0 / 11282082432.0),
+    (0.0, 0.0, 0.0, 0.0),
+    (0.0, 131558114200.0 / 32700410799.0, -68118460800.0 / 10900136933.0,
+     87487479700.0 / 32700410799.0),
+    (0.0, -1754552775.0 / 470086768.0, 14199869525.0 / 1410260304.0,
+     -10690763975.0 / 1880347072.0),
+    (0.0, 127303824393.0 / 49829197408.0, -318862633887.0 / 49829197408.0,
+     701980252875.0 / 199316789632.0),
+    (0.0, -282668133.0 / 205662961.0, 2019193451.0 / 616988883.0,
+     -1453857185.0 / 822651844.0),
+    (0.0, 40617522.0 / 29380423.0, -110615467.0 / 29380423.0,
+     69997945.0 / 29380423.0),
+)
 
 # Brent steps before giving up; the package's roots take 2 to 12.
 _BRENT_STEPS = 100
@@ -176,14 +203,24 @@ _INTEGRATE = """\
         return ts, ys
 """
 
-# run is the plain-step loop of the march: one step per node, each state
-# written straight into the caller's buffers.
+# run is the plain-step loop of the march: one step per stride nodes,
+# each state written straight into the caller's buffers.  The step lands
+# on every stride-th node; {dense} forms the coefficients of its dense
+# output, which gives the stride - 1 nodes inside it without another
+# slope.  (The stages of a weighted form take the name s for a point.)
 _RUN = """\
-    def run(t, u, v, k1u, k1v, nodes, i, e, out_w, out_phi):
-        for j in range(i, e):
+    def run(t, u, v, k1u, k1v, nodes, i, e, stride, out_w, out_phi):
+        for j in range(i + stride - 1, e, stride):
             tn = nodes[j]
             h = tn - t
 {stages}
+            if stride > 1:
+{dense}
+                for l in range(j - stride + 1, j):
+                    x = (nodes[l] - t) / h
+                    out_w[l] = u + x * (a1u + x * (a2u + x * (a3u + x * a4u)))
+                    out_phi[l] = v + x * (a1v + x * (a2v + x * (
+                        a3v + x * a4v)))
             t = tn
             u, v, k1u, k1v = w, phi, k7u, k7v
             out_w[j] = w
@@ -208,6 +245,22 @@ def _stage_lines(weight, dw, dphi, indent):
         if weighted:
             lines.append(pad + "fm = " + weight)
         lines += [pad + "k%du = %s" % (i, dw), pad + "k%dv = %s" % (i, dphi)]
+    return lines
+
+
+def _dense_lines(indent):
+    """The dense output's coefficients a1..a4 of u and v, as lines of source.
+
+    a_k is h times the stages weighted by column k of `_DENSE_P`, its
+    entries written as literals; a zero entry adds no term.
+    """
+    pad = " " * indent
+    lines = []
+    for k in range(4):
+        terms = " + ".join("%r * k%d{y}" % (row[k], i)
+                           for i, row in enumerate(_DENSE_P, 1) if row[k])
+        lines += [pad + "a%d%s = h * (%s)" % (k + 1, y, terms.format(y=y))
+                  for y in "uv"]
     return lines
 
 
@@ -236,16 +289,21 @@ def compile_form(params, weight, dw, dphi):
     only up to the first zero of omega.  It raises IntegrationError on
     step-size underflow, NaN propagation or more than max_steps steps.
 
-    run(t, u, v, k1u, k1v, nodes, i, e, out_w, out_phi) takes one plain
-    step from t to nodes[i], then from node to node up to nodes[e - 1],
-    writes each state to out_w[j] and out_phi[j], and returns the last
-    node, state and slope (t, u, v, k1u, k1v).
+    run(t, u, v, k1u, k1v, nodes, i, e, stride, out_w, out_phi) takes
+    one plain step from t to nodes[i + stride - 1], then one to every
+    stride-th node after it up to nodes[e - 1]; e - i must be a multiple
+    of stride.  It writes each step's end state to out_w[j] and
+    out_phi[j], and the state at each of the stride - 1 nodes inside the
+    step from the step's dense output (`_DENSE_P`), and returns the last
+    node, state and slope (t, u, v, k1u, k1v).  With stride 1 it steps
+    node to node and forms no dense output; its one further cost is a
+    test of stride per step.
 
     The stages of step, integrate and run are `_STAGES` with the slopes
     written out (`_stage_lines`); integrate is `_INTEGRATE` and run is
-    `_RUN`.  Each form is compiled once per process, on its first use:
-    the cache holds one entry per form its callers write, at most 30
-    for `radial`.
+    `_RUN`, its dense output `_dense_lines`.  Each form is compiled once
+    per process, on its first use: the cache holds one entry per form
+    its callers write, at most 30 for `radial`.
     """
     lines = ["def make(%s):" % params, "    def f(s, w, phi):"]
     if weight is not None:
@@ -257,7 +315,8 @@ def compile_form(params, weight, dw, dphi):
     stages = "\n".join(_stage_lines(weight, dw, dphi, 12))
     lines += [_INTEGRATE.format(stages=stages, eu=_ERROR.format(y="u"),
                                 ev=_ERROR.format(y="v")),
-              _RUN.format(stages=stages),
+              _RUN.format(stages=stages,
+                          dense="\n".join(_dense_lines(16))),
               "    return f, step, integrate, run"]
     made = {}
     exec(compile("\n".join(lines) + "\n", "<dp form>", "exec"), globals(),

@@ -64,7 +64,8 @@ _ATOL = 1e-12
 _STARTUP_FRAC = 1e-4
 # Dense-march control (`RadialSolution._march`): a sweep starts from the
 # last mesh node at least span/_ANCHOR_STEPS before its first node past
-# t0, every gap takes at least _ANCHOR_STEPS steps per domain length,
+# t0, takes one step per stride nodes where those are closer than
+# span/(2 _ANCHOR_STEPS), takes no step longer than span/_ANCHOR_STEPS,
 # and steps near a point where the field is not smooth are at most
 # 1/ratio of their distance from it: the pole, the walls and an
 # annulus's interior peak.
@@ -332,9 +333,10 @@ class RadialSolution:
 
     Public arrays live on a uniform grid of n_grid nodes over the closed
     domain; between nodes `evaluate` advances the stored adaptive
-    trajectory with fixed Dormand-Prince steps, so derived quantities
-    (Barta ratios, restriction inequalities, transplants) can be sampled
-    anywhere without interpolation error.
+    trajectory with fixed Dormand-Prince steps (and, on nodes closer
+    than the grid's, their dense output), so derived quantities (Barta
+    ratios, restriction inequalities, transplants) can be sampled
+    anywhere without interpolating the stored arrays.
 
     `grid`, `omega`, `omega_prime`, `flux` and `residual` are one build
     step: the first read of any of them marches the grid once and audits
@@ -448,10 +450,47 @@ class RadialSolution:
         `test_annulus_grid_matches_scalar_evaluate` took 6.7-9.1 s
         instead of 0.2-0.3 s.
 
-        One step rule: a gap takes ceil(_ANCHOR_STEPS gap / span) steps,
-        so a grid of more than _ANCHOR_STEPS nodes (the 2048-node grid,
-        the Kazdan grids, r* scans, transplants) takes one plain step per
-        gap away from the points below.  The field is not smooth at the pole, where omega - 1 ~
+        One stride rule: away from the points below, the sweep takes one
+        plain step per stride gaps and fills the nodes inside each step
+        from the step's own dense output (`_ode.compile_form`), with
+        stride = max(1, floor(span / (2 _ANCHOR_STEPS h))) and h the mean
+        spacing of the nodes, (last - first) / (n - 1), but no more than
+        the n - 1 gaps of the query.  No strided step
+        of a uniform grid is longer than a step of the 2048-node grid,
+        whose closed-form agreement is given below.  The stride reads the
+        spacing alone, not n_grid (which `--n` sets) nor the node count,
+        and it is 1 wherever the spacing exceeds span / 2048: the
+        2048-node grid and the 2000- and 4000-node Kazdan grids keep their
+        steps and their bits.  The 16384- and 32768-node r* scans take
+        stride 7 and 15, the 16385- and 8193-node plane bands 8 and 4,
+        and the catenoid bands, whose 4226 to 8553 distinct distances
+        crowd toward the neck, 12 to 25.  A stride of
+        floor(span / (_ANCHOR_STEPS h)) instead would give the 4000-node
+        Kazdan grid stride 3: criterion 13's doubling ratio at p = 3,
+        m = 2, c = 1 would move from 0.2499 to 0.2635, and the scans would
+        sit up to 8.3e-13 from a march over 8 times the nodes.
+
+        The bands keep the stride.  Criterion 11 takes second differences
+        of the 16385-node plane bands: two of its rows rose from 1.55e-8
+        and 1.76e-8 to 2.20e-8 and 2.56e-8 (tolerance 1e-6), while the
+        maximum it reports, 4.94e-7 on a catenoid band, did not move.
+
+        One step rule: every gap is decided on the length stride gap of
+        the step that may cover it.  A gap takes graded steps when that
+        length exceeds span / _ANCHOR_STEPS (then ceil(_ANCHOR_STEPS gap /
+        span) steps of its own) or 1/ratio of its distance from one of the
+        points below; the graded gaps are stepped one by one, without a
+        stride.  Decided on the gap alone, the 16384-node scans sat up to
+        1.9e-10 from an unstrided march over 8 times the nodes, near the
+        pole, against 2.1e-13 (omega' relative to its maximum, p from 2
+        to 16, m up to 3, c in {-1, 0, 1}; the unstrided scans read up
+        to 5.3e-14).  A query dense in one half of the ball and sparse in
+        the other would take steps 32 times the 2048-node grid's in the
+        sparse half, 6.9e-12 off the same march stepped node to node:
+        deciding on the step length bounds every strided step by span /
+        _ANCHOR_STEPS, whatever the nodes.
+
+        The field is not smooth at the pole, where omega - 1 ~
         t^(p/(p-1)) and the weight f^(m-1) vanishes; at both walls, where
         omega vanishes and Phi' ~ |omega|^(p-1); and at an annulus's
         interior peak, where Phi vanishes and omega' ~ |Phi|^(1/(p-1)).
@@ -475,22 +514,31 @@ class RadialSolution:
 
         Which gaps take graded steps is decided for all nodes at once,
         with numpy, before the sweep.  Each maximal run of plain gaps is
-        one call of the solution's generated `run` (`_make_rhs`), which
-        steps node to node and writes each state into the output
-        buffers; the sweep itself visits only the graded and the empty
-        gaps.  A gap that takes a single step and lies near no point is a
-        plain gap: `dp_graded` would take exactly that step.  The
-        2048-node grid of the ball timed in `_ode` (c = -1, p = 2.5,
-        m = 2) takes 2561 steps, 72 of them from t0 to the first node
-        past the pole, and 3.3-6.5 us per node, against 4.6-9.8 us when
-        every plain gap went through `dp_graded`; a 16385-node band of
-        the radius-1.2 ball (p = 3) takes 2.3-3.7 us per node against
-        4.0-5.2 us (quartiles of 40 and 12 marches, the two alternating
-        in one process, three processes).  Stepping each plain gap with
-        the generated step from the sweep instead, with no `run`, kept
-        every CSV body but was slower: `selftest` `wall_ref` 616.4 ->
-        627.2 (+1.8%, worse in 6 of 6 alternating pairs), `sweep` 102.9
-        -> 106.0 (+3.0%, 5 of 6), and 3-12% more per node in one process.
+        two calls of the solution's generated `run` (`_make_rhs`): one
+        over the most gaps that are a multiple of the stride, one step
+        over the rest.  So `run` needs no clamp at the end of a run, and
+        with stride 1 it pays only one test of the stride per step.  It
+        writes each state into the output buffers; the sweep itself
+        visits only the graded and the empty gaps.  An unstrided gap that
+        takes a single step and lies near no point is a plain gap:
+        `dp_graded` would take exactly that step.  The 2048-node grid of
+        the ball timed in `_ode` (c = -1, p = 2.5, m = 2) takes 2561
+        steps, 72 of them from t0 to the first node past the pole.  Old
+        and new code alternating in one process (200 marches each, three
+        processes), it took 4.78, 3.66 and 5.74 us per node before the
+        stride and 4.71, 3.69 and 5.78 us with it (medians), the new
+        march 1.1-1.6% slower in the median pair.  A 16385-node band of
+        the radius-1.2 ball (p = 3, c = 0, m = 2, stride 8) fell from
+        2.70, 4.11 and 3.75 us per node to 1.10, 1.60 and 1.53 us, and a
+        16384-node scan (p = 3, c = -1, m = 2, stride 7) from 4.76, 5.01
+        and 4.89 us to 1.81, 1.89 and 2.02 us (12 marches each).  Before
+        `run` existed, every plain gap went through `dp_graded`: the
+        grid took 4.6-9.8 us per node against 3.3-6.5 us.  Stepping each
+        plain gap with the generated step from the sweep instead, with no
+        `run`, kept every CSV body but was slower: `selftest` `wall_ref`
+        616.4 -> 627.2 (+1.8%, worse in 6 of 6 alternating pairs),
+        `sweep` 102.9 -> 106.0 (+3.0%, 5 of 6), and 3-12% more per node
+        in one process.
         """
         tl = ts.tolist()
         n = len(tl)
@@ -516,26 +564,39 @@ class RadialSolution:
             omega[i], phi[i] = (startup.state(tl[i]) if startup is not None
                                 else y0)
 
-        # Every gap is decided before the sweep.  The gap before node t
-        # starts at t_prev = max(march start, previous node).  Code 2:
-        # graded steps, near a point s with q gap > max(s - t, t_prev - s),
-        # or where the gap takes nsub > 1 steps; code 1: one plain step
-        # (with nsub = 1 and no point near, dp_graded would take exactly
-        # that step); code 0: none, the gap is empty (a duplicate node, or
-        # a node at the start).
+        # One step per stride plain gaps, so that no strided step of a
+        # uniform grid is longer than span / (2 _ANCHOR_STEPS), and no
+        # step covers more gaps than the query has.
+        width = tl[-1] - tl[0]
+        stride = (max(1, int(min(n - 1, span / (2 * _ANCHOR_STEPS) / width
+                                 * (n - 1))))
+                  if width > 0.0 else 1)
+
+        # Every gap is decided before the sweep, on the length stride gap
+        # of the step that may cover it.  The gap before node t starts at
+        # t_prev = max(march start, previous node).  Code 2: graded steps,
+        # near a point s with q stride gap > max(s - t, t_prev - s), or
+        # where stride gap exceeds span / _ANCHOR_STEPS; code 1: a plain
+        # gap, stepped by `run` (with nsub = 1 and no point near,
+        # dp_graded would take exactly the step of an unstrided gap);
+        # code 0: none, the gap is empty (a duplicate node, or a node at
+        # the start).
         tn = ts[pre:]
         t_prev = np.concatenate(([t_march], tn))[:-1]
         gap = tn - t_prev
-        hits = [q * gap > np.maximum(s - tn, t_prev - s)
+        reach = stride * gap
+        hits = [q * reach > np.maximum(s - tn, t_prev - s)
                 for s, q in points]
         flagged = np.logical_or.reduce(hits)
-        split = _ANCHOR_STEPS * gap / span > 1.0
+        split = _ANCHOR_STEPS * reach / span > 1.0
         codes = (gap > 0.0) * (1 + (flagged | split))
         near = {j: [pt for pt, hit in zip(points, hits) if hit[j]]
                 for j in np.flatnonzero(flagged).tolist()}
 
-        # Each maximal run of code-1 gaps is one call of `run`; the
-        # sweep visits only the other nodes.
+        # Each maximal run of code-1 gaps is one call of `run` over the
+        # most gaps that are a multiple of stride, and one more call that
+        # takes the rest in a single step; the sweep visits only the
+        # other nodes.
         graded, run = _ode.dp_graded, self._run
         nodes = tl[pre:]
         out_w, out_phi = omega[pre:], phi[pre:]
@@ -543,9 +604,13 @@ class RadialSolution:
         ku, kv = self._rhs(t_march, u, v)
         i = 0
         for j in np.flatnonzero(codes != 1).tolist() + [len(nodes)]:
-            if i < j:
+            tail = i + (j - i) // stride * stride
+            if i < tail:
                 t_march, u, v, ku, kv = run(t_march, u, v, ku, kv, nodes, i,
-                                            j, out_w, out_phi)
+                                            tail, stride, out_w, out_phi)
+            if tail < j:
+                t_march, u, v, ku, kv = run(t_march, u, v, ku, kv, nodes,
+                                            tail, j, j - tail, out_w, out_phi)
             if j == len(nodes):
                 break
             t = nodes[j]

@@ -1,17 +1,18 @@
+import itertools
 import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.integrate import solve_ivp
+from scipy.integrate import RK45, solve_ivp
 from scipy.special import j0, jn_zeros
 
 from ptone import _ode, acceptance, modelspace, radial
 from ptone._ode import (_A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52,
                         _A53, _A54, _A61, _A62, _A63, _A64, _A65, _B1, _B3,
-                        _B4, _B5, _B6, _C2, _C3, _C4, _C5, _E1, _E3, _E4,
-                        _E5, _E6, _E7)
+                        _B4, _B5, _B6, _C2, _C3, _C4, _C5, _DENSE_P, _E1,
+                        _E3, _E4, _E5, _E6, _E7)
 from ptone.radial import (Annulus, Ball, RadialProblem, ball_problem,
                           eigen_equation_residual, pi_p,
                           scaled_eigenvalue, signed_power,
@@ -146,19 +147,72 @@ def test_march_matches_p2_closed_forms(m, form, n):
     assert np.max(np.abs(w - form(math.sqrt(sol.lam), t))) <= tol
 
 
+def _unstride(sol):
+    """Make sol's march step every run of plain gaps node to node."""
+    run = sol._run
+    sol._run = lambda *a: run(*a[:8], 1, *a[9:])
+
+
 @pytest.mark.parametrize("p,m,c", [
     (p, m, 0.0) for p in (8.0, 12.0, 16.0) for m in (1, 2)
 ] + [(16.0, 2, 1.0), (16.0, 2, -1.0)])
 def test_grid_matches_eightfold_march(p, m, c):
     # The 2048-node grid must agree with a march over 8 times the nodes
-    # (every 8th node compared) to rounding.  Started from the pole
-    # expansion at the node step h instead of at t0, the grid was 1.9e-9
-    # off in omega (p = 16, m = 1) and 3.5e-7 in omega' (p = 16, m = 2).
-    sol = solve_ball_eigenvalue(ball_problem(p, m, c, 1.0))
+    # (every 8th node compared), stepped node to node, to rounding.
+    # Started from the pole expansion at the node step h instead of at
+    # t0, the grid was 1.9e-9 off in omega (p = 16, m = 1) and 3.5e-7 in
+    # omega' (p = 16, m = 2).
+    sol = solve_ball_eigenvalue(ball_problem(p, m, c, 1.0), use_cache=False)
+    sol.omega_prime
+    _unstride(sol)
     w, wp = sol.evaluate(np.linspace(0.0, 1.0, 8 * 2047 + 1))
     assert np.max(np.abs(sol.omega - w[::8])) <= 1e-13
     assert (np.max(np.abs(sol.omega_prime - wp[::8]))
             <= 1e-13 * np.max(np.abs(wp)))
+
+
+@pytest.mark.parametrize("p", [2.0, 2.5, 3.0, 4.0, 8.0, 12.0, 16.0])
+def test_scan_matches_eightfold_march(p):
+    # A 16384-node scan takes one step per 7 nodes and fills the nodes
+    # inside each step from its dense output.  It must agree with a march
+    # over 8 times the nodes (every 8th node compared), which lands its
+    # own steps on other nodes: omega to 5e-13, omega' to 5e-13 of its
+    # maximum.  Graded on the gap alone, not on the step that covers it,
+    # the scans near the pole were up to 1.9e-7 off.
+    t = np.linspace(0.0, 1.0, 16384)
+    t_fine = np.linspace(0.0, 1.0, 8 * 16383 + 1)
+    for m in (1, 2, 3):
+        for c in (-1.0, 0.0, 1.0):
+            sol = solve_ball_eigenvalue(ball_problem(p, m, c, 1.0))
+            w, wp = sol.evaluate(t)
+            w_fine, wp_fine = sol.evaluate(t_fine)
+            assert np.max(np.abs(w - w_fine[::8])) <= 5e-13
+            assert (np.max(np.abs(wp - wp_fine[::8]))
+                    <= 5e-13 * np.max(np.abs(wp_fine)))
+
+
+@pytest.mark.parametrize("query", [
+    # duplicates (of the pole, two inner nodes, the last node) leave
+    # runs whose lengths are not multiples of the stride 7
+    np.sort(np.concatenate([np.linspace(0.0, 1.0, 16384),
+                            [0.0, 1000 / 16383, 9999 / 16383, 1.0]])),
+    # a dense half and a sparse half: the stride 19 of the whole query
+    # would make the sparse half's steps 32 times the 2048-node grid's
+    np.concatenate([np.linspace(0.0, 0.5, 40000),
+                    np.linspace(0.5, 1.0, 600)[1:]]),
+], ids=["duplicates", "clustered"])
+def test_strided_march_matches_unstrided_march(query):
+    # The same march with every run stepped node to node must agree to
+    # 5e-13 (omega' relative to its maximum).  With the clustered query's
+    # gaps split on their own length, not on that of the step that covers
+    # them, the strided march was 6.9e-12 off.
+    sol = solve_ball_eigenvalue(ball_problem(4.0, 3, -1.0, 1.0),
+                                use_cache=False)
+    w, wp = sol.evaluate(query)
+    _unstride(sol)
+    w_ref, wp_ref = sol.evaluate(query)
+    assert np.max(np.abs(w - w_ref)) <= 5e-13
+    assert np.max(np.abs(wp - wp_ref)) <= 5e-13 * np.max(np.abs(wp_ref))
 
 
 @pytest.mark.parametrize("problem,tol_w,tol_wp", [
@@ -220,9 +274,9 @@ def test_query_next_to_the_peak_costs_no_extra_steps():
     step, run = sol._step, sol._run
     sol._step = lambda t, *rest: calls.append(t) or step(t, *rest)
 
-    def counted_run(t, u, v, ku, kv, nodes, i, e, *out):
-        calls.extend(nodes[i:e])
-        return run(t, u, v, ku, kv, nodes, i, e, *out)
+    def counted_run(t, u, v, ku, kv, nodes, i, e, stride, *out):
+        calls.extend(nodes[i + stride - 1:e:stride])
+        return run(t, u, v, ku, kv, nodes, i, e, stride, *out)
 
     sol._run = counted_run
     sol.evaluate(np.array([0.55, 0.95]))
@@ -233,20 +287,44 @@ def test_query_next_to_the_peak_costs_no_extra_steps():
 
 
 def _pointwise_plan(nodes, start, points, span):
-    """The steps of a march over sorted nodes, decided node by node."""
-    plan, t_prev = [], start
+    """The steps of a march over sorted nodes, decided node by node.
+
+    A gap is decided on the length stride gap of a step that covers
+    stride gaps.  Each run of plain gaps takes one step to every
+    stride-th node of the run and one more to its last node.
+    """
+    gaps = len(nodes) - 1
+    stride = max(1, int(min(gaps, span / (2 * radial._ANCHOR_STEPS)
+                            / (nodes[-1] - nodes[0]) * gaps)))
+    plan, run, t_prev = [], [start], start
+
+    def flush():
+        t_from = run[0]
+        ends = run[stride::stride]
+        if (len(run) - 1) % stride:
+            ends.append(run[-1])
+        for t_to in ends:
+            plan.append(("step", t_from, t_to - t_from))
+            t_from = t_to
+        run[:] = [t_prev]
+
     for t in nodes:
         if t <= t_prev:     # before the march start, or a duplicate
+            flush()
             continue
         gap = t - t_prev
+        reach = stride * gap
         near = [(s, q) for s, q in points
-                if q * gap > max(s - t, t_prev - s)]
-        nsub = math.ceil(radial._ANCHOR_STEPS * gap / span)
-        if near or nsub > 1:
-            plan.append(("graded", t_prev, t, nsub, near))
+                if q * reach > max(s - t, t_prev - s)]
+        if near or radial._ANCHOR_STEPS * reach / span > 1.0:
+            flush()
+            plan.append(("graded", t_prev, t,
+                         math.ceil(radial._ANCHOR_STEPS * gap / span), near))
+            run[:] = [t]
         else:
-            plan.append(("step", t_prev, gap))
+            run.append(t)
         t_prev = t
+    flush()
     return plan
 
 
@@ -271,8 +349,9 @@ _ANNULUS = [RadialProblem(p, 2, modelspace.space_form(0.0), Annulus(0.5, 1.))
     (ball_problem(3.0, 2, 0.0, 1.2), np.linspace(0.9, 1.15, 64)),
     (ball_problem(3.0, 2, 0.0, 1.2), np.linspace(0.9, 1.2, 4097)),
     (ball_problem(2.5, 2, 0.0, 1.0), _ball_query()),
+    (ball_problem(3.0, 2, -1.0, 1.0), np.linspace(0.0, 1.0, 16384)),
 ], ids=["grid-c-1", "grid-c0", "grid-c1", "annulus-p3", "annulus-p8",
-        "band", "fine-band", "unsorted"])
+        "band", "fine-band", "unsorted", "scan"])
 def test_march_grades_exactly_the_pointwise_gaps(monkeypatch, problem, query):
     # The march decides which gaps to grade for all nodes at once; its
     # steps must be those of the rule applied to each node in turn.
@@ -286,13 +365,14 @@ def test_march_grades_exactly_the_pointwise_gaps(monkeypatch, problem, query):
             calls.append(("step", t, h))
         return step(t, h, *rest)
 
-    def run_spy(t, u, v, ku, kv, nodes, i, e, *out):
-        # run takes one plain step to each node of nodes[i:e] in turn
+    def run_spy(t, u, v, ku, kv, nodes, i, e, stride, *out):
+        # run takes one plain step to every stride-th node of nodes[i:e]
+        assert (e - i) % stride == 0
         t_prev = t
-        for t_node in nodes[i:e]:
+        for t_node in nodes[i + stride - 1:e:stride]:
             calls.append(("step", t_prev, t_node - t_prev))
             t_prev = t_node
-        return run(t, u, v, ku, kv, nodes, i, e, *out)
+        return run(t, u, v, ku, kv, nodes, i, e, stride, *out)
 
     def graded_spy(step, t_from, y, k, t_to, nsub, points):
         calls.append(("graded", t_from, t_to, nsub, list(points)))
@@ -427,8 +507,12 @@ def test_rhs_exponent_one_forms_are_exact(p, m):
             assert [x.hex() for x in got] == [x.hex() for x in want]
 
 
-def _reference_dp_step(f, t, h, u, v, k1u, k1v, estimate=False):
-    """One Dormand-Prince step through seven calls of f(t, u, v)."""
+def _reference_dp_step(f, t, h, u, v, k1u, k1v, estimate=False,
+                       dense=False):
+    """One Dormand-Prince step through seven calls of f(t, u, v).
+
+    With dense, it also returns the step's dense output at x in [0, 1].
+    """
     k2u, k2v = f(t + _C2 * h, u + h * _A21 * k1u, v + h * _A21 * k1v)
     k3u, k3v = f(t + _C3 * h, u + h * (_A31 * k1u + _A32 * k2u),
                  v + h * (_A31 * k1v + _A32 * k2v))
@@ -444,6 +528,16 @@ def _reference_dp_step(f, t, h, u, v, k1u, k1v, estimate=False):
     nu = u + h * (_B1 * k1u + _B3 * k3u + _B4 * k4u + _B5 * k5u + _B6 * k6u)
     nv = v + h * (_B1 * k1v + _B3 * k3v + _B4 * k4v + _B5 * k5v + _B6 * k6v)
     k7u, k7v = f(t + h, nu, nv)
+    if dense:
+        ks = ((k1u, k1v), (k2u, k2v), (k3u, k3v), (k4u, k4v), (k5u, k5v),
+              (k6u, k6v), (k7u, k7v))
+        a = [[h * sum(row[k] * kk[y] for row, kk in zip(_DENSE_P, ks))
+              for k in range(4)] for y in (0, 1)]
+
+        def at(x):
+            return tuple(y0 + x * (a1 + x * (a2 + x * (a3 + x * a4)))
+                         for y0, (a1, a2, a3, a4) in zip((u, v), a))
+        return nu, nv, k7u, k7v, at
     if not estimate:
         return nu, nv, k7u, k7v
     eu = h * (_E1 * k1u + _E3 * k3u + _E4 * k4u + _E5 * k5u + _E6 * k6u
@@ -580,10 +674,11 @@ def test_generated_integrate_matches_reference(p, m):
 @pytest.mark.parametrize("p,m", _FORMS)
 def test_generated_run_matches_steps(p, m):
     # The march's plain-step run must write the states of one reference
-    # step per node, bit for bit, and return the last node, state and
-    # slope.
+    # step per stride nodes, and the step's dense output at the nodes
+    # inside it, bit for bit, and return the last node, state and slope.
     rng = np.random.default_rng(11)
-    for prof in _PROFILES:
+    for prof, stride in itertools.product(_PROFILES, (1, 3)):
+        e = 3 + 34 // stride * stride
         def f(t, w, phi):
             return _generic_slopes(p, m, prof.f_scalar, 7.25, t, w, phi)
 
@@ -592,15 +687,31 @@ def test_generated_run_matches_steps(p, m):
         u, v = 0.75, -0.25
         ku, kv = f(nodes[0], u, v)
         out_w, out_phi = np.zeros(40), np.zeros(40)
-        got = run(nodes[0], u, v, ku, kv, nodes, 3, 37, out_w, out_phi)
+        got = run(nodes[0], u, v, ku, kv, nodes, 3, e, stride, out_w,
+                  out_phi)
         t = nodes[0]
-        for j in range(3, 37):
-            u, v, ku, kv = _reference_dp_step(f, t, nodes[j] - t, u, v, ku,
-                                              kv)
+        for j in range(3 + stride - 1, e, stride):
+            h = nodes[j] - t
+            u, v, ku, kv, at = _reference_dp_step(f, t, h, u, v, ku, kv,
+                                                  dense=True)
+            for i in range(j - stride + 1, j):
+                w, phi = at((nodes[i] - t) / h)
+                assert (out_w[i].hex() == w.hex()
+                        and out_phi[i].hex() == phi.hex())
             t = nodes[j]
             assert out_w[j].hex() == u.hex() and out_phi[j].hex() == v.hex()
         assert [x.hex() for x in got] == [x.hex() for x in (t, u, v, ku, kv)]
-        assert not out_w[:3].any() and not out_w[37:].any()
+        assert not out_w[:3].any() and not out_w[e:].any()
+
+
+def test_dense_output_is_scipys_and_ends_on_the_step():
+    # The dense output's rows are scipy's RK45.P, and at x = 1 each
+    # stage's row sums to its fifth-order weight (k2 and k7 have none),
+    # to the rounding of the rows' entries: every step's interpolant ends
+    # on the step's own end state.
+    assert [list(row) for row in _DENSE_P] == RK45.P.tolist()
+    for row, b in zip(_DENSE_P, (_B1, 0.0, _B3, _B4, _B5, _B6, 0.0)):
+        assert abs(math.fsum(row) - b) <= sum(map(math.ulp, row + (b,)))
 
 
 def test_step_compiles_once_per_form():
@@ -776,6 +887,17 @@ def test_solve_errors_name_the_problem(monkeypatch):
 # solution-object invariants
 
 
+class _TypedBuffer:
+    """An output buffer that records the type of every value written."""
+
+    def __init__(self, out):
+        self.out, self.types = out, set()
+
+    def __setitem__(self, j, x):
+        self.types.add(type(x))
+        self.out[j] = x
+
+
 def _fresh_ball(c=0.0, r=1.0):
     return solve_ball_eigenvalue(ball_problem(2.5, 2, c, r), use_cache=False)
 
@@ -789,19 +911,20 @@ def _fresh_ball(c=0.0, r=1.0):
     lambda: solve_annulus_eigenvalue(
         RadialProblem(3.0, 2, modelspace.space_form(0.0), Annulus(0.5, 1.0)),
         use_cache=False).grid,
+    lambda: _fresh_ball().evaluate(np.linspace(0.0, 1.0, 16384)),
     _fresh_ball,
 ], ids=["grid-c-1", "grid-c0", "grid-c1", "evaluate-pole", "evaluate-band",
-        "annulus-grid", "shots"])
+        "annulus-grid", "evaluate-scan", "shots"])
 def test_steps_run_on_python_floats(run, monkeypatch):
     # A numpy scalar in a step state makes every later step of its march
     # cost about twice its time on floats; the ball marches of a 2048-node
     # grid and of a dense query from the pole once ran on them.
     # Every step of the shots and of the march comes from _make_rhs: the
     # shots' from integrate, the march's from step (graded gaps) and run
-    # (plain ones).  The trial lam, what each of them is given and what
-    # it returns (a shot's every node and state, which its stages
-    # computed from lam and the weight), and the nodes of a run are
-    # checked.
+    # (plain ones; with a stride, the dense output of each step).  The
+    # trial lam, what each of them is given and what it returns (a shot's
+    # every node and state, which its stages computed from lam and the
+    # weight), the nodes of a run and every state it writes are checked.
     types = set()
     make_rhs = radial._make_rhs
 
@@ -822,10 +945,12 @@ def test_steps_run_on_python_floats(run, monkeypatch):
             types.update(type(x) for y in ys for x in y)
             return ts, ys
 
-        def typed_run(t, u, v, ku, kv, nodes, i, e, *out):
+        def typed_run(t, u, v, ku, kv, nodes, i, e, stride, out_w, out_phi):
             types.update(map(type, (t, u, v, ku, kv, *nodes[i:e])))
-            last = run_nodes(t, u, v, ku, kv, nodes, i, e, *out)
+            w, phi = _TypedBuffer(out_w), _TypedBuffer(out_phi)
+            last = run_nodes(t, u, v, ku, kv, nodes, i, e, stride, w, phi)
             types.update(map(type, last))
+            types.update(w.types | phi.types)
             return last
         return rhs, typed_step, typed_integrate, typed_run
 
@@ -866,11 +991,12 @@ def test_evaluate_band_query_matches_scalars():
 
 
 def test_evaluate_unsorted_array():
-    # Coarse and unsorted queries take the same march as dense ones; each
-    # node must agree with an independent scalar query, including nodes
-    # far from the pole, where the pole expansion does not hold.
+    # Coarse and unsorted queries, and nodes a few subnormals apart, take
+    # the same march as dense ones; each node must agree with an
+    # independent scalar query, including nodes far from the pole, where
+    # the pole expansion does not hold.
     queries = (np.array([0.9, 0.1, 0.5]), np.linspace(0.0, 1.0, 9),
-               np.linspace(0.1, 0.9, 8))
+               np.linspace(0.1, 0.9, 8), np.array([1e-323, 0.0, 5e-324]))
     for p in (2.0, 3.0, 8.0):
         sol = solve_ball_eigenvalue(ball_problem(p, 2, 0.0, 1.0))
         for t in queries:
