@@ -19,6 +19,18 @@ not a call.  Every operation and its operands are those of a step over f
 step, so every result keeps its bits; the tests keep those as the
 references.
 
+The pair's coefficients exist once, as the tables `_C`, `_A`, `_B`, `_E`
+(the error weights) and `_DENSE_P`.  `_STAGES`, `_ERROR` and the dense
+output are written from them, each coefficient as a float literal (its
+repr, which reads back as the same float), with each sum's operands in
+the order of the tables, so the step, `integrate` and `run` read their
+40 to 56 coefficients per step as constants, not as module globals.
+The march's `run` writes its states into Python lists, which the march
+turns into numpy arrays once.  Per node of a 16384-node march (Python
+3.11.7, numpy 2.4.6, 2-vCPU x86_64 virtual machine), two list item
+stores cost 24-41 ns and the two conversions 40-65 ns, against
+96-149 ns for two numpy item stores.
+
 In one process, alternating with the step over f and the loops that
 called it (medians of 40 runs each, three processes, Python 3.11.7,
 2-vCPU x86_64 virtual machine, ball of radius 1, p = 2.5, m = 2): a
@@ -79,33 +91,33 @@ class IntegrationError(NonConvergenceError):
     """Step-size underflow, NaN propagation or step limit in a shot."""
 
 
-# Dormand-Prince coefficients (the classic ode45 pair).  The last row of
-# the A matrix equals the 5th-order weights, so k7 of an accepted step is
-# reused as k1 of the next (FSAL).
-_C2, _C3, _C4, _C5 = 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0
-_A21 = 1.0 / 5.0
-_A31, _A32 = 3.0 / 40.0, 9.0 / 40.0
-_A41, _A42, _A43 = 44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0
-_A51, _A52, _A53, _A54 = (19372.0 / 6561.0, -25360.0 / 2187.0,
-                          64448.0 / 6561.0, -212.0 / 729.0)
-_A61, _A62, _A63, _A64, _A65 = (9017.0 / 3168.0, -355.0 / 33.0,
-                                46732.0 / 5247.0, 49.0 / 176.0,
-                                -5103.0 / 18656.0)
-_B1, _B3, _B4, _B5, _B6 = (35.0 / 384.0, 500.0 / 1113.0, 125.0 / 192.0,
-                           -2187.0 / 6784.0, 11.0 / 84.0)
-# Error weights: 5th-order minus 4th-order solution.
-_E1 = _B1 - 5179.0 / 57600.0
-_E3 = _B3 - 7571.0 / 16695.0
-_E4 = _B4 - 393.0 / 640.0
-_E5 = _B5 + 92097.0 / 339200.0
-_E6 = _B6 - 187.0 / 2100.0
-_E7 = -1.0 / 40.0
+# The Dormand-Prince 5(4) pair (the classic ode45 pair), the one copy of
+# its coefficients: the nodes c1..c7, the rows of A (row i - 2 gives the
+# state of stage i from k1..k(i-1)), the fifth-order weights b and the
+# error weights e = b - bhat, bhat the fourth-order weights.  b is also
+# the last row of A: k7 of an accepted step is taken at the new state and
+# reused as k1 of the next (FSAL).  `compile_form` writes each entry into
+# the generated source as a literal, its repr.
+_C = (0.0, 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0, 1.0)
+_A = (
+    (1.0 / 5.0,),
+    (3.0 / 40.0, 9.0 / 40.0),
+    (44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0),
+    (19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0),
+    (9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0,
+     -5103.0 / 18656.0),
+)
+_B = (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0,
+      11.0 / 84.0, 0.0)
+_E = tuple(b - bhat for b, bhat in zip(_B, (
+    5179.0 / 57600.0, 0.0, 7571.0 / 16695.0, 393.0 / 640.0,
+    -92097.0 / 339200.0, 187.0 / 2100.0, 1.0 / 40.0)))
 # Dense output of a step (Shampine 1986; Hairer, Norsett and Wanner,
 # Solving ODEs I, II.6), the rows of scipy's RK45.P: the state at
 # t + x h is u + x (a1 + x (a2 + x (a3 + x a4))), where a_k is h times
 # the sum over the stages i of _DENSE_P[i - 1][k - 1] ki.  k2 has a zero
-# row.  At x = 1 each stage's row sums to its fifth-order weight _Bi (0
-# for k7), so the interpolant ends on the step's own end state.
+# row.  At x = 1 each stage's row sums to its fifth-order weight in _B
+# (0 for k7), so the interpolant ends on the step's own end state.
 _DENSE_P = (
     (1.0, -8048581381.0 / 2820520608.0, 8663915743.0 / 2820520608.0,
      -12715105075.0 / 11282082432.0),
@@ -126,23 +138,30 @@ _DENSE_P = (
 _BRENT_STEPS = 100
 
 
-# One Dormand-Prince step as source, the only copy of its stage
-# arithmetic: per stage, the point at which the slope is taken and the
-# state there, with {y} standing for either component (u or v).  k7, the
-# slope at the new state, is taken at t + h, the point of stage 6.
-_STAGES = (
-    ("t + _C2 * h", "{y} + h * _A21 * k1{y}"),
-    ("t + _C3 * h", "{y} + h * (_A31 * k1{y} + _A32 * k2{y})"),
-    ("t + _C4 * h", "{y} + h * (_A41 * k1{y} + _A42 * k2{y} + _A43 * k3{y})"),
-    ("t + _C5 * h", "{y} + h * (_A51 * k1{y} + _A52 * k2{y} + _A53 * k3{y}"
-                    " + _A54 * k4{y})"),
-    ("t + h", "{y} + h * (_A61 * k1{y} + _A62 * k2{y} + _A63 * k3{y}"
-              " + _A64 * k4{y} + _A65 * k5{y})"),
-    (None, "{y} + h * (_B1 * k1{y} + _B3 * k3{y} + _B4 * k4{y} + _B5 * k5{y}"
-           " + _B6 * k6{y})"),
-)
-_ERROR = ("h * (_E1 * k1{y} + _E3 * k3{y} + _E4 * k4{y} + _E5 * k5{y}"
-          " + _E6 * k6{y} + _E7 * k7{y})")
+def _weighted(coefs):
+    """The sum of coefs[i - 1] * ki{y} over the nonzero coefs, as source,
+    each coefficient a literal."""
+    return " + ".join("%r * k%d{y}" % (a, i) for i, a in enumerate(coefs, 1)
+                      if a)
+
+
+def _increment(coefs):
+    """h times the weighted stages of coefs, as source: h * a * k1{y} for
+    a single term, h * (...) for a sum."""
+    terms = _weighted(coefs)
+    return "h * " + ("(%s)" % terms if " + " in terms else terms)
+
+
+# One Dormand-Prince step as source, written from the tables: per stage
+# 2..7, the point at which the slope is taken (None: the point of the
+# stage before, which the stage shares) and the state there, with {y}
+# standing for either component (u or v).  k7, the slope at the new
+# state, is taken at t + h, the point of stage 6.
+_STAGES = tuple(
+    (None if c == c_prev else "t + h" if c == 1.0 else "t + %r * h" % c,
+     "{y} + " + _increment(row))
+    for c_prev, c, row in zip(_C, _C[1:], _A + (_B,)))
+_ERROR = "h * (%s)" % _weighted(_E)
 
 # The two loops of a form around its stages, as source.  {stages} is one
 # step from (t, h, u, v, k1u, k1v) to the new state (w, phi) and its
@@ -222,7 +241,10 @@ _RUN = """\
                     out_phi[l] = v + x * (a1v + x * (a2v + x * (
                         a3v + x * a4v)))
             t = tn
-            u, v, k1u, k1v = w, phi, k7u, k7v
+            u = w
+            v = phi
+            k1u = k7u
+            k1v = k7v
             out_w[j] = w
             out_phi[j] = phi
         return t, u, v, k1u, k1v
@@ -257,11 +279,35 @@ def _dense_lines(indent):
     pad = " " * indent
     lines = []
     for k in range(4):
-        terms = " + ".join("%r * k%d{y}" % (row[k], i)
-                           for i, row in enumerate(_DENSE_P, 1) if row[k])
+        terms = _weighted([row[k] for row in _DENSE_P])
         lines += [pad + "a%d%s = h * (%s)" % (k + 1, y, terms.format(y=y))
                   for y in "uv"]
     return lines
+
+
+def form_source(params, weight, dw, dphi):
+    """The source of `compile_form`'s make for one form.
+
+    step is `_STAGES` with the slopes written out (`_stage_lines`);
+    integrate is `_INTEGRATE` around the same stages and `_ERROR`, and
+    run is `_RUN` around them and `_dense_lines`.  Every coefficient of
+    the pair is a float literal, the repr of its table entry, so no step
+    reads a module global.
+    """
+    lines = ["def make(%s):" % params, "    def f(s, w, phi):"]
+    if weight is not None:
+        lines.append("        fm = " + weight)
+    lines += ["        return (%s), (%s)" % (dw, dphi),
+              "    def step(t, h, u, v, k1u, k1v):"]
+    lines += _stage_lines(weight, dw, dphi, 8)
+    lines += ["        return w, phi, k7u, k7v"]
+    stages = "\n".join(_stage_lines(weight, dw, dphi, 12))
+    lines += [_INTEGRATE.format(stages=stages, eu=_ERROR.format(y="u"),
+                                ev=_ERROR.format(y="v")),
+              _RUN.format(stages=stages,
+                          dense="\n".join(_dense_lines(16))),
+              "    return f, step, integrate, run"]
+    return "\n".join(lines) + "\n"
 
 
 @functools.cache
@@ -295,32 +341,20 @@ def compile_form(params, weight, dw, dphi):
     of stride.  It writes each step's end state to out_w[j] and
     out_phi[j], and the state at each of the stride - 1 nodes inside the
     step from the step's dense output (`_DENSE_P`), and returns the last
-    node, state and slope (t, u, v, k1u, k1v).  With stride 1 it steps
-    node to node and forms no dense output; its one further cost is a
-    test of stride per step.
+    node, state and slope (t, u, v, k1u, k1v).  The march passes Python
+    lists for nodes, out_w and out_phi: a list item store costs a
+    fraction of a numpy one.  With stride 1 it steps node to node and
+    forms no dense output; its one further cost is a test of stride per
+    step.
 
-    The stages of step, integrate and run are `_STAGES` with the slopes
-    written out (`_stage_lines`); integrate is `_INTEGRATE` and run is
-    `_RUN`, its dense output `_dense_lines`.  Each form is compiled once
-    per process, on its first use: the cache holds one entry per form
-    its callers write, at most 30 for `radial`.
+    The source is `form_source`'s, with the pair's coefficients written
+    in from the tables `_C`, `_A`, `_B`, `_E` and `_DENSE_P`.  Each form
+    is compiled once per process, on its first use: the cache holds one
+    entry per form its callers write, at most 30 for `radial`.
     """
-    lines = ["def make(%s):" % params, "    def f(s, w, phi):"]
-    if weight is not None:
-        lines.append("        fm = " + weight)
-    lines += ["        return (%s), (%s)" % (dw, dphi),
-              "    def step(t, h, u, v, k1u, k1v):"]
-    lines += _stage_lines(weight, dw, dphi, 8)
-    lines += ["        return w, phi, k7u, k7v"]
-    stages = "\n".join(_stage_lines(weight, dw, dphi, 12))
-    lines += [_INTEGRATE.format(stages=stages, eu=_ERROR.format(y="u"),
-                                ev=_ERROR.format(y="v")),
-              _RUN.format(stages=stages,
-                          dense="\n".join(_dense_lines(16))),
-              "    return f, step, integrate, run"]
     made = {}
-    exec(compile("\n".join(lines) + "\n", "<dp form>", "exec"), globals(),
-         made)
+    exec(compile(form_source(params, weight, dw, dphi), "<dp form>", "exec"),
+         globals(), made)
     return made["make"]
 
 

@@ -169,10 +169,10 @@ class RadialProblem:
             return np.ones(np.shape(t))
         return self.profile.eval(t)[0] ** (self.m - 1)
 
-    def cache_key(self, tol, n_grid):
+    def cache_key(self, tol):
         d = self.domain
         return (self.p, self.m, self.profile.cache_key(),
-                (d.kind, d.left, d.right), tol, n_grid)
+                (d.kind, d.left, d.right), tol)
 
     def __repr__(self):
         return ("RadialProblem(p=%g, m=%d, %r, %r)"
@@ -190,15 +190,17 @@ def ball_problem(p, m, c, r):
 # exponent is exactly 1 is left out: both powers at p = 2, the weight
 # power at m = 2.  The slopes keep their bits: pow(x, 1.0) returns x,
 # and -((-Phi)/f) = Phi/f and lam (-omega) = -lam omega in IEEE
-# arithmetic.
+# arithmetic.  nlam is -lam, bound once per trial lam: -lam * fm parses
+# as (-lam) * fm, so nlam * fm is the same product without a negation
+# at every stage.
 _SLOPES = {
-    (True, False): ("phi", "-lam * w"),
-    (True, True): ("phi / fm", "-lam * fm * w"),
+    (True, False): ("phi", "nlam * w"),
+    (True, True): ("phi / fm", "nlam * fm * w"),
     (False, False): ("phi ** em1 if phi >= 0.0 else -((-phi) ** em1)",
-                     "-lam * (w ** pm1) if w >= 0.0 else lam * ((-w) ** pm1)"),
+                     "nlam * (w ** pm1) if w >= 0.0 else lam * ((-w) ** pm1)"),
     (False, True): ("(phi / fm) ** em1 if phi >= 0.0"
                     " else -(((-phi) / fm) ** em1)",
-                    "-lam * fm * (w ** pm1) if w >= 0.0"
+                    "nlam * fm * (w ** pm1) if w >= 0.0"
                     " else lam * fm * ((-w) ** pm1)"),
 }
 
@@ -218,8 +220,8 @@ def _make_rhs(p, m, profile, lam):
     the exponents and the profile's names.
     """
     k = min(m - 1, 2)
-    params = "lam, em1, pm1, mm1"
-    args = [lam, 1.0 / (p - 1.0), p - 1.0, m - 1]
+    params = "lam, nlam, em1, pm1, mm1"
+    args = [lam, -lam, 1.0 / (p - 1.0), p - 1.0, m - 1]
     weight = None
     if k:
         weight = profile.f_expr if k == 1 else "(%s) ** mm1" % profile.f_expr
@@ -510,7 +512,9 @@ class RadialSolution:
         The nodes are cast to Python floats once, on entry, so every
         step state of the sweep is a float: a step on numpy scalars costs
         more than twice a step on floats (13.4-15.4 us against 5.1-5.8
-        us, see `_ode`).  The output buffers stay numpy arrays.
+        us, see `_ode`).  The output buffers are Python lists, which
+        `run` and the graded gaps fill and the sweep turns into numpy
+        arrays once, at its end (see `_ode` for the cost per node).
 
         Which gaps take graded steps is decided for all nodes at once,
         with numpy, before the sweep.  Each maximal run of plain gaps is
@@ -558,8 +562,8 @@ class RadialSolution:
         j = max(bisect_right(self._ts, back) - 1, 0)
         t_march, y = self._ts[j], self._ys[j]
         pre = bisect_left(tl, t_march)
-        omega = np.empty(n)
-        phi = np.empty(n)
+        omega = [0.0] * n
+        phi = [0.0] * n
         for i in range(pre):
             omega[i], phi[i] = (startup.state(tl[i]) if startup is not None
                                 else y0)
@@ -590,7 +594,7 @@ class RadialSolution:
         flagged = np.logical_or.reduce(hits)
         split = _ANCHOR_STEPS * reach / span > 1.0
         codes = (gap > 0.0) * (1 + (flagged | split))
-        near = {j: [pt for pt, hit in zip(points, hits) if hit[j]]
+        near = {pre + j: [pt for pt, hit in zip(points, hits) if hit[j]]
                 for j in np.flatnonzero(flagged).tolist()}
 
         # Each maximal run of code-1 gaps is one call of `run` over the
@@ -598,30 +602,30 @@ class RadialSolution:
         # takes the rest in a single step; the sweep visits only the
         # other nodes.
         graded, run = _ode.dp_graded, self._run
-        nodes = tl[pre:]
-        out_w, out_phi = omega[pre:], phi[pre:]
         u, v = y
         ku, kv = self._rhs(t_march, u, v)
-        i = 0
-        for j in np.flatnonzero(codes != 1).tolist() + [len(nodes)]:
+        i = pre
+        for j in (np.flatnonzero(codes != 1) + pre).tolist() + [n]:
             tail = i + (j - i) // stride * stride
             if i < tail:
-                t_march, u, v, ku, kv = run(t_march, u, v, ku, kv, nodes, i,
-                                            tail, stride, out_w, out_phi)
+                t_march, u, v, ku, kv = run(t_march, u, v, ku, kv, tl, i,
+                                            tail, stride, omega, phi)
             if tail < j:
-                t_march, u, v, ku, kv = run(t_march, u, v, ku, kv, nodes,
-                                            tail, j, j - tail, out_w, out_phi)
-            if j == len(nodes):
+                t_march, u, v, ku, kv = run(t_march, u, v, ku, kv, tl,
+                                            tail, j, j - tail, omega, phi)
+            if j == n:
                 break
-            t = nodes[j]
-            if codes[j]:
+            t = tl[j]
+            if codes[j - pre]:
                 nsub = int(math.ceil(_ANCHOR_STEPS * (t - t_march) / span))
                 (u, v), (ku, kv) = graded(step, t_march, (u, v), (ku, kv), t,
                                           nsub, near.get(j, []))
             t_march = t
-            out_w[j] = u
-            out_phi[j] = v
+            omega[j] = u
+            phi[j] = v
             i = j + 1
+        omega = np.array(omega, float)
+        phi = np.array(phi, float)
         omega *= self._scale
         phi *= self._scale ** (self.p - 1.0)
         return omega, phi
@@ -725,13 +729,20 @@ def _solve(problem, tol):
     return lam, ts, ys, steps
 
 
+# Solutions by (problem parameters, tol, n_grid), and the shot result
+# (lam, mesh, Brent steps) they are built from by (problem parameters,
+# tol): a solve that differs only in n_grid marches its grid from the
+# cached mesh and takes no shot.
 _SOLVE_CACHE = {}
+_SHOT_CACHE = {}
 _MIN_GRID = 5   # the residual audit's five-point stencil
 
 
 def clear_solver_cache():
-    """Drop memoized eigensolves (used by determinism checks)."""
+    """Drop memoized eigensolves and their shot results (used by
+    determinism checks)."""
     _SOLVE_CACHE.clear()
+    _SHOT_CACHE.clear()
 
 
 def _solve_memoized(problem, kind, tol, n_grid, use_cache):
@@ -739,7 +750,8 @@ def _solve_memoized(problem, kind, tol, n_grid, use_cache):
 
     Checks the domain kind, n_grid and tol, returns the cached solution
     of (problem parameters, tol, n_grid) if there is one, and otherwise
-    solves and stores.
+    builds one from the cached shot result of (problem parameters, tol),
+    solving for it if there is none, and stores both.
     """
     if problem.domain.kind != kind:
         raise ValueError("solve_%s_eigenvalue needs a domain of kind %r, "
@@ -751,13 +763,15 @@ def _solve_memoized(problem, kind, tol, n_grid, use_cache):
     if not sys.float_info.epsilon <= tol < 1.0:
         raise ValueError("tol=%r: the relative bracket width needs "
                          "2**-52 <= tol < 1" % (tol,))
-    key = problem.cache_key(tol, n_grid)
-    if use_cache and key in _SOLVE_CACHE:
-        return _SOLVE_CACHE[key]
-    lam, ts, ys, iterations = _solve(problem, tol)
-    sol = RadialSolution(problem, lam, ts, ys, iterations, n_grid)
-    if use_cache:
-        _SOLVE_CACHE[key] = sol
+    if not use_cache:
+        return RadialSolution(problem, *_solve(problem, tol), n_grid)
+    key = problem.cache_key(tol)
+    sol = _SOLVE_CACHE.get((key, n_grid))
+    if sol is None:
+        if key not in _SHOT_CACHE:
+            _SHOT_CACHE[key] = _solve(problem, tol)
+        sol = RadialSolution(problem, *_SHOT_CACHE[key], n_grid)
+        _SOLVE_CACHE[key, n_grid] = sol
     return sol
 
 
@@ -767,8 +781,9 @@ def solve_ball_eigenvalue(problem, tol=_DEFAULT_TOL, n_grid=_DEFAULT_GRID,
 
     Returns a RadialSolution whose omega is positive on [0, r), decreasing,
     and vanishes at r up to the eigenvalue tolerance.  Results are
-    memoized on (problem parameters, tol, n_grid); solves are pure, so the
-    cache is transparent.
+    memoized on (problem parameters, tol, n_grid), and the shot result on
+    (problem parameters, tol), so another n_grid takes no shot; solves
+    are pure, so the caches are transparent.
     """
     return _solve_memoized(problem, "ball", tol, n_grid, use_cache)
 

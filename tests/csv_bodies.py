@@ -1,4 +1,5 @@
-"""Print a sha256 of the CSV body and the JSON file of each ptone command.
+"""Print a sha256 of the CSV body and JSON file of each ptone command, and
+of the output of tests/oracles.py.
 
 Not collected by pytest (no ``test_`` prefix); run from a checkout's root:
 
@@ -14,10 +15,15 @@ given as arguments pick a subset.  Each command runs through
 file; the digest covers the file without its leading ``# `` line, which
 carries a timestamp.  Every command but ``selftest``, whose JSON holds
 runtimes, also writes its ``--json`` file, which carries no timestamp,
-and gets a second line for it.  Two checkouts whose digests agree print
-byte-identical CSV bodies and JSON files.  Output lines read
+and gets a second line for it.  Output lines read
 ``<sha256>  <name>`` for the CSV body, with ``  (exit N)`` appended when
 the command exits N != 0, and ``<sha256>  <name>.json`` for the JSON.
+One more line, ``<sha256>  oracles``, digests the standard output of
+``tests/oracles.py``, run in a fresh interpreter on the same ``ptone``:
+its solver pins, march errors, scan pins and Rayleigh minima are printed
+to 17 digits, so it moves with any bit of them.
+Two checkouts whose digests agree print byte-identical CSV bodies, JSON
+files and oracles output.
 
 ``--check SAVED`` compares against a saved output of this script: save
 the digests of one checkout (``... csv_bodies.py > SAVED``), then run
@@ -32,7 +38,9 @@ matched.
 import contextlib
 import hashlib
 import io
+import os
 import shlex
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -40,6 +48,7 @@ from pathlib import Path
 from ptone import cli, radial
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+ORACLES = Path(__file__).resolve().parent / "oracles.py"
 
 MATRICES = {
     "eig-matrix": "eig --p 2,3,6 --m 1,2,4 --c=-1,0,1 --r 1",
@@ -66,8 +75,10 @@ def readme_commands():
 
 
 def commands():
+    """name -> cli argv; ``oracles`` maps to None, for ``tests/oracles.py``."""
     cmds = dict(readme_commands())
     cmds.update((name, shlex.split(line)) for name, line in MATRICES.items())
+    cmds["oracles"] = None
     return cmds
 
 
@@ -75,9 +86,23 @@ def _sha(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def oracle_lines():
+    """The digest line of tests/oracles.py's standard output, with its exit
+    code, run on the ptone this script imported."""
+    path = os.pathsep.join(filter(None, [str(Path(radial.__file__).parents[1]),
+                                         os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(ORACLES)], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path))
+    return ["%s  oracles%s" % (_sha(proc.stdout), "" if proc.returncode == 0
+                               else "  (exit %d)" % proc.returncode)]
+
+
 def digest_lines(name, argv):
     """Output lines of one cold-cache cli run: the CSV body's digest with
-    the exit code, then the JSON file's (all but selftest)."""
+    the exit code, then the JSON file's (all but selftest).  argv None
+    digests tests/oracles.py instead (`oracle_lines`)."""
+    if argv is None:
+        return oracle_lines()
     radial.clear_solver_cache()
     with_json = argv[0] != "selftest"
     with tempfile.TemporaryDirectory() as tmp:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,10 +10,6 @@ from scipy.integrate import RK45, solve_ivp
 from scipy.special import j0, jn_zeros
 
 from ptone import _ode, acceptance, modelspace, radial
-from ptone._ode import (_A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52,
-                        _A53, _A54, _A61, _A62, _A63, _A64, _A65, _B1, _B3,
-                        _B4, _B5, _B6, _C2, _C3, _C4, _C5, _DENSE_P, _E1,
-                        _E3, _E4, _E5, _E6, _E7)
 from ptone.radial import (Annulus, Ball, RadialProblem, ball_problem,
                           eigen_equation_residual, pi_p,
                           scaled_eigenvalue, signed_power,
@@ -507,6 +504,43 @@ def test_rhs_exponent_one_forms_are_exact(p, m):
             assert [x.hex() for x in got] == [x.hex() for x in want]
 
 
+# The Dormand-Prince 5(4) pair (Dormand and Prince 1980), the tests' own
+# copy of its rational coefficients: the reference step reads these, and
+# `_ode`'s tables must hold the same floats.  The fourth-order weights
+# _BH* give the error weights _E* = _B* - _BH*.
+_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = (9017 / 3168, -355 / 33, 46732 / 5247,
+                                49 / 176, -5103 / 18656)
+_B1, _B3, _B4, _B5, _B6 = (35 / 384, 500 / 1113, 125 / 192, -2187 / 6784,
+                           11 / 84)
+_BH1, _BH3, _BH4, _BH5, _BH6, _BH7 = (5179 / 57600, 7571 / 16695, 393 / 640,
+                                      -92097 / 339200, 187 / 2100, 1 / 40)
+_E1, _E3, _E4, _E5, _E6, _E7 = (_B1 - _BH1, _B3 - _BH3, _B4 - _BH4,
+                                _B5 - _BH5, _B6 - _BH6, -_BH7)
+# The dense output's rows, scipy's RK45.P.
+_DENSE_P = RK45.P.tolist()
+
+
+def test_tableau_holds_the_rational_coefficients():
+    # The pair's one copy in `_ode` is its tables; each entry must be the
+    # float of its rational, bit for bit.  (The dense output's rows are
+    # checked against scipy's by
+    # test_dense_output_is_scipys_and_ends_on_the_step.)
+    def bits(rows):
+        return [[x.hex() for x in row] for row in rows]
+
+    assert bits([_ode._C]) == bits([(0.0, _C2, _C3, _C4, _C5, 1.0, 1.0)])
+    assert bits(_ode._A) == bits([(_A21,), (_A31, _A32), (_A41, _A42, _A43),
+                                  (_A51, _A52, _A53, _A54),
+                                  (_A61, _A62, _A63, _A64, _A65)])
+    assert bits([_ode._B]) == bits([(_B1, 0.0, _B3, _B4, _B5, _B6, 0.0)])
+    assert bits([_ode._E]) == bits([(_E1, 0.0, _E3, _E4, _E5, _E6, _E7)])
+
+
 def _reference_dp_step(f, t, h, u, v, k1u, k1v, estimate=False,
                        dense=False):
     """One Dormand-Prince step through seven calls of f(t, u, v).
@@ -686,7 +720,7 @@ def test_generated_run_matches_steps(p, m):
         nodes = np.sort(rng.uniform(0.05, 1.0, 40)).tolist()
         u, v = 0.75, -0.25
         ku, kv = f(nodes[0], u, v)
-        out_w, out_phi = np.zeros(40), np.zeros(40)
+        out_w, out_phi = [0.0] * 40, [0.0] * 40
         got = run(nodes[0], u, v, ku, kv, nodes, 3, e, stride, out_w,
                   out_phi)
         t = nodes[0]
@@ -701,7 +735,7 @@ def test_generated_run_matches_steps(p, m):
             t = nodes[j]
             assert out_w[j].hex() == u.hex() and out_phi[j].hex() == v.hex()
         assert [x.hex() for x in got] == [x.hex() for x in (t, u, v, ku, kv)]
-        assert not out_w[:3].any() and not out_w[e:].any()
+        assert not any(out_w[:3]) and not any(out_w[e:])
 
 
 def test_dense_output_is_scipys_and_ends_on_the_step():
@@ -709,8 +743,8 @@ def test_dense_output_is_scipys_and_ends_on_the_step():
     # stage's row sums to its fifth-order weight (k2 and k7 have none),
     # to the rounding of the rows' entries: every step's interpolant ends
     # on the step's own end state.
-    assert [list(row) for row in _DENSE_P] == RK45.P.tolist()
-    for row, b in zip(_DENSE_P, (_B1, 0.0, _B3, _B4, _B5, _B6, 0.0)):
+    assert [list(row) for row in _ode._DENSE_P] == RK45.P.tolist()
+    for row, b in zip(_ode._DENSE_P, (_B1, 0.0, _B3, _B4, _B5, _B6, 0.0)):
         assert abs(math.fsum(row) - b) <= sum(map(math.ulp, row + (b,)))
 
 
@@ -739,6 +773,31 @@ def test_step_compiles_once_per_form():
             assert [fn.__code__ for fn in radial._make_rhs(p, m, one, 1.0)] \
                 == [fn.__code__ for fn in radial._make_rhs(p, m, other, 2.0)]
     assert len(codes) == len(_FORMS)
+
+
+def test_generated_source_reads_the_tableau_as_literals(monkeypatch):
+    # compile_form writes every coefficient as a literal: the source of
+    # each form names no table of `_ode`, and its functions load no
+    # private module global.
+    forms = set()
+    compile_form = _ode.compile_form
+
+    def spy(*form):
+        forms.add(form)
+        return compile_form(*form)
+
+    monkeypatch.setattr(_ode, "compile_form", spy)
+    for (p, m), prof in itertools.product(_FORMS, _PROFILES):
+        radial._make_rhs(p, m, prof, 7.25)
+    assert len(forms) == 2 + 4 * len(_PROFILES)     # every form: 30
+    for form in forms:
+        source = _ode.form_source(*form)
+        assert re.search(r"\b_[A-Z]", source) is None
+        assert all(repr(a) in source for row in _ode._A for a in row)
+        code = [compile(source, "<dp form>", "exec")]
+        for c in code:
+            assert not [n for n in c.co_names if n.startswith("_")]
+            code += [k for k in c.co_consts if hasattr(k, "co_names")]
 
 
 def _reference_cuts(t_from, t_to, points):
@@ -1123,6 +1182,40 @@ def test_solver_cache_and_determinism():
     again = solve_ball_eigenvalue(problem)
     assert again is not first and again.lam == first.lam
     assert np.array_equal(again.omega, first.omega)
+
+
+@pytest.mark.parametrize("problem", _LAZY_PROBLEMS, ids=["ball", "annulus"])
+def test_other_grid_size_takes_no_shot(monkeypatch, problem):
+    # The shot result is cached per (problem, tol): a solve that differs
+    # only in n_grid builds its grid from it, and its arrays are those of
+    # a cold solve.  clear_solver_cache drops the shot result too.
+    solve = (solve_ball_eigenvalue if problem.domain.kind == "ball"
+             else solve_annulus_eigenvalue)
+    radial.clear_solver_cache()
+    first = solve(problem)
+    shots = []
+    shoot = radial._shoot
+
+    def spy(problem, lam):
+        shots.append(lam)
+        return shoot(problem, lam)
+
+    monkeypatch.setattr(radial, "_shoot", spy)
+    sol = solve(problem, n_grid=1000)
+    assert shots == [] and sol is not first
+    assert (sol.lam, sol.iterations) == (first.lam, first.iterations)
+    cold = solve(problem, n_grid=1000, use_cache=False)
+    assert shots
+    assert (cold.lam, cold.iterations) == (sol.lam, sol.iterations)
+    for name in ("grid", "omega", "omega_prime", "flux"):
+        arr = getattr(sol, name)
+        assert not arr.flags.writeable
+        assert arr.tobytes() == getattr(cold, name).tobytes()
+    assert sol.residual == cold.residual
+    del shots[:]
+    radial.clear_solver_cache()
+    solve(problem, n_grid=1000)
+    assert shots
 
 
 def test_tolerance_refines_eigenvalue():
