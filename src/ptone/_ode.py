@@ -170,7 +170,7 @@ _ERROR = "h * (%s)" % _weighted(_E)
 # integrate is the adaptive loop of the shots.  Its error scales and step
 # clamps select what abs, max and min would, without a call.
 _INTEGRATE = """\
-    def integrate(t0, t1, y0, rtol=1e-12, atol=1e-12, max_steps=1000000):
+    def integrate(t0, t1, y0):
         span = t1 - t0
         if span <= 0:
             raise ValueError("integrate requires t1 > t0")
@@ -188,17 +188,17 @@ _INTEGRATE = """\
             if h < hmin:
                 raise IntegrationError("step-size underflow at t=%.12g" % t)
             steps += 1
-            if steps > max_steps:
+            if steps > 1000000:
                 raise IntegrationError("step limit exceeded at t=%.12g" % t)
 {stages}
             eu = {eu}
             ev = {ev}
             au = u if u >= 0.0 else -u
             a = w if w >= 0.0 else -w
-            su = atol + rtol * (a if a > au else au)
+            su = 1e-12 + 1e-12 * (a if a > au else au)
             av = v if v >= 0.0 else -v
             a = phi if phi >= 0.0 else -phi
-            sv = atol + rtol * (a if a > av else av)
+            sv = 1e-12 + 1e-12 * (a if a > av else av)
             err = ((eu / su) ** 2 + (ev / sv) ** 2) ** 0.5 * 0.7071067811865476
             if err != err:  # NaN
                 raise IntegrationError(
@@ -327,13 +327,13 @@ def compile_form(params, weight, dw, dphi):
     returns (nu, nv, k7u, k7v): the fifth-order state at t + h and the
     slope there (k1 of the next step, FSAL).
 
-    integrate(t0, t1, y0, rtol=1e-12, atol=1e-12, max_steps=1000000)
-    integrates from t0 to t1 > t0 with proportional step control and
-    returns (ts, ys): the accepted mesh nodes and states (u, v), starting
-    at (t0, y0).  It ends at t1 or at the first accepted node where
-    u <= 0, which the mesh still contains: a shot needs its trajectory
-    only up to the first zero of omega.  It raises IntegrationError on
-    step-size underflow, NaN propagation or more than max_steps steps.
+    integrate(t0, t1, y0) integrates from t0 to t1 > t0 with proportional
+    step control at relative and absolute tolerance 1e-12 and returns
+    (ts, ys): the accepted mesh nodes and states (u, v), starting at
+    (t0, y0).  It ends at t1 or at the first accepted node where u <= 0,
+    which the mesh still contains: a shot needs its trajectory only up to
+    the first zero of omega.  It raises IntegrationError on step-size
+    underflow, NaN propagation or more than 1000000 steps.
 
     run(t, u, v, k1u, k1v, nodes, i, e, stride, out_w, out_phi) takes
     one plain step from t to nodes[i + stride - 1], then one to every

@@ -66,12 +66,22 @@ def _solve(p, m, c, r):
     return radial.solve_ball_eigenvalue(radial.ball_problem(p, m, c, r))
 
 
-def _tabulated_convex():
-    """Two tabulated profiles with -f''/f <= 0 by a visible margin."""
+def compare_profiles():
+    """(name, profile) of the comparison battery (`ptone compare`): three
+    admissible warpings, -f''/f <= 0 (the tabulated two by a visible
+    margin), the flat equality case, and one that fails the curvature
+    check (f = sin has -f''/f = +1 > 0).  Criterion 8 takes the first
+    three."""
     t = np.linspace(0.0, 1.05, 2001)
-    return [modelspace.tabulated(t, np.sinh(t), label="tab-sinh"),
-            modelspace.tabulated(t, t * (1.0 + t * t / 10.0),
-                                 label="tab-cubic")]
+    return [
+        ("hyperbolic", modelspace.space_form(-1.0)),
+        ("tab-sinh", modelspace.tabulated(t, np.sinh(t), label="tab-sinh")),
+        ("tab-cubic", modelspace.tabulated(t, t * (1.0 + t * t / 10.0),
+                                           label="tab-cubic")),
+        ("flat-equality", modelspace.space_form(0.0)),
+        ("inadmissible-sin", modelspace.tabulated(t, np.sin(t),
+                                                  label="inadmissible-sin")),
+    ]
 
 
 # -- criteria ---------------------------------------------------------------
@@ -269,12 +279,11 @@ def criterion_07():
 @_criterion(8, "warped-model comparison")
 def criterion_08():
     """Warped-model comparison: transplant certificate >= flat eigenvalue."""
-    profiles = [(modelspace.space_form(-1.0), "hyperbolic")]
-    profiles += [(prof, prof.label) for prof in _tabulated_convex()]
+    profiles = compare_profiles()[:3]
     rows, checks = [], []
     for p in (2.0, 2.5, 3.0):
         flat = _solve(p, 2, 0.0, 1.0)
-        for prof, name in profiles:
+        for name, prof in profiles:
             curv = modelspace.verify_curvature_bound(prof, 0.0)
             problem = radial.RadialProblem(p, 2, prof, radial.Ball(1.0))
             cert = bounds.transplant_barta_certificate(flat, problem)
@@ -490,13 +499,16 @@ def kazdan_eigen_stats(p, m, c, r, n):
 def kazdan_quadratic_stats(p, m, c, r, n=2001):
     """inf/sup of Psi for the non-eigenfunction phi = 1 - t^2/r^2."""
     problem = radial.ball_problem(p, m, c, r)
-    sol = radial.solve_ball_eigenvalue(problem, n_grid=n)
-    nodes = sol.grid[sol.grid <= 0.96 * r]
+    # Only lam is read, so the solve marches nothing; n_grid=n keeps the
+    # check of n.  The nodes are the solution's grid, built directly.
+    lam = radial.solve_ball_eigenvalue(problem, n_grid=n).lam
+    grid = np.linspace(0.0, r, n)
+    nodes = grid[grid <= 0.96 * r]
     phi = 1.0 - (nodes / r) ** 2
     v = bounds.kazdan_transform(phi)
     psi = bounds.kazdan_source(v, problem, nodes)
     window = nodes[1:-1] >= 0.04 * r
-    return {"lambda": sol.lam, "inf": float(np.min(psi[window])),
+    return {"lambda": lam, "inf": float(np.min(psi[window])),
             "sup": float(np.max(psi[window]))}
 
 

@@ -3,12 +3,17 @@
 Eight subcommands (eig, rstar, barta, compare, surface, kazdan, sweep,
 selftest) share one plumbing layer: list/range flag parsing, JSON config
 merging (flags beat config beats defaults), and RFC-4180 CSV output with
-17-significant-digit floats.  One row path serves the grid commands:
-``_combos`` reads the (p, m, c, r) grid once, and each builder maps one
-function over it and sorts the rows by (p, m, c, r) (``_rows``).  A row
-is a dict; the CSV writes the command's named columns and ``--json``
-writes every key.  Timestamps appear only on the leading ``#`` metadata
-line so two identical runs emit byte-identical bodies.
+17-significant-digit floats.  One table, ``COMMANDS``, holds every
+subcommand but selftest: its help, its flags with theirs, a rows
+function and its CSV columns.  ``build_parser`` loops over the table,
+and one handler (``_run_command``) loads the config, builds the rows and
+writes them; selftest keeps its own handler.  One row path serves the
+grid commands: ``_combos`` reads the (p, m, c, r) grid once, and each
+builder maps one function over it and sorts the rows by (p, m, c, r)
+(``_rows``).  A row is a dict; the CSV writes the command's named
+columns and ``--json`` writes every key.  Timestamps appear only on the
+leading ``#`` metadata line so two identical runs emit byte-identical
+bodies.
 
 Exit codes: 0 success, 1 acceptance failure, 2 invalid input,
 3 numerical non-convergence.
@@ -224,19 +229,25 @@ def sweep_rows(combos):
     return _rows(one, combos)
 
 
-def compare_profiles():
-    """The comparison battery: admissible warpings plus one that fails
-    the curvature check (f = sin has -f''/f = +1 > 0)."""
-    t = np.linspace(0.0, 1.05, 2001)
-    return [
-        ("hyperbolic", modelspace.space_form(-1.0)),
-        ("tab-sinh", modelspace.tabulated(t, np.sinh(t), label="tab-sinh")),
-        ("tab-cubic", modelspace.tabulated(t, t * (1.0 + t * t / 10.0),
-                                           label="tab-cubic")),
-        ("flat-equality", modelspace.space_form(0.0)),
-        ("inadmissible-sin", modelspace.tabulated(t, np.sin(t),
-                                                  label="inadmissible-sin")),
-    ]
+def kazdan_rows(combos, phi, n):
+    def one(p, m, c, r):
+        if phi == "eigen":
+            st = acceptance.kazdan_eigen_stats(p, m, c, r, n)
+            return {"p": p, "m": m, "c": c, "r": r, "phi": "eigen",
+                    "lambda": st["lambda"], "psi_inf": st["inf"],
+                    "psi_sup": st["sup"], "psi_spread": st["sup"] - st["inf"],
+                    "window_nodes": st["count"]}
+        st = acceptance.kazdan_quadratic_stats(p, m, c, r, n=n)
+        return {"p": p, "m": m, "c": c, "r": r, "phi": "quadratic",
+                "lambda": st["lambda"], "psi_inf": st["inf"],
+                "psi_sup": st["sup"],
+                "sandwich_ok": st["inf"] <= st["lambda"] <= st["sup"]}
+
+    return _rows(one, combos)
+
+
+# Built in acceptance, which criterion 8 shares; the benchmark reads it here.
+compare_profiles = acceptance.compare_profiles
 
 
 def compare_rows(p_list, m, r):
@@ -263,93 +274,83 @@ def compare_rows(p_list, m, r):
 # -- subcommands ------------------------------------------------------------
 
 
-def cmd_eig(args):
-    cfg = _load_config(args.config)
-    rows = eig_rows(_combos(args, cfg), tol=_scalar(args, cfg, "tol", None),
-                    n_grid=_scalar(args, cfg, "n", None, cast=int))
-    _emit(args, ["p", "m", "c", "r", "lambda", "residual", "iterations"],
-          rows, "eig")
-    return 0
+def _compare(args, cfg):
+    rows, violations = compare_rows(_merged(args, cfg, "p", [2.0, 2.5, 3.0]),
+                                    _scalar(args, cfg, "m", 2, cast=int),
+                                    _scalar(args, cfg, "r", 1.0))
+    for name, p, margin in violations:
+        print("comparison violated: profile=%s p=%g margin_rel=%.3e"
+              % (name, p, margin), file=sys.stderr)
+    return rows, 1 if violations else 0
 
 
-def cmd_rstar(args):
-    cfg = _load_config(args.config)
-    rows = rstar_rows(_combos(args, cfg))
-    _emit(args, ["c", "p", "m", "r", "lambda", "r_star", "min_W_margin"],
-          rows, "rstar")
-    return 0
-
-
-def cmd_barta(args):
-    cfg = _load_config(args.config)
-    rows = barta_rows(_combos(args, cfg))
-    _emit(args, ["p", "m", "c", "r", "lambda", "barta_value", "rel_gap"],
-          rows, "barta")
-    return 0
-
-
-def cmd_compare(args):
-    cfg = _load_config(args.config)
-    p_list = _merged(args, cfg, "p", [2.0, 2.5, 3.0])
-    m = int(_scalar(args, cfg, "m", 2, cast=int))
-    r = float(_scalar(args, cfg, "r", 1.0))
-    rows, violations = compare_rows(p_list, m, r)
-    _emit(args, ["profile", "p", "m", "r", "lambda_model", "certificate",
-                 "margin_rel", "rayleigh_warped", "admissible"], rows,
-          "compare")
-    if violations:
-        for name, p, margin in violations:
-            print("comparison violated: profile=%s p=%g margin_rel=%.3e"
-                  % (name, p, margin), file=sys.stderr)
-        return 1
-    return 0
-
-
-def cmd_surface(args):
-    cfg = _load_config(args.config)
-    raw = getattr(args, "surfaces", None) or cfg.get("surfaces") or \
-        "plane,catenoid"
+def _surface(args, cfg):
+    raw = args.surfaces or cfg.get("surfaces") or "plane,catenoid"
     kinds = [s.strip() for s in str(raw).split(",") if s.strip()]
-    p_list = _merged(args, cfg, "p", [2.0, 3.0])
-    r_list = _merged(args, cfg, "r", [1.2])
-    rows = [surfaces.band_report(kind, r, p)
-            for kind in kinds for p in sorted(p_list) for r in sorted(r_list)]
-    _emit(args, surfaces.BAND_COLUMNS, rows, "surface")
-    return 0
+    p_list = sorted(_merged(args, cfg, "p", [2.0, 3.0]))
+    r_list = sorted(_merged(args, cfg, "r", [1.2]))
+    return [surfaces.band_report(kind, r, p)
+            for kind in kinds for p in p_list for r in r_list], 0
 
 
-def cmd_kazdan(args):
-    cfg = _load_config(args.config)
-    phi = getattr(args, "phi", None) or cfg.get("phi") or "eigen"
+def _kazdan(args, cfg):
+    phi = args.phi or cfg.get("phi") or "eigen"
     if phi not in ("eigen", "quadratic"):
         raise ValueError("--phi must be 'eigen' or 'quadratic'")
-    n = int(_scalar(args, cfg, "n", 2000, cast=int))
-    rows = []
-    for p, m, c, r in _combos(args, cfg):
-        if phi == "eigen":
-            st = acceptance.kazdan_eigen_stats(p, m, c, r, n)
-            rows.append({"p": p, "m": m, "c": c, "r": r, "phi": "eigen",
-                         "lambda": st["lambda"], "psi_inf": st["inf"],
-                         "psi_sup": st["sup"],
-                         "psi_spread": st["sup"] - st["inf"],
-                         "window_nodes": st["count"]})
-        else:
-            st = acceptance.kazdan_quadratic_stats(p, m, c, r, n=n)
-            rows.append({"p": p, "m": m, "c": c, "r": r, "phi": "quadratic",
-                         "lambda": st["lambda"], "psi_inf": st["inf"],
-                         "psi_sup": st["sup"],
-                         "sandwich_ok":
-                         st["inf"] <= st["lambda"] <= st["sup"]})
-    _emit(args, None, _sort_rows(rows), "kazdan")
-    return 0
+    n = _scalar(args, cfg, "n", 2000, cast=int)
+    return kazdan_rows(_combos(args, cfg), phi, n), 0
 
 
-def cmd_sweep(args):
-    cfg = _load_config(args.config)
-    rows = sweep_rows(_combos(args, cfg))
-    _emit(args, ["p", "m", "c", "r", "lambda", "rayleigh", "barta",
-                 "residual"], rows, "sweep")
-    return 0
+_GRID_FLAGS = (("--p", "p values: 2,3 or 1.5:3:0.5"),
+               ("--m", "dimensions m (integers)"),
+               ("--c", "curvature bounds c"), ("--r", "radii r"))
+
+#: name -> (help, flags, rows, columns) of every subcommand but selftest.
+#: A flag is (flag, help) or (flag, help, argparse options).  rows(args,
+#: config) returns (rows, exit code); it names its builder when it runs,
+#: so a rebound builder (a tracer's wrapper) is the one called.  The CSV
+#: writes the columns, or with None every key in first-seen order.
+COMMANDS = {
+    "eig": ("eigenvalue sweep", _GRID_FLAGS + (
+        ("--tol", "relative width of the final eigenvalue bracket",
+         {"type": float}),
+        ("--n", "output grid size")),
+        lambda args, cfg: (eig_rows(
+            _combos(args, cfg), tol=_scalar(args, cfg, "tol", None),
+            n_grid=_scalar(args, cfg, "n", None, cast=int)), 0),
+        ["p", "m", "c", "r", "lambda", "residual", "iterations"]),
+    "rstar": ("critical-radius certification", _GRID_FLAGS,
+              lambda args, cfg: (rstar_rows(_combos(args, cfg)), 0),
+              ["c", "p", "m", "r", "lambda", "r_star", "min_W_margin"]),
+    "barta": ("Barta certificates at the eigenfunction", _GRID_FLAGS,
+              lambda args, cfg: (barta_rows(_combos(args, cfg)), 0),
+              ["p", "m", "c", "r", "lambda", "barta_value", "rel_gap"]),
+    "compare": ("warped-model comparison certificates",
+                (("--p", "p values"), ("--m", "dimension (single integer)"),
+                 ("--r", "radius (single value)")), _compare,
+                ["profile", "p", "m", "r", "lambda_model", "certificate",
+                 "margin_rel", "rayleigh_warped", "admissible"]),
+    "surface": ("minimal-surface band reports",
+                (("--surfaces", "comma list: plane,catenoid"),
+                 ("--p", "p values"), ("--r", "radii")), _surface,
+                surfaces.BAND_COLUMNS),
+    "kazdan": ("log-transform source statistics", _GRID_FLAGS + (
+        ("--phi", "profile to transform",
+         {"choices": ("eigen", "quadratic")}),
+        ("--n", "solver grid size")), _kazdan, None),
+    "sweep": ("eigenvalue + Rayleigh + Barta battery", _GRID_FLAGS,
+              lambda args, cfg: (sweep_rows(_combos(args, cfg)), 0),
+              ["p", "m", "c", "r", "lambda", "rayleigh", "barta",
+               "residual"]),
+}
+
+
+def _run_command(args):
+    """Load the config, build the subcommand's rows and write them."""
+    _, _, rows_of, columns = COMMANDS[args.command]
+    rows, code = rows_of(args, _load_config(args.config))
+    _emit(args, columns, rows, args.command)
+    return code
 
 
 def selftest_manifest_rows(results):
@@ -410,74 +411,24 @@ def _add_common(sub):
     sub.add_argument("--json", help="also write rows as JSON to this path")
 
 
-def _add_grid_flags(sub):
-    sub.add_argument("--p", help="p values: 2,3 or 1.5:3:0.5")
-    sub.add_argument("--m", help="dimensions m (integers)")
-    sub.add_argument("--c", help="curvature bounds c")
-    sub.add_argument("--r", help="radii r")
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="ptone",
         description="First p-eigenvalues of radially symmetric domains: "
                     "solvers, certified bounds, and acceptance batteries.")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    sub = subs.add_parser("eig", help="eigenvalue sweep")
-    _add_grid_flags(sub)
-    sub.add_argument("--tol", type=float,
-                     help="relative width of the final eigenvalue bracket")
-    sub.add_argument("--n", help="output grid size")
-    _add_common(sub)
-    sub.set_defaults(handler=cmd_eig)
-
-    sub = subs.add_parser("rstar", help="critical-radius certification")
-    _add_grid_flags(sub)
-    _add_common(sub)
-    sub.set_defaults(handler=cmd_rstar)
-
-    sub = subs.add_parser("barta", help="Barta certificates at the "
-                                        "eigenfunction")
-    _add_grid_flags(sub)
-    _add_common(sub)
-    sub.set_defaults(handler=cmd_barta)
-
-    sub = subs.add_parser("compare", help="warped-model comparison "
-                                          "certificates")
-    sub.add_argument("--p", help="p values")
-    sub.add_argument("--m", help="dimension (single integer)")
-    sub.add_argument("--r", help="radius (single value)")
-    _add_common(sub)
-    sub.set_defaults(handler=cmd_compare)
-
-    sub = subs.add_parser("surface", help="minimal-surface band reports")
-    sub.add_argument("--surfaces", help="comma list: plane,catenoid")
-    sub.add_argument("--p", help="p values")
-    sub.add_argument("--r", help="radii")
-    _add_common(sub)
-    sub.set_defaults(handler=cmd_surface)
-
-    sub = subs.add_parser("kazdan", help="log-transform source statistics")
-    _add_grid_flags(sub)
-    sub.add_argument("--phi", choices=("eigen", "quadratic"),
-                     help="profile to transform")
-    sub.add_argument("--n", help="solver grid size")
-    _add_common(sub)
-    sub.set_defaults(handler=cmd_kazdan)
-
-    sub = subs.add_parser("sweep", help="eigenvalue + Rayleigh + Barta "
-                                        "battery")
-    _add_grid_flags(sub)
-    _add_common(sub)
-    sub.set_defaults(handler=cmd_sweep)
+    for name, (summary, flags, _, _) in COMMANDS.items():
+        sub = subs.add_parser(name, help=summary)
+        for flag, text, *extra in flags:
+            sub.add_argument(flag, help=text, **(extra[0] if extra else {}))
+        _add_common(sub)
+        sub.set_defaults(handler=_run_command)
 
     sub = subs.add_parser("selftest", help="run the acceptance criteria")
     sub.add_argument("--filter", help="substring (or number) selecting "
                                       "criteria")
     _add_common(sub)
     sub.set_defaults(handler=cmd_selftest)
-
     return parser
 
 

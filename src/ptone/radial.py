@@ -59,8 +59,6 @@ P_MIN, P_MAX = 1.05, 16.0
 
 _DEFAULT_TOL = 1e-12     # relative width of the final eigenvalue bracket
 _DEFAULT_GRID = 2048
-_RTOL = 1e-12
-_ATOL = 1e-12
 _STARTUP_FRAC = 1e-4
 # Dense-march control (`RadialSolution._march`): a sweep starts from the
 # last mesh node at least span/_ANCHOR_STEPS before its first node past
@@ -306,7 +304,7 @@ def _shoot(problem, lam):
         y_start = _Startup(p, m, prof, lam, t_start).state(t_start)
     else:
         t_start, y_start = d.left, (0.0, 1.0)
-    ts, ys = integrate(t_start, t_end, y_start, rtol=_RTOL, atol=_ATOL)
+    ts, ys = integrate(t_start, t_end, y_start)
     if ys[-1][0] > 0.0 or ts[-1] >= t_end:
         return ts, ys, ys[-1][0] or -math.ulp(0.0)
     zero, (_, _, slope, _) = _refine_zero(rhs, step, ts, ys, len(ts) - 1,

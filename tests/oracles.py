@@ -15,6 +15,7 @@ not an independent formula.
 
 import math
 
+import mpmath
 import numpy as np
 from scipy import optimize, special
 
@@ -42,6 +43,56 @@ def closed_forms():
          "theorem17(m=3, p=2, c=0, r=1, h=0)")
     line("((coth1 - 1/2)/3)^3", ((1.0 / math.tanh(1.0) - 0.5) / 3.0) ** 3,
          "theorem17(m=3, p=3, c=-1, r=1, h=0.5)")
+
+
+def exact_ball_omega(p, t):
+    """omega(t) of the flat unit ball for m = 1, with omega(0) = 1.
+
+    The first integral (p-1)|omega'|^p + lam |omega|^p = lam, with
+    lam = (p-1)(pi_p/2)^p, integrates to
+    omega(t) = I^{-1}(1/p, 1 - 1/p; 1 - t)^{1/p}, I the regularized
+    incomplete beta.  For p >= 2 this is scipy's inverse.  Below p = 2
+    that inverse cannot be checked near the pole, where omega is flat, so
+    each node is a bisection on omega of mpmath's betainc at 30 digits:
+    from scipy's value +-1e-15 when that brackets the root, else from
+    [0, 1], down to a bracket of 2e-16.
+    """
+    t = np.asarray(t, dtype=float)
+    a = 1.0 / p
+    guess = special.betaincinv(a, 1.0 - a, 1.0 - t) ** a
+    if p >= 2.0:
+        return guess
+    with mpmath.workdps(30):
+        ma = mpmath.mpf(1) / p
+
+        def below(w, target):
+            # w < omega(t), as I(w^p) increases with w
+            return mpmath.betainc(ma, 1 - ma, 0, mpmath.mpf(w) ** p,
+                                  regularized=True) < target
+
+        out = []
+        for ti, gi in zip(t.tolist(), guess.tolist()):
+            target = 1 - mpmath.mpf(ti)
+            lo, hi = gi - 1e-15, min(gi + 1e-15, 1.0)
+            if not (lo >= 0.0 and below(lo, target)
+                    and not below(hi, target)):
+                lo, hi = 0.0, 1.0
+            while hi - lo > 2e-16:
+                mid = 0.5 * (lo + hi)
+                if below(mid, target):
+                    lo = mid
+                else:
+                    hi = mid
+            out.append(0.5 * (lo + hi))
+    return np.array(out)
+
+
+def exact_annulus_peak(p, a, b):
+    """max omega on the flat annulus (a, b), m = 1, with unit wall flux
+    omega'(a) = 1: omega is (b - a)/pi_p times the p-sine of
+    pi_p (t - a)/(b - a), symmetric about (a + b)/2, and peaks at
+    (b - a)/pi_p."""
+    return (b - a) * p * math.sin(math.pi / p) / (2.0 * math.pi)
 
 
 def catenoid_chords():

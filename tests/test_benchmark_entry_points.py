@@ -85,3 +85,19 @@ def test_tracer_wraps_and_restores(spans):
     named = {s[1]: s[6] for s in tracer.spans}
     assert "radial.solve" in named
     assert isinstance(named["radial.solution_init"]["iterations"], int)
+
+
+def test_tracer_sees_the_cli_row_builders(spans, tmp_path):
+    # The command table calls each row builder through its module name,
+    # so the tracer's wrapper is the one that runs: one cli.rows span per
+    # command.
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        for command in ("sweep", "rstar"):
+            assert cli.main([command, "--p", "2", "--m", "2", "--c", "0",
+                             "--r", "1", "--out",
+                             str(tmp_path / (command + ".csv"))]) == 0
+    finally:
+        tracer.uninstall()
+    assert [s[1] for s in tracer.spans].count("cli.rows") == 2

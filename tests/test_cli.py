@@ -19,6 +19,16 @@ def run_cli(*args):
                           capture_output=True, text=True)
 
 
+def run_main(capsys, *args):
+    """`cli.main` in this process, with run_cli's exit code and output."""
+    try:
+        code = cli.main(list(args))
+    except SystemExit as exc:                        # argparse usage error
+        code = exc.code
+    out, err = capsys.readouterr()
+    return subprocess.CompletedProcess(args, code, out, err)
+
+
 def parse_csv(text):
     lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
     return list(csv.DictReader(io.StringIO("\n".join(lines))))
@@ -76,8 +86,9 @@ def test_sort_rows_by_parameter_tuple():
 # subcommands end to end
 
 
-def test_eig_known_eigenvalue():
-    res = run_cli("eig", "--p", "2", "--m", "3", "--c", "0", "--r", "1")
+def test_eig_known_eigenvalue(capsys):
+    res = run_main(capsys, "eig", "--p", "2", "--m", "3", "--c", "0", "--r",
+                   "1")
     assert res.returncode == 0
     rows = parse_csv(res.stdout)
     assert len(rows) == 1
@@ -85,8 +96,9 @@ def test_eig_known_eigenvalue():
     assert float(rows[0]["residual"]) <= 1e-6
 
 
-def test_eig_rejects_bad_p():
-    res = run_cli("eig", "--p", "0.5", "--m", "2", "--c", "0", "--r", "1")
+def test_eig_rejects_bad_p(capsys):
+    res = run_main(capsys, "eig", "--p", "0.5", "--m", "2", "--c", "0",
+                   "--r", "1")
     assert res.returncode == 2
     assert "invalid input" in res.stderr
 
@@ -95,10 +107,10 @@ def test_eig_rejects_bad_p():
     ("0", "nan", "ball radius"), ("0", "inf", "ball radius"),
     ("nan", "1", "c must be finite"), ("inf", "1", "c must be finite"),
 ], ids=["nan", "inf", "c-nan", "c-inf"])
-def test_eig_rejects_non_finite_radius(c, r, message):
+def test_eig_rejects_non_finite_radius(c, r, message, capsys):
     # A non-finite curvature is invalid input (exit 2), not a failure of
     # the shots (exit 3).
-    res = run_cli("eig", "--p", "2", "--m", "2", "--c", c, "--r", r)
+    res = run_main(capsys, "eig", "--p", "2", "--m", "2", "--c", c, "--r", r)
     assert res.returncode == 2
     assert "invalid input: " + message in res.stderr
     bad = ("c", c) if c != "0" else ("r", r)
@@ -129,20 +141,22 @@ def test_eig_accepts_the_smallest_tol():
                      "--tol", repr(2.0 ** -52)]) == 0
 
 
-def test_eig_scaling_ratio():
-    res = run_cli("eig", "--p", "2", "--m", "2", "--c", "0", "--r", "1,2")
+def test_eig_scaling_ratio(capsys):
+    res = run_main(capsys, "eig", "--p", "2", "--m", "2", "--c", "0", "--r",
+                   "1,2")
     rows = parse_csv(res.stdout)
     lam = {float(r["r"]): float(r["lambda"]) for r in rows}
     assert lam[1.0] / lam[2.0] == pytest.approx(4.0, rel=1e-8)
 
 
-def test_rstar_rejects_p_below_two():
-    res = run_cli("rstar", "--p", "1.5", "--m", "2", "--c", "0", "--r", "1")
+def test_rstar_rejects_p_below_two(capsys):
+    res = run_main(capsys, "rstar", "--p", "1.5", "--m", "2", "--c", "0",
+                   "--r", "1")
     assert res.returncode == 2
 
 
-def test_compare_battery_flags_inadmissible_profile():
-    res = run_cli("compare", "--p", "2", "--r", "1")
+def test_compare_battery_flags_inadmissible_profile(capsys):
+    res = run_main(capsys, "compare", "--p", "2", "--r", "1")
     assert res.returncode == 0
     rows = parse_csv(res.stdout)
     by_name = {r["profile"]: r for r in rows}
@@ -152,20 +166,33 @@ def test_compare_battery_flags_inadmissible_profile():
     assert by_name["inadmissible-sin"]["admissible"] == "false"
 
 
-def test_kazdan_quadratic_sandwich():
-    res = run_cli("kazdan", "--phi", "quadratic", "--p", "2", "--m", "2",
-                  "--c", "0", "--r", "1")
+def test_compare_violation_exits_one(monkeypatch, capsys):
+    # An admissible profile whose certificate falls below the flat
+    # eigenvalue is reported on stderr, and the rows are still written.
+    rows = [{"profile": "bad", "p": 2.0, "m": 2, "r": 1.0}]
+    monkeypatch.setattr(cli, "compare_rows",
+                        lambda p, m, r: (rows, [("bad", 2.0, -0.5)]))
+    res = run_main(capsys, "compare", "--p", "2")
+    assert res.returncode == 1
+    assert "comparison violated: profile=bad p=2 margin_rel=-5.000e-01" \
+        in res.stderr
+    assert parse_csv(res.stdout)[0]["profile"] == "bad"
+
+
+def test_kazdan_quadratic_sandwich(capsys):
+    res = run_main(capsys, "kazdan", "--phi", "quadratic", "--p", "2", "--m",
+                   "2", "--c", "0", "--r", "1")
     rows = parse_csv(res.stdout)
     assert rows[0]["sandwich_ok"] == "true"
     lam = float(rows[0]["lambda"])
     assert float(rows[0]["psi_inf"]) <= lam <= float(rows[0]["psi_sup"])
 
 
-def test_surface_report_rows(tmp_path):
+def test_surface_report_rows(tmp_path, capsys):
     out = tmp_path / "surface.csv"
-    res = run_cli("surface", "--surfaces", "plane", "--p", "2", "--r",
-                  "1.2", "--out", str(out), "--json",
-                  str(tmp_path / "surface.json"))
+    res = run_main(capsys, "surface", "--surfaces", "plane", "--p", "2",
+                   "--r", "1.2", "--out", str(out), "--json",
+                   str(tmp_path / "surface.json"))
     assert res.returncode == 0
     rows = parse_csv(out.read_text())
     assert rows[0]["surface"] == "plane"
@@ -174,12 +201,12 @@ def test_surface_report_rows(tmp_path):
     assert payload["rows"][0]["cor15"] is True
 
 
-def test_surface_json_carries_band_details(tmp_path):
+def test_surface_json_carries_band_details(tmp_path, capsys):
     # The CSV writes the ten BAND_COLUMNS; --json writes the whole row,
     # with the vacuity flag and the band details.
     path = tmp_path / "surface.json"
-    res = run_cli("surface", "--surfaces", "catenoid", "--p", "3", "--r",
-                  "1.2", "--json", str(path))
+    res = run_main(capsys, "surface", "--surfaces", "catenoid", "--p", "3",
+                   "--r", "1.2", "--json", str(path))
     assert res.returncode == 0, res.stderr
     row = json.loads(path.read_text())["rows"][0]
     assert row["vacuous"] is True                  # k = 0 and p > 2
@@ -204,9 +231,10 @@ def test_selftest_filter_and_determinism(tmp_path):
     assert body1 == body2 and len(body1) > 1
 
 
-def test_selftest_json_writes_criteria(tmp_path):
+def test_selftest_json_writes_criteria(tmp_path, capsys):
     path = tmp_path / "selftest.json"
-    res = run_cli("selftest", "--filter", "barta", "--json", str(path))
+    res = run_main(capsys, "selftest", "--filter", "barta", "--json",
+                   str(path))
     assert res.returncode == 0, res.stderr
     payload = json.loads(path.read_text())
     assert payload["command"] == "selftest"
@@ -216,15 +244,15 @@ def test_selftest_json_writes_criteria(tmp_path):
     assert crit["detail"] in res.stdout and "[ 4] PASS" in res.stdout
 
 
-def test_selftest_unknown_filter():
-    res = run_cli("selftest", "--filter", "nonexistent-criterion")
+def test_selftest_unknown_filter(capsys):
+    res = run_main(capsys, "selftest", "--filter", "nonexistent-criterion")
     assert res.returncode == 2
 
 
-def test_config_file_merging(tmp_path):
+def test_config_file_merging(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"p": "2,3", "m": 3, "c": "0", "r": "1"}))
-    res = run_cli("eig", "--config", str(cfg), "--m", "2")
+    res = run_main(capsys, "eig", "--config", str(cfg), "--m", "2")
     rows = parse_csv(res.stdout)
     assert [r["m"] for r in rows] == ["2", "2"]        # flag wins
     assert [r["p"] for r in rows] == ["2", "3"]        # config list used
@@ -296,8 +324,8 @@ def test_readme_quick_start_runs():
     assert checked == 3
 
 
-def test_unknown_subcommand_exits_two():
-    res = run_cli("frobnicate")
+def test_unknown_subcommand_exits_two(capsys):
+    res = run_main(capsys, "frobnicate")
     assert res.returncode == 2
 
 

@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 from scipy.integrate import RK45, solve_ivp
 from scipy.special import j0, jn_zeros
 
+import oracles
 from ptone import _ode, acceptance, modelspace, radial
 from ptone.radial import (Annulus, Ball, RadialProblem, ball_problem,
                           eigen_equation_residual, pi_p,
@@ -415,6 +416,32 @@ def test_annulus_m1_is_string(p):
     assert sol.lam == pytest.approx((p - 1.0) * pi_p(p) ** p, rel=1e-8)
 
 
+# Bounds: the figure measured when the test was written, rounded up to
+# the next power of ten.
+@pytest.mark.parametrize("p,ball_tol,peak_tol,sym_tol", [
+    (1.05, 1e-11, 1e-10, 1e-10), (1.1, 1e-11, 1e-10, 1e-11),
+    (1.5, 1e-12, 1e-10, 1e-11), (2.0, 1e-13, 1e-12, 1e-12),
+    (4.0, 1e-13, 1e-11, 1e-12), (8.0, 1e-12, 1e-11, 1e-12),
+    (12.0, 1e-11, 1e-12, 1e-12), (16.0, 1e-11, 1e-12, 1e-12)])
+def test_m1_profiles_match_closed_forms(p, ball_tol, peak_tol, sym_tol):
+    # For m = 1 on a flat interval omega itself has a closed form, so the
+    # arrays are judged against exact values, not a finer march.  Below
+    # p = 2 the exact ball profile is an mpmath bisection per node, so
+    # it is read at every 64th node and at the wall, where the error
+    # peaks.
+    ball = solve_ball_eigenvalue(ball_problem(p, 1, 0.0, 1.0))
+    n = ball.grid.size
+    keep = np.arange(n) if p >= 2.0 else np.r_[:n:64, n - 1]
+    exact = oracles.exact_ball_omega(p, ball.grid[keep])
+    assert np.max(np.abs(ball.omega[keep] - exact)) <= ball_tol
+    ann = solve_annulus_eigenvalue(RadialProblem(
+        p, 1, modelspace.space_form(0.0), Annulus(0.5, 1.5)))
+    # 1/_scale is the peak of the unit-wall-flux omega the shots carry
+    peak = oracles.exact_annulus_peak(p, 0.5, 1.5)
+    assert abs(1.0 / ann._scale - peak) <= peak_tol
+    assert np.max(np.abs(ann.omega - ann.omega[::-1])) <= sym_tol
+
+
 def test_annulus_p8_residual_is_the_stencil_error():
     # The 2048-node audit reads 2.8e-5 because its stencils straddle the
     # flux zero, where the flux is only C^{2,1/7}; four times the nodes
@@ -621,9 +648,9 @@ def test_generated_step_matches_reference_dp(p, m):
             assert [x.hex() for x in got] == [x.hex() for x in want]
 
 
-def _reference_integrate(f, t0, t1, y0, rtol=1e-12, atol=1e-12,
-                         max_steps=1000000):
-    """The adaptive loop of the shots over `_reference_dp_step` of f."""
+def _reference_integrate(f, t0, t1, y0):
+    """The adaptive loop of the shots over `_reference_dp_step` of f, at
+    relative and absolute tolerance 1e-12."""
     span = t1 - t0
     if span <= 0:
         raise ValueError("integrate requires t1 > t0")
@@ -641,17 +668,17 @@ def _reference_integrate(f, t0, t1, y0, rtol=1e-12, atol=1e-12,
         if h < hmin:
             raise _ode.IntegrationError("step-size underflow at t=%.12g" % t)
         steps += 1
-        if steps > max_steps:
+        if steps > 1000000:
             raise _ode.IntegrationError("step limit exceeded at t=%.12g" % t)
 
         nu, nv, k7u, k7v, eu, ev = _reference_dp_step(f, t, h, u, v, k1u,
                                                       k1v, True)
         au = u if u >= 0.0 else -u
         a = nu if nu >= 0.0 else -nu
-        su = atol + rtol * (a if a > au else au)
+        su = 1e-12 + 1e-12 * (a if a > au else au)
         av = v if v >= 0.0 else -v
         a = nv if nv >= 0.0 else -nv
-        sv = atol + rtol * (a if a > av else av)
+        sv = 1e-12 + 1e-12 * (a if a > av else av)
         err = ((eu / su) ** 2 + (ev / sv) ** 2) ** 0.5 * 0.7071067811865476
 
         if err != err:  # NaN
@@ -697,9 +724,7 @@ def test_generated_integrate_matches_reference(p, m):
                     return _generic_slopes(p, m, prof.f_scalar, lam_shot,
                                            t, w, phi)
 
-                want = _reference_integrate(f, ts[0], t_end, ys[0],
-                                            rtol=radial._RTOL,
-                                            atol=radial._ATOL)
+                want = _reference_integrate(f, ts[0], t_end, ys[0])
                 assert [t.hex() for t in ts] == [t.hex() for t in want[0]]
                 assert [[x.hex() for x in y] for y in ys] == \
                     [[x.hex() for x in y] for y in want[1]]
@@ -997,9 +1022,9 @@ def test_steps_run_on_python_floats(run, monkeypatch):
             types.update(map(type, out))
             return out
 
-        def typed_integrate(t0, t1, y0, **kwargs):
+        def typed_integrate(t0, t1, y0):
             types.update(map(type, (t0, t1, *y0)))
-            ts, ys = integrate(t0, t1, y0, **kwargs)
+            ts, ys = integrate(t0, t1, y0)
             types.update(map(type, ts))
             types.update(type(x) for y in ys for x in y)
             return ts, ys
@@ -1107,6 +1132,19 @@ def _count_marches(monkeypatch):
 
     monkeypatch.setattr(radial.RadialSolution, "_march", counted)
     return sizes
+
+
+def test_kazdan_sandwich_does_not_march(monkeypatch):
+    # The quadratic sandwich reads only lam off its solve and builds the
+    # solution's grid itself: a cold call marches nothing.
+    radial.clear_solver_cache()
+    sizes = _count_marches(monkeypatch)
+    stats = acceptance.kazdan_quadratic_stats(2.0, 2, 0.0, 1.0)
+    assert sizes == []
+    sol = solve_ball_eigenvalue(ball_problem(2.0, 2, 0.0, 1.0), n_grid=2001)
+    assert stats["lambda"] == sol.lam
+    assert np.array_equal(np.linspace(0.0, 1.0, 2001), sol.grid)
+    assert stats["inf"] <= sol.lam <= stats["sup"]
 
 
 @pytest.mark.parametrize("problem", _LAZY_PROBLEMS, ids=["ball", "annulus"])
