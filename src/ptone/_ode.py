@@ -45,11 +45,12 @@ The dense march of a solution takes fixed steps of the same pair without
 error control: the fifth-order solution, six right-hand-side evaluations
 per step.  `run` takes one step per stride nodes where the field is
 smooth, and `dp_graded` refines its steps toward the points where it is
-not.  A step of `run` that covers several nodes fills the ones inside it
-from its own stages k1..k7, by the pair's fourth-order dense output
-(Shampine, Some Practical Runge-Kutta Formulas, Math. Comp. 46, 1986;
-Hairer, Norsett and Wanner, Solving ODEs I, II.6), with no further
-right-hand-side evaluation: two quartic coefficient rows per step, one
+not, as close to each as the order of its singularity needs.  A step of
+`run` that covers several nodes fills the ones inside it from its own
+stages k1..k7, by the pair's fourth-order dense output (Shampine, Some
+Practical Runge-Kutta Formulas, Math. Comp. 46, 1986; Hairer, Norsett
+and Wanner, Solving ODEs I, II.6), with no further right-hand-side
+evaluation: two quartic coefficient rows per step, one
 Horner evaluation per node.
 The same step, from the accepted mesh node before a zero of the state,
 serves the zero refinement of a shot and of an annulus's flux (one step
@@ -358,54 +359,66 @@ def compile_form(params, weight, dw, dphi):
     return made["make"]
 
 
-def _graded_cuts(t_from, t_to, points):
+def _graded_cuts(t_from, t_to, points, width):
     """The sorted cuts of (t_from, t_to] for `dp_graded`, t_to included.
 
-    Each point s adds itself and s + sign (t_to - t_from) 2^-j, j < 40,
-    where they fall inside.  As j grows the candidate moves toward s, so
-    a side skips the candidates beyond its far end and stops at the
-    first short of its near end; a side whose s lies at or beyond its
-    far end adds nothing.
+    Each point (s, ratio, order) adds itself and s + sign (t_to - t_from)
+    2^-j, j < 40, where they fall inside, up to the first level j whose
+    piece next to s, (t_to - t_from) 2^-j, is no longer than
+    width u^(1/order), u = 2^-53: the part of the field that is not
+    smooth at s grows like the distance to s to the power order, so
+    across that piece it changes by less than rounding.  A width of 0
+    takes all 40 levels.  As j grows the candidate moves toward s, so a
+    side skips the candidates beyond its far end and stops at the first
+    short of its near end; a side whose s lies at or beyond its far end
+    adds nothing.
     """
     span = t_to - t_from
     cuts = {t_to}
-    for s, _ in points:
+    for s, _, order in points:
         if t_from < s < t_to:
             cuts.add(s)
+        finest = width * 0.5 ** (53.0 / order)
         for sign in (-1.0, 1.0):
             if (s <= t_from) if sign < 0.0 else (s >= t_to):
                 continue
             for j in range(40):
-                c = s + sign * span * 0.5 ** j
+                piece = span * 0.5 ** j
+                c = s + sign * piece
                 if t_from < c < t_to:
                     cuts.add(c)
                 elif (c >= t_to) if sign < 0.0 else (c <= t_from):
                     break
+                if piece <= finest:
+                    break
     return sorted(cuts)
 
 
-def dp_graded(step, t_from, y, k, t_to, nsub, points):
+def dp_graded(step, t_from, y, k, t_to, nsub, points, width):
     """Advance (y, k = f(t_from, y)) to t_to by fixed Dormand-Prince steps.
 
     `step` is the Dormand-Prince step of f (`compile_form`).  Returns the
     state and slope at t_to.  The interval takes nsub equal steps,
-    refined toward each (s, ratio) in `points`, a point where f is not
-    smooth: the interval is cut at s and at s +- (t_to - t_from) 2^-j,
-    j < 40, and a piece at distance d > 0 from s takes at least
-    ratio * length / d steps, so no step is longer than d / ratio.  A
-    piece that ends at s is at most 2^-39 of the interval and takes one
-    step.  No piece takes more than ratio steps for one point: a piece
-    longer than its distance from s arises only when s lies outside the
-    interval within 2^-39 of its length.
+    refined toward each (s, ratio, order) in `points`, a point where f is
+    not smooth: the interval is cut at s and at s +- (t_to - t_from) 2^-j
+    for the levels j of `_graded_cuts`, and a piece at distance d > 0
+    from s takes at least ratio * length / d steps, so no step is longer
+    than d / ratio.  A piece that ends at s is no longer than
+    width 2^(-53 / order), width the length of the domain, or than 2^-39
+    of the interval where the 40 levels run out (width 0 takes them
+    all), and takes one step.  No piece takes more than ratio steps for
+    one point: a piece longer than its distance from s arises only when
+    s lies outside the interval, within half its last level's piece of
+    the interval's end.
     """
     span = t_to - t_from
     u, v = y
     ku, kv = k
     t = t_from
-    for t_next in _graded_cuts(t_from, t_to, points):
+    for t_next in _graded_cuts(t_from, t_to, points, width):
         piece = t_next - t
         steps = nsub * piece / span
-        for s, ratio in points:
+        for s, ratio, _ in points:
             d = max(s - t_next, t - s)
             if d > 0.0:
                 steps = max(steps, ratio * piece / max(d, piece))

@@ -73,6 +73,11 @@ def _load_config(path):
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValueError("config must be a JSON object")
+    nulls = [key for key, value in cfg.items()
+             if value is None or isinstance(value, list) and None in value]
+    if nulls:
+        raise ValueError("config key %s holds null; give a value or leave "
+                         "the key out" % ", ".join(nulls))
     return cfg
 
 

@@ -66,7 +66,8 @@ _STARTUP_FRAC = 1e-4
 # span/(2 _ANCHOR_STEPS), takes no step longer than span/_ANCHOR_STEPS,
 # and steps near a point where the field is not smooth are at most
 # 1/ratio of their distance from it: the pole, the walls and an
-# annulus's interior peak.
+# annulus's interior peak.  The steps are graded toward such a point
+# only as close as its order needs (`_ode._graded_cuts`).
 _ANCHOR_STEPS = 1024
 _POLE_RATIO = 32.0
 _KINK_RATIO = 8.0
@@ -406,7 +407,11 @@ class RadialSolution:
         The mesh-node maximum undershoots the peak by O(step^2).  omega at
         the peak is reached from the mesh node before it by
         `_ode.dp_graded`, one step per piece of its cuts toward the peak
-        (ratio 1).  On Annulus(0.5, 1), m = 2, c = 0, p = 4 that value is
+        (ratio 1), cut to all 40 levels (width 0).  Cut only as deep as
+        the peak's order needs, as in the march, 1/_scale moved by up to
+        2.5e-16 relative on annuli (0.5, 1.5), and every annulus array
+        and printed peak with it.  On Annulus(0.5, 1), m = 2, c = 0, p = 4
+        that value is
         2.2e-12 off scipy's DOP853 at rtol 3e-14, and one plain step from
         the node is 5.8e-10 off.  The march's _KINK_RATIO of 8 takes eight
         times the steps and comes no more than 1.8e-15 closer on 189
@@ -417,8 +422,9 @@ class RadialSolution:
             return 1.0
         k = bisect_left(self._ts, t_peak) - 1
         t, y = self._ts[k], self._ys[k]
-        (peak, _), _ = _ode.dp_graded(self._step, t, y, self._rhs(t, *y),
-                                      t_peak, 1, [(t_peak, 1.0)])
+        (peak, _), _ = _ode.dp_graded(
+            self._step, t, y, self._rhs(t, *y), t_peak, 1,
+            [(t_peak, 1.0, self.p / (self.p - 1.0))], 0.0)
         return 1.0 / peak
 
     def _march(self, ts):
@@ -492,12 +498,28 @@ class RadialSolution:
 
         The field is not smooth at the pole, where omega - 1 ~
         t^(p/(p-1)) and the weight f^(m-1) vanishes; at both walls, where
-        omega vanishes and Phi' ~ |omega|^(p-1); and at an annulus's
-        interior peak, where Phi vanishes and omega' ~ |Phi|^(1/(p-1)).
-        `_ode.dp_graded` steps every gap near one of these points so that
-        no step is longer than 1/_POLE_RATIO (pole) or 1/_KINK_RATIO
-        (walls, peak) of its distance from it; the ratios were sized
-        against marches with 8 times the steps.  Measured against scipy's
+        omega vanishes and Phi' ~ |omega|^(p-1), so Phi - Phi(wall) ~ d^p
+        at distance d; and at an annulus's interior peak, where Phi
+        vanishes and omega' ~ |Phi|^(1/(p-1)), so omega - omega(peak) ~
+        d^(p/(p-1)).  `_ode.dp_graded` steps every gap near one of these
+        points so that no step is longer than 1/_POLE_RATIO (pole) or
+        1/_KINK_RATIO (walls, peak) of its distance from it; the ratios
+        were sized against marches with 8 times the steps.
+
+        Its cuts toward a point stop once the piece next to it is no
+        longer than span 2^(-53/q), q the point's order (p at a wall,
+        p/(p-1) at the pole and the peak): across that piece the part that
+        is not smooth changes by less than rounding, and the piece takes
+        one step.  Cut to all 40 levels at every p instead (2^-39 of a
+        gap, deep enough for a wall at p = 1.05 and a peak at p = 16), the
+        grids agree with these to rounding, over p from 1.05 to 16, m up
+        to 3 and c in {-1, 0, 1}: a ball's grid moves only at its last
+        node, omega by at most 3.7e-16 (at p = 1.05 omega' also moves at
+        the nodes next to the pole, where it is below 1e-50, by a few
+        units of its own rounding), and on the annulus (0.5, 1.5) omega
+        and the flux move by at most 1.3e-14 and 1.2e-14 of their maxima.
+
+        Measured against scipy's
         DOP853 at rtol 1e-13 from the same start, the 2048-node omega' of
         the flat ball, m = 2, p = 1.2 is 1.3e-11 off (3.0e-4 with the
         walls ungraded, 1.0e-8 with a kink ratio of 1), and omega on
@@ -524,23 +546,31 @@ class RadialSolution:
         visits only the graded and the empty gaps.  An unstrided gap that
         takes a single step and lies near no point is a plain gap:
         `dp_graded` would take exactly that step.  The 2048-node grid of
-        the ball timed in `_ode` (c = -1, p = 2.5, m = 2) takes 2561
-        steps, 72 of them from t0 to the first node past the pole.  Old
-        and new code alternating in one process (200 marches each, three
-        processes), it took 4.78, 3.66 and 5.74 us per node before the
-        stride and 4.71, 3.69 and 5.78 us with it (medians), the new
-        march 1.1-1.6% slower in the median pair.  A 16385-node band of
-        the radius-1.2 ball (p = 3, c = 0, m = 2, stride 8) fell from
-        2.70, 4.11 and 3.75 us per node to 1.10, 1.60 and 1.53 us, and a
-        16384-node scan (p = 3, c = -1, m = 2, stride 7) from 4.76, 5.01
-        and 4.89 us to 1.81, 1.89 and 2.02 us (12 marches each).  Before
-        `run` existed, every plain gap went through `dp_graded`: the
-        grid took 4.6-9.8 us per node against 3.3-6.5 us.  Stepping each
-        plain gap with the generated step from the sweep instead, with no
-        `run`, kept every CSV body but was slower: `selftest` `wall_ref`
-        616.4 -> 627.2 (+1.8%, worse in 6 of 6 alternating pairs),
-        `sweep` 102.9 -> 106.0 (+3.0%, 5 of 6), and 3-12% more per node
-        in one process.
+        the ball timed in `_ode` (c = -1, p = 2.5, m = 2) takes 2337
+        steps, 330 of them graded: 72 from t0 to the first node past the
+        pole and 89 in the last gap, at the wall.  Cut to all 40 levels,
+        it took 2561 steps, 554 graded and 313 in the last gap; the
+        annulus (0.5, 1.5), p = 3, m = 2, c = 0 takes 2629 against 3365.
+        Alternating with the 40-level cuts in one process (40 rounds each,
+        two processes, Python 3.11.7, 2-vCPU x86_64 virtual machine), the
+        2048-node marches of the nine m = 2 annuli (0.5, 1.5) of the
+        `warped` benchmark took 23.0% and 21.7% less time (medians), and
+        those of the 24 `sweep` balls 10.7% and 8.4% less.
+        Alternating with the code before the stride in one process (200
+        marches each, three processes), the ball grid took 4.78, 3.66 and
+        5.74 us per node before the stride and 4.71, 3.69 and 5.78 us with
+        it (medians), the new march 1.1-1.6% slower in the median pair.  A
+        16385-node band of the radius-1.2 ball (p = 3, c = 0, m = 2,
+        stride 8) fell from 2.70, 4.11 and 3.75 us per node to 1.10, 1.60
+        and 1.53 us, and a 16384-node scan (p = 3, c = -1, m = 2, stride
+        7) from 4.76, 5.01 and 4.89 us to 1.81, 1.89 and 2.02 us (12
+        marches each).  Before `run` existed, every plain gap went through
+        `dp_graded`: the grid took 4.6-9.8 us per node against 3.3-6.5 us.
+        Stepping each plain gap with the generated step from the sweep
+        instead, with no `run`, kept every CSV body but was slower:
+        `selftest` `wall_ref` 616.4 -> 627.2 (+1.8%, worse in 6 of 6
+        alternating pairs), `sweep` 102.9 -> 106.0 (+3.0%, 5 of 6), and
+        3-12% more per node in one process.
         """
         tl = ts.tolist()
         n = len(tl)
@@ -549,12 +579,17 @@ class RadialSolution:
         startup, step = self._startup, self._step
         t0, y0 = self._ts[0], self._ys[0]
         span = self.r - self._left
+        # Each point carries its order: the part of the field that is not
+        # smooth there grows like the distance to the power p at a wall
+        # and p / (p - 1) at the pole and the peak.
+        wall, peak = self.p, self.p / (self.p - 1.0)
         if startup is not None:
-            points = [(self._left, _POLE_RATIO), (self.r, _KINK_RATIO)]
+            points = [(self._left, _POLE_RATIO, peak),
+                      (self.r, _KINK_RATIO, wall)]
         else:
-            points = [(s, _KINK_RATIO) for s in (self._left, self.r,
-                                                 self._t_peak)
-                      if s is not None]
+            points = [(self._left, _KINK_RATIO, wall),
+                      (self.r, _KINK_RATIO, wall),
+                      (self._t_peak, _KINK_RATIO, peak)]
         k = bisect_right(tl, t0)
         back = tl[k] - span / _ANCHOR_STEPS if k < n else t0
         j = max(bisect_right(self._ts, back) - 1, 0)
@@ -587,8 +622,8 @@ class RadialSolution:
         t_prev = np.concatenate(([t_march], tn))[:-1]
         gap = tn - t_prev
         reach = stride * gap
-        hits = [q * reach > np.maximum(s - tn, t_prev - s)
-                for s, q in points]
+        hits = [ratio * reach > np.maximum(s - tn, t_prev - s)
+                for s, ratio, _ in points]
         flagged = np.logical_or.reduce(hits)
         split = _ANCHOR_STEPS * reach / span > 1.0
         codes = (gap > 0.0) * (1 + (flagged | split))
@@ -617,7 +652,7 @@ class RadialSolution:
             if codes[j - pre]:
                 nsub = int(math.ceil(_ANCHOR_STEPS * (t - t_march) / span))
                 (u, v), (ku, kv) = graded(step, t_march, (u, v), (ku, kv), t,
-                                          nsub, near.get(j, []))
+                                          nsub, near.get(j, []), span)
             t_march = t
             omega[j] = u
             phi[j] = v

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import csv_bodies
 from ptone import cli, modelspace, radial
 
 
@@ -258,6 +259,22 @@ def test_config_file_merging(tmp_path, capsys):
     assert [r["p"] for r in rows] == ["2", "3"]        # config list used
 
 
+@pytest.mark.parametrize("argv,config,key", [
+    (["compare", "--p", "2"], {"m": None}, "m"),
+    (["kazdan"], {"n": None, "phi": "quadratic"}, "n"),
+    (["eig"], {"p": [2, None]}, "p"),
+], ids=["compare-m", "kazdan-n", "eig-p-list"])
+def test_null_config_value_is_invalid_input(argv, config, key, tmp_path,
+                                            capsys):
+    # A JSON null read as a value ended in int(None) or float(None): a
+    # traceback, exit 1.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    res = run_main(capsys, *argv, "--config", str(cfg))
+    assert res.returncode == 2
+    assert "invalid input: config key %s holds null" % key in res.stderr
+
+
 def test_repeat_runs_are_byte_identical():
     # "--c -1,0,1" also checks that a list starting with '-' parses.
     args = ("eig", "--p", "2,3", "--m", "2", "--c", "-1,0,1", "--r", "1")
@@ -417,10 +434,11 @@ def _flip_first(line):
     return ("0" if line[0] != "0" else "1") + line[1:]
 
 
-def test_csv_bodies_check_flags_a_moved_body(tmp_path):
+def test_csv_bodies_check_flags_a_moved_body(tmp_path, capsys):
     # --check compares against a saved run: exit 0 when every digest
     # matches, exit 1 naming each one that moved.  A saved run without
-    # .json lines compares the CSV bodies alone.
+    # .json lines compares the CSV bodies alone.  The script prints the
+    # saved digests in a fresh interpreter; its check runs in this one.
     script = Path(__file__).resolve().parent / "csv_bodies.py"
     csv_line, json_line = subprocess.run(
         [sys.executable, str(script), "eig"], capture_output=True,
@@ -434,7 +452,5 @@ def test_csv_bodies_check_flags_a_moved_body(tmp_path):
     for name, (lines, code, text) in cases.items():
         path = tmp_path / name
         path.write_text("".join(lines))
-        proc = subprocess.run([sys.executable, str(script), "--check",
-                               str(path)], capture_output=True, text=True)
-        assert proc.returncode == code, proc.stderr
-        assert text in proc.stdout
+        assert csv_bodies.check(str(path), []) == code
+        assert text in capsys.readouterr().out

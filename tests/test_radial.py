@@ -289,7 +289,9 @@ def _pointwise_plan(nodes, start, points, span):
 
     A gap is decided on the length stride gap of a step that covers
     stride gaps.  Each run of plain gaps takes one step to every
-    stride-th node of the run and one more to its last node.
+    stride-th node of the run and one more to its last node.  A graded
+    gap passes the points (s, ratio, order) near it and the domain's
+    length, which set how deep its cuts go toward each point.
     """
     gaps = len(nodes) - 1
     stride = max(1, int(min(gaps, span / (2 * radial._ANCHOR_STEPS)
@@ -312,12 +314,13 @@ def _pointwise_plan(nodes, start, points, span):
             continue
         gap = t - t_prev
         reach = stride * gap
-        near = [(s, q) for s, q in points
-                if q * reach > max(s - t, t_prev - s)]
+        near = [(s, ratio, order) for s, ratio, order in points
+                if ratio * reach > max(s - t, t_prev - s)]
         if near or radial._ANCHOR_STEPS * reach / span > 1.0:
             flush()
             plan.append(("graded", t_prev, t,
-                         math.ceil(radial._ANCHOR_STEPS * gap / span), near))
+                         math.ceil(radial._ANCHOR_STEPS * gap / span), near,
+                         span))
             run[:] = [t]
         else:
             run.append(t)
@@ -372,11 +375,11 @@ def test_march_grades_exactly_the_pointwise_gaps(monkeypatch, problem, query):
             t_prev = t_node
         return run(t, u, v, ku, kv, nodes, i, e, stride, *out)
 
-    def graded_spy(step, t_from, y, k, t_to, nsub, points):
-        calls.append(("graded", t_from, t_to, nsub, list(points)))
+    def graded_spy(step, t_from, y, k, t_to, nsub, points, width):
+        calls.append(("graded", t_from, t_to, nsub, list(points), width))
         inside.append(True)
         try:
-            return graded(step, t_from, y, k, t_to, nsub, points)
+            return graded(step, t_from, y, k, t_to, nsub, points, width)
         finally:
             inside.pop()
 
@@ -388,12 +391,16 @@ def test_march_grades_exactly_the_pointwise_gaps(monkeypatch, problem, query):
         assert np.array_equal(sol.grid, query)
     else:
         sol.evaluate(query)
+    # the order of a wall is p, that of the pole and of the peak p/(p-1)
+    wall, peak = sol.p, sol.p / (sol.p - 1.0)
     if sol._startup is not None:
-        points = [(sol._left, radial._POLE_RATIO), (sol.r, radial._KINK_RATIO)]
+        points = [(sol._left, radial._POLE_RATIO, peak),
+                  (sol.r, radial._KINK_RATIO, wall)]
     else:
         assert sol._left < sol._t_peak < sol.r
-        points = [(s, radial._KINK_RATIO)
-                  for s in (sol._left, sol.r, sol._t_peak)]
+        points = [(sol._left, radial._KINK_RATIO, wall),
+                  (sol.r, radial._KINK_RATIO, wall),
+                  (sol._t_peak, radial._KINK_RATIO, peak)]
     nodes = np.sort(query).tolist()
     span = sol.r - sol._left
     # the last stored mesh node at least span/_ANCHOR_STEPS before the
@@ -406,6 +413,79 @@ def test_march_grades_exactly_the_pointwise_gaps(monkeypatch, problem, query):
     assert any(c[0] == "graded" for c in plan)
     # only a query whose every gap takes several steps has no plain one
     assert any(c[0] == "step" for c in plan) or all(c[3] > 1 for c in plan)
+
+
+@pytest.mark.parametrize("problem,most", [
+    (ball_problem(2.5, 2, -1.0, 1.0), 2350),
+    (RadialProblem(3.0, 2, modelspace.space_form(0.0), Annulus(0.5, 1.5)),
+     2650),
+], ids=["ball", "annulus"])
+def test_grid_grades_only_as_deep_as_the_order_needs(problem, most):
+    # Cutting toward every non-smooth point down to 2^-39 of a gap, the
+    # 2048-node grids took 2561 (ball) and 3365 (annulus) steps; cut only
+    # until the last piece is width 2^(-53/order) long, 2337 and 2629.
+    sol = _fresh_solve(problem)
+    sol._scale      # the peak's own steps are taken before the march
+    steps = []
+    step, run = sol._step, sol._run
+
+    def step_spy(*args):
+        steps.append(1)
+        return step(*args)
+
+    def run_spy(t, u, v, ku, kv, nodes, i, e, stride, *out):
+        steps.append(len(nodes[i + stride - 1:e:stride]))
+        return run(t, u, v, ku, kv, nodes, i, e, stride, *out)
+
+    sol._step, sol._run = step_spy, run_spy
+    sol.omega
+    # every one of the 2047 gaps takes at least one step
+    assert 2047 <= sum(steps) <= most
+
+
+# Bounds: the figure measured when the test was written, rounded up to
+# the next power of ten (1e-16 where it read 0).
+@pytest.mark.parametrize("kind,p,tol_w,tol_wp", [
+    ("ball", 1.05, 1e-16, 1e-58), ("ball", 1.5, 1e-15, 1e-15),
+    ("ball", 2.0, 1e-15, 1e-15), ("ball", 2.5, 1e-15, 1e-16),
+    ("ball", 4.0, 1e-15, 1e-16), ("ball", 8.0, 1e-15, 1e-16),
+    ("ball", 16.0, 1e-15, 1e-16),
+    ("annulus", 1.05, 1e-13, 1e-13), ("annulus", 1.5, 1e-14, 1e-14),
+    ("annulus", 2.0, 1e-14, 1e-14), ("annulus", 2.5, 1e-14, 1e-13),
+    ("annulus", 4.0, 1e-14, 1e-12), ("annulus", 8.0, 1e-14, 1e-12),
+    ("annulus", 16.0, 1e-14, 1e-11)])
+def test_grid_matches_cuts_to_every_level(monkeypatch, kind, p, tol_w,
+                                          tol_wp):
+    # The cuts toward a point stop once the field's part that is not
+    # smooth there changes by less than rounding across the last piece.
+    # The grid must agree with the same march cut to all 40 levels (the
+    # rule before), omega to tol_w and omega' to tol_wp of its maximum.
+    # The annulus's omega' reads |Phi|^(1/(p-1)), which magnifies the
+    # flux's rounding next to the peak at large p.  A ball's steps differ
+    # only in the last gap, at the wall, so only its last node may move;
+    # at p = 1.05 omega' near the pole (below 1e-50, omega - 1 ~ t^21)
+    # moves too, by a few units of its own rounding.
+    for m in (1, 2, 3):
+        for c in (-1.0, 0.0, 1.0):
+            if kind == "ball":
+                sol = solve_ball_eigenvalue(ball_problem(p, m, c, 1.0))
+            else:
+                sol = solve_annulus_eigenvalue(RadialProblem(
+                    p, m, modelspace.space_form(c), Annulus(0.5, 1.5)))
+            w, wp = sol.omega, sol.omega_prime
+            cuts = _ode._graded_cuts
+            with monkeypatch.context() as patch:
+                patch.setattr(_ode, "_graded_cuts",
+                              lambda t_from, t_to, points, width:
+                              cuts(t_from, t_to, points, 0.0))
+                w_ref, wp_ref = sol.evaluate(sol.grid)
+            assert np.max(np.abs(w - w_ref)) <= tol_w
+            assert (np.max(np.abs(wp - wp_ref))
+                    <= tol_wp * np.max(np.abs(wp_ref)))
+            if kind == "ball":
+                assert np.array_equal(w[:-1], w_ref[:-1])
+                if p > 1.05:
+                    assert np.array_equal(wp[:-1], wp_ref[:-1])
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
@@ -825,23 +905,37 @@ def test_generated_source_reads_the_tableau_as_literals(monkeypatch):
             code += [k for k in c.co_consts if hasattr(k, "co_names")]
 
 
-def _reference_cuts(t_from, t_to, points):
-    """The cuts of `_ode.dp_graded`, from all 81 candidates per point."""
+def _levels(length, width, order):
+    """The count of levels j = 0, 1, ... of the cuts toward a point of
+    the given order: the fewest whose last level leaves a piece,
+    length 2^-j, no longer than width 2^(-53 / order), at least 1 and
+    at most 40 (all 40 for width 0)."""
+    if width == 0.0:
+        return 40
+    return min(40, max(1, math.ceil(math.log2(length / width)
+                                    + 53.0 / order) + 1))
+
+
+def _reference_cuts(t_from, t_to, points, width):
+    """The cuts of `_ode.dp_graded`, from all 2 `_levels` + 1 candidates
+    per point."""
     span = t_to - t_from
     cuts = {t_to}
-    for s, _ in points:
-        cuts.update(c for c in [s] + [s + sign * span * 0.5 ** j
-                                      for j in range(40)
-                                      for sign in (-1.0, 1.0)]
-                    if t_from < c < t_to)
+    for s, _, order in points:
+        cuts.update(c for c in [s] + [
+            s + sign * span * 0.5 ** j
+            for j in range(_levels(span, width, order))
+            for sign in (-1.0, 1.0)] if t_from < c < t_to)
     return sorted(cuts)
 
 
 def test_graded_cuts_match_every_candidate():
-    # dp_graded forms only the candidate cuts inside its interval; the
-    # cuts must be those of all 81 candidates per point, bit for bit,
-    # for points inside the interval, outside it and at or next to an
-    # end.
+    # dp_graded forms only the candidate cuts inside its interval, down
+    # to the level its order needs; the cuts must be those of all the
+    # candidates per point, bit for bit, for points inside the interval,
+    # outside it and at or next to an end, for orders from a wall at
+    # p = 1.05 to the pole at p = 1.05, and for domains from the
+    # interval's length to 1e9 times it (and width 0, all 40 levels).
     rng = np.random.default_rng(17)
     for _ in range(3000):
         t_from = float(rng.choice([0.0, rng.uniform(-2.0, 2.0)]))
@@ -860,9 +954,10 @@ def test_graded_cuts_match_every_candidate():
             else:
                 s = float(np.nextafter(t_from if rng.uniform() < 0.5
                                        else t_to, rng.choice([-9.0, 9.0])))
-            points.append((float(s), 8.0))
-        got = _ode._graded_cuts(t_from, t_to, points)
-        want = _reference_cuts(t_from, t_to, points)
+            points.append((float(s), 8.0, float(rng.uniform(1.05, 21.0))))
+        width = float(rng.choice([0.0, span * 10.0 ** rng.uniform(0, 9)]))
+        got = _ode._graded_cuts(t_from, t_to, points, width)
+        want = _reference_cuts(t_from, t_to, points, width)
         assert [x.hex() for x in got] == [x.hex() for x in want]
 
 
