@@ -1,19 +1,19 @@
 """Command-line harness: sweeps, certificates, surface reports, selftest.
 
 Eight subcommands (eig, rstar, barta, compare, surface, kazdan, sweep,
-selftest) share one plumbing layer: list/range flag parsing, JSON config
-merging (flags beat config beats defaults), and RFC-4180 CSV output with
-17-significant-digit floats.  One table, ``COMMANDS``, holds every
-subcommand but selftest: its help, its flags with theirs, a rows
-function and its CSV columns.  ``build_parser`` loops over the table,
-and one handler (``_run_command``) loads the config, builds the rows and
-writes them; selftest keeps its own handler.  One row path serves the
-grid commands: ``_combos`` reads the (p, m, c, r) grid once, and each
-builder maps one function over it and sorts the rows by (p, m, c, r)
-(``_rows``).  A row is a dict; the CSV writes the command's named
-columns and ``--json`` writes every key.  Timestamps appear only on the
-leading ``#`` metadata line so two identical runs emit byte-identical
-bodies.
+selftest) share one plumbing layer: one reader of flag values and
+RFC-4180 CSV output with 17-significant-digit floats.  One table,
+``COMMANDS``, holds every subcommand but selftest: its help, its flags
+with their kinds and defaults, a rows function and its CSV columns.
+``build_parser`` loops over the table, and one handler
+(``_run_command``) reads each flag's value (flag beats JSON config beats
+default, all in the flag grammar of ``_parse_list``), builds the rows
+and writes them; selftest keeps its own handler.  The grid commands map
+one function over the (p, m, c, r) grid (``_combos``) and sort the rows
+by (p, m, c, r) (``_rows``).  A row is a dict; the CSV writes the
+command's named columns and ``--json`` writes every key.  Timestamps
+appear only on the leading ``#`` metadata line so two identical runs
+emit byte-identical bodies.
 
 Exit codes: 0 success, 1 acceptance failure, 2 invalid input,
 3 numerical non-convergence.
@@ -38,12 +38,14 @@ from . import acceptance, bounds, critical, modelspace, radial, rayleigh, \
 # -- plumbing ---------------------------------------------------------------
 
 
-def _parse_list(text, cast=float):
-    """Parse ``2,3`` (list) or ``0.5:1.5:0.25`` (inclusive range)."""
-    text = str(text).strip()
+def _parse_list(text, cast=float, single=False):
+    """Parse ``2,3`` (list) or ``0.5:1.5:0.25`` (inclusive range) of
+    numbers, or ``a,b`` of names (``cast=str``); ``single`` takes one
+    value and returns it."""
+    text = text.strip()
     if not text:
         raise ValueError("empty parameter list")
-    if ":" in text:
+    if ":" in text and cast is not str:
         parts = text.split(":")
         if len(parts) != 3:
             raise ValueError("range syntax is start:stop:step, got %r"
@@ -51,71 +53,74 @@ def _parse_list(text, cast=float):
         start, stop, step = (float(x) for x in parts)
         if step <= 0 or stop < start:
             raise ValueError("range needs stop >= start and step > 0")
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
-        vals = [start + i * step for i in range(count)]
+        span = (stop - start) / step
+        if not math.isfinite(span):
+            raise ValueError("range needs finite bounds, got %r" % text)
+        vals = [start + i * step
+                for i in range(int(math.floor(span + 1e-9)) + 1)]
     else:
-        vals = [float(x) for x in text.split(",")]
-    out = []
-    for v in vals:
-        if cast is int:
-            if v != int(v):
+        vals = [x.strip() if cast is str else float(x)
+                for x in text.split(",")]
+    if cast is str and "" in vals:
+        raise ValueError("empty name in %r" % text)
+    if cast is int:
+        for v in vals:
+            if not v.is_integer():
                 raise ValueError("expected integer values, got %g" % v)
-            out.append(int(v))
-        else:
-            out.append(float(v))
-    return out
+        vals = [int(v) for v in vals]
+    if single and len(vals) != 1:
+        raise ValueError("expected one value, got %r" % text)
+    return vals[0] if single else vals
 
 
-def _load_config(path):
+#: Flag kinds, (cast, single): a single kind takes exactly one value.
+_FLOATS, _INTS, _NAMES = (float, False), (int, False), (str, False)
+_FLOAT, _INT, _NAME = (float, True), (int, True), (str, True)
+
+
+def _read(source, text, kind):
+    """``text`` parsed as ``kind``, None for None; errors name ``source``."""
+    if text is None:
+        return None
+    try:
+        return _parse_list(text, *kind)
+    except ValueError as exc:
+        raise ValueError("%s: %s" % (source, exc)) from None
+
+
+def _load_config(path, command):
+    """The config's values by key, each read as its flag's text: a string
+    as it stands, a number or a list of numbers or names as a comma list
+    (``repr`` keeps every float's bits)."""
     if path is None:
         return {}
     with open(path) as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValueError("config must be a JSON object")
-    nulls = [key for key, value in cfg.items()
-             if value is None or isinstance(value, list) and None in value]
-    if nulls:
-        raise ValueError("config key %s holds null; give a value or leave "
-                         "the key out" % ", ".join(nulls))
-    return cfg
-
-
-def _merged(args, config, key, default, cast=float):
-    """Flag value if given, else config value, else default (all parsed)."""
-    raw = getattr(args, key, None)
-    if raw is None:
-        raw = config.get(key)
-    if raw is None:
-        raw = default
-    if isinstance(raw, (list, tuple)):
-        return [cast(v) for v in raw]
-    if isinstance(raw, (int, float)):
-        return [cast(raw)]
-    return _parse_list(raw, cast=cast)
-
-
-def _scalar(args, config, key, default, cast=float):
-    raw = getattr(args, key, None)
-    if raw is None:
-        raw = config.get(key, default)
-    return None if raw is None else cast(raw)
+    kinds = {flag[2:]: kind for flag, _, kind, _ in COMMANDS[command][1]}
+    values = {}
+    for key, value in cfg.items():
+        if key not in kinds:
+            raise ValueError("config key %s is not a flag of ptone %s (%s)"
+                             % (key, command, ", ".join(kinds)))
+        items = value if isinstance(value, list) else [value]
+        if None in items:
+            raise ValueError("config key %s holds null; give a value or "
+                             "leave the key out" % key)
+        if not items or not all(isinstance(v, (str, int, float))
+                                and not isinstance(v, bool) for v in items):
+            raise ValueError("config key %s holds %s; give the flag's text, "
+                             "a number, or a list of numbers or names"
+                             % (key, json.dumps(value)))
+        values[key] = _read("config key " + key, ",".join(
+            v if isinstance(v, str) else repr(v) for v in items), kinds[key])
+    return values
 
 
 def _sort_rows(rows):
-    def key(row):
-        return tuple(float(row.get(k, 0.0)) for k in ("p", "m", "c", "r"))
-    return sorted(rows, key=key)
-
-
-def _fmt_value(v):
-    if isinstance(v, bool) or isinstance(v, np.bool_):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return "%.17g" % float(v)
-    return str(v)
+    return sorted(rows, key=lambda row: tuple(
+        float(row.get(k, 0.0)) for k in ("p", "m", "c", "r")))
 
 
 def _json_value(v):
@@ -128,14 +133,17 @@ def _json_value(v):
     return str(v)
 
 
+def _fmt_value(v):
+    v = _json_value(v)
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    return "%.17g" % v if isinstance(v, float) else str(v)
+
+
 def format_csv(fieldnames, rows, meta=None):
     """RFC-4180 CSV text; field order is first-seen across rows if None."""
     if fieldnames is None:
-        fieldnames = []
-        for row in rows:
-            for k in row:
-                if k not in fieldnames:
-                    fieldnames.append(k)
+        fieldnames = list(dict.fromkeys(k for row in rows for k in row))
     buf = io.StringIO()
     if meta:
         buf.write("# %s\n" % meta)
@@ -151,28 +159,22 @@ def _emit(args, fieldnames, rows, command):
     meta = "ptone %s  %s" % (
         command, datetime.now(timezone.utc).isoformat(timespec="seconds"))
     text = format_csv(fieldnames, rows, meta=meta)
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    json_path = getattr(args, "json", None)
-    if json_path:
+    if args.json:
         payload = {"command": command, "rows": [
             {k: _json_value(v) for k, v in row.items()} for row in rows]}
-        with open(json_path, "w") as fh:
+        with open(args.json, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
 
 
-def _combos(args, config):
-    """The (p, m, c, r) grid of the --p/--m/--c/--r flags, in product
-    order."""
-    return list(itertools.product(_merged(args, config, "p", [2.0]),
-                                  _merged(args, config, "m", [2], cast=int),
-                                  _merged(args, config, "c", [0.0]),
-                                  _merged(args, config, "r", [1.0])))
+def _combos(v):
+    """The (p, m, c, r) grid of the read flag values, in product order."""
+    return list(itertools.product(v["p"], v["m"], v["c"], v["r"]))
 
 
 def _rows(one, combos):
@@ -183,11 +185,8 @@ def _rows(one, combos):
 
 
 def eig_rows(combos, tol=None, n_grid=None):
-    kwargs = {}
-    if tol is not None:
-        kwargs["tol"] = tol
-    if n_grid is not None:
-        kwargs["n_grid"] = n_grid
+    kwargs = {k: v for k, v in (("tol", tol), ("n_grid", n_grid))
+              if v is not None}
 
     def one(p, m, c, r):
         sol = radial.solve_ball_eigenvalue(
@@ -235,6 +234,10 @@ def sweep_rows(combos):
 
 
 def kazdan_rows(combos, phi, n):
+    if phi not in ("eigen", "quadratic"):
+        raise ValueError("phi must be 'eigen' or 'quadratic', got %r"
+                         % (phi,))
+
     def one(p, m, c, r):
         if phi == "eigen":
             st = acceptance.kazdan_eigen_stats(p, m, c, r, n)
@@ -279,94 +282,89 @@ def compare_rows(p_list, m, r):
 # -- subcommands ------------------------------------------------------------
 
 
-def _compare(args, cfg):
-    rows, violations = compare_rows(_merged(args, cfg, "p", [2.0, 2.5, 3.0]),
-                                    _scalar(args, cfg, "m", 2, cast=int),
-                                    _scalar(args, cfg, "r", 1.0))
+def _compare(v):
+    rows, violations = compare_rows(v["p"], v["m"], v["r"])
     for name, p, margin in violations:
         print("comparison violated: profile=%s p=%g margin_rel=%.3e"
               % (name, p, margin), file=sys.stderr)
     return rows, 1 if violations else 0
 
 
-def _surface(args, cfg):
-    raw = args.surfaces or cfg.get("surfaces") or "plane,catenoid"
-    kinds = [s.strip() for s in str(raw).split(",") if s.strip()]
-    p_list = sorted(_merged(args, cfg, "p", [2.0, 3.0]))
-    r_list = sorted(_merged(args, cfg, "r", [1.2]))
-    return [surfaces.band_report(kind, r, p)
-            for kind in kinds for p in p_list for r in r_list], 0
+def _surface(v):
+    return [surfaces.band_report(kind, r, p) for kind in v["surfaces"]
+            for p in sorted(v["p"]) for r in sorted(v["r"])], 0
 
 
-def _kazdan(args, cfg):
-    phi = args.phi or cfg.get("phi") or "eigen"
-    if phi not in ("eigen", "quadratic"):
-        raise ValueError("--phi must be 'eigen' or 'quadratic'")
-    n = _scalar(args, cfg, "n", 2000, cast=int)
-    return kazdan_rows(_combos(args, cfg), phi, n), 0
-
-
-_GRID_FLAGS = (("--p", "p values: 2,3 or 1.5:3:0.5"),
-               ("--m", "dimensions m (integers)"),
-               ("--c", "curvature bounds c"), ("--r", "radii r"))
+_GRID_FLAGS = (("--p", "p values: 2,3 or 1.5:3:0.5", _FLOATS, "2"),
+               ("--m", "dimensions m (integers)", _INTS, "2"),
+               ("--c", "curvature bounds c", _FLOATS, "0"),
+               ("--r", "radii r", _FLOATS, "1"))
 
 #: name -> (help, flags, rows, columns) of every subcommand but selftest.
-#: A flag is (flag, help) or (flag, help, argparse options).  rows(args,
-#: config) returns (rows, exit code); it names its builder when it runs,
-#: so a rebound builder (a tracer's wrapper) is the one called.  The CSV
-#: writes the columns, or with None every key in first-seen order.
+#: A flag is (flag, help, kind, default text or None).  rows(values)
+#: takes each flag's value by key and returns (rows, exit code); it
+#: names its builder when it runs, so a rebound builder (a tracer's
+#: wrapper) is the one called.  The CSV writes the columns, or with None
+#: every key in first-seen order.
 COMMANDS = {
     "eig": ("eigenvalue sweep", _GRID_FLAGS + (
-        ("--tol", "relative width of the final eigenvalue bracket",
-         {"type": float}),
-        ("--n", "output grid size")),
-        lambda args, cfg: (eig_rows(
-            _combos(args, cfg), tol=_scalar(args, cfg, "tol", None),
-            n_grid=_scalar(args, cfg, "n", None, cast=int)), 0),
+        ("--tol", "relative width of the final eigenvalue bracket", _FLOAT,
+         None),
+        ("--n", "output grid size", _INT, None)),
+        lambda v: (eig_rows(_combos(v), tol=v["tol"], n_grid=v["n"]), 0),
         ["p", "m", "c", "r", "lambda", "residual", "iterations"]),
     "rstar": ("critical-radius certification", _GRID_FLAGS,
-              lambda args, cfg: (rstar_rows(_combos(args, cfg)), 0),
+              lambda v: (rstar_rows(_combos(v)), 0),
               ["c", "p", "m", "r", "lambda", "r_star", "min_W_margin"]),
     "barta": ("Barta certificates at the eigenfunction", _GRID_FLAGS,
-              lambda args, cfg: (barta_rows(_combos(args, cfg)), 0),
+              lambda v: (barta_rows(_combos(v)), 0),
               ["p", "m", "c", "r", "lambda", "barta_value", "rel_gap"]),
     "compare": ("warped-model comparison certificates",
-                (("--p", "p values"), ("--m", "dimension (single integer)"),
-                 ("--r", "radius (single value)")), _compare,
+                (("--p", "p values", _FLOATS, "2,2.5,3"),
+                 ("--m", "dimension (single integer)", _INT, "2"),
+                 ("--r", "radius (single value)", _FLOAT, "1")), _compare,
                 ["profile", "p", "m", "r", "lambda_model", "certificate",
                  "margin_rel", "rayleigh_warped", "admissible"]),
     "surface": ("minimal-surface band reports",
-                (("--surfaces", "comma list: plane,catenoid"),
-                 ("--p", "p values"), ("--r", "radii")), _surface,
+                (("--surfaces", "comma list: plane,catenoid", _NAMES,
+                  "plane,catenoid"),
+                 ("--p", "p values", _FLOATS, "2,3"),
+                 ("--r", "radii", _FLOATS, "1.2")), _surface,
                 surfaces.BAND_COLUMNS),
     "kazdan": ("log-transform source statistics", _GRID_FLAGS + (
-        ("--phi", "profile to transform",
-         {"choices": ("eigen", "quadratic")}),
-        ("--n", "solver grid size")), _kazdan, None),
+        ("--phi", "profile to transform: eigen or quadratic", _NAME,
+         "eigen"),
+        ("--n", "solver grid size", _INT, "2000")),
+        lambda v: (kazdan_rows(_combos(v), v["phi"], v["n"]), 0), None),
     "sweep": ("eigenvalue + Rayleigh + Barta battery", _GRID_FLAGS,
-              lambda args, cfg: (sweep_rows(_combos(args, cfg)), 0),
+              lambda v: (sweep_rows(_combos(v)), 0),
               ["p", "m", "c", "r", "lambda", "rayleigh", "barta",
                "residual"]),
 }
 
 
 def _run_command(args):
-    """Load the config, build the subcommand's rows and write them."""
-    _, _, rows_of, columns = COMMANDS[args.command]
-    rows, code = rows_of(args, _load_config(args.config))
+    """Read each flag's value (flag, else config, else default), build
+    the subcommand's rows and write them."""
+    _, flags, rows_of, columns = COMMANDS[args.command]
+    values = _load_config(args.config, args.command)
+    for flag, _, kind, default in flags:
+        key, text = flag[2:], getattr(args, flag[2:])
+        if text is not None:
+            values[key] = _read(flag, text, kind)
+        elif key not in values:
+            values[key] = _read(flag, default, kind)
+    rows, code = rows_of(values)
     _emit(args, columns, rows, args.command)
     return code
 
 
 def selftest_manifest_rows(results):
     """Long-format rows (criterion, record, field, value) for CSV."""
-    rows = []
-    for res in results:
-        for idx, record in enumerate(res.rows):
-            for field, value in record.items():
-                rows.append({"criterion": res.number, "record": idx,
-                             "field": field, "value": _fmt_value(value)})
-    return rows
+    return [{"criterion": res.number, "record": idx, "field": field,
+             "value": _fmt_value(value)}
+            for res in results for idx, record in enumerate(res.rows)
+            for field, value in record.items()]
 
 
 def cmd_selftest(args):
@@ -378,20 +376,18 @@ def cmd_selftest(args):
     for res in results:
         print(res.status_line())
     failures = [res for res in results if not res.passed]
-    out = getattr(args, "out", None)
-    if out:
+    if args.out:
         meta = "ptone selftest  %s" % datetime.now(
             timezone.utc).isoformat(timespec="seconds")
-        with open(out, "w") as fh:
+        with open(args.out, "w") as fh:
             fh.write(format_csv(["criterion", "record", "field", "value"],
                                 selftest_manifest_rows(results), meta=meta))
-    json_path = getattr(args, "json", None)
-    if json_path:
+    if args.json:
         payload = {"command": "selftest", "criteria": [
             {"number": res.number, "name": res.name, "passed": res.passed,
              "detail": res.detail, "runtime_s": res.runtime}
             for res in results]}
-        with open(json_path, "w") as fh:
+        with open(args.json, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
     if failures:
@@ -410,8 +406,7 @@ def cmd_selftest(args):
 # -- entry point ------------------------------------------------------------
 
 
-def _add_common(sub):
-    sub.add_argument("--config", help="JSON config file (flags override)")
+def _add_output(sub):
     sub.add_argument("--out", help="write CSV to this path")
     sub.add_argument("--json", help="also write rows as JSON to this path")
 
@@ -424,20 +419,24 @@ def build_parser():
     subs = parser.add_subparsers(dest="command", required=True)
     for name, (summary, flags, _, _) in COMMANDS.items():
         sub = subs.add_parser(name, help=summary)
-        for flag, text, *extra in flags:
-            sub.add_argument(flag, help=text, **(extra[0] if extra else {}))
-        _add_common(sub)
+        for flag, text, _, _ in flags:
+            sub.add_argument(flag, help=text)
+        sub.add_argument("--config", help="JSON config file of flag values "
+                                          "(flags override)")
+        _add_output(sub)
         sub.set_defaults(handler=_run_command)
 
     sub = subs.add_parser("selftest", help="run the acceptance criteria")
     sub.add_argument("--filter", help="substring (or number) selecting "
                                       "criteria")
-    _add_common(sub)
+    _add_output(sub)
     sub.set_defaults(handler=cmd_selftest)
     return parser
 
 
-_LIST_FLAGS = ("--p", "--m", "--c", "--r")
+#: The flags that take numbers, any of which may start with '-'.
+_NUMBER_FLAGS = {flag for _, flags, _, _ in COMMANDS.values()
+                 for flag, _, (cast, _), _ in flags if cast is not str}
 
 
 def _join_list_values(argv):
@@ -446,11 +445,11 @@ def _join_list_values(argv):
     argparse takes a token that starts with '-' and is not a plain
     number for an option, so a list or range with a negative first
     value would otherwise be refused.  No option starts with '-' and a
-    digit, so such a token after a list flag is always its value.
+    digit, so such a token after a number flag is always its value.
     """
     out = []
     for tok in argv:
-        if out and out[-1] in _LIST_FLAGS and re.match(r"-[\d.]", tok):
+        if out and out[-1] in _NUMBER_FLAGS and re.match(r"-[\d.]", tok):
             out[-1] += "=" + tok
         else:
             out.append(tok)

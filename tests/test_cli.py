@@ -51,6 +51,18 @@ def test_parse_list_forms():
         cli._parse_list("2:1:0.5")                   # empty range
     with pytest.raises(ValueError):
         cli._parse_list("1.5", cast=int)
+    assert cli._parse_list(" plane, catenoid", cast=str) == ["plane",
+                                                             "catenoid"]
+    assert cli._parse_list("2048", cast=int, single=True) == 2048
+    # inf as an integer and an infinite range ended in an OverflowError
+    # traceback, exit 1.
+    for text, cast in (("inf", int), ("0:inf:1", float)):
+        with pytest.raises(ValueError):
+            cli._parse_list(text, cast=cast)
+    with pytest.raises(ValueError):
+        cli._parse_list("2,3", single=True)
+    with pytest.raises(ValueError):
+        cli._parse_list("plane,", cast=str)
 
 
 def test_format_csv_values_and_meta():
@@ -259,20 +271,81 @@ def test_config_file_merging(tmp_path, capsys):
     assert [r["p"] for r in rows] == ["2", "3"]        # config list used
 
 
-@pytest.mark.parametrize("argv,config,key", [
-    (["compare", "--p", "2"], {"m": None}, "m"),
-    (["kazdan"], {"n": None, "phi": "quadratic"}, "n"),
-    (["eig"], {"p": [2, None]}, "p"),
-], ids=["compare-m", "kazdan-n", "eig-p-list"])
-def test_null_config_value_is_invalid_input(argv, config, key, tmp_path,
+GRID = ["eig", "--c", "0", "--r", "1"]
+
+
+@pytest.mark.parametrize("argv,config,message", [
+    (["compare", "--p", "2"], {"m": None}, "config key m holds null"),
+    (["kazdan"], {"n": None, "phi": "quadratic"}, "config key n holds null"),
+    (["eig"], {"p": [2, None]}, "config key p holds null"),
+    (GRID, {"m": 2.5}, "config key m: expected integer values, got 2.5"),
+    (GRID, {"m": [2.5]}, "config key m: expected integer values, got 2.5"),
+    (GRID, {"n": 2048.7}, "config key n: expected integer values"),
+    (GRID, {"n": [2048, 4096]}, "config key n: expected one value"),
+    (GRID, {"p": [2, [3]]}, "config key p holds [2, [3]];"),
+    (GRID, {"p": {"a": 1}}, 'config key p holds {"a": 1};'),
+    (GRID, {"m": True}, "config key m holds true;"),
+    (["eig"], {"c": [True]}, "config key c holds [true];"),
+    (["eig"], {"r": []}, "config key r holds [];"),
+    (GRID, {"pp": 3}, "config key pp is not a flag of ptone eig"),
+    (["surface"], {"m": 2}, "config key m is not a flag of ptone surface"),
+], ids=["compare-m", "kazdan-n", "eig-p-list", "eig-m-float",
+        "eig-m-float-list", "eig-n-float", "eig-n-two-values", "eig-p-nested",
+        "eig-p-object", "eig-m-bool", "eig-c-bool-list", "eig-r-empty",
+        "eig-unknown-key", "surface-unknown-key"])
+def test_null_config_value_is_invalid_input(argv, config, message, tmp_path,
                                             capsys):
-    # A JSON null read as a value ended in int(None) or float(None): a
-    # traceback, exit 1.
+    # Every malformed config value exits 2 and names its key.  A null
+    # ended in int(None) or float(None), a nested list in float([3]): a
+    # traceback, exit 1.  A float m or n was truncated, a bool read as
+    # 0 or 1, an empty list gave no rows, and an unknown key was ignored:
+    # exit 0.
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     res = run_main(capsys, *argv, "--config", str(cfg))
     assert res.returncode == 2
-    assert "invalid input: config key %s holds null" % key in res.stderr
+    assert "invalid input: " + message in res.stderr
+
+
+#: One value per flag, as the flag's text and as config JSON: a range
+#: string, a list starting with a negative value, one-value lists for a
+#: single-valued flag and for a name list.
+TWIN_VALUES = {"p": ("2:3:1", "2:3:1"), "m": ("2", 2), "c": ("-1,0", [-1, 0]),
+               "r": ("1", 1.0), "tol": ("1e-10", 1e-10), "n": ("64", [64]),
+               "phi": ("quadratic", "quadratic"),
+               "surfaces": ("plane", ["plane"])}
+
+
+def _body(text):
+    return [ln for ln in text.splitlines() if not ln.startswith("#")]
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_config_values_read_as_their_flags(command, tmp_path, capsys):
+    # Every flag's value gives the same CSV body from the command line
+    # and from a config file; m also as JSON 2.0.
+    keys = [flag[2:] for flag, *_ in cli.COMMANDS[command][1]]
+    argv = [command]
+    for key in keys:
+        argv += ["--" + key, TWIN_VALUES[key][0]]
+    by_flags = run_main(capsys, *argv)
+    assert by_flags.returncode == 0, by_flags.stderr
+    config = {key: TWIN_VALUES[key][1] for key in keys}
+    cfg = tmp_path / "cfg.json"
+    for variant in ([dict(config, m=m) for m in (2, 2.0)] if "m" in config
+                    else [config]):
+        cfg.write_text(json.dumps(variant))
+        by_config = run_main(capsys, command, "--config", str(cfg))
+        assert by_config.returncode == 0, by_config.stderr
+        assert _body(by_config.stdout) == _body(by_flags.stdout)
+
+
+def test_selftest_takes_no_config(capsys):
+    # selftest reads no flag values, so a config would go unread.
+    res = run_main(capsys, "selftest", "--filter", "14", "--config",
+                   "x.json")
+    assert res.returncode == 2
+    assert "unrecognized arguments: --config" in res.stderr
 
 
 def test_repeat_runs_are_byte_identical():
