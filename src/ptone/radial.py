@@ -139,7 +139,7 @@ class RadialProblem:
                 "p=%g outside the supported range [%g, %g]; the exponents "
                 "1/(p-1) and p-2 are numerically hostile beyond it"
                 % (p, P_MIN, P_MAX))
-        if int(m) != m or m < 1:
+        if not (math.isfinite(m) and int(m) == m and m >= 1):
             raise ValueError("dimension m must be an integer >= 1")
         if not isinstance(profile, WarpingProfile):
             raise TypeError("profile must be a WarpingProfile")
@@ -169,8 +169,22 @@ class RadialProblem:
         return self.profile.eval(t)[0] ** (self.m - 1)
 
     def cache_key(self, tol):
+        """The key of the shot result at tol: what a shot reads.
+
+        (p, m, weight key, (kind, left, right), tol), where the weight
+        key is the profile's `cache_key()`, or None when m = 1.  At m = 1
+        the weight f^(m-1) is 1 and the problem is the one-dimensional
+        p-string, lam = (p-1)(pi_p/L)^p, whatever the warping, and the
+        shot reads no bit of the profile: `_make_rhs` binds none of its
+        names, `_Startup.flux_F` reads the finite f3_0 only times
+        m - 1 = 0, the ball `_barta_seed` reads f'/f only times m - 1 = 0
+        at nodes where f > 0, and `weight` returns ones.  Each such term
+        is a signed zero and leaves every sum as it was, so every warping
+        shares one m = 1 shot, bit for bit.
+        """
         d = self.domain
-        return (self.p, self.m, self.profile.cache_key(),
+        return (self.p, self.m,
+                None if self.m == 1 else self.profile.cache_key(),
                 (d.kind, d.left, d.right), tol)
 
     def __repr__(self):
@@ -350,17 +364,16 @@ class RadialSolution:
         self.problem = problem
         self.p = problem.p
         self.m = problem.m
-        self.profile = problem.profile
         self.lam = float(lam)
         self.iterations = int(iterations)
         self._ts = ts
         self._ys = ys
         self._rhs, self._step, _, self._run = _make_rhs(
-            self.p, self.m, self.profile, self.lam)
+            self.p, self.m, problem.profile, self.lam)
         d = problem.domain
         # A ball's march gives nodes below t0 = ts[0] the pole expansion,
         # as the shot does; an annulus's gives them the wall state ys[0].
-        self._startup = (_Startup(self.p, self.m, self.profile, self.lam,
+        self._startup = (_Startup(self.p, self.m, problem.profile, self.lam,
                                   ts[0]) if d.kind == "ball" else None)
         self._left = d.left
         self.r = d.right
@@ -762,10 +775,13 @@ def _solve(problem, tol):
     return lam, ts, ys, steps
 
 
-# Solutions by (problem parameters, tol, n_grid), and the shot result
-# (lam, mesh, Brent steps) they are built from by (problem parameters,
-# tol): a solve that differs only in n_grid marches its grid from the
-# cached mesh and takes no shot.
+# Shot results (lam, mesh, Brent steps) by `RadialProblem.cache_key(tol)`,
+# which names only what a shot reads: at m = 1 it leaves out the warping,
+# so every warping shares one shot.  Solutions by that key, the
+# profile's own key and n_grid: a solution carries its own problem, and
+# `critical` and `surfaces` read its profile.  A solve that differs only
+# in n_grid, or at m = 1 only in the warping, builds its solution from
+# the cached shot result and takes no shot.
 _SOLVE_CACHE = {}
 _SHOT_CACHE = {}
 _MIN_GRID = 5   # the residual audit's five-point stencil
@@ -781,15 +797,19 @@ def clear_solver_cache():
 def _solve_memoized(problem, kind, tol, n_grid, use_cache):
     """The body of both solve functions, for a domain of the given kind.
 
-    Checks the domain kind, n_grid and tol, returns the cached solution
-    of (problem parameters, tol, n_grid) if there is one, and otherwise
-    builds one from the cached shot result of (problem parameters, tol),
-    solving for it if there is none, and stores both.
+    Checks the domain kind, n_grid and tol.  Returns the cached solution
+    of (shot key, profile key, n_grid) if there is one, and otherwise
+    builds one from the cached shot result of the shot key
+    (`RadialProblem.cache_key`), solving for it if there is none, and
+    stores both.  The shot key leaves out the warping at m = 1, where
+    the shot reads none of it, so an m = 1 solve on another warping
+    takes no shot; its solution is built for its own problem.
     """
     if problem.domain.kind != kind:
         raise ValueError("solve_%s_eigenvalue needs a domain of kind %r, "
                          "got %r" % (kind, kind, problem.domain))
-    if int(n_grid) != n_grid or n_grid < _MIN_GRID:
+    if not (math.isfinite(n_grid) and int(n_grid) == n_grid
+            and n_grid >= _MIN_GRID):
         raise ValueError("grid size n=%r: the dense grid needs an integer "
                          "n >= %d" % (n_grid, _MIN_GRID))
     # Brent cannot close a bracket narrower than one ulp of lam.
@@ -799,12 +819,13 @@ def _solve_memoized(problem, kind, tol, n_grid, use_cache):
     if not use_cache:
         return RadialSolution(problem, *_solve(problem, tol), n_grid)
     key = problem.cache_key(tol)
-    sol = _SOLVE_CACHE.get((key, n_grid))
+    solve_key = (key, problem.profile.cache_key(), n_grid)
+    sol = _SOLVE_CACHE.get(solve_key)
     if sol is None:
         if key not in _SHOT_CACHE:
             _SHOT_CACHE[key] = _solve(problem, tol)
         sol = RadialSolution(problem, *_SHOT_CACHE[key], n_grid)
-        _SOLVE_CACHE[key, n_grid] = sol
+        _SOLVE_CACHE[solve_key] = sol
     return sol
 
 
@@ -813,10 +834,13 @@ def solve_ball_eigenvalue(problem, tol=_DEFAULT_TOL, n_grid=_DEFAULT_GRID,
     """First Dirichlet p-eigenvalue of a ball, to relative accuracy tol.
 
     Returns a RadialSolution whose omega is positive on [0, r), decreasing,
-    and vanishes at r up to the eigenvalue tolerance.  Results are
-    memoized on (problem parameters, tol, n_grid), and the shot result on
-    (problem parameters, tol), so another n_grid takes no shot; solves
-    are pure, so the caches are transparent.
+    and vanishes at r up to the eigenvalue tolerance.  Solves are
+    memoized per process: the shot result by what the shot reads (p, m,
+    domain, tol, and the warping unless m = 1; `RadialProblem.cache_key`),
+    and the solution by that, the warping and n_grid.  Another n_grid
+    takes no shot, and neither does an m = 1 solve on another warping:
+    with weight f^0 = 1 its shot reads no bit of the profile.  Solves are
+    pure, so the caches are transparent.
     """
     return _solve_memoized(problem, "ball", tol, n_grid, use_cache)
 

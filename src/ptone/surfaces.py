@@ -309,7 +309,7 @@ def transplant(solution, surface, band=None, n=TRANSPLANT_GRID):
     3, 4 at r = 1.2).  Catenoid bands are even in s, so omega is
     evaluated once per distinct distance value.
     """
-    prof = solution.profile
+    prof = solution.problem.profile
     if solution.m != 2 or prof.kind != "spaceform" or prof.c != 0.0:
         raise ValueError("transplant needs the flat planar model solution")
     if solution.problem.domain.kind != "ball":

@@ -419,6 +419,30 @@ def test_unknown_subcommand_exits_two(capsys):
     assert res.returncode == 2
 
 
+def test_m1_eig_shoots_once_per_p(monkeypatch, capsys):
+    # At m = 1 every warping shares one shot: the six rows of two p and
+    # three c take the shots of the two cold solves at c = 0.
+    shots = []
+    shoot = radial._shoot
+
+    def spy(problem, lam):
+        shots.append(lam)
+        return shoot(problem, lam)
+
+    monkeypatch.setattr(radial, "_shoot", spy)
+    cold = 0
+    for p in (2.0, 3.0):
+        radial.solve_ball_eigenvalue(radial.ball_problem(p, 1, 0.0, 1.0),
+                                     use_cache=False)
+        cold += len(shots)
+        del shots[:]
+    radial.clear_solver_cache()
+    res = run_main(capsys, "eig", "--p", "2,3", "--m", "1", "--c=-1,0,1",
+                   "--r", "1")
+    assert res.returncode == 0 and len(parse_csv(res.stdout)) == 6
+    assert len(shots) == cold
+
+
 def test_integration_failure_exits_three(monkeypatch, capsys):
     # A failed integration is a numerical non-convergence: exit 3, with
     # the parameters that caused it, not a traceback.  The shots fail for

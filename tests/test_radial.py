@@ -1317,6 +1317,30 @@ def test_solver_cache_and_determinism():
     assert np.array_equal(again.omega, first.omega)
 
 
+def _shot_spy(monkeypatch):
+    """The list that every later `radial._shoot` call appends its lam to."""
+    shots = []
+    shoot = radial._shoot
+
+    def spy(problem, lam):
+        shots.append(lam)
+        return shoot(problem, lam)
+
+    monkeypatch.setattr(radial, "_shoot", spy)
+    return shots
+
+
+def _assert_same_solution(sol, cold):
+    """sol and the cold solve agree in lam, steps, every array bit and
+    the residual."""
+    assert (cold.lam, cold.iterations) == (sol.lam, sol.iterations)
+    for name in ("grid", "omega", "omega_prime", "flux"):
+        arr = getattr(sol, name)
+        assert not arr.flags.writeable
+        assert arr.tobytes() == getattr(cold, name).tobytes()
+    assert sol.residual == cold.residual
+
+
 @pytest.mark.parametrize("problem", _LAZY_PROBLEMS, ids=["ball", "annulus"])
 def test_other_grid_size_takes_no_shot(monkeypatch, problem):
     # The shot result is cached per (problem, tol): a solve that differs
@@ -1326,29 +1350,64 @@ def test_other_grid_size_takes_no_shot(monkeypatch, problem):
              else solve_annulus_eigenvalue)
     radial.clear_solver_cache()
     first = solve(problem)
-    shots = []
-    shoot = radial._shoot
-
-    def spy(problem, lam):
-        shots.append(lam)
-        return shoot(problem, lam)
-
-    monkeypatch.setattr(radial, "_shoot", spy)
+    shots = _shot_spy(monkeypatch)
     sol = solve(problem, n_grid=1000)
     assert shots == [] and sol is not first
     assert (sol.lam, sol.iterations) == (first.lam, first.iterations)
     cold = solve(problem, n_grid=1000, use_cache=False)
     assert shots
-    assert (cold.lam, cold.iterations) == (sol.lam, sol.iterations)
-    for name in ("grid", "omega", "omega_prime", "flux"):
-        arr = getattr(sol, name)
-        assert not arr.flags.writeable
-        assert arr.tobytes() == getattr(cold, name).tobytes()
-    assert sol.residual == cold.residual
+    _assert_same_solution(sol, cold)
     del shots[:]
     radial.clear_solver_cache()
     solve(problem, n_grid=1000)
     assert shots
+
+
+def _warpings(domain):
+    """S_-1, S_0, S_1 and, where the domain fits its table (which ends at
+    1.05), the battery's tab-sinh."""
+    tab_sinh = dict(acceptance.compare_profiles())["tab-sinh"]
+    profiles = [modelspace.space_form(c) for c in (-1.0, 0.0, 1.0)]
+    return profiles + ([tab_sinh] if domain.right <= tab_sinh.r_max else [])
+
+
+@pytest.mark.parametrize("p, domain", [(2.5, Ball(1.0)),
+                                       (3.0, Annulus(0.2, 1.2))],
+                         ids=["ball", "annulus"])
+def test_m1_shot_is_shared_by_every_warping(monkeypatch, p, domain):
+    # At m = 1 the weight f^0 is 1 and the shot reads no bit of the
+    # warping, so its cache key leaves the warping out: on a cold cache
+    # only the first warping's solve shoots, and every other's solution,
+    # built for its own problem, is bit for bit a cold solve of it.
+    solve = (solve_ball_eigenvalue if domain.kind == "ball"
+             else solve_annulus_eigenvalue)
+    shots = _shot_spy(monkeypatch)
+    radial.clear_solver_cache()
+    problems = [RadialProblem(p, 1, prof, domain)
+                for prof in _warpings(domain)]
+    for i, problem in enumerate(problems):
+        sol = solve(problem)
+        assert sol.problem is problem
+        assert bool(shots) == (i == 0)
+        if i:
+            cold = solve(problem, use_cache=False)
+            _assert_same_solution(sol, cold)
+        del shots[:]
+    radial.clear_solver_cache()
+    solve(problems[-1])
+    assert shots
+
+
+def test_m2_shot_is_one_per_warping(monkeypatch):
+    # At m = 2 the weight is f itself: every warping takes its own shot.
+    domain = Ball(1.0)
+    shots = _shot_spy(monkeypatch)
+    radial.clear_solver_cache()
+    for prof in _warpings(domain):
+        problem = RadialProblem(2.5, 2, prof, domain)
+        assert solve_ball_eigenvalue(problem).problem is problem
+        assert shots
+        del shots[:]
 
 
 def test_tolerance_refines_eigenvalue():
@@ -1392,6 +1451,20 @@ def test_domains_reject_non_finite_radii(bad):
     for a, b in ((bad, 1.0), (0.0, bad), (bad, bad)):
         with pytest.raises(ValueError, match="a="):
             Annulus(a, b)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_dimension_and_grid_are_refused(bad):
+    # int() raised OverflowError on +-inf, and on NaN a message that
+    # names no parameter.
+    with pytest.raises(ValueError, match="dimension m"):
+        RadialProblem(2.0, bad, modelspace.space_form(0.0), Ball(1.0))
+    with pytest.raises(ValueError, match="grid size n="):
+        solve_ball_eigenvalue(ball_problem(2.0, 2, 0.0, 1.0), n_grid=bad)
+    with pytest.raises(ValueError, match="grid size n="):
+        solve_annulus_eigenvalue(
+            RadialProblem(2.0, 1, modelspace.space_form(0.0),
+                          Annulus(0.0, 1.0)), n_grid=bad)
 
 
 def test_domain_mismatch_guards():
