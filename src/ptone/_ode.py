@@ -20,52 +20,28 @@ step, so every result keeps its bits; the tests keep those as the
 references.
 
 The pair's coefficients exist once, as the tables `_C`, `_A`, `_B`, `_E`
-(the error weights) and `_DENSE_P`.  `_STAGES`, `_ERROR` and the dense
-output are written from them, each coefficient as a float literal (its
-repr, which reads back as the same float), with each sum's operands in
-the order of the tables, so the step, `integrate` and `run` read their
-40 to 56 coefficients per step as constants, not as module globals.
-The march's `run` writes its states into Python lists, which the march
-turns into numpy arrays once.  Per node of a 16384-node march (Python
-3.11.7, numpy 2.4.6, 2-vCPU x86_64 virtual machine), two list item
-stores cost 24-41 ns and the two conversions 40-65 ns, against
-96-149 ns for two numpy item stores.
-
-In one process, alternating with the step over f and the loops that
-called it (medians of 40 runs each, three processes, Python 3.11.7,
-2-vCPU x86_64 virtual machine, ball of radius 1, p = 2.5, m = 2): a
-shot at 0.9 lam takes 4.5-6.9 us per attempted step against 5.2-8.0 us
-(c = -1, 160 steps) and 3.7-6.0 us against 4.2-7.1 us (c = 0), 11-16%
-less in each process; the 2048-node march takes 4.9-7.1 us per node
-against 5.7-8.2 us (c = -1) and 4.0-6.1 us against 4.4-7.2 us (c = 0),
-5-15% less (p = 2, m = 3: 15-20% less).  The ranges are the host's
-drift between processes.
+(the error weights) and `_DENSE_P`.  `_STAGES` and `_ERROR` are written
+from them, each coefficient as a float literal (its repr, which reads
+back as the same float), with each sum's operands in the order of the
+tables, so the step, `integrate` and `run` read their coefficients as
+constants, not as module globals.
 
 The dense march of a solution takes fixed steps of the same pair without
 error control: the fifth-order solution, six right-hand-side evaluations
-per step.  `run` takes one step per stride nodes where the field is
-smooth, and `dp_graded` refines its steps toward the points where it is
-not, as close to each as the order of its singularity needs.  A step of
-`run` that covers several nodes fills the ones inside it from its own
-stages k1..k7, by the pair's fourth-order dense output (Shampine, Some
-Practical Runge-Kutta Formulas, Math. Comp. 46, 1986; Hairer, Norsett
-and Wanner, Solving ODEs I, II.6), with no further right-hand-side
-evaluation: two quartic coefficient rows per step, one
-Horner evaluation per node.
-The same step, from the accepted mesh node before a zero of the state,
-serves the zero refinement of a shot and of an annulus's flux (one step
-per root-finder evaluation): accepted steps are short at the solver
-tolerances, so one step's error there sits far below the integration
-error itself.
+per step.  `run` steps node to node where the field is smooth, and
+`dp_graded` refines its steps toward the points where it is not, as
+close to each as the order of its singularity needs.  Both can record
+each step (`RECORD`): its start, length, state and the stages of the
+pair's fourth-order dense output (Shampine, Some Practical Runge-Kutta
+Formulas, Math. Comp. 46, 1986; Hairer, Norsett and Wanner, Solving
+ODEs I, II.6), which answers any point inside the step with no further
+right-hand-side evaluation.  The same step, from the accepted mesh node
+before a zero of the state, serves the zero refinement of a shot and of
+an annulus's flux (one step per root-finder evaluation).
 
 Every step state (t, h and the states and slopes) is a Python float,
-never a numpy scalar, whose arithmetic costs several times a float's:
-one step took 13.4-15.4 us on np.float64 against 5.1-5.8 us on floats.
-Callers cast once, where numpy values enter.  The loops keep their own
-work small too: `integrate` selects its error scales and step clamps by
-conditional expressions, not calls of abs, max and min, the march of a
-solution decides which gaps to grade before it steps, and `dp_graded`
-forms only the cuts that fall inside its interval.
+never a numpy scalar, whose arithmetic costs several times a float's;
+callers cast once, where numpy values enter.
 
 `brent` is the package's one root-finder: the eigenvalue miss, the zeros
 of a state component inside one step, the catenoid band end, and the
@@ -74,6 +50,8 @@ flux constant of a Rayleigh inverse-iteration step.
 
 import functools
 import math
+
+import numpy as np
 
 
 class NonConvergenceError(RuntimeError):
@@ -134,6 +112,13 @@ _DENSE_P = (
     (0.0, 40617522.0 / 29380423.0, -110615467.0 / 29380423.0,
      69997945.0 / 29380423.0),
 )
+
+# What a recording step stores (`compile_form`): its start t, length h
+# and state (u, v), then the slopes of the stages whose `_DENSE_P` row is
+# not zero (all but k2), u before v.  These give the step's dense output.
+_DENSE_STAGES = tuple(i for i, row in enumerate(_DENSE_P, 1) if any(row))
+RECORD = ("t", "h", "u", "v") + tuple(
+    "k%d%s" % (i, y) for i in _DENSE_STAGES for y in "uv")
 
 # Brent steps before giving up; the package's roots take 2 to 12.
 _BRENT_STEPS = 100
@@ -223,24 +208,18 @@ _INTEGRATE = """\
         return ts, ys
 """
 
-# run is the plain-step loop of the march: one step per stride nodes,
-# each state written straight into the caller's buffers.  The step lands
-# on every stride-th node; {dense} forms the coefficients of its dense
-# output, which gives the stride - 1 nodes inside it without another
-# slope.  (The stages of a weighted form take the name s for a point.)
+# run is the plain-step loop of the march: one step to each node, each
+# state written straight into the caller's buffers, and, when rec is not
+# None, each step's {record} appended to rec.  (The stages of a weighted
+# form take the name s for a point.)
 _RUN = """\
-    def run(t, u, v, k1u, k1v, nodes, i, e, stride, out_w, out_phi):
-        for j in range(i + stride - 1, e, stride):
+    def run(t, u, v, k1u, k1v, nodes, i, e, out_w, out_phi, rec):
+        for j in range(i, e):
             tn = nodes[j]
             h = tn - t
 {stages}
-            if stride > 1:
-{dense}
-                for l in range(j - stride + 1, j):
-                    x = (nodes[l] - t) / h
-                    out_w[l] = u + x * (a1u + x * (a2u + x * (a3u + x * a4u)))
-                    out_phi[l] = v + x * (a1v + x * (a2v + x * (
-                        a3v + x * a4v)))
+            if rec is not None:
+                rec.fromlist([{record}])
             t = tn
             u = w
             v = phi
@@ -271,42 +250,29 @@ def _stage_lines(weight, dw, dphi, indent):
     return lines
 
 
-def _dense_lines(indent):
-    """The dense output's coefficients a1..a4 of u and v, as lines of source.
-
-    a_k is h times the stages weighted by column k of `_DENSE_P`, its
-    entries written as literals; a zero entry adds no term.
-    """
-    pad = " " * indent
-    lines = []
-    for k in range(4):
-        terms = _weighted([row[k] for row in _DENSE_P])
-        lines += [pad + "a%d%s = h * (%s)" % (k + 1, y, terms.format(y=y))
-                  for y in "uv"]
-    return lines
-
-
 def form_source(params, weight, dw, dphi):
     """The source of `compile_form`'s make for one form.
 
     step is `_STAGES` with the slopes written out (`_stage_lines`);
     integrate is `_INTEGRATE` around the same stages and `_ERROR`, and
-    run is `_RUN` around them and `_dense_lines`.  Every coefficient of
-    the pair is a float literal, the repr of its table entry, so no step
-    reads a module global.
+    run is `_RUN` around them.  Every coefficient of the pair is a float
+    literal, the repr of its table entry, so no step reads a module
+    global.
     """
+    record = ", ".join(RECORD)
     lines = ["def make(%s):" % params, "    def f(s, w, phi):"]
     if weight is not None:
         lines.append("        fm = " + weight)
     lines += ["        return (%s), (%s)" % (dw, dphi),
-              "    def step(t, h, u, v, k1u, k1v):"]
+              "    def step(t, h, u, v, k1u, k1v, rec=None):"]
     lines += _stage_lines(weight, dw, dphi, 8)
-    lines += ["        return w, phi, k7u, k7v"]
+    lines += ["        if rec is not None:",
+              "            rec.fromlist([%s])" % record,
+              "        return w, phi, k7u, k7v"]
     stages = "\n".join(_stage_lines(weight, dw, dphi, 12))
     lines += [_INTEGRATE.format(stages=stages, eu=_ERROR.format(y="u"),
                                 ev=_ERROR.format(y="v")),
-              _RUN.format(stages=stages,
-                          dense="\n".join(_dense_lines(16))),
+              _RUN.format(stages=stages, record=record),
               "    return f, step, integrate, run"]
     return "\n".join(lines) + "\n"
 
@@ -323,10 +289,11 @@ def compile_form(params, weight, dw, dphi):
 
     f(s, w, phi) -> (dw, dphi) is the right-hand side.
 
-    step(t, h, u, v, k1u, k1v) is one Dormand-Prince step of length h
-    from the state (u, v) at t, with k1 = f(t, u, v) passed in.  It
-    returns (nu, nv, k7u, k7v): the fifth-order state at t + h and the
-    slope there (k1 of the next step, FSAL).
+    step(t, h, u, v, k1u, k1v, rec=None) is one Dormand-Prince step of
+    length h from the state (u, v) at t, with k1 = f(t, u, v) passed in.
+    It returns (nu, nv, k7u, k7v): the fifth-order state at t + h and the
+    slope there (k1 of the next step, FSAL).  Given a rec (an
+    array('d')), it appends the step's `RECORD` to it.
 
     integrate(t0, t1, y0) integrates from t0 to t1 > t0 with proportional
     step control at relative and absolute tolerance 1e-12 and returns
@@ -336,17 +303,13 @@ def compile_form(params, weight, dw, dphi):
     the first zero of omega.  It raises IntegrationError on step-size
     underflow, NaN propagation or more than 1000000 steps.
 
-    run(t, u, v, k1u, k1v, nodes, i, e, stride, out_w, out_phi) takes
-    one plain step from t to nodes[i + stride - 1], then one to every
-    stride-th node after it up to nodes[e - 1]; e - i must be a multiple
-    of stride.  It writes each step's end state to out_w[j] and
-    out_phi[j], and the state at each of the stride - 1 nodes inside the
-    step from the step's dense output (`_DENSE_P`), and returns the last
-    node, state and slope (t, u, v, k1u, k1v).  The march passes Python
-    lists for nodes, out_w and out_phi: a list item store costs a
-    fraction of a numpy one.  With stride 1 it steps node to node and
-    forms no dense output; its one further cost is a test of stride per
-    step.
+    run(t, u, v, k1u, k1v, nodes, i, e, out_w, out_phi, rec) takes one
+    plain step from t to nodes[i], then one to each node up to
+    nodes[e - 1].  It writes each step's end state to out_w[j] and
+    out_phi[j], appends each step's `RECORD` to rec unless rec is None,
+    and returns the last node, state and slope (t, u, v, k1u, k1v).  The
+    march passes Python lists for nodes, out_w and out_phi: a list item
+    store costs a fraction of a numpy one.
 
     The source is `form_source`'s, with the pair's coefficients written
     in from the tables `_C`, `_A`, `_B`, `_E` and `_DENSE_P`.  Each form
@@ -357,6 +320,33 @@ def compile_form(params, weight, dw, dphi):
     exec(compile(form_source(params, weight, dw, dphi), "<dp form>", "exec"),
          globals(), made)
     return made["make"]
+
+
+def dense_steps(rec):
+    """The steps recorded in rec (an array('d') of `RECORD` rows) as
+    read-only arrays (t, h, cu, cv).
+
+    Step i is the step of length h[i] from t[i].  Column i of cu holds
+    its start state u and the coefficients a1..a4 of its dense output
+    u + x (a1 + x (a2 + x (a3 + x a4))) at t[i] + x h[i], x in [0, 1], and
+    column i of cv the same for v; a_k is h times the recorded slopes
+    weighted by column k of their `_DENSE_P` rows.  A row of zero slopes
+    has zero coefficients: its u and v hold for every x.  (cu and cv are
+    5 x steps, so that the five values of a gathered set of steps come
+    out as five contiguous rows.)
+    """
+    steps = np.frombuffer(rec).reshape(-1, len(RECORD))
+    weights = np.array([_DENSE_P[i - 1] for i in _DENSE_STAGES])
+    t, h = steps[:, 0].copy(), steps[:, 1].copy()
+    out = [t, h]
+    for y in (0, 1):
+        coef = np.empty((5, len(h)))
+        coef[0] = steps[:, 2 + y]
+        coef[1:] = (h[:, None] * (steps[:, 4 + y::2] @ weights)).T
+        out.append(coef)
+    for arr in out:
+        arr.setflags(write=False)
+    return tuple(out)
 
 
 def _graded_cuts(t_from, t_to, points, width):
@@ -394,10 +384,11 @@ def _graded_cuts(t_from, t_to, points, width):
     return sorted(cuts)
 
 
-def dp_graded(step, t_from, y, k, t_to, nsub, points, width):
+def dp_graded(step, t_from, y, k, t_to, nsub, points, width, rec=None):
     """Advance (y, k = f(t_from, y)) to t_to by fixed Dormand-Prince steps.
 
-    `step` is the Dormand-Prince step of f (`compile_form`).  Returns the
+    `step` is the Dormand-Prince step of f (`compile_form`), and rec, if
+    not None, the array each step appends its record to.  Returns the
     state and slope at t_to.  The interval takes nsub equal steps,
     refined toward each (s, ratio, order) in `points`, a point where f is
     not smooth: the interval is cut at s and at s +- (t_to - t_from) 2^-j
@@ -427,7 +418,7 @@ def dp_graded(step, t_from, y, k, t_to, nsub, points, width):
         for i in range(steps):
             t_i = t + i * h
             h_i = t_next - t_i if i == steps - 1 else h
-            u, v, ku, kv = step(t_i, h_i, u, v, ku, kv)
+            u, v, ku, kv = step(t_i, h_i, u, v, ku, kv, rec)
         t = t_next
     return (u, v), (ku, kv)
 

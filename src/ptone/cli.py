@@ -440,16 +440,19 @@ _NUMBER_FLAGS = {flag for _, flags, _, _ in COMMANDS.values()
 
 
 def _join_list_values(argv):
-    """Rewrite ``--c -1,0,1`` as ``--c=-1,0,1``.
+    """Rewrite ``--c -1,0,1`` as ``--c=-1,0,1``, and ``--c -inf`` as
+    ``--c=-inf``.
 
     argparse takes a token that starts with '-' and is not a plain
     number for an option, so a list or range with a negative first
-    value would otherwise be refused.  No option starts with '-' and a
-    digit, so such a token after a number flag is always its value.
+    value, or -inf or -nan (any case), would otherwise be refused.  No
+    option starts with '-' and a digit, 'inf' or 'nan', so such a token
+    after a number flag is always its value.
     """
     out = []
     for tok in argv:
-        if out and out[-1] in _NUMBER_FLAGS and re.match(r"-[\d.]", tok):
+        if (out and out[-1] in _NUMBER_FLAGS
+                and re.match(r"-([\d.]|inf|nan)", tok, re.IGNORECASE)):
             out[-1] += "=" + tok
         else:
             out.append(tok)

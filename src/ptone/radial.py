@@ -47,7 +47,8 @@ omega(a) = 0 and unit initial flux instead.
 import functools
 import math
 import sys
-from bisect import bisect_left, bisect_right
+from array import array
+from bisect import bisect_left
 
 import numpy as np
 
@@ -60,14 +61,12 @@ P_MIN, P_MAX = 1.05, 16.0
 _DEFAULT_TOL = 1e-12     # relative width of the final eigenvalue bracket
 _DEFAULT_GRID = 2048
 _STARTUP_FRAC = 1e-4
-# Dense-march control (`RadialSolution._march`): a sweep starts from the
-# last mesh node at least span/_ANCHOR_STEPS before its first node past
-# t0, takes one step per stride nodes where those are closer than
-# span/(2 _ANCHOR_STEPS), takes no step longer than span/_ANCHOR_STEPS,
-# and steps near a point where the field is not smooth are at most
-# 1/ratio of their distance from it: the pole, the walls and an
-# annulus's interior peak.  The steps are graded toward such a point
-# only as close as its order needs (`_ode._graded_cuts`).
+# Dense-march control (`RadialSolution._march`): no step of the grid
+# march is longer than span/_ANCHOR_STEPS, and steps near a point where
+# the field is not smooth are at most 1/ratio of their distance from it:
+# the pole, the walls and an annulus's interior peak.  The steps are
+# graded toward such a point only as close as its order needs
+# (`_ode._graded_cuts`).
 _ANCHOR_STEPS = 1024
 _POLE_RATIO = 32.0
 _KINK_RATIO = 8.0
@@ -344,14 +343,14 @@ _DENSE = frozenset(("grid", "omega", "omega_prime", "flux", "residual"))
 
 
 class RadialSolution:
-    """A solved radial eigenpair with dense re-evaluation.
+    """A solved radial eigenpair with dense evaluation.
 
     Public arrays live on a uniform grid of n_grid nodes over the closed
-    domain; between nodes `evaluate` advances the stored adaptive
-    trajectory with fixed Dormand-Prince steps (and, on nodes closer
-    than the grid's, their dense output), so derived quantities (Barta
-    ratios, restriction inequalities, transplants) can be sampled
-    anywhere without interpolating the stored arrays.
+    domain, marched from the stored adaptive trajectory by fixed
+    Dormand-Prince steps.  `evaluate` reads any node off the dense output
+    of that march's own steps, so derived quantities (Barta ratios,
+    restriction inequalities, transplants) can be sampled anywhere
+    without interpolating the stored arrays and without another march.
 
     `grid`, `omega`, `omega_prime`, `flux` and `residual` are one build
     step: the first read of any of them marches the grid once and audits
@@ -385,8 +384,15 @@ class RadialSolution:
         if name not in _DENSE:
             raise AttributeError("%r object has no attribute %r"
                                  % (type(self).__name__, name))
-        grid = np.linspace(self._left, self.r, self.n_grid)
-        omega, phi = self._march(grid)
+        self._build(None)
+        return getattr(self, name)
+
+    def _build(self, rec):
+        """March the grid, recording its steps into rec unless rec is None,
+        and store the five dense names unless they are stored."""
+        grid, omega, phi = self._march(rec)
+        if "grid" in self.__dict__:
+            return
         self.grid = grid
         self.omega = omega
         self.omega_prime = _omega_prime(self.problem, grid, phi)
@@ -396,7 +402,6 @@ class RadialSolution:
         for arr in (self.grid, self.omega, self.omega_prime, self.flux):
             arr.setflags(write=False)
         self.residual = eigen_equation_residual(self)
-        return getattr(self, name)
 
     @functools.cached_property
     def _t_peak(self):
@@ -440,161 +445,43 @@ class RadialSolution:
             [(t_peak, 1.0, self.p / (self.p - 1.0))], 0.0)
         return 1.0 / peak
 
-    def _march(self, ts):
-        """(omega, Phi) along sorted ts, by one sequential sweep.
+    def _march(self, rec=None):
+        """(grid, omega, Phi) on the solution's grid, by one sequential sweep.
 
-        Each gap between nodes takes fixed Dormand-Prince 5(4) steps
-        (the fifth-order solution without error control, the last stage
-        of a step reused as the first of the next), six right-hand-side
-        evaluations per step.  Marching keeps neighboring samples on a
-        smooth shared error profile; independent dense queries would
-        carry O(1e-12) interpolation jumps at the adaptive step
-        boundaries, which second differences of the arrays amplify by
-        1/h^2.
+        Each gap between nodes takes fixed Dormand-Prince 5(4) steps (the
+        fifth-order solution without error control, the last stage of a
+        step reused as the first of the next).  The sweep starts at the
+        shot's first mesh node (t0, ys[0]).  Nodes before t0 take the pole
+        expansion on a ball, as the shot does below t0, and the wall state
+        on an annulus.
 
-        One start rule: the sweep starts from a state the shot accepted,
-        the last stored mesh node at or before (first node past t0) -
-        span/_ANCHOR_STEPS, or the mesh's first node (t0, ys[0]) if none
-        is.  A grid of more than _ANCHOR_STEPS nodes thus starts at t0,
-        and a scalar or band query a little before its first node.  Nodes
-        before the start take the pole state (the expansion for balls,
-        the initial state for annuli), as the shot does below t0, so the
-        pole expansion is read nowhere the shot does not read it.  The
-        back-off keeps the shot's own error out of the arrays: started at
-        the last mesh node at or before the first node, the flat p = 3
-        grid (m = 1, 2) sat 2.8e-12 to 3.0e-12 from a march over 8 times
-        the nodes, against 3.8e-15 from t0.  Starting every sweep at t0
-        gives the same grids but marches every scalar `evaluate` from the
-        start: the 2048 scalar queries of each annulus in
-        `test_annulus_grid_matches_scalar_evaluate` took 6.7-9.1 s
-        instead of 0.2-0.3 s.
+        A gap takes one plain step of the generated `run` (`_make_rhs`),
+        unless it is longer than span/_ANCHOR_STEPS or than 1/ratio of its
+        distance from a point where the field is not smooth.  Such a gap
+        takes `_ode.dp_graded` steps: ceil(_ANCHOR_STEPS gap / span) of
+        them, none longer than 1/ratio of its distance from a point near
+        it, cut toward the point as deep as its order needs.  The points
+        (ratio, order) are the pole, where omega - 1 ~ t^(p/(p-1)) and the
+        weight f^(m-1) vanishes (_POLE_RATIO, p/(p-1)); both walls, where
+        omega vanishes and Phi - Phi(wall) ~ d^p at distance d
+        (_KINK_RATIO, p); and an annulus's interior peak, where Phi
+        vanishes and omega - omega(peak) ~ d^(p/(p-1)) (_KINK_RATIO,
+        p/(p-1)).
 
-        One stride rule: away from the points below, the sweep takes one
-        plain step per stride gaps and fills the nodes inside each step
-        from the step's own dense output (`_ode.compile_form`), with
-        stride = max(1, floor(span / (2 _ANCHOR_STEPS h))) and h the mean
-        spacing of the nodes, (last - first) / (n - 1), but no more than
-        the n - 1 gaps of the query.  No strided step
-        of a uniform grid is longer than a step of the 2048-node grid,
-        whose closed-form agreement is given below.  The stride reads the
-        spacing alone, not n_grid (which `--n` sets) nor the node count,
-        and it is 1 wherever the spacing exceeds span / 2048: the
-        2048-node grid and the 2000- and 4000-node Kazdan grids keep their
-        steps and their bits.  The 16384- and 32768-node r* scans take
-        stride 7 and 15, the 16385- and 8193-node plane bands 8 and 4,
-        and the catenoid bands, whose 4226 to 8553 distinct distances
-        crowd toward the neck, 12 to 25.  A stride of
-        floor(span / (_ANCHOR_STEPS h)) instead would give the 4000-node
-        Kazdan grid stride 3: criterion 13's doubling ratio at p = 3,
-        m = 2, c = 1 would move from 0.2499 to 0.2635, and the scans would
-        sit up to 8.3e-13 from a march over 8 times the nodes.
-
-        The bands keep the stride.  Criterion 11 takes second differences
-        of the 16385-node plane bands: two of its rows rose from 1.55e-8
-        and 1.76e-8 to 2.20e-8 and 2.56e-8 (tolerance 1e-6), while the
-        maximum it reports, 4.94e-7 on a catenoid band, did not move.
-
-        One step rule: every gap is decided on the length stride gap of
-        the step that may cover it.  A gap takes graded steps when that
-        length exceeds span / _ANCHOR_STEPS (then ceil(_ANCHOR_STEPS gap /
-        span) steps of its own) or 1/ratio of its distance from one of the
-        points below; the graded gaps are stepped one by one, without a
-        stride.  Decided on the gap alone, the 16384-node scans sat up to
-        1.9e-10 from an unstrided march over 8 times the nodes, near the
-        pole, against 2.1e-13 (omega' relative to its maximum, p from 2
-        to 16, m up to 3, c in {-1, 0, 1}; the unstrided scans read up
-        to 5.3e-14).  A query dense in one half of the ball and sparse in
-        the other would take steps 32 times the 2048-node grid's in the
-        sparse half, 6.9e-12 off the same march stepped node to node:
-        deciding on the step length bounds every strided step by span /
-        _ANCHOR_STEPS, whatever the nodes.
-
-        The field is not smooth at the pole, where omega - 1 ~
-        t^(p/(p-1)) and the weight f^(m-1) vanishes; at both walls, where
-        omega vanishes and Phi' ~ |omega|^(p-1), so Phi - Phi(wall) ~ d^p
-        at distance d; and at an annulus's interior peak, where Phi
-        vanishes and omega' ~ |Phi|^(1/(p-1)), so omega - omega(peak) ~
-        d^(p/(p-1)).  `_ode.dp_graded` steps every gap near one of these
-        points so that no step is longer than 1/_POLE_RATIO (pole) or
-        1/_KINK_RATIO (walls, peak) of its distance from it; the ratios
-        were sized against marches with 8 times the steps.
-
-        Its cuts toward a point stop once the piece next to it is no
-        longer than span 2^(-53/q), q the point's order (p at a wall,
-        p/(p-1) at the pole and the peak): across that piece the part that
-        is not smooth changes by less than rounding, and the piece takes
-        one step.  Cut to all 40 levels at every p instead (2^-39 of a
-        gap, deep enough for a wall at p = 1.05 and a peak at p = 16), the
-        grids agree with these to rounding, over p from 1.05 to 16, m up
-        to 3 and c in {-1, 0, 1}: a ball's grid moves only at its last
-        node, omega by at most 3.7e-16 (at p = 1.05 omega' also moves at
-        the nodes next to the pole, where it is below 1e-50, by a few
-        units of its own rounding), and on the annulus (0.5, 1.5) omega
-        and the flux move by at most 1.3e-14 and 1.2e-14 of their maxima.
-
-        Measured against scipy's
-        DOP853 at rtol 1e-13 from the same start, the 2048-node omega' of
-        the flat ball, m = 2, p = 1.2 is 1.3e-11 off (3.0e-4 with the
-        walls ungraded, 1.0e-8 with a kink ratio of 1), and omega on
-        Annulus(0.5, 1), m = 2, c = 0, p = 8 is 1.8e-12 off (4.3e-8
-        ungraded).  At p = 2 the flat unit ball's omega matches cos, J0
-        and sin(x)/x (m = 1, 2, 3) to 1.9e-15 on 2048 nodes, and for p
-        from 2 to 16 the grid's omega and omega' agree with a march over
-        8 times the nodes to 1e-14 (omega' relative to its maximum).
-
-        The nodes are cast to Python floats once, on entry, so every
-        step state of the sweep is a float: a step on numpy scalars costs
-        more than twice a step on floats (13.4-15.4 us against 5.1-5.8
-        us, see `_ode`).  The output buffers are Python lists, which
-        `run` and the graded gaps fill and the sweep turns into numpy
-        arrays once, at its end (see `_ode` for the cost per node).
-
-        Which gaps take graded steps is decided for all nodes at once,
-        with numpy, before the sweep.  Each maximal run of plain gaps is
-        two calls of the solution's generated `run` (`_make_rhs`): one
-        over the most gaps that are a multiple of the stride, one step
-        over the rest.  So `run` needs no clamp at the end of a run, and
-        with stride 1 it pays only one test of the stride per step.  It
-        writes each state into the output buffers; the sweep itself
-        visits only the graded and the empty gaps.  An unstrided gap that
-        takes a single step and lies near no point is a plain gap:
-        `dp_graded` would take exactly that step.  The 2048-node grid of
-        the ball timed in `_ode` (c = -1, p = 2.5, m = 2) takes 2337
-        steps, 330 of them graded: 72 from t0 to the first node past the
-        pole and 89 in the last gap, at the wall.  Cut to all 40 levels,
-        it took 2561 steps, 554 graded and 313 in the last gap; the
-        annulus (0.5, 1.5), p = 3, m = 2, c = 0 takes 2629 against 3365.
-        Alternating with the 40-level cuts in one process (40 rounds each,
-        two processes, Python 3.11.7, 2-vCPU x86_64 virtual machine), the
-        2048-node marches of the nine m = 2 annuli (0.5, 1.5) of the
-        `warped` benchmark took 23.0% and 21.7% less time (medians), and
-        those of the 24 `sweep` balls 10.7% and 8.4% less.
-        Alternating with the code before the stride in one process (200
-        marches each, three processes), the ball grid took 4.78, 3.66 and
-        5.74 us per node before the stride and 4.71, 3.69 and 5.78 us with
-        it (medians), the new march 1.1-1.6% slower in the median pair.  A
-        16385-node band of the radius-1.2 ball (p = 3, c = 0, m = 2,
-        stride 8) fell from 2.70, 4.11 and 3.75 us per node to 1.10, 1.60
-        and 1.53 us, and a 16384-node scan (p = 3, c = -1, m = 2, stride
-        7) from 4.76, 5.01 and 4.89 us to 1.81, 1.89 and 2.02 us (12
-        marches each).  Before `run` existed, every plain gap went through
-        `dp_graded`: the grid took 4.6-9.8 us per node against 3.3-6.5 us.
-        Stepping each plain gap with the generated step from the sweep
-        instead, with no `run`, kept every CSV body but was slower:
-        `selftest` `wall_ref` 616.4 -> 627.2 (+1.8%, worse in 6 of 6
-        alternating pairs), `sweep` 102.9 -> 106.0 (+3.0%, 5 of 6), and
-        3-12% more per node in one process.
+        With rec, every step appends its `_ode.RECORD` to rec, in order,
+        and the sweep ends with one more row: the end of the march and its
+        state, with h = 1 and zero slopes.  The records hold the unscaled
+        states; the returned arrays are scaled by `_scale`.  The nodes are
+        cast to Python floats once, on entry, so every step state is a
+        float, and the sweep writes into Python lists that it turns into
+        numpy arrays at its end.
         """
-        tl = ts.tolist()
+        grid = np.linspace(self._left, self.r, self.n_grid)
+        tl = grid.tolist()
         n = len(tl)
-        if n == 0:
-            return np.empty(0), np.empty(0)
         startup, step = self._startup, self._step
-        t0, y0 = self._ts[0], self._ys[0]
+        t_march, (u, v) = self._ts[0], self._ys[0]
         span = self.r - self._left
-        # Each point carries its order: the part of the field that is not
-        # smooth there grows like the distance to the power p at a wall
-        # and p / (p - 1) at the pole and the peak.
         wall, peak = self.p, self.p / (self.p - 1.0)
         if startup is not None:
             points = [(self._left, _POLE_RATIO, peak),
@@ -603,95 +490,103 @@ class RadialSolution:
             points = [(self._left, _KINK_RATIO, wall),
                       (self.r, _KINK_RATIO, wall),
                       (self._t_peak, _KINK_RATIO, peak)]
-        k = bisect_right(tl, t0)
-        back = tl[k] - span / _ANCHOR_STEPS if k < n else t0
-        j = max(bisect_right(self._ts, back) - 1, 0)
-        t_march, y = self._ts[j], self._ys[j]
         pre = bisect_left(tl, t_march)
         omega = [0.0] * n
         phi = [0.0] * n
         for i in range(pre):
             omega[i], phi[i] = (startup.state(tl[i]) if startup is not None
-                                else y0)
+                                else (u, v))
 
-        # One step per stride plain gaps, so that no strided step of a
-        # uniform grid is longer than span / (2 _ANCHOR_STEPS), and no
-        # step covers more gaps than the query has.
-        width = tl[-1] - tl[0]
-        stride = (max(1, int(min(n - 1, span / (2 * _ANCHOR_STEPS) / width
-                                 * (n - 1))))
-                  if width > 0.0 else 1)
-
-        # Every gap is decided before the sweep, on the length stride gap
-        # of the step that may cover it.  The gap before node t starts at
-        # t_prev = max(march start, previous node).  Code 2: graded steps,
-        # near a point s with q stride gap > max(s - t, t_prev - s), or
-        # where stride gap exceeds span / _ANCHOR_STEPS; code 1: a plain
-        # gap, stepped by `run` (with nsub = 1 and no point near,
-        # dp_graded would take exactly the step of an unstrided gap);
-        # code 0: none, the gap is empty (a duplicate node, or a node at
-        # the start).
-        tn = ts[pre:]
+        # Every gap is decided before the sweep.  The gap before node t
+        # starts at t_prev = max(t0, previous node).  Code 2: graded
+        # steps, near a point s with ratio gap > max(s - t, t_prev - s),
+        # or where gap exceeds span / _ANCHOR_STEPS; code 1: one plain
+        # step of `run`; code 0: none, the node is t0 itself.
+        tn = grid[pre:]
         t_prev = np.concatenate(([t_march], tn))[:-1]
         gap = tn - t_prev
-        reach = stride * gap
-        hits = [ratio * reach > np.maximum(s - tn, t_prev - s)
+        hits = [ratio * gap > np.maximum(s - tn, t_prev - s)
                 for s, ratio, _ in points]
         flagged = np.logical_or.reduce(hits)
-        split = _ANCHOR_STEPS * reach / span > 1.0
+        split = _ANCHOR_STEPS * gap / span > 1.0
         codes = (gap > 0.0) * (1 + (flagged | split))
         near = {pre + j: [pt for pt, hit in zip(points, hits) if hit[j]]
                 for j in np.flatnonzero(flagged).tolist()}
 
-        # Each maximal run of code-1 gaps is one call of `run` over the
-        # most gaps that are a multiple of stride, and one more call that
-        # takes the rest in a single step; the sweep visits only the
-        # other nodes.
+        # Each maximal run of code-1 gaps is one call of `run`; the sweep
+        # visits only the other nodes.
         graded, run = _ode.dp_graded, self._run
-        u, v = y
         ku, kv = self._rhs(t_march, u, v)
         i = pre
         for j in (np.flatnonzero(codes != 1) + pre).tolist() + [n]:
-            tail = i + (j - i) // stride * stride
-            if i < tail:
-                t_march, u, v, ku, kv = run(t_march, u, v, ku, kv, tl, i,
-                                            tail, stride, omega, phi)
-            if tail < j:
-                t_march, u, v, ku, kv = run(t_march, u, v, ku, kv, tl,
-                                            tail, j, j - tail, omega, phi)
+            if i < j:
+                t_march, u, v, ku, kv = run(t_march, u, v, ku, kv, tl, i, j,
+                                            omega, phi, rec)
             if j == n:
                 break
             t = tl[j]
             if codes[j - pre]:
                 nsub = int(math.ceil(_ANCHOR_STEPS * (t - t_march) / span))
                 (u, v), (ku, kv) = graded(step, t_march, (u, v), (ku, kv), t,
-                                          nsub, near.get(j, []), span)
+                                          nsub, near.get(j, []), span, rec)
             t_march = t
             omega[j] = u
             phi[j] = v
             i = j + 1
+        if rec is not None:
+            rec.extend((t_march, 1.0, u, v)
+                       + (0.0,) * (len(_ode.RECORD) - 4))
         omega = np.array(omega, float)
         phi = np.array(phi, float)
         omega *= self._scale
         phi *= self._scale ** (self.p - 1.0)
-        return omega, phi
+        return grid, omega, phi
+
+    @functools.cached_property
+    def _steps(self):
+        """The grid march's steps, `_ode.dense_steps` of its record.
+
+        Built on the first `evaluate` by one march of the grid that records
+        its steps (`_march`), which also builds the five dense names if
+        they are not built yet.  The last row is the end of the march, so
+        a node at or past the end reads the end state.  The states are
+        unscaled.
+        """
+        rec = array("d")
+        self._build(rec)
+        return _ode.dense_steps(rec)
 
     def evaluate(self, t):
         """Dense (omega, omega') at scalar or array t inside the domain.
 
-        Every query is one march: the nodes are sorted (stably), swept by
-        `_march`, converted from flux to omega' and returned in the input
-        order and shape; a scalar comes back as a pair of floats.
+        Every node is read off the grid march's stored steps (`_steps`),
+        with no march of its own: a `searchsorted` on the step starts
+        finds the step that holds it, and one Horner evaluation of that
+        step's dense output gives the state, which is scaled and converted
+        from flux to omega' as the grid is.  A grid node reads the grid's
+        value bit for bit, the last node included.  Nodes before the
+        march start t0 take the pole expansion on a ball and the wall
+        state on an annulus, as the grid does.  Returns arrays of t's
+        shape; a scalar comes back as a pair of floats.
         """
         tt = np.asarray(t, dtype=float)
-        flat = tt.ravel()
-        order = np.argsort(flat, kind="stable")
-        ts = flat[order]
-        w_sorted, phi = self._march(ts)
-        w = np.empty(flat.size)
-        wp = np.empty(flat.size)
-        w[order] = w_sorted
-        wp[order] = _omega_prime(self.problem, ts, phi)
+        x = tt.ravel()
+        starts, h, cu, cv = self._steps
+        k = np.searchsorted(starts, x, side="right") - 1
+        before = k < 0
+        k[before] = 0
+        s = (x - starts[k]) / h[k]
+        w, phi = (c[0] + s * (c[1] + s * (c[2] + s * (c[3] + s * c[4])))
+                  for c in (cu[:, k], cv[:, k]))
+        if before.any():
+            if self._startup is not None:
+                pole = [self._startup.state(ti) for ti in x[before].tolist()]
+            else:
+                pole = [self._ys[0]]
+            w[before], phi[before] = np.array(pole).T
+        w *= self._scale
+        phi *= self._scale ** (self.p - 1.0)
+        wp = _omega_prime(self.problem, x, phi)
         if tt.ndim == 0:
             return float(w[0]), float(wp[0])
         return w.reshape(tt.shape), wp.reshape(tt.shape)
@@ -737,6 +632,9 @@ def _solve(problem, tol):
     steps counts the Brent steps after the bracketing shots.  A
     NonConvergenceError (IntegrationError included) leaves with the
     problem and the tightest bracket shot so far appended to its message.
+    An OverflowError or ZeroDivisionError of the seed or of a shot (a
+    power of the state or a weight that leaves the float range) leaves
+    as an IntegrationError with the same message.
     """
     shots = {}
 
@@ -762,13 +660,17 @@ def _solve(problem, tol):
             raise NonConvergenceError("no omega zero after 60 doublings of lam")
         lam, other, steps = _ode.brent(miss, lam_lo, lam_hi, xtol=0.0,
                                        rtol=tol)
-    except NonConvergenceError as exc:
+    except (NonConvergenceError, OverflowError, ZeroDivisionError) as exc:
         free = max((x for x in shots if miss(x) > 0.0), default=None)
         hit = min((x for x in shots if miss(x) <= 0.0), default=None)
-        raise type(exc)("%s (p=%g, m=%d, %r, profile %s, lam bracket "
-                        "[%r, %r])" % (exc, problem.p, problem.m,
-                                       problem.domain, problem.profile.label,
-                                       free, hit)) from exc
+        if isinstance(exc, NonConvergenceError):
+            kind, what = type(exc), str(exc)
+        else:
+            kind, what = _ode.IntegrationError, "%s: %s" % (
+                type(exc).__name__, exc)
+        raise kind("%s (p=%g, m=%d, %r, profile %s, lam bracket [%r, %r])"
+                   % (what, problem.p, problem.m, problem.domain,
+                      problem.profile.label, free, hit)) from exc
     if miss(lam) <= 0.0:
         lam = other
     ts, ys = shots[lam][:2]

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import math
+import re
 import shlex
 import subprocess
 import sys
@@ -368,6 +369,41 @@ def test_negative_list_values_parse():
     args = cli.build_parser().parse_args(
         cli._join_list_values(["eig", "--c", "-.5,1", "--m", "2"]))
     assert args.c == "-.5,1" and args.m == "2"
+
+
+@pytest.mark.parametrize("flag", ["--c", "--n"])
+@pytest.mark.parametrize("value", ["-inf", "-Inf", "-nan", "-NAN"])
+def test_negative_non_finite_values_reach_their_check(flag, value, capsys):
+    # argparse took "-inf" for an option and said "expected one argument";
+    # joined to its flag, the value reaches the check that names it.
+    argv = ["eig", "--p", "2", "--m", "2", "--r", "1"]
+    if flag == "--n":
+        argv += ["--c", "0"]
+    res = run_main(capsys, *argv, flag, value)
+    assert res.returncode == 2
+    assert "expected one argument" not in res.stderr
+    assert ("c must be finite, got c=" if flag == "--c"
+            else "--n: expected integer values, got ") in res.stderr
+    assert cli._join_list_values(["eig", flag, value]) == [
+        "eig", flag + "=" + value]
+
+
+_ARITHMETIC_FAULTS = [
+    [command, "--p", "1.05", "--m", "12", "--c=1", "--r", "3.14"]
+    for command in ("eig", "barta", "rstar", "sweep", "kazdan")
+] + [["eig", "--p", "2", "--m", "1000", "--r", "1"],
+     ["eig", "--p", "2", "--r", "1e-300"]]
+
+
+@pytest.mark.parametrize("argv", _ARITHMETIC_FAULTS, ids=" ".join)
+def test_arithmetic_faults_exit_with_the_problem(argv, tmp_path, capsys):
+    # These ended in an OverflowError (the flux power near the conjugate
+    # point at p = 1.05) or a ZeroDivisionError (the weight t^999 at the
+    # start point, the seed's r^2) traceback and exit 1.
+    res = run_main(capsys, *argv, "--out", str(tmp_path / "out.csv"))
+    assert res.returncode in (2, 3)
+    assert "Traceback" not in res.stderr
+    assert re.search(r"\b(p|m|r)=", res.stderr)
 
 
 def _readme_commands():

@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+from array import array
 from types import SimpleNamespace
 
 import numpy as np
@@ -145,10 +146,11 @@ def test_march_matches_p2_closed_forms(m, form, n):
     assert np.max(np.abs(w - form(math.sqrt(sol.lam), t))) <= tol
 
 
-def _unstride(sol):
-    """Make sol's march step every run of plain gaps node to node."""
-    run = sol._run
-    sol._run = lambda *a: run(*a[:8], 1, *a[9:])
+def _refined(sol, n_grid):
+    """A fresh solution from sol's shot on n_grid nodes: its own march,
+    node to node, independent of sol's."""
+    return radial.RadialSolution(sol.problem, sol.lam, sol._ts, sol._ys,
+                                 sol.iterations, n_grid)
 
 
 @pytest.mark.parametrize("p,m,c", [
@@ -161,56 +163,40 @@ def test_grid_matches_eightfold_march(p, m, c):
     # t0, the grid was 1.9e-9 off in omega (p = 16, m = 1) and 3.5e-7 in
     # omega' (p = 16, m = 2).
     sol = solve_ball_eigenvalue(ball_problem(p, m, c, 1.0), use_cache=False)
-    sol.omega_prime
-    _unstride(sol)
-    w, wp = sol.evaluate(np.linspace(0.0, 1.0, 8 * 2047 + 1))
-    assert np.max(np.abs(sol.omega - w[::8])) <= 1e-13
-    assert (np.max(np.abs(sol.omega_prime - wp[::8]))
-            <= 1e-13 * np.max(np.abs(wp)))
+    fine = _refined(sol, 8 * 2047 + 1)
+    assert np.max(np.abs(sol.omega - fine.omega[::8])) <= 1e-13
+    assert (np.max(np.abs(sol.omega_prime - fine.omega_prime[::8]))
+            <= 1e-13 * np.max(np.abs(fine.omega_prime)))
 
 
 @pytest.mark.parametrize("p", [2.0, 2.5, 3.0, 4.0, 8.0, 12.0, 16.0])
 def test_scan_matches_eightfold_march(p):
-    # A 16384-node scan takes one step per 7 nodes and fills the nodes
-    # inside each step from its dense output.  It must agree with a march
-    # over 8 times the nodes (every 8th node compared), which lands its
-    # own steps on other nodes: omega to 5e-13, omega' to 5e-13 of its
-    # maximum.  Graded on the gap alone, not on the step that covers it,
-    # the scans near the pole were up to 1.9e-7 off.
-    t = np.linspace(0.0, 1.0, 16384)
-    t_fine = np.linspace(0.0, 1.0, 8 * 16383 + 1)
+    # A dense scan reads every node off the dense output of the 2048-node
+    # grid's steps.  It must agree with a grid over 8 times the gaps,
+    # marched node to node on its own steps: omega to 5e-13, omega' to
+    # 5e-13 of its maximum, at every node of the finer grid.
     for m in (1, 2, 3):
         for c in (-1.0, 0.0, 1.0):
             sol = solve_ball_eigenvalue(ball_problem(p, m, c, 1.0))
-            w, wp = sol.evaluate(t)
-            w_fine, wp_fine = sol.evaluate(t_fine)
-            assert np.max(np.abs(w - w_fine[::8])) <= 5e-13
-            assert (np.max(np.abs(wp - wp_fine[::8]))
-                    <= 5e-13 * np.max(np.abs(wp_fine)))
+            fine = _refined(sol, 8 * 2047 + 1)
+            w, wp = sol.evaluate(fine.grid)
+            assert np.max(np.abs(w - fine.omega)) <= 5e-13
+            assert (np.max(np.abs(wp - fine.omega_prime))
+                    <= 5e-13 * np.max(np.abs(fine.omega_prime)))
 
 
-@pytest.mark.parametrize("query", [
-    # duplicates (of the pole, two inner nodes, the last node) leave
-    # runs whose lengths are not multiples of the stride 7
-    np.sort(np.concatenate([np.linspace(0.0, 1.0, 16384),
-                            [0.0, 1000 / 16383, 9999 / 16383, 1.0]])),
-    # a dense half and a sparse half: the stride 19 of the whole query
-    # would make the sparse half's steps 32 times the 2048-node grid's
-    np.concatenate([np.linspace(0.0, 0.5, 40000),
-                    np.linspace(0.5, 1.0, 600)[1:]]),
-], ids=["duplicates", "clustered"])
-def test_strided_march_matches_unstrided_march(query):
-    # The same march with every run stepped node to node must agree to
-    # 5e-13 (omega' relative to its maximum).  With the clustered query's
-    # gaps split on their own length, not on that of the step that covers
-    # them, the strided march was 6.9e-12 off.
-    sol = solve_ball_eigenvalue(ball_problem(4.0, 3, -1.0, 1.0),
-                                use_cache=False)
-    w, wp = sol.evaluate(query)
-    _unstride(sol)
-    w_ref, wp_ref = sol.evaluate(query)
-    assert np.max(np.abs(w - w_ref)) <= 5e-13
-    assert np.max(np.abs(wp - wp_ref)) <= 5e-13 * np.max(np.abs(wp_ref))
+@pytest.mark.parametrize("n", [5, 100, 257, 1024])
+def test_coarse_grid_matches_eightfold_march(n):
+    # A grid of at most _ANCHOR_STEPS nodes splits each gap into steps no
+    # longer than span / _ANCHOR_STEPS.  Like the 2048-node grid, it must
+    # agree with a grid over 8 times the gaps to 5e-13 (omega' relative
+    # to its maximum), every 8th node compared.
+    for p, m, c in ((1.5, 3, -1.0), (4.0, 3, 1.0), (16.0, 1, 0.0)):
+        sol = solve_ball_eigenvalue(ball_problem(p, m, c, 1.0), n_grid=n)
+        fine = _refined(sol, 8 * (n - 1) + 1)
+        assert np.max(np.abs(sol.omega - fine.omega[::8])) <= 5e-13
+        assert (np.max(np.abs(sol.omega_prime - fine.omega_prime[::8]))
+                <= 5e-13 * np.max(np.abs(fine.omega_prime)))
 
 
 @pytest.mark.parametrize("problem,tol_w,tol_wp", [
@@ -260,102 +246,46 @@ def test_annulus_peak_matches_dop853(p):
     assert abs(1.0 / sol._scale - peak) <= 1e-11 * peak
 
 
-def test_query_next_to_the_peak_costs_no_extra_steps():
-    # A node one ulp short of the flux zero leaves a sliver between it
-    # and the peak; grading toward the peak must not step it thousands
-    # of times (it took 12x the right-hand-side calls of the plain query,
-    # six per step).
-    prob = RadialProblem(3.0, 2, modelspace.space_form(0.0), Annulus(0.5, 1.))
-    sol = solve_annulus_eigenvalue(prob, use_cache=False)
-    sol._scale      # the peak's own steps are built on the first march
-    calls = []
-    step, run = sol._step, sol._run
-    sol._step = lambda t, *rest: calls.append(t) or step(t, *rest)
-
-    def counted_run(t, u, v, ku, kv, nodes, i, e, stride, *out):
-        calls.extend(nodes[i + stride - 1:e:stride])
-        return run(t, u, v, ku, kv, nodes, i, e, stride, *out)
-
-    sol._run = counted_run
-    sol.evaluate(np.array([0.55, 0.95]))
-    plain = len(calls)
-    del calls[:]
-    sol.evaluate(np.array([0.55, np.nextafter(sol._t_peak, 0.0), 0.95]))
-    assert len(calls) <= 1.1 * plain
-
-
 def _pointwise_plan(nodes, start, points, span):
-    """The steps of a march over sorted nodes, decided node by node.
+    """The steps of a march from start over sorted nodes, decided node by
+    node.
 
-    A gap is decided on the length stride gap of a step that covers
-    stride gaps.  Each run of plain gaps takes one step to every
-    stride-th node of the run and one more to its last node.  A graded
-    gap passes the points (s, ratio, order) near it and the domain's
-    length, which set how deep its cuts go toward each point.
+    A plain gap takes one step.  A graded gap passes the points
+    (s, ratio, order) near it and the domain's length, which set how deep
+    its cuts go toward each point.
     """
-    gaps = len(nodes) - 1
-    stride = max(1, int(min(gaps, span / (2 * radial._ANCHOR_STEPS)
-                            / (nodes[-1] - nodes[0]) * gaps)))
-    plan, run, t_prev = [], [start], start
-
-    def flush():
-        t_from = run[0]
-        ends = run[stride::stride]
-        if (len(run) - 1) % stride:
-            ends.append(run[-1])
-        for t_to in ends:
-            plan.append(("step", t_from, t_to - t_from))
-            t_from = t_to
-        run[:] = [t_prev]
-
+    plan, t_prev = [], start
     for t in nodes:
-        if t <= t_prev:     # before the march start, or a duplicate
-            flush()
+        if t <= t_prev:     # before the march start, or the start itself
             continue
         gap = t - t_prev
-        reach = stride * gap
         near = [(s, ratio, order) for s, ratio, order in points
-                if ratio * reach > max(s - t, t_prev - s)]
-        if near or radial._ANCHOR_STEPS * reach / span > 1.0:
-            flush()
+                if ratio * gap > max(s - t, t_prev - s)]
+        if near or radial._ANCHOR_STEPS * gap / span > 1.0:
             plan.append(("graded", t_prev, t,
                          math.ceil(radial._ANCHOR_STEPS * gap / span), near,
                          span))
-            run[:] = [t]
         else:
-            run.append(t)
+            plan.append(("step", t_prev, gap))
         t_prev = t
-    flush()
     return plan
-
-
-def _ball_query():
-    # unsorted, with duplicates (of the pole, the fourth node, the last
-    # two) and two more nodes between the pole and t0 = 1e-4
-    t = np.linspace(0.0, 1.0, 2048)
-    t = np.concatenate([t, t[[0, 3, 2046, 2047]], [2e-5, 5e-5]])
-    return np.random.default_rng(3).permutation(t)
 
 
 _ANNULUS = [RadialProblem(p, 2, modelspace.space_form(0.0), Annulus(0.5, 1.))
             for p in (3.0, 8.0)]
 
 
-@pytest.mark.parametrize("problem,query", [
-    (ball_problem(2.5, 2, -1.0, 1.0), None),
-    (ball_problem(2.5, 2, 0.0, 1.0), None),
-    (ball_problem(2.5, 2, 1.0, 1.0), None),
-    (_ANNULUS[0], None),
-    (_ANNULUS[1], None),
-    (ball_problem(3.0, 2, 0.0, 1.2), np.linspace(0.9, 1.15, 64)),
-    (ball_problem(3.0, 2, 0.0, 1.2), np.linspace(0.9, 1.2, 4097)),
-    (ball_problem(2.5, 2, 0.0, 1.0), _ball_query()),
-    (ball_problem(3.0, 2, -1.0, 1.0), np.linspace(0.0, 1.0, 16384)),
-], ids=["grid-c-1", "grid-c0", "grid-c1", "annulus-p3", "annulus-p8",
-        "band", "fine-band", "unsorted", "scan"])
-def test_march_grades_exactly_the_pointwise_gaps(monkeypatch, problem, query):
+@pytest.mark.parametrize("problem", [
+    ball_problem(2.5, 2, -1.0, 1.0),
+    ball_problem(2.5, 2, 0.0, 1.0),
+    ball_problem(2.5, 2, 1.0, 1.0),
+    _ANNULUS[0],
+    _ANNULUS[1],
+], ids=["grid-c-1", "grid-c0", "grid-c1", "annulus-p3", "annulus-p8"])
+def test_march_grades_exactly_the_pointwise_gaps(monkeypatch, problem):
     # The march decides which gaps to grade for all nodes at once; its
-    # steps must be those of the rule applied to each node in turn.
+    # steps must be those of the rule applied to each node in turn.  The
+    # recording march of the first `evaluate` takes the same steps.
     sol = _fresh_solve(problem)
     sol._scale      # the peak's own steps are built on the first march
     calls, inside = [], []
@@ -366,31 +296,27 @@ def test_march_grades_exactly_the_pointwise_gaps(monkeypatch, problem, query):
             calls.append(("step", t, h))
         return step(t, h, *rest)
 
-    def run_spy(t, u, v, ku, kv, nodes, i, e, stride, *out):
-        # run takes one plain step to every stride-th node of nodes[i:e]
-        assert (e - i) % stride == 0
+    def run_spy(t, u, v, ku, kv, nodes, i, e, *out):
+        # run takes one plain step to each node of nodes[i:e]
         t_prev = t
-        for t_node in nodes[i + stride - 1:e:stride]:
+        for t_node in nodes[i:e]:
             calls.append(("step", t_prev, t_node - t_prev))
             t_prev = t_node
-        return run(t, u, v, ku, kv, nodes, i, e, stride, *out)
+        return run(t, u, v, ku, kv, nodes, i, e, *out)
 
-    def graded_spy(step, t_from, y, k, t_to, nsub, points, width):
+    def graded_spy(step, t_from, y, k, t_to, nsub, points, width, rec=None):
         calls.append(("graded", t_from, t_to, nsub, list(points), width))
         inside.append(True)
         try:
-            return graded(step, t_from, y, k, t_to, nsub, points, width)
+            return graded(step, t_from, y, k, t_to, nsub, points, width, rec)
         finally:
             inside.pop()
 
     sol._step = step_spy
     sol._run = run_spy
     monkeypatch.setattr(_ode, "dp_graded", graded_spy)
-    if query is None:
-        query = np.linspace(sol._left, sol.r, sol.n_grid)
-        assert np.array_equal(sol.grid, query)
-    else:
-        sol.evaluate(query)
+    query = np.linspace(sol._left, sol.r, sol.n_grid)
+    assert np.array_equal(sol.grid, query)
     # the order of a wall is p, that of the pole and of the peak p/(p-1)
     wall, peak = sol.p, sol.p / (sol.p - 1.0)
     if sol._startup is not None:
@@ -401,18 +327,14 @@ def test_march_grades_exactly_the_pointwise_gaps(monkeypatch, problem, query):
         points = [(sol._left, radial._KINK_RATIO, wall),
                   (sol.r, radial._KINK_RATIO, wall),
                   (sol._t_peak, radial._KINK_RATIO, peak)]
-    nodes = np.sort(query).tolist()
-    span = sol.r - sol._left
-    # the last stored mesh node at least span/_ANCHOR_STEPS before the
-    # first node past t0, or t0 itself
-    first = min(t for t in nodes if t > sol._ts[0])
-    start = max([t for t in sol._ts
-                 if t <= first - span / radial._ANCHOR_STEPS] or [sol._ts[0]])
-    plan = _pointwise_plan(nodes, start, points, span)
+    plan = _pointwise_plan(query.tolist(), sol._ts[0], points,
+                           sol.r - sol._left)
     assert calls == plan
     assert any(c[0] == "graded" for c in plan)
-    # only a query whose every gap takes several steps has no plain one
-    assert any(c[0] == "step" for c in plan) or all(c[3] > 1 for c in plan)
+    assert any(c[0] == "step" for c in plan)
+    del calls[:]
+    sol.evaluate(0.5)
+    assert calls == plan
 
 
 @pytest.mark.parametrize("problem,most", [
@@ -433,9 +355,9 @@ def test_grid_grades_only_as_deep_as_the_order_needs(problem, most):
         steps.append(1)
         return step(*args)
 
-    def run_spy(t, u, v, ku, kv, nodes, i, e, stride, *out):
-        steps.append(len(nodes[i + stride - 1:e:stride]))
-        return run(t, u, v, ku, kv, nodes, i, e, stride, *out)
+    def run_spy(t, u, v, ku, kv, nodes, i, e, *out):
+        steps.append(e - i)
+        return run(t, u, v, ku, kv, nodes, i, e, *out)
 
     sol._step, sol._run = step_spy, run_spy
     sol.omega
@@ -458,8 +380,9 @@ def test_grid_matches_cuts_to_every_level(monkeypatch, kind, p, tol_w,
                                           tol_wp):
     # The cuts toward a point stop once the field's part that is not
     # smooth there changes by less than rounding across the last piece.
-    # The grid must agree with the same march cut to all 40 levels (the
-    # rule before), omega to tol_w and omega' to tol_wp of its maximum.
+    # The grid must agree with a fresh grid from the same shot cut to all
+    # 40 levels (the rule before), omega to tol_w and omega' to tol_wp of
+    # its maximum.
     # The annulus's omega' reads |Phi|^(1/(p-1)), which magnifies the
     # flux's rounding next to the peak at large p.  A ball's steps differ
     # only in the last gap, at the wall, so only its last node may move;
@@ -478,7 +401,8 @@ def test_grid_matches_cuts_to_every_level(monkeypatch, kind, p, tol_w,
                 patch.setattr(_ode, "_graded_cuts",
                               lambda t_from, t_to, points, width:
                               cuts(t_from, t_to, points, 0.0))
-                w_ref, wp_ref = sol.evaluate(sol.grid)
+                ref = _refined(sol, sol.n_grid)
+                w_ref, wp_ref = ref.omega, ref.omega_prime
             assert np.max(np.abs(w - w_ref)) <= tol_w
             assert (np.max(np.abs(wp - wp_ref))
                     <= tol_wp * np.max(np.abs(wp_ref)))
@@ -652,7 +576,8 @@ def _reference_dp_step(f, t, h, u, v, k1u, k1v, estimate=False,
                        dense=False):
     """One Dormand-Prince step through seven calls of f(t, u, v).
 
-    With dense, it also returns the step's dense output at x in [0, 1].
+    With dense, it also returns the step's record (t, h, u, v and the
+    slopes k1, k3..k7, u before v) and its dense output at x in [0, 1].
     """
     k2u, k2v = f(t + _C2 * h, u + h * _A21 * k1u, v + h * _A21 * k1v)
     k3u, k3v = f(t + _C3 * h, u + h * (_A31 * k1u + _A32 * k2u),
@@ -678,7 +603,9 @@ def _reference_dp_step(f, t, h, u, v, k1u, k1v, estimate=False,
         def at(x):
             return tuple(y0 + x * (a1 + x * (a2 + x * (a3 + x * a4)))
                          for y0, (a1, a2, a3, a4) in zip((u, v), a))
-        return nu, nv, k7u, k7v, at
+        record = (t, h, u, v) + tuple(y for i, kk in enumerate(ks)
+                                      if i != 1 for y in kk)
+        return nu, nv, k7u, k7v, record, at
     if not estimate:
         return nu, nv, k7u, k7v
     eu = h * (_E1 * k1u + _E3 * k3u + _E4 * k4u + _E5 * k5u + _E6 * k6u
@@ -812,35 +739,68 @@ def test_generated_integrate_matches_reference(p, m):
 
 @pytest.mark.parametrize("p,m", _FORMS)
 def test_generated_run_matches_steps(p, m):
-    # The march's plain-step run must write the states of one reference
-    # step per stride nodes, and the step's dense output at the nodes
-    # inside it, bit for bit, and return the last node, state and slope.
+    # The march's plain-step run must write the state of one reference
+    # step per node, bit for bit, and return the last node, state and
+    # slope.  Given a record, it and the generated step must append each
+    # step's (t, h, u, v, k1, k3..k7), bit for bit; without one, run
+    # writes the same states.
     rng = np.random.default_rng(11)
-    for prof, stride in itertools.product(_PROFILES, (1, 3)):
-        e = 3 + 34 // stride * stride
+    for prof in _PROFILES:
         def f(t, w, phi):
             return _generic_slopes(p, m, prof.f_scalar, 7.25, t, w, phi)
 
-        run = radial._make_rhs(p, m, prof, 7.25)[3]
+        _, step, _, run = radial._make_rhs(p, m, prof, 7.25)
         nodes = np.sort(rng.uniform(0.05, 1.0, 40)).tolist()
-        u, v = 0.75, -0.25
-        ku, kv = f(nodes[0], u, v)
-        out_w, out_phi = [0.0] * 40, [0.0] * 40
-        got = run(nodes[0], u, v, ku, kv, nodes, 3, e, stride, out_w,
-                  out_phi)
-        t = nodes[0]
-        for j in range(3 + stride - 1, e, stride):
-            h = nodes[j] - t
-            u, v, ku, kv, at = _reference_dp_step(f, t, h, u, v, ku, kv,
-                                                  dense=True)
-            for i in range(j - stride + 1, j):
-                w, phi = at((nodes[i] - t) / h)
-                assert (out_w[i].hex() == w.hex()
-                        and out_phi[i].hex() == phi.hex())
-            t = nodes[j]
-            assert out_w[j].hex() == u.hex() and out_phi[j].hex() == v.hex()
-        assert [x.hex() for x in got] == [x.hex() for x in (t, u, v, ku, kv)]
-        assert not any(out_w[:3]) and not any(out_w[e:])
+        u0, v0 = 0.75, -0.25
+        k0 = f(nodes[0], u0, v0)
+        outs = []
+        for rec in (None, array("d")):
+            out_w, out_phi = [0.0] * 40, [0.0] * 40
+            got = run(nodes[0], u0, v0, *k0, nodes, 3, 37, out_w, out_phi,
+                      rec)
+            t, (u, v), (ku, kv), want = nodes[0], (u0, v0), k0, []
+            for j in range(3, 37):
+                h = nodes[j] - t
+                u, v, ku, kv, record, _ = _reference_dp_step(
+                    f, t, h, u, v, ku, kv, dense=True)
+                want += record
+                t = nodes[j]
+                assert (out_w[j].hex() == u.hex()
+                        and out_phi[j].hex() == v.hex())
+            assert [x.hex() for x in got] == [x.hex()
+                                              for x in (t, u, v, ku, kv)]
+            assert not any(out_w[:3]) and not any(out_w[37:])
+            outs.append((out_w, out_phi))
+            if rec is not None:
+                assert [x.hex() for x in rec] == [x.hex() for x in want]
+        assert outs[0] == outs[1]
+        rec = array("d")
+        got = step(nodes[0], 0.125, u0, v0, *k0, rec)
+        *want, record, _ = _reference_dp_step(f, nodes[0], 0.125, u0, v0,
+                                              *k0, dense=True)
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+        assert [x.hex() for x in rec] == [x.hex() for x in record]
+
+
+def test_evaluate_reads_each_steps_dense_output():
+    # Inside a step of the grid march, evaluate must give the step's
+    # dense output, formed from the stages of a reference step from the
+    # same start, to rounding of omega's maximum, 1.  (The reference
+    # takes k1 at the step's start, the march the slope at the end of the
+    # step before, which may lie an ulp away.)
+    for problem in _LAZY_PROBLEMS:
+        sol = _fresh_solve(problem)
+        starts, h, cu, cv = sol._steps
+        rng = np.random.default_rng(13)
+        for i in rng.choice(len(h) - 1, 40, replace=False).tolist():
+            t, hi, u, v = (float(x) for x in (starts[i], h[i], cu[0, i],
+                                              cv[0, i]))
+            *_, at = _reference_dp_step(sol._rhs, t, hi, u, v,
+                                        *sol._rhs(t, u, v), dense=True)
+            for x in (0.125, 0.5, 0.875):
+                w, phi = at(x)
+                got, _ = sol.evaluate(t + x * hi)
+                assert abs(got - w * sol._scale) <= 1e-15
 
 
 def test_dense_output_is_scipys_and_ends_on_the_step():
@@ -1100,10 +1060,10 @@ def test_steps_run_on_python_floats(run, monkeypatch):
     # grid and of a dense query from the pole once ran on them.
     # Every step of the shots and of the march comes from _make_rhs: the
     # shots' from integrate, the march's from step (graded gaps) and run
-    # (plain ones; with a stride, the dense output of each step).  The
-    # trial lam, what each of them is given and what it returns (a shot's
-    # every node and state, which its stages computed from lam and the
-    # weight), the nodes of a run and every state it writes are checked.
+    # (plain ones), recording for `evaluate`.  The trial lam, what each of
+    # them is given and what it returns (a shot's every node and state,
+    # which its stages computed from lam and the weight), the nodes of a
+    # run and every state it writes are checked.
     types = set()
     make_rhs = radial._make_rhs
 
@@ -1111,9 +1071,9 @@ def test_steps_run_on_python_floats(run, monkeypatch):
         types.add(type(lam))
         rhs, step, integrate, run_nodes = make_rhs(p, m, profile, lam)
 
-        def typed_step(t, h, u, v, ku, kv):
+        def typed_step(t, h, u, v, ku, kv, rec=None):
             types.update(map(type, (t, h, u, v, ku, kv)))
-            out = step(t, h, u, v, ku, kv)
+            out = step(t, h, u, v, ku, kv, rec)
             types.update(map(type, out))
             return out
 
@@ -1124,10 +1084,10 @@ def test_steps_run_on_python_floats(run, monkeypatch):
             types.update(type(x) for y in ys for x in y)
             return ts, ys
 
-        def typed_run(t, u, v, ku, kv, nodes, i, e, stride, out_w, out_phi):
+        def typed_run(t, u, v, ku, kv, nodes, i, e, out_w, out_phi, rec):
             types.update(map(type, (t, u, v, ku, kv, *nodes[i:e])))
             w, phi = _TypedBuffer(out_w), _TypedBuffer(out_phi)
-            last = run_nodes(t, u, v, ku, kv, nodes, i, e, stride, w, phi)
+            last = run_nodes(t, u, v, ku, kv, nodes, i, e, w, phi, rec)
             types.update(map(type, last))
             types.update(w.types | phi.types)
             return last
@@ -1218,12 +1178,13 @@ def _fresh_solve(problem):
 
 
 def _count_marches(monkeypatch):
+    """The grid size of every later march, negated for a recording one."""
     sizes = []
     march = radial.RadialSolution._march
 
-    def counted(self, ts):
-        sizes.append(ts.size)
-        return march(self, ts)
+    def counted(self, rec=None):
+        sizes.append(self.n_grid if rec is None else -self.n_grid)
+        return march(self, rec)
 
     monkeypatch.setattr(radial.RadialSolution, "_march", counted)
     return sizes
@@ -1269,6 +1230,45 @@ def test_lazy_arrays_match_evaluate(problem):
     w, wp = sol.evaluate(sol.grid)
     assert np.array_equal(sol.omega, w)
     assert np.array_equal(sol.omega_prime, wp)
+
+
+@pytest.mark.parametrize("problem", _LAZY_PROBLEMS, ids=["ball", "annulus"])
+def test_first_evaluate_is_the_one_march(monkeypatch, problem):
+    # The first evaluate marches the grid once, recording its steps, and
+    # builds the dense names on the way; a later evaluate steps nothing.
+    sizes = _count_marches(monkeypatch)
+    # a built grid is kept: the recording march stores no new arrays
+    built = _fresh_solve(problem)
+    omega = built.omega
+    built.evaluate(0.5)
+    assert built.omega is omega
+    assert sizes == [built.n_grid, -built.n_grid]
+    del sizes[:]
+    sol = _fresh_solve(problem)
+    scan = np.linspace(sol._left, sol.r, 3001)
+    first = sol.evaluate(scan)
+    assert sizes == [-sol.n_grid]
+    assert "omega" in vars(sol) and sol.residual > 0.0
+    assert sizes == [-sol.n_grid]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a second evaluate stepped")
+
+    sol._step = sol._run = refuse
+    monkeypatch.setattr(_ode, "dp_graded", refuse)
+    again = sol.evaluate(scan)
+    assert sizes == [-sol.n_grid]
+    assert all(np.array_equal(a, b) for a, b in zip(first, again))
+
+
+def test_stored_steps_are_read_only():
+    # The steps are shared by every holder of a cached solution.
+    sol = solve_ball_eigenvalue(ball_problem(2.0, 2, 0.0, 1.0))
+    sol.evaluate(0.5)
+    for arr in sol._steps:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[...] = 0.0
 
 
 def test_residual_detects_doctored_eigenvalue():
