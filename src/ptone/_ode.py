@@ -9,35 +9,34 @@ margin there.
 
 The integrators are generated per right-hand-side form, not written once
 over a callable f: `compile_form` writes the form's slopes, and the
-weight expression they read, into each stage of the one template of the
-step (`_STAGES`), and writes those stages into the step, into the
-adaptive loop of the shots (`_INTEGRATE`) and into the plain-step run of
-the dense march (`_RUN`).  It compiles the result once per process.  A
-closed-form weight (sinh(rc * s) / rc, say) is source in the stages too,
-not a call.  Every operation and its operands are those of a step over f
-(seven calls of f, each packing a tuple) driven by a loop that calls the
-step, so every result keeps its bits; the tests keep those as the
-references.
+weight expression they read, into each stage of the one template of a
+step (`_STAGES`), and writes those stages into two loops: the adaptive
+`integrate` of the shots (`_INTEGRATE`) and the fixed-step `walk`
+(`_WALK`).  It compiles the result once per process.  A closed-form
+weight (sinh(rc * s) / rc, say) is source in the stages too, not a call.
+Every operation and its operands are those of a step over f (seven
+calls of f, each packing a tuple) driven by a loop that calls the step,
+so every result keeps its bits; the tests keep those as the references.
 
 The pair's coefficients exist once, as the tables `_C`, `_A`, `_B`, `_E`
 (the error weights) and `_DENSE_P`.  `_STAGES` and `_ERROR` are written
 from them, each coefficient as a float literal (its repr, which reads
 back as the same float), with each sum's operands in the order of the
-tables, so the step, `integrate` and `run` read their coefficients as
-constants, not as module globals.
+tables, so both loops read their coefficients as constants, not as
+module globals.
 
-The dense march of a solution takes fixed steps of the same pair without
-error control: the fifth-order solution, six right-hand-side evaluations
-per step.  `run` steps node to node where the field is smooth, and
-`dp_graded` refines its steps toward the points where it is not, as
-close to each as the order of its singularity needs.  Both can record
-each step (`RECORD`): its start, length, state and the stages of the
-pair's fourth-order dense output (Shampine, Some Practical Runge-Kutta
-Formulas, Math. Comp. 46, 1986; Hairer, Norsett and Wanner, Solving
-ODEs I, II.6), which answers any point inside the step with no further
-right-hand-side evaluation.  The same step, from the accepted mesh node
-before a zero of the state, serves the zero refinement of a shot and of
-an annulus's flux (one step per root-finder evaluation).
+`walk` takes the fixed steps of a plan, a list of starts and lengths,
+without error control: the fifth-order solution, six right-hand-side
+evaluations per step.  Its callers build the plan: one step per gap
+where the field is smooth, and `graded_steps` toward the points where it
+is not, as close to each as the order of its singularity needs.  It can
+record each step (`RECORD`): its start, length, state and the stages of
+the pair's fourth-order dense output (Shampine, Some Practical
+Runge-Kutta Formulas, Math. Comp. 46, 1986; Hairer, Norsett and Wanner,
+Solving ODEs I, II.6), which answers any point inside the step with no
+further right-hand-side evaluation.  A one-step plan from the accepted
+mesh node before a zero of the state serves the zero refinement of a
+shot and of an annulus's flux (one step per root-finder evaluation).
 
 Every step state (t, h and the states and slopes) is a Python float,
 never a numpy scalar, whose arithmetic costs several times a float's;
@@ -208,26 +207,25 @@ _INTEGRATE = """\
         return ts, ys
 """
 
-# run is the plain-step loop of the march: one step to each node, each
-# state written straight into the caller's buffers, and, when rec is not
-# None, each step's {record} appended to rec.  (The stages of a weighted
-# form take the name s for a point.)
-_RUN = """\
-    def run(t, u, v, k1u, k1v, nodes, i, e, out_w, out_phi, rec):
-        for j in range(i, e):
-            tn = nodes[j]
-            h = tn - t
+# walk is the fixed-step loop: the step j from ts[j] of length hs[j], its
+# end state written straight into the caller's buffers and, when rec is
+# not None, its {record} appended to rec.  (The stages of a weighted form
+# take the name s for a point.)
+_WALK = """\
+    def walk(ts, hs, u, v, k1u, k1v, out_w, out_phi, rec):
+        for j in range(len(ts)):
+            t = ts[j]
+            h = hs[j]
 {stages}
             if rec is not None:
                 rec.fromlist([{record}])
-            t = tn
             u = w
             v = phi
             k1u = k7u
             k1v = k7v
             out_w[j] = w
             out_phi[j] = phi
-        return t, u, v, k1u, k1v
+        return u, v, k1u, k1v
 """
 
 
@@ -251,29 +249,19 @@ def _stage_lines(weight, dw, dphi, indent):
 
 
 def form_source(params, weight, dw, dphi):
-    """The source of `compile_form`'s make for one form.
-
-    step is `_STAGES` with the slopes written out (`_stage_lines`);
-    integrate is `_INTEGRATE` around the same stages and `_ERROR`, and
-    run is `_RUN` around them.  Every coefficient of the pair is a float
-    literal, the repr of its table entry, so no step reads a module
-    global.
-    """
-    record = ", ".join(RECORD)
+    """The source of `compile_form`'s make for one form: `_INTEGRATE` and
+    `_WALK` around the stages of `_stage_lines`, every coefficient a float
+    literal (the repr of its table entry), so no step reads a module
+    global."""
+    stages = "\n".join(_stage_lines(weight, dw, dphi, 12))
     lines = ["def make(%s):" % params, "    def f(s, w, phi):"]
     if weight is not None:
         lines.append("        fm = " + weight)
     lines += ["        return (%s), (%s)" % (dw, dphi),
-              "    def step(t, h, u, v, k1u, k1v, rec=None):"]
-    lines += _stage_lines(weight, dw, dphi, 8)
-    lines += ["        if rec is not None:",
-              "            rec.fromlist([%s])" % record,
-              "        return w, phi, k7u, k7v"]
-    stages = "\n".join(_stage_lines(weight, dw, dphi, 12))
-    lines += [_INTEGRATE.format(stages=stages, eu=_ERROR.format(y="u"),
+              _INTEGRATE.format(stages=stages, eu=_ERROR.format(y="u"),
                                 ev=_ERROR.format(y="v")),
-              _RUN.format(stages=stages, record=record),
-              "    return f, step, integrate, run"]
+              _WALK.format(stages=stages, record=", ".join(RECORD)),
+              "    return f, integrate, walk"]
     return "\n".join(lines) + "\n"
 
 
@@ -284,16 +272,10 @@ def compile_form(params, weight, dw, dphi):
     The form is source over the names in `params` (a comma list): the
     slopes `dw` and `dphi` of the state (w, phi), which may read the
     weight fm = `weight`, an expression of the point s (None: the form
-    has no weight).  make binds the names and returns (f, step,
-    integrate, run):
+    has no weight).  make binds the names and returns (f, integrate,
+    walk):
 
     f(s, w, phi) -> (dw, dphi) is the right-hand side.
-
-    step(t, h, u, v, k1u, k1v, rec=None) is one Dormand-Prince step of
-    length h from the state (u, v) at t, with k1 = f(t, u, v) passed in.
-    It returns (nu, nv, k7u, k7v): the fifth-order state at t + h and the
-    slope there (k1 of the next step, FSAL).  Given a rec (an
-    array('d')), it appends the step's `RECORD` to it.
 
     integrate(t0, t1, y0) integrates from t0 to t1 > t0 with proportional
     step control at relative and absolute tolerance 1e-12 and returns
@@ -303,18 +285,17 @@ def compile_form(params, weight, dw, dphi):
     the first zero of omega.  It raises IntegrationError on step-size
     underflow, NaN propagation or more than 1000000 steps.
 
-    run(t, u, v, k1u, k1v, nodes, i, e, out_w, out_phi, rec) takes one
-    plain step from t to nodes[i], then one to each node up to
-    nodes[e - 1].  It writes each step's end state to out_w[j] and
-    out_phi[j], appends each step's `RECORD` to rec unless rec is None,
-    and returns the last node, state and slope (t, u, v, k1u, k1v).  The
-    march passes Python lists for nodes, out_w and out_phi: a list item
-    store costs a fraction of a numpy one.
+    walk(ts, hs, u, v, k1u, k1v, out_w, out_phi, rec) takes, for each j
+    in order, the fixed step of length hs[j] from ts[j], starting from
+    the state (u, v) with k1 = f(ts[0], u, v) and each later step from
+    the state and slope (FSAL) the one before ends on.  It writes step
+    j's end state to out_w[j] and out_phi[j], appends each step's
+    `RECORD` to rec unless rec is None, and returns the last end state
+    and its slope (u, v, k1u, k1v).  Its callers pass Python floats and
+    lists: a list item store costs a fraction of a numpy one.
 
-    The source is `form_source`'s, with the pair's coefficients written
-    in from the tables `_C`, `_A`, `_B`, `_E` and `_DENSE_P`.  Each form
-    is compiled once per process, on its first use: the cache holds one
-    entry per form its callers write, at most 30 for `radial`.
+    Each form is compiled once per process, on its first use: the cache
+    holds one entry per form its callers write, at most 30 for `radial`.
     """
     made = {}
     exec(compile(form_source(params, weight, dw, dphi), "<dp form>", "exec"),
@@ -350,7 +331,7 @@ def dense_steps(rec):
 
 
 def _graded_cuts(t_from, t_to, points, width):
-    """The sorted cuts of (t_from, t_to] for `dp_graded`, t_to included.
+    """The sorted cuts of (t_from, t_to] for `graded_steps`, t_to included.
 
     Each point (s, ratio, order) adds itself and s + sign (t_to - t_from)
     2^-j, j < 40, where they fall inside, up to the first level j whose
@@ -384,27 +365,20 @@ def _graded_cuts(t_from, t_to, points, width):
     return sorted(cuts)
 
 
-def dp_graded(step, t_from, y, k, t_to, nsub, points, width, rec=None):
-    """Advance (y, k = f(t_from, y)) to t_to by fixed Dormand-Prince steps.
+def graded_steps(ts, hs, t_from, t_to, nsub, points, width):
+    """Append the steps (start, length) from t_from to t_to to ts and hs.
 
-    `step` is the Dormand-Prince step of f (`compile_form`), and rec, if
-    not None, the array each step appends its record to.  Returns the
-    state and slope at t_to.  The interval takes nsub equal steps,
-    refined toward each (s, ratio, order) in `points`, a point where f is
-    not smooth: the interval is cut at s and at s +- (t_to - t_from) 2^-j
-    for the levels j of `_graded_cuts`, and a piece at distance d > 0
-    from s takes at least ratio * length / d steps, so no step is longer
-    than d / ratio.  A piece that ends at s is no longer than
-    width 2^(-53 / order), width the length of the domain, or than 2^-39
-    of the interval where the 40 levels run out (width 0 takes them
-    all), and takes one step.  No piece takes more than ratio steps for
-    one point: a piece longer than its distance from s arises only when
-    s lies outside the interval, within half its last level's piece of
-    the interval's end.
+    The interval takes nsub equal steps, refined toward each
+    (s, ratio, order) in `points`, a point where the field is not smooth:
+    it is cut at s and at s +- (t_to - t_from) 2^-j for the levels j of
+    `_graded_cuts`, and a piece at distance d > 0 from s takes at least
+    ratio * length / d steps, so no step is longer than d / ratio.  A
+    piece that ends at s is no longer than width 2^(-53 / order), width
+    the length of the domain, or than 2^-39 of the interval where the 40
+    levels run out (width 0 takes them all), and takes one step.  No
+    piece takes more than ratio steps for one point.
     """
     span = t_to - t_from
-    u, v = y
-    ku, kv = k
     t = t_from
     for t_next in _graded_cuts(t_from, t_to, points, width):
         piece = t_next - t
@@ -413,14 +387,15 @@ def dp_graded(step, t_from, y, k, t_to, nsub, points, width, rec=None):
             d = max(s - t_next, t - s)
             if d > 0.0:
                 steps = max(steps, ratio * piece / max(d, piece))
-        steps = max(1, int(math.ceil(steps)))
+        steps = max(1, math.ceil(steps))
         h = piece / steps
-        for i in range(steps):
-            t_i = t + i * h
-            h_i = t_next - t_i if i == steps - 1 else h
-            u, v, ku, kv = step(t_i, h_i, u, v, ku, kv, rec)
+        for i in range(steps - 1):
+            ts.append(t + i * h)
+            hs.append(h)
+        t_last = t + (steps - 1) * h
+        ts.append(t_last)
+        hs.append(t_next - t_last)
         t = t_next
-    return (u, v), (ku, kv)
 
 
 def brent(f, a, b, xtol, rtol=8.9e-16, fa=None, fb=None):

@@ -312,13 +312,14 @@ def compute_r_star(solution, n=SCAN_GRID):
     c = _solution_c(solution)
     if c not in (-1.0, 0.0, 1.0):
         raise ValueError("the case analysis covers the space forms "
-                         "c in {-1, 0, 1}")
+                         "c in {-1, 0, 1}, got c=%g" % c)
     p, m, r, lam = solution.p, solution.m, solution.r, solution.lam
     if p < 2.0:
         raise ValueError("r_star is not defined by the source analysis "
-                         "for p < 2 (it assumes 2 <= p)")
+                         "for p < 2 (it assumes 2 <= p), got p=%g" % p)
     if c == 1.0 and r >= np.pi / 2:
-        raise ValueError("spherical comparison needs r < pi/2")
+        raise ValueError("spherical comparison needs r < pi/2, got r=%g"
+                         % r)
     t = np.linspace(0.0, r, n)
     om, dom = solution.evaluate(t)
     w = restriction_W(c, t, om, dom, p, m, lam)

@@ -216,7 +216,7 @@ def _scalar_warping(kind, c, eps):
     sinh(rc * s) / rc, and a perturbed profile multiplies it by
     (1.0 + eps * s * s).  This is the one copy of each closed form:
     `f_scalar` is compiled from it, and the solver writes it into the
-    stages of its generated steps and loops (`radial._make_rhs`).
+    stages of its generated loops (`radial._make_rhs`).
     """
     if c > 0:
         expr, names = "sin(rc * s) / rc", {"rc": math.sqrt(c),

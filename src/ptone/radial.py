@@ -139,7 +139,8 @@ class RadialProblem:
                 "1/(p-1) and p-2 are numerically hostile beyond it"
                 % (p, P_MIN, P_MAX))
         if not (math.isfinite(m) and int(m) == m and m >= 1):
-            raise ValueError("dimension m must be an integer >= 1")
+            raise ValueError("dimension m must be an integer >= 1, got "
+                             "m=%r" % (m,))
         if not isinstance(profile, WarpingProfile):
             raise TypeError("profile must be a WarpingProfile")
         self.p = p
@@ -147,14 +148,26 @@ class RadialProblem:
         self.profile = profile
         self.domain = domain
         if domain.right > profile.r_max * (1 + 1e-12):
-            raise ValueError("domain exceeds the profile domain [0, %g]"
-                             % profile.r_max)
+            raise ValueError("%r exceeds the domain [0, %g] of the profile "
+                             "%s" % (domain, profile.r_max, profile.label))
         if profile.c is not None and profile.c > 0:
             if domain.right >= math.pi / math.sqrt(profile.c):
-                raise ValueError("radius beyond the conjugate point of S_c")
+                raise ValueError("%r reaches the conjugate point pi/sqrt(c) "
+                                 "of S_c, c=%g" % (domain, profile.c))
         if domain.bc[0] and domain.left == 0 and self.m > 1:
             raise ValueError("annulus with a = 0 needs m = 1 (vanishing "
                              "weight at the pole otherwise)")
+        # The shot divides by the weight f^(m-1) at its start and the
+        # ball's seed by r**2; refuse a problem where either is 0.0.
+        if domain.kind == "ball":
+            t0 = _STARTUP_FRAC * domain.right
+            if domain.right ** 2 == 0.0:
+                raise ValueError("%r: r**2 underflows to 0" % (domain,))
+        else:
+            t0 = domain.left
+        if self.m > 1 and profile.f_scalar(t0) ** (self.m - 1) == 0.0:
+            raise ValueError("the weight f^(m-1) underflows to 0 at the "
+                             "start t=%g of %r, m=%d" % (t0, domain, self.m))
 
     @property
     def q(self):
@@ -218,11 +231,11 @@ _SLOPES = {
 
 
 def _make_rhs(p, m, profile, lam):
-    """(rhs, step, integrate, run) of the trial-lam system (`_ode`).
+    """(rhs, integrate, walk) of the trial-lam system (`_ode`).
 
-    rhs(t, omega, Phi) -> (omega', Phi') is the right-hand side; step,
-    integrate and run are its Dormand-Prince step, adaptive loop and
-    plain-step march run (`_ode.compile_form`).  The form's slopes are
+    rhs(t, omega, Phi) -> (omega', Phi') is the right-hand side;
+    integrate and walk are its adaptive and fixed-step Dormand-Prince
+    loops (`_ode.compile_form`).  The form's slopes are
     `_SLOPES`, and its weight is chosen by min(m - 1, 2): none, the
     profile's f_expr, or (f_expr) ** mm1.  A closed-form warping is thus
     written into every stage; a tabulated one calls `fscalar`, bound
@@ -274,20 +287,21 @@ class _Startup:
         return self.omega(t), -self.lam * self.flux_F(t)
 
 
-def _refine_zero(rhs, step, ts, ys, k, tol_t, comp=0):
+def _refine_zero(rhs, walk, ts, ys, k, tol_t, comp=0):
     """Zero of state component `comp` inside (ts[k-1], ts[k]).
 
-    Each evaluation is one Dormand-Prince `step` of the trajectory's
-    form from node k-1, and `_ode.brent` finds the zero to within tol_t.
-    Returns (z, (omega, Phi, omega', Phi')): the zero, and the state and
-    k7 slope of the step that ends there.
+    Each evaluation walks a one-step plan of the trajectory's form from
+    node k-1, and `_ode.brent` finds the zero to within tol_t.  Returns
+    (z, (omega, Phi, omega', Phi')): the zero, and the state and slope at
+    the end of the step that ends there.
     """
     t, (u, v) = ts[k - 1], ys[k - 1]
     ku, kv = rhs(t, u, v)
+    out = [0.0]
     steps = {}
 
     def component(s):
-        steps[s] = step(t, s - t, u, v, ku, kv)
+        steps[s] = walk([t], [s - t], u, v, ku, kv, out, out, None)
         return steps[s][comp]
 
     z = _ode.brent(component, t, ts[k], tol_t, fa=ys[k - 1][comp],
@@ -310,7 +324,7 @@ def _shoot(problem, lam):
     A zero exactly at the endpoint counts as a zero.
     """
     p, m, prof = problem.p, problem.m, problem.profile
-    rhs, step, integrate, _ = _make_rhs(p, m, prof, lam)
+    rhs, integrate, walk = _make_rhs(p, m, prof, lam)
     d = problem.domain
     t_end = d.right
     if d.kind == "ball":
@@ -321,7 +335,7 @@ def _shoot(problem, lam):
     ts, ys = integrate(t_start, t_end, y_start)
     if ys[-1][0] > 0.0 or ts[-1] >= t_end:
         return ts, ys, ys[-1][0] or -math.ulp(0.0)
-    zero, (_, _, slope, _) = _refine_zero(rhs, step, ts, ys, len(ts) - 1,
+    zero, (_, _, slope, _) = _refine_zero(rhs, walk, ts, ys, len(ts) - 1,
                                           1e-12 * (t_end - t_start))
     return ts, ys, -abs(slope) * (t_end - zero)
 
@@ -367,7 +381,7 @@ class RadialSolution:
         self.iterations = int(iterations)
         self._ts = ts
         self._ys = ys
-        self._rhs, self._step, _, self._run = _make_rhs(
+        self._rhs, _, self._walk = _make_rhs(
             self.p, self.m, problem.profile, self.lam)
         d = problem.domain
         # A ball's march gives nodes below t0 = ts[0] the pole expansion,
@@ -415,7 +429,7 @@ class RadialSolution:
             return None
         ts, ys = self._ts, self._ys
         k = next(k for k in range(1, len(ts)) if ys[k][1] <= 0.0)
-        return _refine_zero(self._rhs, self._step, ts, ys, k,
+        return _refine_zero(self._rhs, self._walk, ts, ys, k,
                             1e-12 * (ts[-1] - ts[0]), comp=1)[0]
 
     @functools.cached_property
@@ -423,15 +437,14 @@ class RadialSolution:
         """1 / omega(_t_peak) on an annulus, 1 on a ball.
 
         The mesh-node maximum undershoots the peak by O(step^2).  omega at
-        the peak is reached from the mesh node before it by
-        `_ode.dp_graded`, one step per piece of its cuts toward the peak
-        (ratio 1), cut to all 40 levels (width 0).  Cut only as deep as
-        the peak's order needs, as in the march, 1/_scale moved by up to
-        2.5e-16 relative on annuli (0.5, 1.5), and every annulus array
+        the peak is reached from the mesh node before it by a walk of
+        `_ode.graded_steps`, one step per piece of its cuts toward the
+        peak (ratio 1), cut to all 40 levels (width 0).  Cut only as deep
+        as the peak's order needs, as in the march, 1/_scale moved by up
+        to 2.5e-16 relative on annuli (0.5, 1.5), and every annulus array
         and printed peak with it.  On Annulus(0.5, 1), m = 2, c = 0, p = 4
-        that value is
-        2.2e-12 off scipy's DOP853 at rtol 3e-14, and one plain step from
-        the node is 5.8e-10 off.  The march's _KINK_RATIO of 8 takes eight
+        that value is 2.2e-12 off scipy's DOP853 at rtol 3e-14, and one
+        plain step from the node is 5.8e-10 off.  The march's _KINK_RATIO of 8 takes eight
         times the steps and comes no more than 1.8e-15 closer on 189
         annuli (p from 1.05 to 16, m up to 3, c in {-1, 0, 1}).
         """
@@ -440,47 +453,40 @@ class RadialSolution:
             return 1.0
         k = bisect_left(self._ts, t_peak) - 1
         t, y = self._ts[k], self._ys[k]
-        (peak, _), _ = _ode.dp_graded(
-            self._step, t, y, self._rhs(t, *y), t_peak, 1,
-            [(t_peak, 1.0, self.p / (self.p - 1.0))], 0.0)
+        ts, hs = [], []
+        _ode.graded_steps(ts, hs, t, t_peak, 1,
+                          [(t_peak, 1.0, self.p / (self.p - 1.0))], 0.0)
+        out = [0.0] * len(ts)
+        peak = self._walk(ts, hs, *y, *self._rhs(t, *y), out, out, None)[0]
         return 1.0 / peak
 
     def _march(self, rec=None):
-        """(grid, omega, Phi) on the solution's grid, by one sequential sweep.
+        """(grid, omega, Phi) on the solution's grid, by one walk of one plan.
 
-        Each gap between nodes takes fixed Dormand-Prince 5(4) steps (the
-        fifth-order solution without error control, the last stage of a
-        step reused as the first of the next).  The sweep starts at the
-        shot's first mesh node (t0, ys[0]).  Nodes before t0 take the pole
-        expansion on a ball, as the shot does below t0, and the wall state
-        on an annulus.
+        The plan takes fixed Dormand-Prince 5(4) steps (the generated
+        `walk`, `_make_rhs`) from the shot's first mesh node (t0, ys[0])
+        node to node.  Nodes before t0 take the pole expansion on a ball,
+        as the shot does below t0, and the wall state on an annulus.
 
-        A gap takes one plain step of the generated `run` (`_make_rhs`),
-        unless it is longer than span/_ANCHOR_STEPS or than 1/ratio of its
-        distance from a point where the field is not smooth.  Such a gap
-        takes `_ode.dp_graded` steps: ceil(_ANCHOR_STEPS gap / span) of
-        them, none longer than 1/ratio of its distance from a point near
-        it, cut toward the point as deep as its order needs.  The points
-        (ratio, order) are the pole, where omega - 1 ~ t^(p/(p-1)) and the
-        weight f^(m-1) vanishes (_POLE_RATIO, p/(p-1)); both walls, where
-        omega vanishes and Phi - Phi(wall) ~ d^p at distance d
-        (_KINK_RATIO, p); and an annulus's interior peak, where Phi
-        vanishes and omega - omega(peak) ~ d^(p/(p-1)) (_KINK_RATIO,
-        p/(p-1)).
+        A gap takes one step, unless it is longer than span/_ANCHOR_STEPS
+        or than 1/ratio of its distance from a point where the field is
+        not smooth.  Such a gap takes the `_ode.graded_steps` of
+        ceil(_ANCHOR_STEPS gap / span) steps, cut toward the points near
+        it as deep as their order needs.  The points (ratio, order) are
+        the pole, where omega - 1 ~ t^(p/(p-1)) and the weight f^(m-1)
+        vanishes (_POLE_RATIO, p/(p-1)); both walls, where omega vanishes
+        and Phi - Phi(wall) ~ d^p at distance d (_KINK_RATIO, p); and an
+        annulus's interior peak, where Phi vanishes and
+        omega - omega(peak) ~ d^(p/(p-1)) (_KINK_RATIO, p/(p-1)).
 
         With rec, every step appends its `_ode.RECORD` to rec, in order,
-        and the sweep ends with one more row: the end of the march and its
+        and the march ends with one more row: the last node and its
         state, with h = 1 and zero slopes.  The records hold the unscaled
-        states; the returned arrays are scaled by `_scale`.  The nodes are
-        cast to Python floats once, on entry, so every step state is a
-        float, and the sweep writes into Python lists that it turns into
-        numpy arrays at its end.
+        states; the returned arrays are scaled by `_scale`.
         """
         grid = np.linspace(self._left, self.r, self.n_grid)
-        tl = grid.tolist()
-        n = len(tl)
-        startup, step = self._startup, self._step
-        t_march, (u, v) = self._ts[0], self._ys[0]
+        startup = self._startup
+        t0, (u0, v0) = self._ts[0], self._ys[0]
         span = self.r - self._left
         wall, peak = self.p, self.p / (self.p - 1.0)
         if startup is not None:
@@ -490,54 +496,57 @@ class RadialSolution:
             points = [(self._left, _KINK_RATIO, wall),
                       (self.r, _KINK_RATIO, wall),
                       (self._t_peak, _KINK_RATIO, peak)]
-        pre = bisect_left(tl, t_march)
-        omega = [0.0] * n
-        phi = [0.0] * n
-        for i in range(pre):
-            omega[i], phi[i] = (startup.state(tl[i]) if startup is not None
-                                else (u, v))
+        pre = int(np.searchsorted(grid, t0))
+        omega = np.empty(self.n_grid)
+        phi = np.empty(self.n_grid)
+        for i, t in enumerate(grid[:pre].tolist()):
+            omega[i], phi[i] = (startup.state(t) if startup is not None
+                                else (u0, v0))
 
-        # Every gap is decided before the sweep.  The gap before node t
-        # starts at t_prev = max(t0, previous node).  Code 2: graded
-        # steps, near a point s with ratio gap > max(s - t, t_prev - s),
-        # or where gap exceeds span / _ANCHOR_STEPS; code 1: one plain
-        # step of `run`; code 0: none, the node is t0 itself.
+        # The gap before node t starts at t_prev = max(t0, previous node).
+        # Code 2: graded steps, near a point s with
+        # ratio gap > max(s - t, t_prev - s), or where gap exceeds
+        # span / _ANCHOR_STEPS; code 1: one step; code 0: none, the node
+        # is t0 itself.
         tn = grid[pre:]
-        t_prev = np.concatenate(([t_march], tn))[:-1]
+        t_prev = np.concatenate(([t0], tn))[:-1]
         gap = tn - t_prev
         hits = [ratio * gap > np.maximum(s - tn, t_prev - s)
                 for s, ratio, _ in points]
-        flagged = np.logical_or.reduce(hits)
         split = _ANCHOR_STEPS * gap / span > 1.0
-        codes = (gap > 0.0) * (1 + (flagged | split))
-        near = {pre + j: [pt for pt, hit in zip(points, hits) if hit[j]]
-                for j in np.flatnonzero(flagged).tolist()}
+        codes = (gap > 0.0) * (1 + (np.logical_or.reduce(hits) | split))
+        ends = np.minimum(codes, 1)     # the steps that end on each node
 
-        # Each maximal run of code-1 gaps is one call of `run`; the sweep
-        # visits only the other nodes.
-        graded, run = _ode.dp_graded, self._run
-        ku, kv = self._rhs(t_march, u, v)
-        i = pre
-        for j in (np.flatnonzero(codes != 1) + pre).tolist() + [n]:
-            if i < j:
-                t_march, u, v, ku, kv = run(t_march, u, v, ku, kv, tl, i, j,
-                                            omega, phi, rec)
-            if j == n:
-                break
-            t = tl[j]
-            if codes[j - pre]:
-                nsub = int(math.ceil(_ANCHOR_STEPS * (t - t_march) / span))
-                (u, v), (ku, kv) = graded(step, t_march, (u, v), (ku, kv), t,
-                                          nsub, near.get(j, []), span, rec)
-            t_march = t
-            omega[j] = u
-            phi[j] = v
+        # The plan is the one step of each code-1 gap, with the graded
+        # steps of each code-2 gap spliced in.
+        starts, hs, tl = t_prev.tolist(), gap.tolist(), tn.tolist()
+        plan_t, plan_h = [], []
+        i = 0
+        for j in np.flatnonzero(codes != 1).tolist():
+            plan_t += starts[i:j]
+            plan_h += hs[i:j]
+            if codes[j]:
+                near = [pt for pt, hit in zip(points, hits) if hit[j]]
+                nsub = int(math.ceil(_ANCHOR_STEPS * hs[j] / span))
+                size = len(plan_t)
+                _ode.graded_steps(plan_t, plan_h, starts[j], tl[j], nsub,
+                                  near, span)
+                ends[j] = len(plan_t) - size
             i = j + 1
+        plan_t += starts[i:]
+        plan_h += hs[i:]
+
+        out_w = [0.0] * len(plan_t)
+        out_phi = [0.0] * len(plan_t)
+        u, v, _, _ = self._walk(plan_t, plan_h, u0, v0,
+                                *self._rhs(t0, u0, v0), out_w, out_phi, rec)
         if rec is not None:
-            rec.extend((t_march, 1.0, u, v)
-                       + (0.0,) * (len(_ode.RECORD) - 4))
-        omega = np.array(omega, float)
-        phi = np.array(phi, float)
+            rec.extend((tl[-1], 1.0, u, v) + (0.0,) * (len(_ode.RECORD) - 4))
+        # Each node takes the end state of the last step up to it, or the
+        # start state where there is none.
+        at = np.cumsum(ends)
+        omega[pre:] = np.array([u0] + out_w, float)[at]
+        phi[pre:] = np.array([v0] + out_phi, float)[at]
         omega *= self._scale
         phi *= self._scale ** (self.p - 1.0)
         return grid, omega, phi

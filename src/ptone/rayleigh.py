@@ -25,6 +25,8 @@ two Dirichlet ends (an annulus, a catenoid band) the constant is the
 root of a monotone scalar miss, found by `_ode.brent`.
 """
 
+import math
+
 import numpy as np
 
 from ._ode import NonConvergenceError, brent
@@ -194,7 +196,13 @@ def minimize_rayleigh(grid, p, init=None, max_iter=1000):
     _check_bc(vals, grid)
     if not np.any(vals > 0):
         raise ValueError("initial field is identically zero")
-    vals /= p_norm_mass(vals, grid, p) ** (1.0 / p)
+    mass = p_norm_mass(vals, grid, p)
+    if not 0.0 < mass < math.inf:
+        raise ValueError("the p-mass of the initial field is %r on t in "
+                         "[%g, %g] (p=%g, n=%d): the grid leaves the float "
+                         "range" % (mass, grid.nodes[0], grid.nodes[-1], p,
+                                    grid.n))
+    vals /= mass ** (1.0 / p)
     quot = last = rayleigh_quotient(vals, grid, p)
     for iterations in range(1, max_iter + 1):
         new = _inverse_step(vals, grid, p)

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import hashlib
 import io
@@ -11,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import csv_bodies
 from ptone import cli, modelspace, radial
@@ -404,6 +407,84 @@ def test_arithmetic_faults_exit_with_the_problem(argv, tmp_path, capsys):
     assert res.returncode in (2, 3)
     assert "Traceback" not in res.stderr
     assert re.search(r"\b(p|m|r)=", res.stderr)
+
+
+_UNNAMED_REFUSALS = [
+    (["eig", "--p", "2", "--m", "2", "--c=0", "--r", "9"], "r=9"),
+    (["kazdan", "--p", "2", "--m", "2", "--c=1", "--r", "3.5"], "r=3.5"),
+    (["rstar", "--p", "3", "--m", "2", "--c=0.5", "--r", "1"], "c=0.5"),
+    (["rstar", "--p", "3", "--m", "2", "--c=1", "--r", "1.6"], "r=1.6"),
+    (["eig", "--p", "2", "--m", "1000", "--r", "1"], "m=1000"),
+    (["eig", "--p", "2", "--m", "100", "--r", "1"], "m=100"),
+    (["eig", "--p", "2", "--r", "1e-300"], "r=1e-300"),
+    (["eig", "--p", "2", "--r", "1e-200"], "r=1e-200"),
+    (["sweep", "--p", "10.678688063175688", "--m", "3", "--c=1", "--r",
+      "2.417524932289065e-26"], "p=10.6787"),
+]
+
+
+@pytest.mark.parametrize("argv,named", _UNNAMED_REFUSALS,
+                         ids=[" ".join(argv) for argv, _ in _UNNAMED_REFUSALS])
+def test_invalid_input_names_its_parameter(argv, named, capsys):
+    # These exited 2 with no parameter on stderr: a radius beyond the
+    # profile's domain, a curvature outside the r* case analysis, a
+    # Rayleigh grid whose p-mass underflows; or exited 3, "non-
+    # convergence: ZeroDivisionError", where the start weight
+    # (1e-4 r)^(m-1) or the seed's r**2 underflowed to 0.
+    res = run_main(capsys, *argv)
+    assert res.returncode == 2
+    assert res.stderr.startswith("invalid input: ")
+    assert named in res.stderr
+
+
+_NON_FINITE = st.sampled_from(["nan", "inf", "-inf"])
+# (p, m, c, r) over p in [1.0001, 64], m in [1, 1000], c in [-4, 4],
+# r in [1e-300, 1e300] and non-finite values, or all four inside the
+# supported range, where a row is solved.
+_ROW = st.tuples(st.floats(1.0001, 64.0) | _NON_FINITE,
+                 st.integers(1, 1000) | _NON_FINITE,
+                 st.floats(-4.0, 4.0) | _NON_FINITE,
+                 st.floats(1e-300, 1e300) | _NON_FINITE
+                 | st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)) | \
+    st.tuples(st.floats(1.05, 16.0), st.integers(1, 4),
+              st.floats(-4.0, 4.0) | st.sampled_from([-1.0, 0.0, 1.0]),
+              st.floats(0.05, 1.5))
+# Inputs that ended in a traceback: an OverflowError of the flux power
+# near the conjugate point (all five commands) and a ZeroDivisionError of
+# the start weight (1e-4 r)^(m-1) or of the seed's r**2; and r = 1e-100,
+# whose first shot fails (exit 3).
+_PAST_FAULTS = [(command, (1.05, 12, 1.0, 3.14))
+            for command in ("eig", "barta", "rstar", "sweep", "kazdan")] + [
+    ("eig", (2.0, 1000, 0.0, 1.0)), ("eig", (2.0, 2, 0.0, 1e-300)),
+    ("eig", (2.0, 100, 0.0, 1.0)), ("eig", (2.0, 2, 0.0, 1e-100))]
+
+
+def _with_past_faults(test):
+    for args in _PAST_FAULTS:
+        test = example(*args)(test)
+    return test
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@_with_past_faults
+@given(st.sampled_from(["eig", "barta", "rstar", "sweep", "kazdan"]), _ROW)
+def test_one_row_commands_exit_with_a_named_parameter(command, row):
+    # Any one-row command exits 0, 2 (invalid input) or 3 (non-
+    # convergence), never with a traceback, and an exit 2 or 3 names a
+    # parameter on stderr.
+    argv = [command] + ["--%s=%s" % (k, x if isinstance(x, str) else repr(x))
+                        for k, x in zip("pmcr", row)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:                    # argparse usage error
+            code = exc.code
+    err = err.getvalue()
+    assert code in (0, 2, 3), (argv, code, err)
+    assert "Traceback" not in err
+    if code:
+        assert re.search(r"\b(p|m|c|r)=|--(p|m|c|r)\b", err), (argv, err)
 
 
 def _readme_commands():

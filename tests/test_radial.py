@@ -288,33 +288,32 @@ def test_march_grades_exactly_the_pointwise_gaps(monkeypatch, problem):
     # recording march of the first `evaluate` takes the same steps.
     sol = _fresh_solve(problem)
     sol._scale      # the peak's own steps are built on the first march
-    calls, inside = [], []
-    step, run, graded = sol._step, sol._run, _ode.dp_graded
+    calls, spliced = [], {}
+    walk, graded = sol._walk, _ode.graded_steps
 
-    def step_spy(t, h, *rest):
-        if not inside:
-            calls.append(("step", t, h))
-        return step(t, h, *rest)
+    def graded_spy(ts, hs, t_from, t_to, nsub, points, width):
+        # the graded steps of one gap, spliced into the plan at len(ts)
+        first = len(ts)
+        graded(ts, hs, t_from, t_to, nsub, points, width)
+        spliced[first] = (("graded", t_from, t_to, nsub, list(points),
+                           width), len(ts) - first)
 
-    def run_spy(t, u, v, ku, kv, nodes, i, e, *out):
-        # run takes one plain step to each node of nodes[i:e]
-        t_prev = t
-        for t_node in nodes[i:e]:
-            calls.append(("step", t_prev, t_node - t_prev))
-            t_prev = t_node
-        return run(t, u, v, ku, kv, nodes, i, e, *out)
+    def walk_spy(ts, hs, *rest):
+        # the plan's steps, with each graded gap's steps as its one call
+        j = 0
+        while j < len(ts):
+            if j in spliced:
+                call, size = spliced.pop(j)
+                calls.append(call)
+                j += size
+            else:
+                calls.append(("step", ts[j], hs[j]))
+                j += 1
+        assert not spliced
+        return walk(ts, hs, *rest)
 
-    def graded_spy(step, t_from, y, k, t_to, nsub, points, width, rec=None):
-        calls.append(("graded", t_from, t_to, nsub, list(points), width))
-        inside.append(True)
-        try:
-            return graded(step, t_from, y, k, t_to, nsub, points, width, rec)
-        finally:
-            inside.pop()
-
-    sol._step = step_spy
-    sol._run = run_spy
-    monkeypatch.setattr(_ode, "dp_graded", graded_spy)
+    sol._walk = walk_spy
+    monkeypatch.setattr(_ode, "graded_steps", graded_spy)
     query = np.linspace(sol._left, sol.r, sol.n_grid)
     assert np.array_equal(sol.grid, query)
     # the order of a wall is p, that of the pole and of the peak p/(p-1)
@@ -349,17 +348,13 @@ def test_grid_grades_only_as_deep_as_the_order_needs(problem, most):
     sol = _fresh_solve(problem)
     sol._scale      # the peak's own steps are taken before the march
     steps = []
-    step, run = sol._step, sol._run
+    walk = sol._walk
 
-    def step_spy(*args):
-        steps.append(1)
-        return step(*args)
+    def walk_spy(ts, *rest):
+        steps.append(len(ts))
+        return walk(ts, *rest)
 
-    def run_spy(t, u, v, ku, kv, nodes, i, e, *out):
-        steps.append(e - i)
-        return run(t, u, v, ku, kv, nodes, i, e, *out)
-
-    sol._step, sol._run = step_spy, run_spy
+    sol._walk = walk_spy
     sol.omega
     # every one of the 2047 gaps takes at least one step
     assert 2047 <= sum(steps) <= most
@@ -629,10 +624,11 @@ _PROFILES = ([modelspace.space_form(c) for c in (-1.0, 0.0, 1.0)]
 
 @pytest.mark.parametrize("p,m", _FORMS)
 def test_generated_step_matches_reference_dp(p, m):
-    # The generated step inlines the slopes and shares the weight at
-    # t + h between stage 6 and k7; its state and slope must keep their
-    # bits, signed zeros included.  (The error estimate is checked
-    # through whole shots, by test_generated_integrate_matches_reference.)
+    # The generated stages inline the slopes and share the weight at
+    # t + h between stage 6 and k7; the state and slope a one-step walk
+    # returns, and the state it writes, must keep their bits, signed
+    # zeros included.  (The error estimate is checked through whole
+    # shots, by test_generated_integrate_matches_reference.)
     rng = np.random.default_rng(5)
     n = 300
     size = rng.standard_normal((n, 4)) * 10.0 ** rng.uniform(-6, 1, (n, 4))
@@ -642,7 +638,7 @@ def test_generated_step_matches_reference_dp(p, m):
                                              (-2.0, 0.0))]
     for prof in _PROFILES:
         fscalar = prof.f_scalar
-        step = radial._make_rhs(p, m, prof, 7.25)[1]
+        walk = radial._make_rhs(p, m, prof, 7.25)[2]
 
         def f(t, w, phi):
             return _generic_slopes(p, m, fscalar, 7.25, t, w, phi)
@@ -650,9 +646,12 @@ def test_generated_step_matches_reference_dp(p, m):
         ts = rng.uniform(1e-4, 1.0, len(states)).tolist()
         hs = (10.0 ** rng.uniform(-5, -1, len(states))).tolist()
         for t, h, state in zip(ts, hs, states):
-            got = step(t, h, *state)
+            out_w, out_phi = [None], [None]
+            got = walk([t], [h], *state, out_w, out_phi, None)
             want = _reference_dp_step(f, t, h, *state)
             assert [x.hex() for x in got] == [x.hex() for x in want]
+            assert [out_w[0].hex(), out_phi[0].hex()] == \
+                [x.hex() for x in want[:2]]
 
 
 def _reference_integrate(f, t0, t1, y0):
@@ -739,47 +738,52 @@ def test_generated_integrate_matches_reference(p, m):
 
 @pytest.mark.parametrize("p,m", _FORMS)
 def test_generated_run_matches_steps(p, m):
-    # The march's plain-step run must write the state of one reference
-    # step per node, bit for bit, and return the last node, state and
-    # slope.  Given a record, it and the generated step must append each
-    # step's (t, h, u, v, k1, k3..k7), bit for bit; without one, run
-    # writes the same states.
+    # A walk over a plan of steps must write the state of one reference
+    # step per plan entry, bit for bit, return the last state and slope,
+    # and agree with a chain of one-step walks.  Given a record, the walk
+    # and the chain must each append every step's (t, h, u, v, k1,
+    # k3..k7), bit for bit; without one, the walk writes the same states.
     rng = np.random.default_rng(11)
+
+    def bits(xs):
+        return [x.hex() for x in xs]
+
     for prof in _PROFILES:
         def f(t, w, phi):
             return _generic_slopes(p, m, prof.f_scalar, 7.25, t, w, phi)
 
-        _, step, _, run = radial._make_rhs(p, m, prof, 7.25)
+        walk = radial._make_rhs(p, m, prof, 7.25)[2]
         nodes = np.sort(rng.uniform(0.05, 1.0, 40)).tolist()
+        ts = [nodes[0]] + nodes[3:36]
+        hs = [b - a for a, b in zip(ts, nodes[3:37])]
         u0, v0 = 0.75, -0.25
         k0 = f(nodes[0], u0, v0)
         outs = []
         for rec in (None, array("d")):
             out_w, out_phi = [0.0] * 40, [0.0] * 40
-            got = run(nodes[0], u0, v0, *k0, nodes, 3, 37, out_w, out_phi,
-                      rec)
-            t, (u, v), (ku, kv), want = nodes[0], (u0, v0), k0, []
-            for j in range(3, 37):
-                h = nodes[j] - t
-                u, v, ku, kv, record, _ = _reference_dp_step(
-                    f, t, h, u, v, ku, kv, dense=True)
+            got = walk(ts, hs, u0, v0, *k0, out_w, out_phi, rec)
+            state, want, chain = (u0, v0, *k0), [], array("d")
+            for j, (t, h) in enumerate(zip(ts, hs)):
+                *ref, record, _ = _reference_dp_step(f, t, h, *state,
+                                                     dense=True)
+                state = walk([t], [h], *state, [0.0], [0.0], chain)
+                assert bits(state) == bits(ref)
                 want += record
-                t = nodes[j]
-                assert (out_w[j].hex() == u.hex()
-                        and out_phi[j].hex() == v.hex())
-            assert [x.hex() for x in got] == [x.hex()
-                                              for x in (t, u, v, ku, kv)]
-            assert not any(out_w[:3]) and not any(out_w[37:])
+                assert (out_w[j].hex() == state[0].hex()
+                        and out_phi[j].hex() == state[1].hex())
+            assert bits(got) == bits(state)
+            assert not any(out_w[len(ts):]) and not any(out_phi[len(ts):])
             outs.append((out_w, out_phi))
+            assert bits(chain) == bits(want)
             if rec is not None:
-                assert [x.hex() for x in rec] == [x.hex() for x in want]
+                assert bits(rec) == bits(want)
         assert outs[0] == outs[1]
         rec = array("d")
-        got = step(nodes[0], 0.125, u0, v0, *k0, rec)
+        got = walk([nodes[0]], [0.125], u0, v0, *k0, [0.0], [0.0], rec)
         *want, record, _ = _reference_dp_step(f, nodes[0], 0.125, u0, v0,
                                               *k0, dense=True)
-        assert [x.hex() for x in got] == [x.hex() for x in want]
-        assert [x.hex() for x in rec] == [x.hex() for x in record]
+        assert bits(got) == bits(want)
+        assert bits(rec) == bits(record)
 
 
 def test_evaluate_reads_each_steps_dense_output():
@@ -877,8 +881,8 @@ def _levels(length, width, order):
 
 
 def _reference_cuts(t_from, t_to, points, width):
-    """The cuts of `_ode.dp_graded`, from all 2 `_levels` + 1 candidates
-    per point."""
+    """The cuts of `_ode.graded_steps`, from all 2 `_levels` + 1
+    candidates per point."""
     span = t_to - t_from
     cuts = {t_to}
     for s, _, order in points:
@@ -890,7 +894,7 @@ def _reference_cuts(t_from, t_to, points, width):
 
 
 def test_graded_cuts_match_every_candidate():
-    # dp_graded forms only the candidate cuts inside its interval, down
+    # graded_steps forms only the candidate cuts inside its interval, down
     # to the level its order needs; the cuts must be those of all the
     # candidates per point, bit for bit, for points inside the interval,
     # outside it and at or next to an end, for orders from a wall at
@@ -962,7 +966,7 @@ def test_integrate_raises_on_nan(monkeypatch):
     # weight that turns NaN there).
     for p, m, prof, lam in ((2.0, 1, modelspace.space_form(0.0), math.nan),
                             (2.5, 2, _nan_from_half(monkeypatch), 3.0)):
-        integrate = radial._make_rhs(p, m, prof, lam)[2]
+        integrate = radial._make_rhs(p, m, prof, lam)[1]
         with pytest.raises(_ode.IntegrationError, match="NaN"):
             integrate(0.0, 1.0, (1.0, 1.0))
 
@@ -1059,23 +1063,17 @@ def test_steps_run_on_python_floats(run, monkeypatch):
     # cost about twice its time on floats; the ball marches of a 2048-node
     # grid and of a dense query from the pole once ran on them.
     # Every step of the shots and of the march comes from _make_rhs: the
-    # shots' from integrate, the march's from step (graded gaps) and run
-    # (plain ones), recording for `evaluate`.  The trial lam, what each of
-    # them is given and what it returns (a shot's every node and state,
-    # which its stages computed from lam and the weight), the nodes of a
-    # run and every state it writes are checked.
+    # shots' from integrate, the march's and the zero refinements' from
+    # walk, recording for `evaluate`.  The trial lam, what each of them is
+    # given and what it returns (a shot's every node and state, which its
+    # stages computed from lam and the weight), the starts and lengths of
+    # a walk and every state it writes are checked.
     types = set()
     make_rhs = radial._make_rhs
 
     def typed_make_rhs(p, m, profile, lam):
         types.add(type(lam))
-        rhs, step, integrate, run_nodes = make_rhs(p, m, profile, lam)
-
-        def typed_step(t, h, u, v, ku, kv, rec=None):
-            types.update(map(type, (t, h, u, v, ku, kv)))
-            out = step(t, h, u, v, ku, kv, rec)
-            types.update(map(type, out))
-            return out
+        rhs, integrate, walk = make_rhs(p, m, profile, lam)
 
         def typed_integrate(t0, t1, y0):
             types.update(map(type, (t0, t1, *y0)))
@@ -1084,14 +1082,14 @@ def test_steps_run_on_python_floats(run, monkeypatch):
             types.update(type(x) for y in ys for x in y)
             return ts, ys
 
-        def typed_run(t, u, v, ku, kv, nodes, i, e, out_w, out_phi, rec):
-            types.update(map(type, (t, u, v, ku, kv, *nodes[i:e])))
+        def typed_walk(ts, hs, u, v, ku, kv, out_w, out_phi, rec):
+            types.update(map(type, (*ts, *hs, u, v, ku, kv)))
             w, phi = _TypedBuffer(out_w), _TypedBuffer(out_phi)
-            last = run_nodes(t, u, v, ku, kv, nodes, i, e, w, phi, rec)
+            last = walk(ts, hs, u, v, ku, kv, w, phi, rec)
             types.update(map(type, last))
             types.update(w.types | phi.types)
             return last
-        return rhs, typed_step, typed_integrate, typed_run
+        return rhs, typed_integrate, typed_walk
 
     monkeypatch.setattr(radial, "_make_rhs", typed_make_rhs)
     run()
@@ -1254,11 +1252,54 @@ def test_first_evaluate_is_the_one_march(monkeypatch, problem):
     def refuse(*args, **kwargs):
         raise AssertionError("a second evaluate stepped")
 
-    sol._step = sol._run = refuse
-    monkeypatch.setattr(_ode, "dp_graded", refuse)
+    sol._walk = refuse
+    monkeypatch.setattr(_ode, "graded_steps", refuse)
     again = sol.evaluate(scan)
     assert sizes == [-sol.n_grid]
     assert all(np.array_equal(a, b) for a, b in zip(first, again))
+
+
+@pytest.mark.parametrize("problem", _LAZY_PROBLEMS, ids=["ball", "annulus"])
+def test_every_fixed_step_is_a_walk(monkeypatch, problem):
+    # A form makes two loops, the shots' integrate and walk.  A zero
+    # refinement (a shot's omega zero, an annulus's flux zero) walks
+    # one-step plans; the grid march walks its whole plan once, the
+    # recording march of the first evaluate once more, and neither
+    # reaches integrate.
+    calls = []
+    make_rhs = radial._make_rhs
+
+    def spied(p, m, profile, lam):
+        made = make_rhs(p, m, profile, lam)
+        assert [fn.__name__ for fn in made] == ["f", "integrate", "walk"]
+        rhs, integrate, walk = made
+
+        def integrate_spy(*args):
+            calls.append("integrate")
+            return integrate(*args)
+
+        def walk_spy(ts, *args):
+            calls.append(len(ts))
+            return walk(ts, *args)
+        return rhs, integrate_spy, walk_spy
+
+    monkeypatch.setattr(radial, "_make_rhs", spied)
+    sol = _fresh_solve(problem)
+    assert "integrate" in calls and 1 in calls
+    assert set(calls) == {"integrate", 1}
+    del calls[:]
+    sol._scale      # the peak: one-step walks, then its graded plan
+    if sol._startup is None:
+        assert set(calls[:-1]) == {1} and calls[-1] > 1
+    else:
+        assert calls == []
+    del calls[:]
+    sol.omega
+    assert len(calls) == 1 and calls[0] >= sol.n_grid - 1
+    sol.evaluate(0.5)
+    assert calls == [calls[0]] * 2
+    sol.evaluate(np.linspace(sol._left, sol.r, 101))
+    assert calls == [calls[0]] * 2
 
 
 def test_stored_steps_are_read_only():
@@ -1298,9 +1339,9 @@ def test_shot_first_zero_monotone_in_lambda():
     for factor in (1.1, 1.5, 2.5):
         ts, ys, miss = radial._shoot(problem, factor * lam_star)
         assert miss <= 0.0
-        rhs, step = radial._make_rhs(problem.p, problem.m, problem.profile,
-                                     factor * lam_star)[:2]
-        zeros.append(radial._refine_zero(rhs, step, ts, ys, len(ts) - 1,
+        rhs, _, walk = radial._make_rhs(problem.p, problem.m,
+                                        problem.profile, factor * lam_star)
+        zeros.append(radial._refine_zero(rhs, walk, ts, ys, len(ts) - 1,
                                          1e-12)[0])
     assert zeros[0] > zeros[1] > zeros[2]
     assert radial._shoot(problem, 0.9 * lam_star)[2] > 0.0
@@ -1441,6 +1482,40 @@ def test_problem_validation():
                       Ball(2.0))
     with pytest.raises(TypeError):
         RadialProblem(2.0, 2, "flat", Ball(1.0))
+
+
+def test_refusals_name_the_parameter():
+    # A radius beyond the profile's domain and one at the conjugate point
+    # were refused without naming r or c.
+    conjugate = modelspace.WarpingProfile("spaceform", c=1.0, r_max=3.5,
+                                          label="S_c(c=1)", f3_0=-1.0)
+    for make, named in ((lambda: ball_problem(2.0, 2, 0.0, 9.0), "r=9"),
+                        (lambda: RadialProblem(2.0, 2, conjugate, Ball(3.2)),
+                         "c=1"),
+                        (lambda: ball_problem(2.0, 0, 0.0, 1.0), "m=0")):
+        with pytest.raises(ValueError, match=named):
+            make()
+
+
+@pytest.mark.parametrize("m,domain,named", [
+    (1000, Ball(1.0), "m=1000"), (100, Ball(1.0), "m=100"),
+    (2, Ball(1e-300), r"r=1e-300"), (1, Ball(1e-170), r"r=1e-170"),
+    (3, Annulus(1e-200, 1.0), "m=3"),
+], ids=["m1000", "m100", "r1e-300", "r1e-170-m1", "annulus-m3"])
+def test_unrepresentable_problems_are_refused(m, domain, named):
+    # A shot divides by the weight f^(m-1) at its start, a ball's seed by
+    # r**2.  Where either underflowed to 0 the solve ended in a
+    # ZeroDivisionError, reported as non-convergence.
+    with pytest.raises(ValueError, match=named):
+        RadialProblem(2.0, m, modelspace.space_form(0.0), domain)
+
+
+def test_representable_edges_are_not_refused():
+    # (1e-4)^79 and (1e-150)^2 are subnormal, not 0.
+    flat = modelspace.space_form(0.0)
+    RadialProblem(2.0, 80, flat, Ball(1.0))
+    RadialProblem(2.0, 2, flat, Ball(1e-150))
+    RadialProblem(2.0, 1, flat, Annulus(0.0, 1.0))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
