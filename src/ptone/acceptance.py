@@ -179,7 +179,7 @@ def criterion_04():
     for p, m, c in CROSS_MATRIX:
         problem = radial.ball_problem(p, m, c, 1.0)
         sol = radial.solve_ball_eigenvalue(problem)
-        cert = bounds.barta_bound(sol.omega, problem, nodes=sol.grid)
+        cert = bounds.barta_bound(sol.omega, problem)
         rel = (cert.value - sol.lam) / sol.lam
         sharp_ok = abs(rel) <= 1e-4
 
@@ -190,7 +190,7 @@ def criterion_04():
             g = sum(a * np.sin((k + 1) * math.pi * t) for k, a in
                     enumerate(coef)) / 3.0
             eta = sol.omega * (1.0 + 0.2 * g)
-            pert = bounds.barta_bound(eta, problem, nodes=t)
+            pert = bounds.barta_bound(eta, problem)
             worst_pert = max(worst_pert, (pert.value - sol.lam) / sol.lam)
         checks.append(sharp_ok and worst_pert < 0.0)
         rows.append({"p": p, "m": m, "c": c, "r": 1.0, "lambda": sol.lam,

@@ -91,19 +91,18 @@ def _window(keep, t, problem):
     return idx[BOUNDARY_LAYERS:idx.size - BOUNDARY_LAYERS]
 
 
-def barta_bound(eta, problem, nodes=None):
+def barta_bound(eta, problem):
     """Lower bound inf(-Delta_p eta / eta^(p-1)) over a positive field.
 
-    eta must be positive on interior nodes and vanish at Dirichlet
-    endpoints; the infimum is taken over the windowed interior where the
-    staggered stencil meets its accuracy budget.  nodes default to a
-    uniform grid over the domain's [left, right].
+    eta is sampled on the uniform grid of its size over the domain's
+    [left, right], the grid of a solution of that size.  It must be
+    positive on interior nodes and vanish at Dirichlet endpoints; the
+    infimum is taken over the windowed interior where the staggered
+    stencil meets its accuracy budget.
     """
     vals = np.asarray(eta, dtype=float)
-    if nodes is None:
-        d = problem.domain
-        nodes = np.linspace(d.left, d.right, vals.size)
-    nodes = np.asarray(nodes, dtype=float)
+    d = problem.domain
+    nodes = np.linspace(d.left, d.right, vals.size)
     if np.any(vals[1:-1] <= 0):
         raise ValueError("eta must be positive on interior nodes")
     plap = discrete_plap_radial(vals, problem, nodes)

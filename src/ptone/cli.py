@@ -37,6 +37,10 @@ from . import acceptance, bounds, critical, modelspace, radial, rayleigh, \
 
 # -- plumbing ---------------------------------------------------------------
 
+#: The most values one range may expand to, and the most combinations of
+#: values (one row each; compare: one per profile) one command may take.
+MAX_ROWS = 10000
+
 
 def _parse_list(text, cast=float, single=False):
     """Parse ``2,3`` (list) or ``0.5:1.5:0.25`` (inclusive range) of
@@ -56,8 +60,11 @@ def _parse_list(text, cast=float, single=False):
         span = (stop - start) / step
         if not math.isfinite(span):
             raise ValueError("range needs finite bounds, got %r" % text)
-        vals = [start + i * step
-                for i in range(int(math.floor(span + 1e-9)) + 1)]
+        count = int(math.floor(span + 1e-9)) + 1
+        if count > MAX_ROWS:
+            raise ValueError("range %r expands to %d values, more than %d"
+                             % (text, count, MAX_ROWS))
+        vals = [start + i * step for i in range(count)]
     else:
         vals = [x.strip() if cast is str else float(x)
                 for x in text.split(",")]
@@ -211,7 +218,7 @@ def barta_rows(combos):
     def one(p, m, c, r):
         problem = radial.ball_problem(p, m, c, r)
         sol = radial.solve_ball_eigenvalue(problem)
-        cert = bounds.barta_bound(sol.omega, problem, nodes=sol.grid)
+        cert = bounds.barta_bound(sol.omega, problem)
         return {"p": p, "m": m, "c": c, "r": r, "lambda": sol.lam,
                 "barta_value": cert.value,
                 "rel_gap": (cert.value - sol.lam) / sol.lam}
@@ -225,7 +232,7 @@ def sweep_rows(combos):
         sol = radial.solve_ball_eigenvalue(problem)
         est = rayleigh.minimize_rayleigh(
             rayleigh.Grid1D.from_problem(problem), p)["lambda_est"]
-        cert = bounds.barta_bound(sol.omega, problem, nodes=sol.grid)
+        cert = bounds.barta_bound(sol.omega, problem)
         return {"p": p, "m": m, "c": c, "r": r, "lambda": sol.lam,
                 "rayleigh": est, "barta": cert.value,
                 "residual": sol.residual}
@@ -354,6 +361,13 @@ def _run_command(args):
             values[key] = _read(flag, text, kind)
         elif key not in values:
             values[key] = _read(flag, default, kind)
+    lists = {"--" + k: len(v) for k, v in values.items()
+             if isinstance(v, list)}
+    count = math.prod(lists.values())
+    if count > MAX_ROWS:
+        raise ValueError("%s: %s = %d rows, more than %d" % (
+            ", ".join(lists), " x ".join(map(str, lists.values())), count,
+            MAX_ROWS))
     rows, code = rows_of(values)
     _emit(args, columns, rows, args.command)
     return code

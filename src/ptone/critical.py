@@ -11,20 +11,19 @@ certifies from that one sample of (omega, omega'):
 
   * Direct-W: W is an exact algebraic combination of the samples, so
     its sign needs no differencing.
-  * Integral criterion: with the weights V_c (a Gaussian for c = 0, a
-    power of cos/cosh for c = +-1) the combination
+  * Integral criterion (c in {0, -1}): with the weights V_c (a Gaussian
+    for c = 0, a power of cosh for c = -1) the combination
 
         LHS_c(t) = S_c^{m-1} (V_c' omega^{p-1} - V_c |omega'|^{p-2} omega')
 
-    satisfies sign(LHS_c) = -sign(W) wherever V_c'/V_c =
-    -(lambda/K) S_c/S_c' (true for c in {0, -1}), and equals a cumulative
-    integral of the case integrand Phi_c against S_c^{m-1} V_c.  r_star
-    is the first scan point where that cumulative integral stops being
-    positive, and W <= tol is re-verified on (0, r_star) before any
-    report is returned; a verification failure raises instead of
-    returning a bad radius.  LHS_c itself is formed only by
-    flat_identity_check, which compares it at c = 0 with the cumulative
-    trapezoid of its exact derivative.
+    satisfies sign(LHS_c) = -sign(W), since V_c'/V_c = -(lambda/K)
+    S_c/S_c', and equals a cumulative integral of the case integrand
+    Phi_c against S_c^{m-1} V_c.  r_star is the first scan point where
+    that cumulative integral stops being positive, and W <= tol is
+    re-verified on (0, r_star) before any report is returned; a
+    verification failure raises instead of returning a bad radius.
+    LHS_c itself is formed only by flat_identity_check, which compares
+    it at c = 0 with the cumulative trapezoid of its exact derivative.
 
 The integrands are functions of the sampled arrays plus (p, m, lambda);
 none of them evaluates the solution.
@@ -32,8 +31,9 @@ none of them evaluates the solution.
 At p = 2 every case integrand is pointwise positive and r_star = r; the
 spherical case (c = 1) keeps r_star = r for all r < pi/2 because Phi_1
 stays above a quadratic barrier (Young's inequality in the tangent
-variable).  For c in {0, -1} and p > 2 the integrand changes sign and
-the scan may certify a strictly smaller radius.
+variable).  Both cases certify by Direct-W and integrate no weight.
+For c in {0, -1} and p > 2 the integrand changes sign and the scan may
+certify a strictly smaller radius.
 
 For c in {0, -1} the restriction inequality itself holds on the whole
 ball, for every p >= 2, m >= 1 and r.  With omega > 0 decreasing,
@@ -111,27 +111,13 @@ def restriction_W(c, t, om, dom, p, m, lam):
 
 
 def weight_V(c, t, lam, p, m):
-    """The case weight V_c(t): Gaussian (c=0) or cos/cosh power (c=+-1)."""
+    """The case weight V_c(t): Gaussian (c=0) or cosh power (c=-1)."""
     K = p + m - 2.0
     if c == 0:
         return np.exp(-lam * t ** 2 / (2.0 * K))
-    if c == 1:
-        return np.cos(t) ** (-lam / K)
     if c == -1:
         return np.cosh(t) ** (-lam / K)
-    raise ValueError("weights are defined for c in {-1, 0, 1} only")
-
-
-def _weight_V_prime_over_V(c, t, lam, p, m):
-    """V_c'(t) / V_c(t); equals -(lam/K) S_c/S_c' for c in {0, -1}."""
-    K = p + m - 2.0
-    if c == 0:
-        return -lam / K * t
-    if c == 1:
-        return lam / K * np.tan(t)
-    if c == -1:
-        return -lam / K * np.tanh(t)
-    raise ValueError("weights are defined for c in {-1, 0, 1} only")
+    raise ValueError("weights are defined for c in {-1, 0} only")
 
 
 def phi0(s, om, dom, p, m, lam):
@@ -196,23 +182,22 @@ def phi_minus1(s, om, dom, p, m, lam):
             + cst["C3"] * tanh * adom * g)
 
 
-def lhs_expression(c, t, om, dom, p, m, lam):
-    """Exact left side S_c^{m-1} (V_c' omega^{p-1} - V_c |omega'|^{p-2}
-    omega') of the case identities.
+def lhs_expression(t, om, dom, p, m, lam):
+    """Exact left side S_0^{m-1} (V_0' omega^{p-1} - V_0 |omega'|^{p-2}
+    omega') of the flat case identity, with V_0'/V_0 = -(lam/K) t.
 
-    Where V_c'/V_c = -(lam/K) S_c/S_c' (c in {0, -1}), its sign is
-    opposite to W's: positive values certify the restriction inequality
-    pointwise.
+    Its sign is opposite to W's: positive values certify the restriction
+    inequality pointwise.
     """
-    v = weight_V(c, t, lam, p, m)
-    vp_over_v = _weight_V_prime_over_V(c, t, lam, p, m)
-    sm = s_c(c, t) ** (m - 1)
-    return sm * v * (vp_over_v * signed_power(om, p - 1.0)
+    K = p + m - 2.0
+    v = weight_V(0, t, lam, p, m)
+    sm = s_c(0, t) ** (m - 1)
+    return sm * v * (-lam / K * t * signed_power(om, p - 1.0)
                      - signed_power(dom, p - 1.0))
 
 
 def flateq_integrand(s, om, dom, p, m, lam):
-    """Exact flat-case right-side integrand, d/dt of lhs_expression(0, .):
+    """Exact flat-case right-side integrand, d/dt of lhs_expression:
 
     s^{m-1} V_0 (lam/K) [ (p-2) omega^{p-1} + (lam/K) s^2 omega^{p-1}
         + s ((p-1)|omega|^{p-2}|omega'| - |omega'|^{p-1}) ].
@@ -239,7 +224,7 @@ def _cumulative_trapezoid(y, t):
 
 def flat_identity_check(solution):
     """Compare cumulative trapezoid of flateq_integrand with
-    lhs_expression(0, .), both on the solution's own grid.
+    lhs_expression, both on the solution's own grid.
 
     The grid, omega and omega' are the solution's arrays, built once and
     shared with every other reader, so the check marches no node.
@@ -253,7 +238,7 @@ def flat_identity_check(solution):
     t, om, dom = solution.grid, solution.omega, solution.omega_prime
     integral = _cumulative_trapezoid(
         flateq_integrand(t, om, dom, p, m, lam), t)
-    lhs = np.concatenate(([0.0], lhs_expression(0, t[1:], om[1:], dom[1:],
+    lhs = np.concatenate(([0.0], lhs_expression(t[1:], om[1:], dom[1:],
                                                 p, m, lam)))
     keep = t >= IDENTITY_WINDOW * r
     rel = np.abs(integral[keep] - lhs[keep]) / np.abs(lhs[keep])

@@ -442,7 +442,6 @@ class CurvatureReport:
         self.first_t = first_t
         # max over nodes of (-f''/f - c); <= TOL_CURV when the bound holds
         self.worst_excess = worst_excess
-        self.margin = TOL_CURV - worst_excess
         self.n_nodes = n_nodes
 
     def __bool__(self):
@@ -454,19 +453,14 @@ class CurvatureReport:
                                self.worst_excess, self.n_nodes))
 
 
-def verify_curvature_bound(profile, c, nodes=None):
+def verify_curvature_bound(profile, c):
     """Check -f''/f <= c + TOL_CURV at every node; report the worst one.
 
-    Nodes default to a uniform grid of 4096 points on (0, r_max].  The
+    The nodes are a uniform grid of 4096 points on (0, r_max].  The
     result carries the argmax node, the first failing node and the
-    margin; it never raises on a violated bound.
+    worst excess; it never raises on a violated bound.
     """
-    if nodes is None:
-        nodes = np.linspace(0.0, profile.r_max, _CURV_GRID_N + 1)[1:]
-    else:
-        nodes = np.asarray(nodes, dtype=float)
-        if np.any(nodes <= 0):
-            raise ValueError("curvature nodes must lie in (0, r_max]")
+    nodes = np.linspace(0.0, profile.r_max, _CURV_GRID_N + 1)[1:]
     f, _, f2 = profile.eval(nodes)
     excess = (-f2 / f) - c
     i = int(np.argmax(excess))

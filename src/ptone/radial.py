@@ -262,8 +262,7 @@ def _make_rhs(p, m, profile, lam):
 class _Startup:
     """Pole expansion of the ball solution on [0, t0]."""
 
-    def __init__(self, p, m, profile, lam, t0):
-        self.t0 = t0
+    def __init__(self, p, m, profile, lam):
         self.beta = p / (p - 1.0)
         self.a = ((p - 1.0) / p) * (lam / m) ** (1.0 / (p - 1.0))
         self.b2 = self.a * self.a * m / (2.0 * (m + self.beta))
@@ -329,7 +328,7 @@ def _shoot(problem, lam):
     t_end = d.right
     if d.kind == "ball":
         t_start = _STARTUP_FRAC * t_end
-        y_start = _Startup(p, m, prof, lam, t_start).state(t_start)
+        y_start = _Startup(p, m, prof, lam).state(t_start)
     else:
         t_start, y_start = d.left, (0.0, 1.0)
     ts, ys = integrate(t_start, t_end, y_start)
@@ -353,7 +352,7 @@ def _omega_prime(problem, t, phi):
 
 
 # The names `RadialSolution.__getattr__` builds.
-_DENSE = frozenset(("grid", "omega", "omega_prime", "flux", "residual"))
+_DENSE = frozenset(("grid", "omega", "omega_prime", "residual"))
 
 
 class RadialSolution:
@@ -366,11 +365,11 @@ class RadialSolution:
     restriction inequalities, transplants) can be sampled anywhere
     without interpolating the stored arrays and without another march.
 
-    `grid`, `omega`, `omega_prime`, `flux` and `residual` are one build
-    step: the first read of any of them marches the grid once and audits
-    it, and all five are stored, so a caller that needs only `lam` pays
-    for no march.  The four arrays are read-only, and a cache hit shares
-    them with every other holder of the solution.
+    `grid`, `omega`, `omega_prime` and `residual` are one build step: the
+    first read of any of them marches the grid once and audits it, and
+    all four are stored, so a caller that needs only `lam` pays for no
+    march.  The three arrays are read-only, and a cache hit shares them
+    with every other holder of the solution.
     """
 
     def __init__(self, problem, lam, ts, ys, iterations, n_grid):
@@ -384,17 +383,15 @@ class RadialSolution:
         self._rhs, _, self._walk = _make_rhs(
             self.p, self.m, problem.profile, self.lam)
         d = problem.domain
-        # A ball's march gives nodes below t0 = ts[0] the pole expansion,
-        # as the shot does; an annulus's gives them the wall state ys[0].
-        self._startup = (_Startup(self.p, self.m, problem.profile, self.lam,
-                                  ts[0]) if d.kind == "ball" else None)
+        self._startup = (_Startup(self.p, self.m, problem.profile, self.lam)
+                         if d.kind == "ball" else None)
         self._left = d.left
         self.r = d.right
         self.n_grid = n_grid
 
     def __getattr__(self, name):
         # Python calls this only when normal lookup fails; the build
-        # stores all five names, so it runs once per solution.
+        # stores all four names, so it runs once per solution.
         if name not in _DENSE:
             raise AttributeError("%r object has no attribute %r"
                                  % (type(self).__name__, name))
@@ -403,17 +400,15 @@ class RadialSolution:
 
     def _build(self, rec):
         """March the grid, recording its steps into rec unless rec is None,
-        and store the five dense names unless they are stored."""
+        and store the four dense names unless they are stored."""
         grid, omega, phi = self._march(rec)
         if "grid" in self.__dict__:
             return
         self.grid = grid
-        self.omega = omega
-        self.omega_prime = _omega_prime(self.problem, grid, phi)
-        self.flux = -phi / self.lam
+        self.omega, self.omega_prime = self._states(grid, omega, phi)
         # Solutions are memoized and shared: an in-place write by one
         # caller would corrupt every later cache hit.
-        for arr in (self.grid, self.omega, self.omega_prime, self.flux):
+        for arr in (self.grid, self.omega, self.omega_prime):
             arr.setflags(write=False)
         self.residual = eigen_equation_residual(self)
 
@@ -465,8 +460,8 @@ class RadialSolution:
 
         The plan takes fixed Dormand-Prince 5(4) steps (the generated
         `walk`, `_make_rhs`) from the shot's first mesh node (t0, ys[0])
-        node to node.  Nodes before t0 take the pole expansion on a ball,
-        as the shot does below t0, and the wall state on an annulus.
+        node to node.  The states are unscaled, and those of a ball's
+        nodes before t0 are unset: `_states` reads both.
 
         A gap takes one step, unless it is longer than span/_ANCHOR_STEPS
         or than 1/ratio of its distance from a point where the field is
@@ -481,15 +476,13 @@ class RadialSolution:
 
         With rec, every step appends its `_ode.RECORD` to rec, in order,
         and the march ends with one more row: the last node and its
-        state, with h = 1 and zero slopes.  The records hold the unscaled
-        states; the returned arrays are scaled by `_scale`.
+        state, with h = 1 and zero slopes.
         """
         grid = np.linspace(self._left, self.r, self.n_grid)
-        startup = self._startup
         t0, (u0, v0) = self._ts[0], self._ys[0]
         span = self.r - self._left
         wall, peak = self.p, self.p / (self.p - 1.0)
-        if startup is not None:
+        if self._startup is not None:
             points = [(self._left, _POLE_RATIO, peak),
                       (self.r, _KINK_RATIO, wall)]
         else:
@@ -497,11 +490,6 @@ class RadialSolution:
                       (self.r, _KINK_RATIO, wall),
                       (self._t_peak, _KINK_RATIO, peak)]
         pre = int(np.searchsorted(grid, t0))
-        omega = np.empty(self.n_grid)
-        phi = np.empty(self.n_grid)
-        for i, t in enumerate(grid[:pre].tolist()):
-            omega[i], phi[i] = (startup.state(t) if startup is not None
-                                else (u0, v0))
 
         # The gap before node t starts at t_prev = max(t0, previous node).
         # Code 2: graded steps, near a point s with
@@ -545,57 +533,64 @@ class RadialSolution:
         # Each node takes the end state of the last step up to it, or the
         # start state where there is none.
         at = np.cumsum(ends)
+        omega = np.empty(self.n_grid)
+        phi = np.empty(self.n_grid)
         omega[pre:] = np.array([u0] + out_w, float)[at]
         phi[pre:] = np.array([v0] + out_phi, float)[at]
-        omega *= self._scale
-        phi *= self._scale ** (self.p - 1.0)
         return grid, omega, phi
+
+    def _states(self, x, w, phi):
+        """(omega, omega') at the nodes x from the march states (w, Phi).
+
+        Nodes before the march start t0 = ts[0] take the pole expansion,
+        as the shot does below t0; only a ball has such nodes.  The states
+        are scaled by `_scale`, in place, and the flux converted to omega'.
+        """
+        before = x < self._ts[0]
+        if before.any():
+            w[before], phi[before] = np.array(
+                [self._startup.state(t) for t in x[before].tolist()]).T
+        w *= self._scale
+        phi *= self._scale ** (self.p - 1.0)
+        return w, _omega_prime(self.problem, x, phi)
 
     @functools.cached_property
     def _steps(self):
         """The grid march's steps, `_ode.dense_steps` of its record.
 
         Built on the first `evaluate` by one march of the grid that records
-        its steps (`_march`), which also builds the five dense names if
+        its steps (`_march`), which also builds the four dense names if
         they are not built yet.  The last row is the end of the march, so
-        a node at or past the end reads the end state.  The states are
-        unscaled.
+        the last node reads the end state.  The states are unscaled.
         """
         rec = array("d")
         self._build(rec)
         return _ode.dense_steps(rec)
 
     def evaluate(self, t):
-        """Dense (omega, omega') at scalar or array t inside the domain.
+        """Dense (omega, omega') at scalar or array t in the closed domain.
 
         Every node is read off the grid march's stored steps (`_steps`),
         with no march of its own: a `searchsorted` on the step starts
         finds the step that holds it, and one Horner evaluation of that
-        step's dense output gives the state, which is scaled and converted
-        from flux to omega' as the grid is.  A grid node reads the grid's
-        value bit for bit, the last node included.  Nodes before the
-        march start t0 take the pole expansion on a ball and the wall
-        state on an annulus, as the grid does.  Returns arrays of t's
-        shape; a scalar comes back as a pair of floats.
+        step's dense output gives the state, which `_states` turns into
+        (omega, omega') as it does the grid's.  A grid node reads the
+        grid's value bit for bit, the last node included.  A t outside
+        [left, right], or NaN, raises a ValueError naming it.  Returns
+        arrays of t's shape; a scalar comes back as a pair of floats.
         """
         tt = np.asarray(t, dtype=float)
         x = tt.ravel()
+        outside = ~((x >= self._left) & (x <= self.r))
+        if outside.any():
+            raise ValueError("evaluate at t=%r, outside the domain [%r, %r]"
+                             % (float(x[outside][0]), self._left, self.r))
         starts, h, cu, cv = self._steps
-        k = np.searchsorted(starts, x, side="right") - 1
-        before = k < 0
-        k[before] = 0
+        k = np.maximum(np.searchsorted(starts, x, side="right") - 1, 0)
         s = (x - starts[k]) / h[k]
         w, phi = (c[0] + s * (c[1] + s * (c[2] + s * (c[3] + s * c[4])))
                   for c in (cu[:, k], cv[:, k]))
-        if before.any():
-            if self._startup is not None:
-                pole = [self._startup.state(ti) for ti in x[before].tolist()]
-            else:
-                pole = [self._ys[0]]
-            w[before], phi[before] = np.array(pole).T
-        w *= self._scale
-        phi *= self._scale ** (self.p - 1.0)
-        wp = _omega_prime(self.problem, x, phi)
+        w, wp = self._states(x, w, phi)
         if tt.ndim == 0:
             return float(w[0]), float(wp[0])
         return w.reshape(tt.shape), wp.reshape(tt.shape)

@@ -247,11 +247,11 @@ class SurfaceBand:
         r = float(r)
         if surface.kind == "plane":
             if r <= 0.0:
-                raise ValueError("plane bands require r > 0")
+                raise ValueError("plane bands require r > 0, got r=%g" % r)
             return cls(surface, r, (0.0, r), 1.0)
         if r <= 1.0:
-            raise ValueError(
-                "catenoid bands require r > 1 (the neck sits at t = 1)")
+            raise ValueError("catenoid bands require r > 1 (the neck sits "
+                             "at t = 1), got r=%g" % r)
         s_max = _ode.brent(
             lambda s: float(extrinsic_distance(surface, s)) - r,
             0.0, r, xtol=1e-14, rtol=8.9e-16)[0]
@@ -271,7 +271,7 @@ class Transplant:
     """psi = omega o t sampled on a uniform meridian grid of a band.
 
     Carries the geometry needed by both p-Laplacian routes: the distance
-    derivatives t', t'', the profile rho, rho', cos(alpha) = |t'| and the
+    derivatives t', t'', the profile rho, cos(alpha) = |t'| and the
     composed omega, omega' from the model solution.  grad holds the
     intrinsic gradient norm |psi'| = |omega'| cos(alpha).
     """
@@ -284,7 +284,7 @@ class Transplant:
         self.omega = omega
         self.omega_prime = omega_prime
         surface = band.surface
-        self.rho, self.rho_prime = surface.profile(s)[:2]
+        self.rho = surface.profile(s)[0]
         _, self.t_prime, self.t_second = _distance_derivs(surface, s)
         self.cos_alpha = np.abs(self.t_prime)
         self.psi = omega
@@ -300,32 +300,27 @@ class Transplant:
                    self.n))
 
 
-def transplant(solution, surface, band=None, n=TRANSPLANT_GRID):
+def transplant(solution, surface, n=TRANSPLANT_GRID):
     """Compose the flat planar model eigenfunction with the distance.
 
-    solution must be a flat (c = 0) ball solution with m = 2 whose radius
-    equals the band radius; the returned ``Transplant`` vanishes at the
-    band endpoints to the shooting accuracy (|psi| <= 1e-12 for p = 2,
-    3, 4 at r = 1.2).  Catenoid bands are even in s, so omega is
-    evaluated once per distinct distance value.
+    solution must be a flat (c = 0) ball solution with m = 2; the band
+    is the surface's band of the solution's radius.  The returned
+    ``Transplant`` vanishes at the band endpoints to the shooting
+    accuracy (|psi| <= 1e-12 for p = 2, 3, 4 at r = 1.2).  Catenoid bands
+    are even in s, so omega is evaluated once per distinct distance
+    value.
     """
     prof = solution.problem.profile
     if solution.m != 2 or prof.kind != "spaceform" or prof.c != 0.0:
         raise ValueError("transplant needs the flat planar model solution")
     if solution.problem.domain.kind != "ball":
         raise ValueError("transplant needs a ball solution")
-    if band is None:
-        band = SurfaceBand.from_radius(surface, solution.r)
-    elif band.surface is not surface:
-        raise ValueError("band does not belong to the given surface")
-    if abs(band.r - solution.r) > 1e-12 * solution.r:
-        raise ValueError("band radius does not match the solution radius")
+    band = SurfaceBand.from_radius(surface, solution.r)
 
     s = band.nodes(n)
-    t = np.asarray(extrinsic_distance(surface, s))
-    if np.any(t > solution.r * (1.0 + 1e-10)):
-        raise ValueError("band contains points beyond the model radius")
-    t = np.minimum(t, solution.r)
+    # The band's ends lie within 1e-10 of r, on either side, and
+    # evaluate refuses t > r.
+    t = np.minimum(extrinsic_distance(surface, s), solution.r)
 
     t_unique, inverse = np.unique(t, return_inverse=True)
     w_u, wp_u = solution.evaluate(t_unique)
@@ -417,8 +412,7 @@ def route_agreement(surface, p, r):
     """
     problem = ball_problem(p, 2, 0.0, r)
     sol = solve_ball_eigenvalue(problem)
-    band = SurfaceBand.from_radius(surface, r)
-    tp = transplant(sol, surface, band, n=ROUTE_GRID)
+    tp = transplant(sol, surface, n=ROUTE_GRID)
     exact = plap_jk(tp)
     fd = plap_intrinsic(tp)
 
@@ -435,7 +429,7 @@ def route_agreement(surface, p, r):
 # -- comparison inequality and reports ------------------------------------
 
 
-def modelcontrol_check(surface, solution, band=None):
+def modelcontrol_check(surface, solution):
     """Pointwise transplanted-eigenfunction comparison on a band.
 
     Evaluates -Delta_p psi / (psi^{p-1} cos^{p-2} alpha) - lambda, p the
@@ -449,13 +443,14 @@ def modelcontrol_check(surface, solution, band=None):
     """
     p = solution.p
     if p < 2.0:
-        raise ValueError("the comparison needs p >= 2")
-    tp = transplant(solution, surface, band)
+        raise ValueError("the comparison needs p >= 2, got p=%g" % p)
+    tp = transplant(solution, surface)
     vals = plap_jk(tp)
     sel = (np.isfinite(vals) & (tp.cos_alpha >= COS_ALPHA_FLOOR)
            & (tp.psi >= PSI_FLOOR))
     if not np.any(sel):
-        raise ValueError("empty evaluation set on the band")
+        raise ValueError("empty evaluation set on the band of r=%r"
+                         % solution.r)
     lam = solution.lam
     quot = -vals[sel] / (signed_power(tp.psi[sel], p - 1.0)
                          * tp.cos_alpha[sel] ** (p - 2.0))
@@ -493,13 +488,16 @@ def band_report(surface, r, p):
     sup ||A||^p <= k^{p-2} lambda_model; cor15 the mean-curvature test
     sup ||A|| <= (m-1)/(p r).  The plane band must reproduce the model
     eigenvalue (totally geodesic rigidity); a drift beyond 1e-4 lambda
-    raises.
+    raises.  The comparison is the p >= 2 statement: p < 2 raises a
+    ValueError naming p before any arithmetic.
 
     The row's keys are BAND_COLUMNS, then vacuous and the band details:
     the meridian range s_left..s_right, sup_A = sup ||A||,
     meancurv_threshold (m-1)/(p r), the model-control verdict and
     argmin, and the minimizer's iteration count.
     """
+    if p < 2.0:
+        raise ValueError("the comparison needs p >= 2, got p=%g" % p)
     surface = get_surface(surface) if isinstance(surface, str) else surface
     model = solve_ball_eigenvalue(ball_problem(p, 2, 0.0, r))
     lam = model.lam
@@ -516,7 +514,7 @@ def band_report(surface, r, p):
             "plane band failed to reproduce the model eigenvalue: "
             "%.12g vs %.12g" % (lam_band, lam))
 
-    check = modelcontrol_check(surface, model, band)
+    check = modelcontrol_check(surface, model)
 
     a_sup = float(np.max(surface.second_form_norm(band.nodes(4097))))
     cor13 = stability_criterion_immersion(a_sup ** p, k, p, lam)

@@ -28,7 +28,7 @@ def solved(p, m, c, r=1.0):
                                    (1.5, 2, 1.0)])
 def test_barta_sharp_at_eigenfunction(p, m, c):
     problem, sol = solved(p, m, c)
-    cert = barta_bound(sol.omega, problem, nodes=sol.grid)
+    cert = barta_bound(sol.omega, problem)
     assert cert.kind == "barta"
     assert cert.value == pytest.approx(sol.lam, rel=1e-4)
     assert not cert.vacuous
@@ -37,7 +37,7 @@ def test_barta_sharp_at_eigenfunction(p, m, c):
 def test_barta_strictly_below_for_non_eigenfunction():
     problem, sol = solved(2.0, 2, 0.0)
     eta = np.cos(math.pi * sol.grid / 2.0)  # wrong profile, right sign
-    cert = barta_bound(eta, problem, nodes=sol.grid)
+    cert = barta_bound(eta, problem)
     assert cert.value < sol.lam
     assert cert.value > 0.0
 
@@ -46,18 +46,18 @@ def test_barta_strictly_below_for_non_eigenfunction():
 @given(st.floats(min_value=1e-3, max_value=1e3))
 def test_barta_zero_homogeneous(scale):
     problem, sol = solved(2.5, 2, 0.0)
-    base = barta_bound(sol.omega, problem, nodes=sol.grid).value
-    scaled = barta_bound(scale * sol.omega, problem, nodes=sol.grid).value
+    base = barta_bound(sol.omega, problem).value
+    scaled = barta_bound(scale * sol.omega, problem).value
     assert scaled == pytest.approx(base, rel=1e-9)
 
 
 def test_barta_default_nodes_and_validation():
     problem, sol = solved(2.0, 2, 0.0)
-    t = np.linspace(0.0, 1.0, 2048)       # the default uniform node layout
+    t = np.linspace(0.0, 1.0, 2048)       # the uniform grid of 2048 nodes
     cert = barta_bound(1.0 - t * t, problem)
     assert 0.0 < cert.value <= sol.lam * (1.0 + 1e-9)
     with pytest.raises(ValueError):
-        barta_bound(sol.omega - 2.0, problem, nodes=sol.grid)  # sign change
+        barta_bound(sol.omega - 2.0, problem)  # sign change
 
 
 # Picone

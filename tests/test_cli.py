@@ -69,6 +69,33 @@ def test_parse_list_forms():
         cli._parse_list("plane,", cast=str)
 
 
+def test_range_expands_to_at_most_max_rows_values():
+    # A range's values were built with no limit: 0:1e9:1e-9 asked for
+    # 10^18 of them.
+    n = cli.MAX_ROWS
+    assert len(cli._parse_list("1:%d:1" % n)) == n
+    with pytest.raises(ValueError, match="expands to %d values" % (n + 1)):
+        cli._parse_list("0:%d:1" % n)
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["eig", "--p", "0:1e9:1e-9"],
+     "--p: range '0:1e9:1e-9' expands to 1000000000000000001 values"),
+    (["surface", "--p", "2", "--r", "1:2:1e-12"], "--r: range "),
+    (["eig", "--p", "0:99:1", "--m", "1:101:1"],
+     "--p, --m, --c, --r: 100 x 101 x 1 x 1 = 10100 rows"),
+])
+def test_cli_refuses_more_than_max_rows(argv, named, tmp_path, capsys):
+    res = run_main(capsys, *argv)
+    assert res.returncode == 2
+    assert named in res.stderr and "more than %d" % cli.MAX_ROWS in res.stderr
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"p": "0:1e9:1e-9"}))
+    res = run_main(capsys, "eig", "--config", str(config))
+    assert res.returncode == 2
+    assert "config key p: range '0:1e9:1e-9' expands to " in res.stderr
+
+
 def test_format_csv_values_and_meta():
     rows = [{"p": 2.0, "ok": True, "label": 'a,"b"', "n": 3},
             {"p": 1.0 / 3.0, "ok": False, "label": "plain", "n": 1}]
@@ -420,6 +447,11 @@ _UNNAMED_REFUSALS = [
     (["eig", "--p", "2", "--r", "1e-200"], "r=1e-200"),
     (["sweep", "--p", "10.678688063175688", "--m", "3", "--c=1", "--r",
       "2.417524932289065e-26"], "p=10.6787"),
+    (["surface", "--surfaces", "catenoid", "--p", "1.5", "--r", "1.2"],
+     "p=1.5"),
+    (["surface", "--surfaces", "catenoid", "--p", "3", "--r", "1"], "r=1"),
+    (["surface", "--surfaces", "catenoid", "--p", "3", "--r",
+      "1.0000000001"], "r=1.0000000001"),
 ]
 
 
@@ -430,7 +462,9 @@ def test_invalid_input_names_its_parameter(argv, named, capsys):
     # profile's domain, a curvature outside the r* case analysis, a
     # Rayleigh grid whose p-mass underflows; or exited 3, "non-
     # convergence: ZeroDivisionError", where the start weight
-    # (1e-4 r)^(m-1) or the seed's r**2 underflowed to 0.
+    # (1e-4 r)^(m-1) or the seed's r**2 underflowed to 0.  A catenoid
+    # surface row at p < 2 ended in a ZeroDivisionError traceback (k = 0
+    # raised to p - 2), and its band refusals named no r.
     res = run_main(capsys, *argv)
     assert res.returncode == 2
     assert res.stderr.startswith("invalid input: ")
@@ -465,6 +499,22 @@ def _with_past_faults(test):
     return test
 
 
+def _flags(names, row):
+    return ["--%s=%s" % (k, x if isinstance(x, str) else repr(x))
+            for k, x in zip(names, row)]
+
+
+def _main_in_process(argv):
+    """(exit code, stderr) of `cli.main` on argv, stdout discarded."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:                    # argparse usage error
+            code = exc.code
+    return code, err.getvalue()
+
+
 @settings(max_examples=40, derandomize=True, deadline=None)
 @_with_past_faults
 @given(st.sampled_from(["eig", "barta", "rstar", "sweep", "kazdan"]), _ROW)
@@ -472,19 +522,31 @@ def test_one_row_commands_exit_with_a_named_parameter(command, row):
     # Any one-row command exits 0, 2 (invalid input) or 3 (non-
     # convergence), never with a traceback, and an exit 2 or 3 names a
     # parameter on stderr.
-    argv = [command] + ["--%s=%s" % (k, x if isinstance(x, str) else repr(x))
-                        for k, x in zip("pmcr", row)]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:                    # argparse usage error
-            code = exc.code
-    err = err.getvalue()
+    argv = [command] + _flags("pmcr", row)
+    code, err = _main_in_process(argv)
     assert code in (0, 2, 3), (argv, code, err)
     assert "Traceback" not in err
     if code:
         assert re.search(r"\b(p|m|c|r)=|--(p|m|c|r)\b", err), (argv, err)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@example("catenoid", (1.5, 1.2))
+@example("catenoid", (3.0, 1.0))
+@example("catenoid", (3.0, 1.0000000001))
+@example("plane", (1.5, 1.2))
+@given(st.sampled_from(["plane", "catenoid"]),
+       _ROW.map(lambda row: (row[0], row[3])))
+def test_surface_row_exits_with_a_named_parameter(surface, row):
+    # The surface command on one (p, r) exits 0, 2 or 3, and an exit 2
+    # or 3 names p or r.  The examples ended in a ZeroDivisionError
+    # traceback (k = 0 raised to p - 2 at p < 2) or refused naming no r.
+    argv = ["surface", "--surfaces", surface] + _flags("pr", row)
+    code, err = _main_in_process(argv)
+    assert code in (0, 2, 3), (argv, code, err)
+    assert "Traceback" not in err
+    if code:
+        assert re.search(r"\b(p|r)=|--(p|r)\b", err), (argv, err)
 
 
 def _readme_commands():

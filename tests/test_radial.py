@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import warnings
 from array import array
 from types import SimpleNamespace
 
@@ -1103,7 +1104,7 @@ def test_solution_shape_and_boundary():
     assert abs(sol.omega[-1]) <= 1e-8
     assert np.all(sol.omega[:-1] > 0.0)
     assert np.all(sol.omega_prime[1:] < 0.0)
-    assert sol.flux[0] == pytest.approx(0.0, abs=1e-15)
+    assert sol.omega_prime[0] == 0.0          # the pole: zero flux
     assert sol.residual <= 1e-6
 
 
@@ -1144,15 +1145,46 @@ def test_evaluate_unsorted_array():
                 assert wpi == pytest.approx(wps, abs=1e-10)
 
 
+_FLAT_BALL = ball_problem(2.5, 2, 0.0, 1.0)
+_ANNULUS = RadialProblem(3.0, 2, modelspace.space_form(0.0),
+                         Annulus(0.5, 1.5))
+
+
+@pytest.mark.parametrize("problem,t", [
+    (_FLAT_BALL, 1.5), (_FLAT_BALL, -0.1),
+    (_FLAT_BALL, math.nextafter(1.0, 2.0)), (_FLAT_BALL, math.nan),
+    (_ANNULUS, 0.4), (_ANNULUS, math.nextafter(0.5, 0.0)),
+], ids=["ball-1.5", "ball--0.1", "ball-past-r", "ball-nan", "annulus-0.4",
+        "annulus-before-a"])
+def test_evaluate_refuses_points_outside_the_domain(problem, t):
+    # These were read off the march anyway: t = 1.5 gave omega' = -0.808,
+    # re-derived with the weight at 1.5, against omega'(1) = -1.0587; the
+    # annulus at 0.4 gave 3.386 against 3.029 at the wall; t = -0.1 first
+    # warned of a complex pole series, then the profile refused it.
+    sol = (solve_ball_eigenvalue(problem) if problem.domain.kind == "ball"
+           else solve_annulus_eigenvalue(problem))
+    left, right = problem.domain.left, problem.domain.right
+    named = re.escape("t=%r, outside the domain [%r, %r]" % (t, left, right))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=named):
+            sol.evaluate(t)
+        with pytest.raises(ValueError, match=named):
+            sol.evaluate(np.array([left, t, right]))
+    # both ends are inside
+    w, _ = sol.evaluate(np.array([left, right]))
+    assert w[0] == sol.omega[0] and w[1] == sol.omega[-1]
+
+
 def test_cached_solution_is_read_only():
     problem = ball_problem(2.0, 2, 0.0, 1.0)
     fresh = solve_ball_eigenvalue(problem, use_cache=False)
     sol = solve_ball_eigenvalue(problem)
     peak = sol.omega.max()
-    # fresh.flux is the first read of that solution: the build it starts
-    # must protect all four arrays
-    for arr in (fresh.flux, fresh.grid, fresh.omega, fresh.omega_prime,
-                sol.grid, sol.omega, sol.omega_prime, sol.flux):
+    # fresh.omega_prime is the first read of that solution: the build it
+    # starts must protect all three arrays
+    for arr in (fresh.omega_prime, fresh.grid, fresh.omega,
+                sol.grid, sol.omega, sol.omega_prime):
         with pytest.raises(ValueError):
             arr[:] = 0.0
         with pytest.raises(ValueError):
@@ -1162,7 +1194,7 @@ def test_cached_solution_is_read_only():
     assert again.omega.max() == peak == pytest.approx(1.0, abs=1e-12)
 
 
-_DENSE_NAMES = ("grid", "omega", "omega_prime", "flux", "residual")
+_DENSE_NAMES = ("grid", "omega", "omega_prime", "residual")
 _LAZY_PROBLEMS = [
     ball_problem(2.5, 2, 1.0, 1.0),
     RadialProblem(3.0, 2, modelspace.space_form(0.0), Annulus(0.5, 1.0)),
@@ -1375,7 +1407,7 @@ def _assert_same_solution(sol, cold):
     """sol and the cold solve agree in lam, steps, every array bit and
     the residual."""
     assert (cold.lam, cold.iterations) == (sol.lam, sol.iterations)
-    for name in ("grid", "omega", "omega_prime", "flux"):
+    for name in ("grid", "omega", "omega_prime"):
         arr = getattr(sol, name)
         assert not arr.flags.writeable
         assert arr.tobytes() == getattr(cold, name).tobytes()
