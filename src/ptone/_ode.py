@@ -11,9 +11,11 @@ The integrators are generated per right-hand-side form, not written once
 over a callable f: `compile_form` writes the form's slopes, and the
 weight expression they read, into each stage of the one template of a
 step (`_STAGES`), and writes those stages into two loops: the adaptive
-`integrate` of the shots (`_INTEGRATE`) and the fixed-step `walk`
-(`_WALK`).  It compiles the result once per process.  A closed-form
-weight (sinh(rc * s) / rc, say) is source in the stages too, not a call.
+`integrate` of the shots (`_INTEGRATE`), whose tolerance is an
+argument, and the fixed-step `walk` (`_WALK`).  It compiles the result
+once per process.  The weight is source in the stages too: a closed
+form as its formula (sinh(rc * s) / rc, say), a tabulated one as a
+binary search of its knots and the cubic of the interval found.
 Every operation and its operands are those of a step over f (seven
 calls of f, each packing a tuple) driven by a loop that calls the step,
 so every result keeps its bits; the tests keep those as the references.
@@ -155,7 +157,7 @@ _ERROR = "h * (%s)" % _weighted(_E)
 # integrate is the adaptive loop of the shots.  Its error scales and step
 # clamps select what abs, max and min would, without a call.
 _INTEGRATE = """\
-    def integrate(t0, t1, y0):
+    def integrate(t0, t1, y0, tol):
         span = t1 - t0
         if span <= 0:
             raise ValueError("integrate requires t1 > t0")
@@ -180,10 +182,10 @@ _INTEGRATE = """\
             ev = {ev}
             au = u if u >= 0.0 else -u
             a = w if w >= 0.0 else -w
-            su = 1e-12 + 1e-12 * (a if a > au else au)
+            su = tol + tol * (a if a > au else au)
             av = v if v >= 0.0 else -v
             a = phi if phi >= 0.0 else -phi
-            sv = 1e-12 + 1e-12 * (a if a > av else av)
+            sv = tol + tol * (a if a > av else av)
             err = ((eu / su) ** 2 + (ev / sv) ** 2) ** 0.5 * 0.7071067811865476
             if err != err:  # NaN
                 raise IntegrationError(
@@ -277,13 +279,16 @@ def compile_form(params, weight, dw, dphi):
 
     f(s, w, phi) -> (dw, dphi) is the right-hand side.
 
-    integrate(t0, t1, y0) integrates from t0 to t1 > t0 with proportional
-    step control at relative and absolute tolerance 1e-12 and returns
-    (ts, ys): the accepted mesh nodes and states (u, v), starting at
-    (t0, y0).  It ends at t1 or at the first accepted node where u <= 0,
-    which the mesh still contains: a shot needs its trajectory only up to
-    the first zero of omega.  It raises IntegrationError on step-size
-    underflow, NaN propagation or more than 1000000 steps.
+    integrate(t0, t1, y0, tol) integrates from t0 to t1 > t0 with
+    proportional step control at relative and absolute tolerance tol and
+    returns (ts, ys): the accepted mesh nodes and states (u, v), starting
+    at (t0, y0).  The shots pass tol = 1e-12, whose error scales
+    tol + tol * |y| are the float operations of a literal 1e-12; the
+    loose rungs of the eigenvalue bracket pass a larger one.  It ends at
+    t1 or at the first accepted node where u <= 0, which the mesh still
+    contains: a shot needs its trajectory only up to the first zero of
+    omega.  It raises IntegrationError on step-size underflow, NaN
+    propagation or more than 1000000 steps.
 
     walk(ts, hs, u, v, k1u, k1v, out_w, out_phi, rec) takes, for each j
     in order, the fixed step of length hs[j] from ts[j], starting from

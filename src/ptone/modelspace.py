@@ -31,12 +31,12 @@ Profiles come in three kinds:
 
 Each profile also carries f as one expression over the point s,
 `f_expr`, with the values of the names it reads, `f_names`, a read-only
-mapping.  For the closed forms it is the one copy of the formula: the
-pure-Python `f_scalar` is compiled from it, and the solver writes it
-into the stages of its generated integrators (`radial._make_rhs`).  A
-tabulated profile's expression is `fscalar(s)`, a call of its
-`f_scalar`, a pure-Python evaluator of the same piecewise cubic; the
-solver binds `fscalar` itself, so its `f_names` is empty.
+mapping.  It is the one copy of f as scalar code: the pure-Python
+`f_scalar` is compiled from it, and the solver writes it into the
+stages of its generated integrators (`radial._make_rhs`).  For the
+closed forms it is the formula; for a tabulated profile it is a binary
+search of the knots and the power sum of the cubic it finds, with the
+knots and coefficients held as tuples.
 
 Everything here is a pure function of its inputs; profiles are immutable
 after construction and safe to share between threads.
@@ -232,6 +232,27 @@ def _scalar_warping(kind, c, eps):
     return expr, names
 
 
+def _tabulated_warping(pchip):
+    """The warping of a PCHIP (x, table) as source: (expr, names).
+
+    expr finds the interval by bisect_right on the knots with lo = 1 and
+    hi = n - 1, which returns `_pchip_eval`'s interval plus one, clamped
+    as its rule clamps (the end cubics extrapolate), and sums c3 + c2 d
+    + c1 d^2 + c0 d^3 with d^2 = d d and d^3 = (d d) d, as `_pchip_eval`
+    does.  So every value equals the interpolant's bit for bit (and so
+    scipy's, which a test checks).  The assignment expressions bind
+    iv, ds and ds2 in the function that evaluates expr.
+    """
+    x, table = pchip
+    c0, c1, c2, c3 = (tuple(row) for row in table[:4].tolist())
+    expr = ("c3[(iv := bisect_right(knots, s, 1, top) - 1)]"
+            " + c2[iv] * (ds := s - knots[iv])"
+            " + c1[iv] * (ds2 := ds * ds) + c0[iv] * (ds2 * ds)")
+    return expr, {"knots": tuple(x.tolist()), "top": len(x) - 1,
+                  "c0": c0, "c1": c1, "c2": c2, "c3": c3,
+                  "bisect_right": bisect_right}
+
+
 @functools.cache
 def _compile_warping(expr, names):
     """make(**values) -> the function s -> expr of the given names.
@@ -243,30 +264,6 @@ def _compile_warping(expr, names):
     exec("def make(%s):\n    return lambda s: %s\n" % (", ".join(names),
                                                          expr), made)
     return made["make"]
-
-
-def _pchip_scalar(pchip):
-    """A fast float->float evaluator of a PCHIP (x, table) for the shots.
-
-    It reads the knots and coefficients one point at a time, with
-    `_pchip_eval`'s interval rule and the same power sum c3 + c2 s +
-    c1 s^2 + c0 s^3 with s^3 = (s s) s, so every value equals the
-    interpolant's bit for bit (and so scipy's, which a test checks).
-    """
-    x = pchip[0].tolist()
-    c0, c1, c2, c3 = pchip[1][:4].tolist()
-    last = len(x) - 2
-
-    def f(t):
-        i = bisect_right(x, t) - 1
-        if i < 0:
-            i = 0
-        elif i > last:
-            i = last
-        s = t - x[i]
-        z = s * s
-        return c3[i] + c2[i] * s + c1[i] * z + c0[i] * (z * s)
-    return f
 
 
 class WarpingProfile:
@@ -290,13 +287,10 @@ class WarpingProfile:
         self._data_key = data_key
         if pchip is None:
             self.f_expr, names = _scalar_warping(kind, c, eps)
-            self.f_names = types.MappingProxyType(names)
-            self.f_scalar = _compile_warping(
-                self.f_expr, tuple(names))(**names)
         else:
-            self.f_expr = "fscalar(s)"
-            self.f_names = types.MappingProxyType({})
-            self.f_scalar = _pchip_scalar(pchip)
+            self.f_expr, names = _tabulated_warping(pchip)
+        self.f_names = types.MappingProxyType(names)
+        self.f_scalar = _compile_warping(self.f_expr, tuple(names))(**names)
 
     def eval(self, t):
         """Return (f, f', f'') at t (scalar or array), t in [0, r_max]."""

@@ -34,14 +34,20 @@ appears before r) and then runs Brent's method on the continuous miss
     g(lam) = omega'(z) (r - z)     if its first zero is z <= r,
 
 whose sign is the first-zero test and which decreases through 0 at the
-eigenvalue with a continuous slope.  The reported lam is the zero-free
-end of the final bracket, whose trajectory is already integrated.  It is
-certified zero-free for the computed shot, not a lower value for the
-exact equation: at large p the shot's integration error exceeds the
-1e-12 bracket width.  On the flat unit ball with m = 1, lam sits above
-(p-1)(pi_p/2)^p by 3.9e-12 (p = 8), 5.1e-11 (p = 12) and 2.0e-10
-(p = 16), relative.  Annuli shoot from the left endpoint with
-omega(a) = 0 and unit initial flux instead.
+eigenvalue with a continuous slope.  Every value Brent reads (at both
+ends of the bracket and at each point it evaluates) comes from a tight
+shot, integrated at tolerance 1e-12.  A doubling rung below the top of
+the ladder is read only for its sign, so it first takes a loose shot at
+1e-8, which decides the rung zero-free when omega reaches r above 1e-3
+of its maximum; otherwise the tight shot decides it.  The bracket,
+Brent's path and the result are thus those of tight shots alone, bit for
+bit.  The reported lam is the zero-free end of the final bracket, whose
+trajectory is already integrated.  It is certified zero-free for the
+computed shot, not a lower value for the exact equation: at large p the
+shot's integration error exceeds the 1e-12 bracket width.  On the flat
+unit ball with m = 1, lam sits above (p-1)(pi_p/2)^p by 3.9e-12
+(p = 8), 5.1e-11 (p = 12) and 2.0e-10 (p = 16), relative.  Annuli shoot
+from the left endpoint with omega(a) = 0 and unit initial flux instead.
 """
 
 import functools
@@ -59,6 +65,16 @@ from .modelspace import WarpingProfile, space_form
 P_MIN, P_MAX = 1.05, 16.0
 
 _DEFAULT_TOL = 1e-12     # relative width of the final eigenvalue bracket
+_SHOT_TOL = 1e-12        # the shots' integration tolerance
+# A doubling rung of the eigenvalue bracket is read only for its sign
+# unless it is the rung that ends the ladder, so it first takes a loose
+# shot (`_loose_zero_free`): at _LOOSE_TOL, and deciding only where omega
+# ends above _LOOSE_MARGIN of its maximum.  Over balls and annuli at
+# p from 1.05 to 16 and lam from 0.5 to 0.999 of the eigenvalue, the
+# loose omega at the end is at most 3.8e-5 of that maximum off the tight
+# one (1e-6 gives 3.7e-3, too close to the margin).
+_LOOSE_TOL = 1e-8
+_LOOSE_MARGIN = 1e-3
 _DEFAULT_GRID = 2048
 _STARTUP_FRAC = 1e-4
 # Dense-march control (`RadialSolution._march`): no step of the grid
@@ -237,12 +253,11 @@ def _make_rhs(p, m, profile, lam):
     integrate and walk are its adaptive and fixed-step Dormand-Prince
     loops (`_ode.compile_form`).  The form's slopes are
     `_SLOPES`, and its weight is chosen by min(m - 1, 2): none, the
-    profile's f_expr, or (f_expr) ** mm1.  A closed-form warping is thus
-    written into every stage; a tabulated one calls `fscalar`, bound
-    here to the profile's f_scalar.  Each form (at most 30: 7 warping
-    expressions times 2 weight powers, plus unweighted, times p = 2 or
-    not) is compiled on its first use in the process; this binds lam,
-    the exponents and the profile's names.
+    profile's f_expr, or (f_expr) ** mm1.  Every warping, closed-form or
+    tabulated, is thus written into every stage.  Each form (at most 30:
+    7 warping expressions times 2 weight powers, plus unweighted, times
+    p = 2 or not) is compiled on its first use in the process; this
+    binds lam, the exponents and the profile's f_names.
     """
     k = min(m - 1, 2)
     params = "lam, nlam, em1, pm1, mm1"
@@ -250,11 +265,8 @@ def _make_rhs(p, m, profile, lam):
     weight = None
     if k:
         weight = profile.f_expr if k == 1 else "(%s) ** mm1" % profile.f_expr
-        names = dict(profile.f_names)
-        if profile._pchip is not None:
-            names["fscalar"] = profile.f_scalar
-        params += "".join(", " + n for n in names)
-        args += names.values()
+        params += "".join(", " + n for n in profile.f_names)
+        args += profile.f_names.values()
     make = _ode.compile_form(params, weight, *_SLOPES[p == 2.0, k > 0])
     return make(*args)
 
@@ -310,33 +322,64 @@ def _refine_zero(rhs, walk, ts, ys, k, tol_t, comp=0):
     return z, steps[z]
 
 
+def _start(problem, lam):
+    """(t, (omega, Phi)) where a trial-lam shot starts.
+
+    A ball starts at t0 = 1e-4 r with the startup state, an annulus at
+    (a, (0, 1)) (unit initial flux).
+    """
+    d = problem.domain
+    if d.kind == "annulus":
+        return d.left, (0.0, 1.0)
+    t0 = _STARTUP_FRAC * d.right
+    return t0, _Startup(problem.p, problem.m, problem.profile,
+                        lam).state(t0)
+
+
 def _shoot(problem, lam):
     """Integrate the trial-lam trajectory; return (ts, ys, miss).
 
-    For balls the mesh starts at t0 = 1e-4 r with the startup state; for
-    annuli it starts at (a, (0, 1)) (unit initial flux).  Integration stops
-    at the first node where omega <= 0.  `miss` is the continuous miss
-    g(lam) of the module docstring, positive exactly when omega has no
-    zero before the right endpoint: omega there when the integration
+    The mesh starts at `_start` and is integrated at tolerance _SHOT_TOL.
+    Integration stops at the first node where omega <= 0.  `miss` is the
+    continuous miss g(lam) of the module docstring, positive exactly when
+    omega has no zero before the right endpoint: omega there when the
+    integration
     reached it (a zero inside the last step, or none), and
     omega'(z) (r - z) from the refined zero z when it stopped earlier.
     A zero exactly at the endpoint counts as a zero.
     """
-    p, m, prof = problem.p, problem.m, problem.profile
-    rhs, integrate, walk = _make_rhs(p, m, prof, lam)
-    d = problem.domain
-    t_end = d.right
-    if d.kind == "ball":
-        t_start = _STARTUP_FRAC * t_end
-        y_start = _Startup(p, m, prof, lam).state(t_start)
-    else:
-        t_start, y_start = d.left, (0.0, 1.0)
-    ts, ys = integrate(t_start, t_end, y_start)
+    rhs, integrate, walk = _make_rhs(problem.p, problem.m, problem.profile,
+                                     lam)
+    t_start, y_start = _start(problem, lam)
+    t_end = problem.domain.right
+    ts, ys = integrate(t_start, t_end, y_start, _SHOT_TOL)
     if ys[-1][0] > 0.0 or ts[-1] >= t_end:
         return ts, ys, ys[-1][0] or -math.ulp(0.0)
     zero, (_, _, slope, _) = _refine_zero(rhs, walk, ts, ys, len(ts) - 1,
                                           1e-12 * (t_end - t_start))
     return ts, ys, -abs(slope) * (t_end - zero)
+
+
+def _loose_zero_free(problem, lam):
+    """True when a loose shot shows that omega at lam has no zero.
+
+    It integrates from `_start` to the right end at _LOOSE_TOL and says
+    True only when the trajectory reaches the end with omega there above
+    _LOOSE_MARGIN times its largest omega: the loose omega(r) lies within
+    3.8e-5 of that maximum of the tight one (see _LOOSE_TOL), so the
+    tight shot would find no zero either.  A zero, an end inside the
+    margin or an integration that fails say False, and the tight shot
+    decides.
+    """
+    integrate = _make_rhs(problem.p, problem.m, problem.profile, lam)[1]
+    try:
+        t_start, y_start = _start(problem, lam)
+        ts, ys = integrate(t_start, problem.domain.right, y_start,
+                           _LOOSE_TOL)
+    except (NonConvergenceError, OverflowError, ZeroDivisionError):
+        return False
+    # omega > 0 at the last node means integrate ran to the end.
+    return ys[-1][0] > _LOOSE_MARGIN * max(y[0] for y in ys)
 
 
 def _omega_prime(problem, t, phi):
@@ -630,15 +673,52 @@ def _barta_seed(problem):
     return val if val > 0 else (p - 1.0) * (pi_p(p) / (2 * r)) ** p
 
 
+def _half_seed(problem):
+    """Half the `_barta_seed`: the first lam the bracket shoots.
+
+    Raises a ValueError naming the domain, p and m when it, or the start
+    state of a shot at it, is not finite or overflows: on a ball of tiny
+    r the seed grows like r^-p, and the pole expansion's t^(2 beta)
+    coefficient overflows while t0^(2 beta) underflows (inf * 0), so the
+    first shot's error estimate is NaN and no bracket could form.
+    """
+    lam, state = math.inf, ()
+    try:
+        # An overflow is refused below; numpy need not warn of it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            lam = 0.5 * _barta_seed(problem)
+        state = _start(problem, lam)[1]
+    except OverflowError:
+        state = (math.inf,)
+    if not all(map(math.isfinite, (lam, *state))):
+        raise ValueError(
+            "%r: the first trial lam=%g (half the eigenvalue seed) or the "
+            "shot's start state there leaves the float range (p=%g, m=%d)"
+            % (problem.domain, lam, problem.p, problem.m))
+    return lam
+
+
 def _solve(problem, tol):
     """(lam, ts, ys, steps) for the zero-free end of the final bracket.
 
+    The bracket starts at half the `_barta_seed`, halves until a shot
+    has no zero (lam_lo) and doubles until one has (lam_hi); Brent reads
+    the miss at lam_lo, lam_hi and every point it evaluates, each a
+    tight `_shoot`.  A doubling rung below lam_hi is read only for its
+    sign: a loose shot (`_loose_zero_free`) decides it where it can, and
+    the tight shot where it cannot, so the bracket, Brent's path and
+    every bit of the result are those of tight shots alone.
+
     steps counts the Brent steps after the bracketing shots.  A
     NonConvergenceError (IntegrationError included) leaves with the
-    problem and the tightest bracket shot so far appended to its message.
+    problem and the tightest bracket of tight shots so far appended to
+    its message (a rung the loose shot decided counts in neither end).
     An OverflowError or ZeroDivisionError of the seed or of a shot (a
     power of the state or a weight that leaves the float range) leaves
-    as an IntegrationError with the same message.
+    as an IntegrationError with the same message.  A seed, or a start
+    state at half of it, outside the float range is a problem the shots
+    cannot represent: a ValueError naming the domain, p and m, raised
+    before any shot.
     """
     shots = {}
 
@@ -648,7 +728,7 @@ def _solve(problem, tol):
         return shots[lam][2]
 
     try:
-        lam_lo = 0.5 * _barta_seed(problem)
+        lam_lo = _half_seed(problem)
         for _ in range(80):
             if miss(lam_lo) > 0.0:
                 break
@@ -658,7 +738,7 @@ def _solve(problem, tol):
         lam_hi = lam_lo
         for _ in range(60):
             lam_hi *= 2.0
-            if miss(lam_hi) <= 0.0:
+            if not _loose_zero_free(problem, lam_hi) and miss(lam_hi) <= 0.0:
                 break
         else:
             raise NonConvergenceError("no omega zero after 60 doublings of lam")

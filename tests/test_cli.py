@@ -9,6 +9,7 @@ import shlex
 import subprocess
 import sys
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -436,6 +437,20 @@ def test_arithmetic_faults_exit_with_the_problem(argv, tmp_path, capsys):
     assert re.search(r"\b(p|m|r)=", res.stderr)
 
 
+@pytest.mark.parametrize("argv", [
+    ["eig", "--p", "2", "--r", "1e-60"],
+    ["eig", "--p", "2", "--r", "1e-76"],
+    ["eig", "--p", "16", "--r", "1e-19"],
+], ids=" ".join)
+def test_tiny_representable_radii_solve(argv, capsys):
+    # The refusal of an unrepresentable seed or start state stops short of
+    # these radii, which solve.
+    res = run_main(capsys, *argv)
+    assert res.returncode == 0, res.stderr
+    lam = float(parse_csv(res.stdout)[0]["lambda"])
+    assert math.isfinite(lam) and lam > 0.0
+
+
 _UNNAMED_REFUSALS = [
     (["eig", "--p", "2", "--m", "2", "--c=0", "--r", "9"], "r=9"),
     (["kazdan", "--p", "2", "--m", "2", "--c=1", "--r", "3.5"], "r=3.5"),
@@ -445,6 +460,11 @@ _UNNAMED_REFUSALS = [
     (["eig", "--p", "2", "--m", "100", "--r", "1"], "m=100"),
     (["eig", "--p", "2", "--r", "1e-300"], "r=1e-300"),
     (["eig", "--p", "2", "--r", "1e-200"], "r=1e-200"),
+    (["eig", "--p", "2", "--r", "1e-80"], "r=1e-80"),
+    (["eig", "--p", "2", "--r", "1e-100"], "r=1e-100"),
+    (["eig", "--p", "2", "--r", "1e-160"], "r=1e-160"),
+    (["eig", "--p", "16", "--r", "1e-25"], "r=1e-25"),
+    (["eig", "--p", "1.05", "--r", "1e-20"], "r=1e-20"),
     (["sweep", "--p", "10.678688063175688", "--m", "3", "--c=1", "--r",
       "2.417524932289065e-26"], "p=10.6787"),
     (["surface", "--surfaces", "catenoid", "--p", "1.5", "--r", "1.2"],
@@ -462,7 +482,10 @@ def test_invalid_input_names_its_parameter(argv, named, capsys):
     # profile's domain, a curvature outside the r* case analysis, a
     # Rayleigh grid whose p-mass underflows; or exited 3, "non-
     # convergence: ZeroDivisionError", where the start weight
-    # (1e-4 r)^(m-1) or the seed's r**2 underflowed to 0.  A catenoid
+    # (1e-4 r)^(m-1) or the seed's r**2 underflowed to 0, or exited 3
+    # with "NaN in the error estimate" and no bracket (or an
+    # OverflowError) at a ball radius whose seed, or whose start state at
+    # half the seed, leaves the float range.  A catenoid
     # surface row at p < 2 ended in a ZeroDivisionError traceback (k = 0
     # raised to p - 2), and its band refusals named no r.
     res = run_main(capsys, *argv)
@@ -486,7 +509,8 @@ _ROW = st.tuples(st.floats(1.0001, 64.0) | _NON_FINITE,
 # Inputs that ended in a traceback: an OverflowError of the flux power
 # near the conjugate point (all five commands) and a ZeroDivisionError of
 # the start weight (1e-4 r)^(m-1) or of the seed's r**2; and r = 1e-100,
-# whose first shot fails (exit 3).
+# whose first shot failed (exit 3): its start state at half the seed is
+# NaN, which is refused before any shot (exit 2).
 _PAST_FAULTS = [(command, (1.05, 12, 1.0, 3.14))
             for command in ("eig", "barta", "rstar", "sweep", "kazdan")] + [
     ("eig", (2.0, 1000, 0.0, 1.0)), ("eig", (2.0, 2, 0.0, 1e-300)),
@@ -625,11 +649,17 @@ def test_m1_eig_shoots_once_per_p(monkeypatch, capsys):
 def test_integration_failure_exits_three(monkeypatch, capsys):
     # A failed integration is a numerical non-convergence: exit 3, with
     # the parameters that caused it, not a traceback.  The shots fail for
-    # real: the profile's weight turns NaN past t = 0.5.
+    # real: the profile's weight turns NaN past t = 0.5.  The stages read
+    # the warping as source, f_expr over f_names, so the NaN goes there.
     t = np.linspace(0.0, 2.0, 201)
     prof = modelspace.tabulated(t, t, label="nan-past-half")
-    monkeypatch.setattr(prof, "f_scalar",
-                        lambda s: math.nan if s > 0.5 else s)
+
+    def nan_past_half(s):
+        return math.nan if s > 0.5 else s
+    monkeypatch.setattr(prof, "f_scalar", nan_past_half)
+    monkeypatch.setattr(prof, "f_expr", "nan_past_half(s)")
+    monkeypatch.setattr(prof, "f_names",
+                        MappingProxyType({"nan_past_half": nan_past_half}))
     monkeypatch.setattr(radial, "space_form", lambda c: prof)
     radial.clear_solver_cache()
     assert cli.main(["eig", "--p", "2.5", "--m", "3", "--c", "0",

@@ -1,5 +1,6 @@
 import math
 import re
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -260,6 +261,10 @@ def test_warping_names_are_read_only():
                            np.sinh(np.linspace(0.0, 1.0, 2001)))):
         with pytest.raises(TypeError):
             prof.f_names["rc"] = 2.0
+    # A tabulated profile's knots and coefficients are tuples.
+    for name in ("knots", "c0", "c1", "c2", "c3"):
+        with pytest.raises(TypeError):
+            prof.f_names[name][0] = 0.0
 
 
 # the scalar evaluator of tabulated profiles
@@ -347,7 +352,13 @@ def test_tabulated_solve_unchanged_by_scalar_evaluator(p, monkeypatch):
     fast = tabulated(t, np.sinh(t))
     ref = tabulated(t, np.sinh(t))
     interp = PchipInterpolator(t, np.sinh(t))
-    monkeypatch.setattr(ref, "f_scalar", lambda s: float(interp(s)))
+
+    def scipy_f(s):
+        return float(interp(s))
+    # The stages read the warping as source, f_expr over f_names.
+    monkeypatch.setattr(ref, "f_scalar", scipy_f)
+    monkeypatch.setattr(ref, "f_expr", "scipy_f(s)")
+    monkeypatch.setattr(ref, "f_names", MappingProxyType({"scipy_f": scipy_f}))
     sols = [radial.solve_ball_eigenvalue(
                 radial.RadialProblem(p, 2, prof, radial.Ball(1.0)),
                 use_cache=False)

@@ -3,7 +3,7 @@ import math
 import re
 import warnings
 from array import array
-from types import SimpleNamespace
+from types import MappingProxyType, SimpleNamespace
 
 import numpy as np
 import pytest
@@ -955,10 +955,20 @@ def test_shot_mesh_stops_at_first_nonpositive_omega(problem):
 
 
 def _nan_from_half(monkeypatch):
-    """A tabulated profile whose f_scalar turns NaN past t = 0.5."""
+    """A tabulated profile whose warping turns NaN past t = 0.5.
+
+    The stages read the warping as source, `f_expr` over `f_names`, so
+    the NaN goes in there (and into `f_scalar`, which the problem's
+    start-weight check reads).
+    """
     prof = modelspace.tabulated(_T_NODES, _T_NODES, label="nan-past-half")
-    monkeypatch.setattr(prof, "f_scalar",
-                        lambda t: math.nan if t > 0.5 else 1.0 + t)
+
+    def nan_past_half(t):
+        return math.nan if t > 0.5 else 1.0 + t
+    monkeypatch.setattr(prof, "f_scalar", nan_past_half)
+    monkeypatch.setattr(prof, "f_expr", "nan_past_half(s)")
+    monkeypatch.setattr(prof, "f_names",
+                        MappingProxyType({"nan_past_half": nan_past_half}))
     return prof
 
 
@@ -968,8 +978,9 @@ def test_integrate_raises_on_nan(monkeypatch):
     for p, m, prof, lam in ((2.0, 1, modelspace.space_form(0.0), math.nan),
                             (2.5, 2, _nan_from_half(monkeypatch), 3.0)):
         integrate = radial._make_rhs(p, m, prof, lam)[1]
-        with pytest.raises(_ode.IntegrationError, match="NaN"):
-            integrate(0.0, 1.0, (1.0, 1.0))
+        for tol in (1e-12, radial._LOOSE_TOL):
+            with pytest.raises(_ode.IntegrationError, match="NaN"):
+                integrate(0.0, 1.0, (1.0, 1.0), tol)
 
 
 def _criterion_01_cases():
@@ -979,6 +990,9 @@ def _criterion_01_cases():
 
 def test_shots_per_solve(monkeypatch):
     # The bisection on "has a zero before r" took 30-31 shots per solve.
+    # A tight shot is taken only where Brent reads the miss: at both ends
+    # of its bracket and at each of its steps.  The zero-free doubling
+    # rungs are decided by loose shots.
     shots = []
     shoot = radial._shoot
     monkeypatch.setattr(radial, "_shoot",
@@ -987,8 +1001,76 @@ def test_shots_per_solve(monkeypatch):
         del shots[:]
         sol = solve_ball_eigenvalue(ball_problem(p, m, 0.0, 1.0),
                                     use_cache=False)
-        assert len(shots) <= 12
-        assert sol.iterations < len(shots)
+        assert len(shots) == sol.iterations + 2
+
+
+def _solve_bits(problem):
+    """`radial._solve` at tol 1e-12, every float as its hex."""
+    lam, ts, ys, steps = radial._solve(problem, 1e-12)
+    return (lam.hex(), [t.hex() for t in ts],
+            [[x.hex() for x in y] for y in ys], steps)
+
+
+# Balls at the ends and middle of the p range, and the annuli of the
+# `warped` benchmark: (0.2, 1.2) at m = 1, whose seed is its exact
+# eigenvalue (p-1)(pi_p/L)^p, so a doubling rung lands on the root (at
+# p = 3 a loose shot with no margin misjudged it), and (0.5, 1.5) at
+# m = 2.
+_LADDER_PROBLEMS = (
+    [ball_problem(p, m, c, 1.0) for p in (1.05, 2.0, 3.0, 16.0)
+     for m in (1, 3) for c in (-1.0, 0.0, 1.0)]
+    + [RadialProblem(p, 1, modelspace.space_form(0.0), Annulus(0.2, 1.2))
+       for p in (2.0, 3.0, 4.0)]
+    + [RadialProblem(p, 2, modelspace.space_form(c), Annulus(0.5, 1.5))
+       for p in (2.0, 3.0, 4.0) for c in (-1.0, 1.0)])
+
+
+def test_loose_ladder_keeps_every_bit(monkeypatch):
+    # A loose shot decides a zero-free doubling rung, which Brent never
+    # reads, so lam, the mesh and the Brent steps must be those of a
+    # ladder of tight shots alone, bit for bit.  The loose shots must
+    # decide some rungs, or the comparison shows nothing.
+    decided = []
+    loose = radial._loose_zero_free
+
+    def spy(problem, lam):
+        decided.append(loose(problem, lam))
+        return decided[-1]
+
+    for problem in _LADDER_PROBLEMS:
+        monkeypatch.setattr(radial, "_loose_zero_free", spy)
+        shipped = _solve_bits(problem)
+        monkeypatch.setattr(radial, "_loose_zero_free", lambda *args: False)
+        assert _solve_bits(problem) == shipped, problem
+    assert sum(decided) >= len(_LADDER_PROBLEMS)
+
+
+@pytest.mark.parametrize("error", [_ode.IntegrationError, OverflowError,
+                                   ZeroDivisionError])
+def test_failed_loose_shot_leaves_the_rung_to_the_tight_one(error,
+                                                            monkeypatch):
+    # A loose integration that fails decides nothing: the tight shot
+    # decides the rung, and nothing is raised or changed.
+    problem = ball_problem(2.5, 2, -1.0, 1.0)
+    tight = _solve_bits(problem)
+    make_rhs = radial._make_rhs
+    failed = []
+
+    def failing(p, m, profile, lam):
+        rhs, integrate, walk = make_rhs(p, m, profile, lam)
+
+        def integrate_or_fail(t0, t1, y0, tol):
+            if tol == radial._LOOSE_TOL:
+                failed.append(lam)
+                raise error("loose shot at lam=%r" % lam)
+            return integrate(t0, t1, y0, tol)
+        return rhs, integrate_or_fail, walk
+
+    monkeypatch.setattr(radial, "_make_rhs", failing)
+    assert not radial._loose_zero_free(problem, 1.0)
+    del failed[:]
+    assert _solve_bits(problem) == tight
+    assert failed
 
 
 @pytest.mark.parametrize("p,m,anchor", _criterion_01_cases())
@@ -1064,11 +1146,12 @@ def test_steps_run_on_python_floats(run, monkeypatch):
     # cost about twice its time on floats; the ball marches of a 2048-node
     # grid and of a dense query from the pole once ran on them.
     # Every step of the shots and of the march comes from _make_rhs: the
-    # shots' from integrate, the march's and the zero refinements' from
-    # walk, recording for `evaluate`.  The trial lam, what each of them is
-    # given and what it returns (a shot's every node and state, which its
-    # stages computed from lam and the weight), the starts and lengths of
-    # a walk and every state it writes are checked.
+    # shots' (tight and loose) from integrate, the march's and the zero
+    # refinements' from walk, recording for `evaluate`.  The trial lam,
+    # what each of them is given (a shot's tolerance too) and what it
+    # returns (a shot's every node and state, which its stages computed
+    # from lam and the weight), the starts and lengths of a walk and
+    # every state it writes are checked.
     types = set()
     make_rhs = radial._make_rhs
 
@@ -1076,9 +1159,9 @@ def test_steps_run_on_python_floats(run, monkeypatch):
         types.add(type(lam))
         rhs, integrate, walk = make_rhs(p, m, profile, lam)
 
-        def typed_integrate(t0, t1, y0):
-            types.update(map(type, (t0, t1, *y0)))
-            ts, ys = integrate(t0, t1, y0)
+        def typed_integrate(t0, t1, y0, tol):
+            types.update(map(type, (t0, t1, *y0, tol)))
+            ts, ys = integrate(t0, t1, y0, tol)
             types.update(map(type, ts))
             types.update(type(x) for y in ys for x in y)
             return ts, ys
