@@ -326,14 +326,27 @@ def _start(problem, lam):
     """(t, (omega, Phi)) where a trial-lam shot starts.
 
     A ball starts at t0 = 1e-4 r with the startup state, an annulus at
-    (a, (0, 1)) (unit initial flux).
+    (a, (0, 1)) (unit initial flux).  A ball's start state that is not
+    finite or overflows is a problem the shots cannot represent: on a
+    ball of tiny r, lam grows like r^-p, and the pole expansion's
+    t^(2 beta) coefficient overflows while t0^(2 beta) underflows
+    (inf * 0), so the shot's error estimate would be NaN.  It raises a
+    ValueError naming the domain, p, m and lam.
     """
     d = problem.domain
     if d.kind == "annulus":
         return d.left, (0.0, 1.0)
     t0 = _STARTUP_FRAC * d.right
-    return t0, _Startup(problem.p, problem.m, problem.profile,
-                        lam).state(t0)
+    try:
+        state = _Startup(problem.p, problem.m, problem.profile,
+                         lam).state(t0)
+    except OverflowError:
+        state = (math.inf,)
+    if not all(map(math.isfinite, state)):
+        raise ValueError(
+            "%r: the shot's start state at trial lam=%g leaves the float "
+            "range (p=%g, m=%d)" % (d, lam, problem.p, problem.m))
+    return t0, state
 
 
 def _shoot(problem, lam):
@@ -372,8 +385,8 @@ def _loose_zero_free(problem, lam):
     decides.
     """
     integrate = _make_rhs(problem.p, problem.m, problem.profile, lam)[1]
+    t_start, y_start = _start(problem, lam)
     try:
-        t_start, y_start = _start(problem, lam)
         ts, ys = integrate(t_start, problem.domain.right, y_start,
                            _LOOSE_TOL)
     except (NonConvergenceError, OverflowError, ZeroDivisionError):
@@ -676,24 +689,21 @@ def _barta_seed(problem):
 def _half_seed(problem):
     """Half the `_barta_seed`: the first lam the bracket shoots.
 
-    Raises a ValueError naming the domain, p and m when it, or the start
-    state of a shot at it, is not finite or overflows: on a ball of tiny
-    r the seed grows like r^-p, and the pole expansion's t^(2 beta)
-    coefficient overflows while t0^(2 beta) underflows (inf * 0), so the
-    first shot's error estimate is NaN and no bracket could form.
+    Raises a ValueError naming the domain, p and m when it is not finite
+    or overflows: on a ball of tiny r the seed grows like r^-p.  Each
+    shot's start state is checked by `_start`.
     """
-    lam, state = math.inf, ()
+    lam = math.inf
     try:
         # An overflow is refused below; numpy need not warn of it.
         with np.errstate(over="ignore", invalid="ignore"):
             lam = 0.5 * _barta_seed(problem)
-        state = _start(problem, lam)[1]
     except OverflowError:
-        state = (math.inf,)
-    if not all(map(math.isfinite, (lam, *state))):
+        pass
+    if not math.isfinite(lam):
         raise ValueError(
-            "%r: the first trial lam=%g (half the eigenvalue seed) or the "
-            "shot's start state there leaves the float range (p=%g, m=%d)"
+            "%r: the first trial lam=%g (half the eigenvalue seed) leaves "
+            "the float range (p=%g, m=%d)"
             % (problem.domain, lam, problem.p, problem.m))
     return lam
 
@@ -715,10 +725,10 @@ def _solve(problem, tol):
     its message (a rung the loose shot decided counts in neither end).
     An OverflowError or ZeroDivisionError of the seed or of a shot (a
     power of the state or a weight that leaves the float range) leaves
-    as an IntegrationError with the same message.  A seed, or a start
-    state at half of it, outside the float range is a problem the shots
-    cannot represent: a ValueError naming the domain, p and m, raised
-    before any shot.
+    as an IntegrationError with the same message.  A seed, or the start
+    state of any trial lam (`_start`), outside the float range is a
+    problem the shots cannot represent: a ValueError naming the domain,
+    p and m, raised before that shot.
     """
     shots = {}
 

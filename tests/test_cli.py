@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
 import shlex
 import subprocess
@@ -17,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import csv_bodies
-from ptone import cli, modelspace, radial
+from ptone import _ode, cli, modelspace, radial
 
 
 def run_cli(*args):
@@ -451,6 +452,17 @@ def test_tiny_representable_radii_solve(argv, capsys):
     assert math.isfinite(lam) and lam > 0.0
 
 
+def test_smallest_ball_at_p2_keeps_its_eigenvalue(capsys):
+    # r = 1e-76 solves, with j01^2 r^-2 to 12 digits; r = 1e-77, whose
+    # start state leaves the float range at a doubling rung, is refused.
+    res = run_main(capsys, "eig", "--p", "2", "--r", "1e-76")
+    assert res.returncode == 0, res.stderr
+    assert parse_csv(res.stdout)[0]["lambda"] == "5.7831859629434926e+152"
+    res = run_main(capsys, "eig", "--p", "2", "--r", "1e-77")
+    assert res.returncode == 2
+    assert "r=1e-77" in res.stderr and "p=2, m=2" in res.stderr
+
+
 _UNNAMED_REFUSALS = [
     (["eig", "--p", "2", "--m", "2", "--c=0", "--r", "9"], "r=9"),
     (["kazdan", "--p", "2", "--m", "2", "--c=1", "--r", "3.5"], "r=3.5"),
@@ -460,6 +472,7 @@ _UNNAMED_REFUSALS = [
     (["eig", "--p", "2", "--m", "100", "--r", "1"], "m=100"),
     (["eig", "--p", "2", "--r", "1e-300"], "r=1e-300"),
     (["eig", "--p", "2", "--r", "1e-200"], "r=1e-200"),
+    (["eig", "--p", "2", "--r", "1e-77"], "r=1e-77"),
     (["eig", "--p", "2", "--r", "1e-80"], "r=1e-80"),
     (["eig", "--p", "2", "--r", "1e-100"], "r=1e-100"),
     (["eig", "--p", "2", "--r", "1e-160"], "r=1e-160"),
@@ -485,7 +498,8 @@ def test_invalid_input_names_its_parameter(argv, named, capsys):
     # (1e-4 r)^(m-1) or the seed's r**2 underflowed to 0, or exited 3
     # with "NaN in the error estimate" and no bracket (or an
     # OverflowError) at a ball radius whose seed, or whose start state at
-    # half the seed, leaves the float range.  A catenoid
+    # some trial lam, leaves the float range (r = 1e-77: at the second
+    # doubling rung).  A catenoid
     # surface row at p < 2 ended in a ZeroDivisionError traceback (k = 0
     # raised to p - 2), and its band refusals named no r.
     res = run_main(capsys, *argv)
@@ -624,7 +638,9 @@ def test_unknown_subcommand_exits_two(capsys):
 
 def test_m1_eig_shoots_once_per_p(monkeypatch, capsys):
     # At m = 1 every warping shares one shot: the six rows of two p and
-    # three c take the shots of the two cold solves at c = 0.
+    # three c, all run in this process, take the shots of the two cold
+    # solves at c = 0.  The cache is per process, so one CPU.
+    _cpus(monkeypatch, 1)
     shots = []
     shoot = radial._shoot
 
@@ -644,6 +660,138 @@ def test_m1_eig_shoots_once_per_p(monkeypatch, capsys):
                    "--r", "1")
     assert res.returncode == 0 and len(parse_csv(res.stdout)) == 6
     assert len(shots) == cold
+
+
+# multi-row commands: rows split over one process per CPU
+
+
+def _cpus(monkeypatch, n):
+    """Make `cli._rows` see n CPUs, and count the processes it forks."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _outputs(monkeypatch, capsys, tmp_path, n, argv):
+    """(exit code, CSV body, JSON text, stderr, forks) of argv on n CPUs."""
+    forks = _cpus(monkeypatch, n)
+    out, js = tmp_path / ("%d.csv" % n), tmp_path / ("%d.json" % n)
+    res = run_main(capsys, *argv, "--out", str(out), "--json", str(js))
+    _assert_no_child_left()
+    if res.returncode:
+        return res.returncode, None, None, res.stderr, len(forks)
+    return (0, _body(out.read_text()), js.read_text(), res.stderr,
+            len(forks))
+
+
+@pytest.mark.parametrize("argv,rows", [
+    (["sweep", "--p", "2,2.5,3,4", "--m", "2,3", "--c=-1,0,1", "--r", "1"],
+     24),
+    (["rstar", "--p", "2,3", "--m", "2", "--c=-1,0", "--r", "1,1.2"], 8),
+    # Rows that sort equal (c = 0 and -0) keep the order of their combos.
+    (["eig", "--p", "2", "--m", "2", "--c=0,-0,0,-0", "--r", "1"], 4),
+], ids=["sweep", "rstar", "ties"])
+def test_rows_on_three_cpus_keep_every_byte(argv, rows, monkeypatch, capsys,
+                                            tmp_path):
+    # Three processes (this one and two forked children) give the CSV
+    # body and JSON of one process, byte for byte.
+    radial.clear_solver_cache()
+    serial = _outputs(monkeypatch, capsys, tmp_path, 1, argv)
+    radial.clear_solver_cache()
+    forked = _outputs(monkeypatch, capsys, tmp_path, 3, argv)
+    assert serial[0] == 0 and len(serial[1]) == rows + 1
+    assert forked[1:4] == serial[1:4]
+    assert (serial[4], forked[4]) == (0, 2)
+
+
+def test_one_row_forks_nothing(monkeypatch, capsys, tmp_path):
+    code, body, _, _, forks = _outputs(
+        monkeypatch, capsys, tmp_path, 3,
+        ["eig", "--p", "2", "--m", "3", "--c=0", "--r", "1"])
+    assert code == 0 and len(body) == 2 and forks == 0
+
+
+_FAILING_EIG = ["eig", "--p", "2,2.5,3,3.5,4,5", "--m", "2", "--c=0",
+                "--r", "1"]
+
+
+def _fail_at(monkeypatch, failures):
+    """Make the eig row at each p in failures raise its exception."""
+    solve = radial.solve_ball_eigenvalue
+
+    def failing(problem, **kwargs):
+        if problem.p in failures:
+            raise failures[problem.p]
+        return solve(problem, **kwargs)
+    monkeypatch.setattr(radial, "solve_ball_eigenvalue", failing)
+
+
+@pytest.mark.parametrize("failures,code,message", [
+    # On three CPUs this process takes rows 0 and 3 (p = 2 and 3.5), the
+    # children rows 1 and 4, and 2 and 5.
+    ({2.0: ValueError("r=7 at p=2")}, 2, "invalid input: r=7 at p=2"),
+    ({3.0: radial.NonConvergenceError("stuck at p=3")}, 3,
+     "non-convergence: stuck at p=3"),
+    ({2.5: ValueError("p=2.5 first"),
+      3.5: radial.NonConvergenceError("p=3.5 later")}, 2,
+     "invalid input: p=2.5 first"),
+    ({3.5: ValueError("p=3.5 later"),
+      3.0: radial.NonConvergenceError("p=3 first")}, 3,
+     "non-convergence: p=3 first"),
+    ({5.0: ValueError("p=5 later"), 2.0: ValueError("p=2 first")}, 2,
+     "invalid input: p=2 first"),
+], ids=["parent", "child", "child-before-parent", "child-before-child",
+        "parent-before-child"])
+def test_failing_row_exits_as_one_loop_does(failures, code, message,
+                                            monkeypatch, capsys, tmp_path):
+    # A row that raises, in this process or in a child, gives the exit
+    # code and message of one loop over the rows: that of the lowest
+    # failing index.  No child outlives the command.
+    _fail_at(monkeypatch, failures)
+    serial = _outputs(monkeypatch, capsys, tmp_path, 1, _FAILING_EIG)
+    forked = _outputs(monkeypatch, capsys, tmp_path, 3, _FAILING_EIG)
+    assert serial[:4] == (code, None, None, message + "\n")
+    assert forked[:4] == serial[:4]
+
+
+def test_failing_row_keeps_its_exception_type(monkeypatch):
+    _fail_at(monkeypatch, {2.5: _ode.IntegrationError("p=2.5")})
+    _cpus(monkeypatch, 3)
+    combos = cli._combos({"p": [2.0, 2.5, 3.0], "m": [2], "c": [0.0],
+                          "r": [1.0]})
+    with pytest.raises(_ode.IntegrationError, match="^p=2.5$"):
+        cli.eig_rows(combos)
+    _assert_no_child_left()
+
+
+def test_rows_of_any_size_and_a_lost_child(monkeypatch):
+    # Rows larger than a pipe's buffer arrive whole; a child that ends
+    # without sending its rows is an error, and is reaped.
+    _cpus(monkeypatch, 3)
+    parent = os.getpid()
+    combos = [(float(p), 2, 0.0, 1.0) for p in range(2, 8)]
+
+    def big(p, m, c, r):
+        return {"p": p, "m": m, "c": c, "r": r, "blob": "%g" % p * 40000}
+
+    assert cli._rows(big, combos) == [big(*combo) for combo in combos]
+
+    def lost(p, m, c, r):
+        if p == 3.0 and os.getpid() != parent:
+            os._exit(7)
+        return big(p, m, c, r)
+
+    with pytest.raises(RuntimeError, match="row worker 1 ended with wait "
+                       "status 1792 and sent no rows"):
+        cli._rows(lost, combos)
+    _assert_no_child_left()
 
 
 def test_integration_failure_exits_three(monkeypatch, capsys):

@@ -49,6 +49,17 @@ def test_cot_c_argument_order_and_values():
     assert cot_c(0.0, 0.25) == pytest.approx(4.0, rel=1e-15)
 
 
+def test_cot_c_small_t_series_matches_closed_forms():
+    # Below the Taylor cutoff, cot_c reads 1/t - c t/3 - c^2 t^3/45.  At
+    # |c| = 1e4 and t = 9e-7 the c t/3 term is 2.7e-9 of the value, so a
+    # flipped sign misses the closed forms by 5e-9, far past 1e-13.
+    t = 9e-7
+    rc = 100.0
+    assert cot_c(1e4, t) == pytest.approx(rc / math.tan(rc * t), rel=1e-13)
+    assert cot_c(-1e4, t) == pytest.approx(rc / math.tanh(rc * t),
+                                           rel=1e-13)
+
+
 def test_cot_c_monotone_decreasing():
     t = np.linspace(0.05, 3.0, 200)
     for c in (-1.0, 0.0, 1.0):
@@ -76,6 +87,14 @@ def test_space_form_eval_consistency(c):
     assert_allclose(f, s_c(c, t), rtol=1e-14)
     assert_allclose(f1, c_c(c, t), rtol=1e-14)
     assert_allclose(f2, -c * s_c(c, t), rtol=1e-14, atol=1e-16)
+
+
+def test_space_form_default_domain_stops_short_of_the_conjugate_point():
+    # The conjugate point of S_c is pi/sqrt(c): pi/2 at c = 4, where
+    # pi*sqrt(c) would read 2 pi.
+    assert space_form(4.0).r_max == 0.999999 * math.pi / 2
+    assert space_form(0.01).r_max == 8.0
+    assert space_form(-1.0).r_max == 8.0
 
 
 def test_space_form_curvature_verified():

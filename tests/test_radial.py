@@ -1004,6 +1004,67 @@ def test_shots_per_solve(monkeypatch):
         assert len(shots) == sol.iterations + 2
 
 
+def _count_work(monkeypatch):
+    """Counts of tight shots, loose shots and walked steps, as they run."""
+    counts = {"tight": 0, "loose": 0, "walked": 0}
+    shoot, loose = radial._shoot, radial._loose_zero_free
+    make_rhs = radial._make_rhs
+
+    def tight_spy(*args):
+        counts["tight"] += 1
+        return shoot(*args)
+
+    def loose_spy(*args):
+        counts["loose"] += 1
+        return loose(*args)
+
+    def counted(*args):
+        rhs, integrate, walk = make_rhs(*args)
+
+        def walk_spy(ts, *rest):
+            counts["walked"] += len(ts)
+            return walk(ts, *rest)
+        return rhs, integrate, walk_spy
+
+    monkeypatch.setattr(radial, "_shoot", tight_spy)
+    monkeypatch.setattr(radial, "_loose_zero_free", loose_spy)
+    monkeypatch.setattr(radial, "_make_rhs", counted)
+    return counts
+
+
+def _assert_within(counts, pins):
+    assert all(counts[k] <= pins[k] for k in pins), (counts, pins)
+
+
+def test_work_budget_of_the_benchmark_passes(monkeypatch):
+    # One cold pass of the `sweep` matrix (its 24 balls, each read for
+    # omega and the residual, as a sweep row reads them) and of the
+    # `warped` solves, in this process.  Counts do not drift with the
+    # host: a change that takes more shots or steps fails here, and one
+    # that takes fewer lowers the pin.  Each pin is the count measured
+    # when it was set.
+    counts = _count_work(monkeypatch)
+    radial.clear_solver_cache()
+    for p, m, c in itertools.product((2.0, 2.5, 3.0, 4.0), (2, 3),
+                                     (-1.0, 0.0, 1.0)):
+        sol = solve_ball_eigenvalue(ball_problem(p, m, c, 1.0))
+        sol.omega, sol.residual
+    _assert_within(counts, {"tight": 196, "loose": 65, "walked": 55947})
+
+    counts.update(tight=0, loose=0, walked=0)
+    radial.clear_solver_cache()
+    profiles = dict(acceptance.compare_profiles())
+    for name, p in itertools.product(("tab-sinh", "tab-cubic"),
+                                     (2.0, 3.0, 4.0)):
+        solve_ball_eigenvalue(RadialProblem(p, 2, profiles[name], Ball(1.0)))
+    for c, p, (m, a, b) in itertools.product(
+            (-1.0, 0.0, 1.0), (2.0, 3.0, 4.0), ((1, 0.2, 1.2), (2, 0.5, 1.5))):
+        solve_annulus_eigenvalue(RadialProblem(
+            p, m, modelspace.space_form(c), Annulus(a, b)))
+    _assert_within(counts, {"tight": 146, "loose": 47, "walked": 134})
+    radial.clear_solver_cache()
+
+
 def _solve_bits(problem):
     """`radial._solve` at tol 1e-12, every float as its hex."""
     lam, ts, ys, steps = radial._solve(problem, 1e-12)
@@ -1623,6 +1684,21 @@ def test_unrepresentable_problems_are_refused(m, domain, named):
     # ZeroDivisionError, reported as non-convergence.
     with pytest.raises(ValueError, match=named):
         RadialProblem(2.0, m, modelspace.space_form(0.0), domain)
+
+
+def test_every_trial_start_state_is_checked():
+    # At r = 1e-77 the first trial lam (2.0e154) starts finite, but at
+    # the next doubling rung a^2 of the pole expansion overflows, and
+    # omega(t0) = inf * 0 made the shot's error estimate NaN (exit 3).
+    # Every shot's start, loose or tight, is refused instead.
+    problem = ball_problem(2.0, 2, 0.0, 1e-77)
+    lam = radial._half_seed(problem)
+    radial._start(problem, lam)
+    for start in (radial._start, radial._loose_zero_free, radial._shoot):
+        with pytest.raises(ValueError, match=r"r=1e-77.*p=2, m=2"):
+            start(problem, 2.0 * lam)
+    with pytest.raises(ValueError, match=r"r=1e-77.*p=2, m=2"):
+        solve_ball_eigenvalue(problem, use_cache=False)
 
 
 def test_representable_edges_are_not_refused():
