@@ -5,9 +5,17 @@ seeds and tolerances and returns (passed, detail, rows); ``_criterion``
 registers it under its number and name, where it is defined, and times
 it into a :class:`CriterionResult`.  The registry drives both the CLI
 selftest and the pytest acceptance suite, so a criterion lives in
-exactly one place.  Result rows contain only
-deterministic numerics (no timings, no timestamps) -- the selftest CSV
-body must be byte-identical between runs.
+exactly one place.  Result rows contain only deterministic numerics (no
+timings, no timestamps) -- the selftest CSV body must be byte-identical
+between runs.
+
+Criteria 2, 3, 4, 6 and 7 run their independent cases through
+`radial.fork_map`, one process per usable CPU: each case returns its
+row (criterion 2 its rows), and the checks are read off the rows in
+case order.  Criterion 4 draws every case's perturbations here, in case
+order, before the map.  The map leaves the children's solves in this
+process's cache, so later criteria repeat no shot or march.  The rows
+are those of one loop, bit for bit, on any CPU count.
 
 A criterion that fails is reported as such; nothing here downgrades a
 tolerance to force a pass.  Criterion 9's flat clause checks the full
@@ -138,18 +146,22 @@ def criterion_01():
 @_criterion(2, "flat scaling law")
 def criterion_02():
     """Flat scaling law lambda(r) = r^-p lambda(1) within 1e-6."""
-    rows, checks = [], []
-    for p in (1.5, 2.0, 3.0, 4.0):
-        for m in (1, 2, 3):
-            lam1 = _solve(p, m, 0.0, 1.0).lam
-            for r in (0.5, 2.0):
-                lam_r = _solve(p, m, 0.0, r).lam
-                pred = radial.scaled_eigenvalue(lam1, r, p)
-                rel = abs(lam_r - pred) / lam_r
-                checks.append(rel <= 1e-6)
-                rows.append({"p": p, "m": m, "c": 0.0, "r": r,
-                             "lambda": lam_r, "scaled_from_unit": pred,
-                             "rel_err": rel})
+    def case(pm):
+        p, m = pm
+        lam1 = _solve(p, m, 0.0, 1.0).lam
+        rows = []
+        for r in (0.5, 2.0):
+            lam_r = _solve(p, m, 0.0, r).lam
+            pred = radial.scaled_eigenvalue(lam1, r, p)
+            rows.append({"p": p, "m": m, "c": 0.0, "r": r, "lambda": lam_r,
+                         "scaled_from_unit": pred,
+                         "rel_err": abs(lam_r - pred) / lam_r})
+        return rows
+
+    rows = [row for rows in radial.fork_map(
+        case, [(p, m) for p in (1.5, 2.0, 3.0, 4.0) for m in (1, 2, 3)])
+        for row in rows]
+    checks = [row["rel_err"] <= 1e-6 for row in rows]
     detail = "max rel err %.2e (tol 1e-06)" % max(r["rel_err"] for r in rows)
     return all(checks), detail, rows
 
@@ -157,16 +169,17 @@ def criterion_02():
 @_criterion(3, "shooting vs rayleigh")
 def criterion_03():
     """Shooting vs discrete Rayleigh within 1e-3 relative at n = 2000."""
-    rows, checks = [], []
-    for p, m, c in CROSS_MATRIX:
+    def case(pmc):
+        p, m, c = pmc
         problem = radial.ball_problem(p, m, c, 1.0)
         lam = radial.solve_ball_eigenvalue(problem).lam
         est = rayleigh.minimize_rayleigh(
             rayleigh.Grid1D.from_problem(problem, n=2000), p)["lambda_est"]
-        rel = abs(lam - est) / lam
-        checks.append(rel <= 1e-3)
-        rows.append({"p": p, "m": m, "c": c, "r": 1.0, "lambda": lam,
-                     "rayleigh": est, "rel_err": rel})
+        return {"p": p, "m": m, "c": c, "r": 1.0, "lambda": lam,
+                "rayleigh": est, "rel_err": abs(lam - est) / lam}
+
+    rows = radial.fork_map(case, CROSS_MATRIX)
+    checks = [row["rel_err"] <= 1e-3 for row in rows]
     detail = "max rel err %.2e (tol 1e-03)" % max(r["rel_err"] for r in rows)
     return all(checks), detail, rows
 
@@ -174,28 +187,31 @@ def criterion_03():
 @_criterion(4, "barta sharpness")
 def criterion_04():
     """Barta sharpness at the eigenfunction; strict slack for perturbations."""
+    # Every case's ten perturbations, drawn here in case order.
     rng = np.random.default_rng(SEED)
-    rows, checks = [], []
-    for p, m, c in CROSS_MATRIX:
+    cases = [(pmc, [rng.uniform(-1.0, 1.0, 3) for _ in range(10)])
+             for pmc in CROSS_MATRIX]
+
+    def case(args):
+        (p, m, c), coefs = args
         problem = radial.ball_problem(p, m, c, 1.0)
         sol = radial.solve_ball_eigenvalue(problem)
         cert = bounds.barta_bound(sol.omega, problem)
-        rel = (cert.value - sol.lam) / sol.lam
-        sharp_ok = abs(rel) <= 1e-4
-
         t = sol.grid
         worst_pert = -np.inf
-        for _ in range(10):
-            coef = rng.uniform(-1.0, 1.0, 3)
+        for coef in coefs:
             g = sum(a * np.sin((k + 1) * math.pi * t) for k, a in
                     enumerate(coef)) / 3.0
             eta = sol.omega * (1.0 + 0.2 * g)
             pert = bounds.barta_bound(eta, problem)
             worst_pert = max(worst_pert, (pert.value - sol.lam) / sol.lam)
-        checks.append(sharp_ok and worst_pert < 0.0)
-        rows.append({"p": p, "m": m, "c": c, "r": 1.0, "lambda": sol.lam,
-                     "barta_rel_gap": rel,
-                     "perturbed_max_rel_gap": worst_pert})
+        return {"p": p, "m": m, "c": c, "r": 1.0, "lambda": sol.lam,
+                "barta_rel_gap": (cert.value - sol.lam) / sol.lam,
+                "perturbed_max_rel_gap": worst_pert}
+
+    rows = radial.fork_map(case, cases)
+    checks = [abs(row["barta_rel_gap"]) <= 1e-4
+              and row["perturbed_max_rel_gap"] < 0.0 for row in rows]
     detail = ("max |rel gap| %.2e (tol 1e-04); perturbed max %.2e (< 0)"
               % (max(abs(r["barta_rel_gap"]) for r in rows),
                  max(r["perturbed_max_rel_gap"] for r in rows)))
@@ -237,17 +253,18 @@ def criterion_05():
 @_criterion(6, "divergence-field sharpness")
 def criterion_06():
     """Divergence-field bound sharp at the eigenfield; pointwise identity."""
-    rows, checks = [], []
-    for p, m, c in CROSS_MATRIX:
+    def case(pmc):
+        p, m, c = pmc
         problem = radial.ball_problem(p, m, c, 1.0)
         sol = radial.solve_ball_eigenvalue(problem)
-        field = bounds.eigen_field(sol)
-        cert = bounds.div_field_bound(field, problem)
-        rel = abs(cert.value - sol.lam) / sol.lam
-        resid = bounds.div_identity_residual(sol)
-        checks.append(rel <= 1e-4 and resid <= 1e-6)
-        rows.append({"p": p, "m": m, "c": c, "r": 1.0, "lambda": sol.lam,
-                     "div_bound_rel_err": rel, "identity_residual": resid})
+        cert = bounds.div_field_bound(bounds.eigen_field(sol), problem)
+        return {"p": p, "m": m, "c": c, "r": 1.0, "lambda": sol.lam,
+                "div_bound_rel_err": abs(cert.value - sol.lam) / sol.lam,
+                "identity_residual": bounds.div_identity_residual(sol)}
+
+    rows = radial.fork_map(case, CROSS_MATRIX)
+    checks = [row["div_bound_rel_err"] <= 1e-4
+              and row["identity_residual"] <= 1e-6 for row in rows]
     detail = ("max bound rel err %.2e (tol 1e-04); max identity residual "
               "%.2e (tol 1e-06)"
               % (max(r["div_bound_rel_err"] for r in rows),
@@ -258,18 +275,16 @@ def criterion_06():
 @_criterion(7, "curvature monotonicity")
 def criterion_07():
     """Strict eigenvalue monotonicity in the curvature bound."""
-    rows, checks = [], []
-    for p in (1.5, 2.0, 3.0):
-        for m in (2, 3):
-            for r in (0.8, 1.4):
-                lam = {c: _solve(p, m, c, r).lam for c in (-1.0, 0.0, 1.0)}
-                ok = lam[-1.0] > lam[0.0] > lam[1.0]
-                checks.append(ok)
-                rows.append({"p": p, "m": m, "r": r,
-                             "lambda_hyperbolic": lam[-1.0],
-                             "lambda_flat": lam[0.0],
-                             "lambda_spherical": lam[1.0],
-                             "strict": ok})
+    def case(pmr):
+        p, m, r = pmr
+        lam = {c: _solve(p, m, c, r).lam for c in (-1.0, 0.0, 1.0)}
+        return {"p": p, "m": m, "r": r, "lambda_hyperbolic": lam[-1.0],
+                "lambda_flat": lam[0.0], "lambda_spherical": lam[1.0],
+                "strict": lam[-1.0] > lam[0.0] > lam[1.0]}
+
+    rows = radial.fork_map(case, [(p, m, r) for p in (1.5, 2.0, 3.0)
+                                  for m in (2, 3) for r in (0.8, 1.4)])
+    checks = [row["strict"] for row in rows]
     gaps = [min(r["lambda_hyperbolic"] - r["lambda_flat"],
                 r["lambda_flat"] - r["lambda_spherical"]) for r in rows]
     detail = "min strict gap %.3e (> 0)" % min(gaps)

@@ -11,10 +11,10 @@ default, all in the flag grammar of ``_parse_list``), builds the rows
 and writes them; selftest keeps its own handler.  The grid commands map
 one function over the (p, m, c, r) grid (``_combos``) and sort the rows
 by (p, m, c, r) (``_rows``), running them in one process per usable
-CPU with every byte kept.  A row is a dict; the CSV writes the
-command's named columns and ``--json`` writes every key.  Timestamps
-appear only on the leading ``#`` metadata line so two identical runs
-emit byte-identical bodies.
+CPU (``radial.fork_map``) with every byte kept.  A row is a dict; the
+CSV writes the command's named columns and ``--json`` writes every
+key.  Timestamps appear only on the leading ``#`` metadata line so two
+identical runs emit byte-identical bodies.
 
 Exit codes: 0 success, 1 acceptance failure, 2 invalid input,
 3 numerical non-convergence.
@@ -26,8 +26,6 @@ import io
 import itertools
 import json
 import math
-import os
-import pickle
 import re
 import sys
 from datetime import datetime, timezone
@@ -190,56 +188,10 @@ def _combos(v):
 def _rows(one, combos):
     """``one(p, m, c, r)`` of every combo, sorted by (p, m, c, r).
 
-    The rows are independent, so they run in n processes, one per CPU
-    this process may use and at most one per row: this process takes
-    rows 0, n, 2n, ... and each of n - 1 forked children takes rows
-    w, w + n, ... and pickles them, or the exception of its first
-    failing row, down a pipe.  One row or one CPU forks nothing.  The
-    rows keep their bytes and order, and the exception raised is that
-    of the lowest failing index, the one a single loop meets first.
-    Every child is reaped before this returns or raises.
+    The rows are independent, so they run in one process per usable CPU
+    (`radial.fork_map`), with every byte and the exception of one loop.
     """
-    n = 1
-    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
-        n = min(len(combos), len(os.sched_getaffinity(0))) or 1
-
-    def share(w):
-        done = []
-        for i in range(w, len(combos), n):
-            try:
-                done.append((i, one(*combos[i])))
-            except Exception as exc:
-                return i, exc
-        return done
-
-    shares, children = [], []
-    try:
-        for w in range(1, n):
-            rfd, wfd = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                try:
-                    data = pickle.dumps(share(w))
-                    with os.fdopen(wfd, "wb") as fh:
-                        fh.write(data)
-                finally:
-                    os._exit(0)
-            os.close(wfd)
-            children.append((w, pid, rfd))
-        shares.append(share(0))
-    finally:
-        for w, pid, rfd in children:
-            with os.fdopen(rfd, "rb") as fh:
-                data = fh.read()
-            status = os.waitpid(pid, 0)[1]
-            shares.append(pickle.loads(data) if data else (w, RuntimeError(
-                "row worker %d ended with wait status %d and sent no rows"
-                % (w, status))))
-    failures = [got for got in shares if isinstance(got, tuple)]
-    if failures:
-        raise min(failures, key=lambda got: got[0])[1]
-    return _sort_rows([row for _, row in sorted(
-        pair for got in shares for pair in got)])
+    return _sort_rows(radial.fork_map(lambda combo: one(*combo), combos))
 
 
 # -- row builders (shared with the acceptance battery) ----------------------

@@ -157,7 +157,7 @@ def _pchip_end(h0, h1, m0, m1):
 
 
 def _pchip(t, f):
-    """Read-only PCHIP knots x and table of samples f at knots t.
+    """PCHIP knots x and table of samples f at knots t.
 
     Slopes follow Fritsch & Carlson (1980) with the weighted harmonic
     mean of Fritsch & Butland (1984): d_k = 0 where the secants m_{k-1},
@@ -184,8 +184,6 @@ def _pchip(t, f):
     c = (k / h, (m - d[:-1]) / h - k, d[:-1], f[:-1])
     table = np.vstack(c + (3.0 * c[0], 2.0 * c[1], c[2],
                            6.0 * c[0], 2.0 * c[1]))
-    x.setflags(write=False)
-    table.setflags(write=False)
     return x, table
 
 
@@ -285,12 +283,22 @@ class WarpingProfile:
         # uses it for the O(t^{m+2}) flux correction.
         self.f3_0 = float(f3_0)
         self._data_key = data_key
+        # A profile is shared through the solver cache and its copies
+        # (`__reduce__`); nobody may change its interpolant in place.
+        for arr in pchip or ():
+            arr.setflags(write=False)
         if pchip is None:
             self.f_expr, names = _scalar_warping(kind, c, eps)
         else:
             self.f_expr, names = _tabulated_warping(pchip)
         self.f_names = types.MappingProxyType(names)
         self.f_scalar = _compile_warping(self.f_expr, tuple(names))(**names)
+
+    def __reduce__(self):
+        # Its constructor's arguments; __init__ rebuilds the compiled f.
+        return (WarpingProfile, (self.kind, self.c, self.eps, self.r_max,
+                                 self._pchip, self.label, self.f3_0,
+                                 self._data_key))
 
     def eval(self, t):
         """Return (f, f', f'') at t (scalar or array), t in [0, r_max]."""

@@ -52,6 +52,8 @@ from the left endpoint with omega(a) = 0 and unit initial flux instead.
 
 import functools
 import math
+import os
+import pickle
 import sys
 from array import array
 from bisect import bisect_left
@@ -407,8 +409,12 @@ def _omega_prime(problem, t, phi):
     return out
 
 
-# The names `RadialSolution.__getattr__` builds.
-_DENSE = frozenset(("grid", "omega", "omega_prime", "residual"))
+# The names a solution builds after construction, each stored on first
+# use: the four `__getattr__` builds in one march, then the march's
+# recorded steps and an annulus's peak and scale.
+_BUILT = ("grid", "omega", "omega_prime", "residual", "_steps", "_t_peak",
+          "_scale")
+_DENSE = frozenset(_BUILT[:4])
 
 
 class RadialSolution:
@@ -651,6 +657,26 @@ class RadialSolution:
             return float(w[0]), float(wp[0])
         return w.reshape(tt.shape), wp.reshape(tt.shape)
 
+    def _built(self):
+        """The names of `_BUILT` this solution has built, in that order."""
+        return tuple(name for name in _BUILT if name in self.__dict__)
+
+    def __reduce__(self):
+        # The problem, the shot result, n_grid and the built names:
+        # __init__ rebuilds the closures, and `__setstate__` the rest.
+        return (RadialSolution, (self.problem, self.lam, self._ts, self._ys,
+                                 self.iterations, self.n_grid),
+                {name: self.__dict__[name] for name in self._built()})
+
+    def __setstate__(self, built):
+        # A pickle loads arrays writable; a solution's arrays are shared
+        # by every cache hit, so they are read-only again.
+        for value in built.values():
+            for arr in value if isinstance(value, tuple) else (value,):
+                if isinstance(arr, np.ndarray):
+                    arr.setflags(write=False)
+        self.__dict__.update(built)
+
     def __repr__(self):
         return ("RadialSolution(p=%g, m=%d, %s, lam=%.12g, iterations=%d)"
                 % (self.p, self.m, self.problem.domain, self.lam,
@@ -777,7 +803,8 @@ def _solve(problem, tol):
 # profile's own key and n_grid: a solution carries its own problem, and
 # `critical` and `surfaces` read its profile.  A solve that differs only
 # in n_grid, or at m = 1 only in the warping, builds its solution from
-# the cached shot result and takes no shot.
+# the cached shot result and takes no shot.  The caches are per process;
+# `fork_map` sends each child's additions back to the parent.
 _SOLVE_CACHE = {}
 _SHOT_CACHE = {}
 _MIN_GRID = 5   # the residual audit's five-point stencil
@@ -788,6 +815,119 @@ def clear_solver_cache():
     determinism checks)."""
     _SOLVE_CACHE.clear()
     _SHOT_CACHE.clear()
+
+
+def _cache_news(held):
+    """(shots, solutions) of the caches that are not in held.
+
+    held is (shot keys, {solve key: built names}) as they were at the
+    fork.  shots holds every shot result added since, and solutions
+    every solution added or built further (`_BUILT`).
+    """
+    shot_keys, built = held
+    return ({key: shot for key, shot in _SHOT_CACHE.items()
+             if key not in shot_keys},
+            {key: sol for key, sol in _SOLVE_CACHE.items()
+             if sol._built() != built.get(key)})
+
+
+def _merge_cache_news(shots, solutions):
+    """Add the keys the caches lack, and give a solution they hold the
+    built state it lacks."""
+    for key, shot in shots.items():
+        _SHOT_CACHE.setdefault(key, shot)
+    for key, sol in solutions.items():
+        held = _SOLVE_CACHE.setdefault(key, sol)
+        for name in sol._built():
+            held.__dict__.setdefault(name, sol.__dict__[name])
+
+
+def _pickled_share(w, got, held):
+    """(bytes, exit status) a child sends: its share and `_cache_news`.
+
+    A share with a row (or exception) that cannot be pickled becomes the
+    (index, RuntimeError) of the first such row, and exit status 1.
+    """
+    try:
+        return pickle.dumps((got,) + _cache_news(held)), 0
+    except Exception:
+        for i, value in [got] if isinstance(got, tuple) else got:
+            try:
+                pickle.dumps(value)
+            except Exception as exc:
+                error = RuntimeError(
+                    "row %d could not be pickled in row worker %d: %s: %s"
+                    % (i, w, type(exc).__name__, exc))
+                return pickle.dumps(((i, error), {}, {})), 1
+        raise
+
+
+def fork_map(fn, items):
+    """[fn(item) for item in items], in one process per usable CPU.
+
+    The items run in n processes, one per CPU this process may use and at
+    most one per item: this process takes items 0, n, 2n, ... and each of
+    n - 1 forked children takes items w, w + n, ... and pickles down a
+    pipe its rows, or the exception of its first failing item, with
+    every shot result it added to the caches and every solution it added
+    or built further.  A share that cannot be pickled is sent as a
+    RuntimeError naming its row (`_pickled_share`).  This process merges
+    the caches (`_merge_cache_news`), so they hold what one loop would
+    have left and no later solve repeats a shot or a march.  One item or
+    one CPU forks nothing.  The rows keep their order, and the exception
+    raised is that of the lowest failing index, the one a single loop
+    meets first.  Every child is reaped before this returns or raises.
+    """
+    n = 1
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        n = min(len(items), len(os.sched_getaffinity(0))) or 1
+
+    def share(w):
+        done = []
+        for i in range(w, len(items), n):
+            try:
+                done.append((i, fn(items[i])))
+            except Exception as exc:
+                return i, exc
+        return done
+
+    shares, children, sent = [], [], []
+    try:
+        for w in range(1, n):
+            rfd, wfd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    held = (set(_SHOT_CACHE), {key: sol._built() for key, sol
+                                               in _SOLVE_CACHE.items()})
+                    data, status = _pickled_share(w, share(w), held)
+                    with os.fdopen(wfd, "wb") as fh:
+                        fh.write(data)
+                finally:
+                    os._exit(status)
+            os.close(wfd)
+            children.append((w, pid, rfd))
+        shares.append(share(0))
+    finally:
+        for w, pid, rfd in children:
+            with os.fdopen(rfd, "rb") as fh:
+                data = fh.read()
+            sent.append((w, data, os.waitpid(pid, 0)[1]))
+    for w, data, status in sent:
+        if not data:
+            shares.append((w, RuntimeError(
+                "row worker %d ended with wait status %d and sent no rows"
+                % (w, status))))
+            continue
+        got, shots, solutions = pickle.loads(data)
+        _merge_cache_news(shots, solutions)
+        shares.append(got)
+    failures = [got for got in shares if isinstance(got, tuple)]
+    if failures:
+        raise min(failures, key=lambda got: got[0])[1]
+    return [row for _, row in sorted((pair for got in shares for pair in got),
+                                     key=lambda pair: pair[0])]
 
 
 def _solve_memoized(problem, kind, tol, n_grid, use_cache):

@@ -9,7 +9,8 @@ the flat clause's bound W <= lambda (2-p) omega^{p-1} / m.
 
 import pytest
 
-from ptone import acceptance
+from conftest import _assert_no_child_left, _count_calls, _cpus
+from ptone import acceptance, radial
 
 
 @pytest.fixture(scope="module")
@@ -105,3 +106,61 @@ def test_registry_results_carry_their_number_name_and_runtime(battery):
     for (number, name, _), res in zip(acceptance.REGISTRY, battery.values()):
         assert (res.number, res.name) == (number, name)
         assert res.runtime > 0.0
+
+
+# The battery split over forked processes (`radial.fork_map`)
+
+
+@pytest.fixture(scope="module")
+def passes(tmp_path_factory):
+    """n -> (results, work counts, forks) of the battery on n CPUs."""
+    out = {}
+    for n in (1, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            forks = _cpus(mp, n)
+            counts = _count_calls(
+                mp, tmp_path_factory.mktemp("work") / "calls")
+            results = acceptance.run_all()
+            _assert_no_child_left()
+            out[n] = results, counts(), len(forks)
+    return out
+
+
+def _hexed(value):
+    return float.hex(value) if isinstance(value, float) else value
+
+
+def test_battery_is_the_same_on_any_cpu_count(passes):
+    # Every criterion's verdict, detail and rows, floats to the bit.
+    (serial, _, serial_forks), (forked, _, forks) = passes[1], passes[3]
+    assert serial_forks == 0 and forks > 0
+    assert len(serial) == len(forked) == len(acceptance.REGISTRY)
+    for one, three in zip(serial, forked):
+        assert (one.number, one.passed, one.detail) == (
+            three.number, three.passed, three.detail)
+        assert [{k: _hexed(v) for k, v in row.items()} for row in one.rows] \
+            == [{k: _hexed(v) for k, v in row.items()} for row in three.rows]
+        assert [list(map(type, row.values())) for row in one.rows] == \
+            [list(map(type, row.values())) for row in three.rows]
+
+
+def test_battery_repeats_no_march_across_processes(passes, monkeypatch):
+    # The children send back every shot and solution, so a criterion
+    # reads what an earlier one built in any process.  The one repeat:
+    # CROSS_MATRIX first reaches p = 2.5, m = 1 (a shot that every
+    # warping shares) at c = -1, 0 and 1, rows 27-29, which three
+    # processes take one each; the two other workers each solve it.
+    serial, forked = passes[1][1], passes[3][1]
+    shots = []
+    shoot = radial._shoot
+    monkeypatch.setattr(radial, "_shoot", lambda problem, lam: shots.append(
+        lam) or shoot(problem, lam))
+    radial.solve_ball_eigenvalue(radial.ball_problem(2.5, 1, 0.0, 1.0),
+                                 use_cache=False)
+    assert forked["_march"] == serial["_march"] > 0
+    # The serial pass's work budget: each pin is the count measured when
+    # it was set; a change that takes fewer lowers it.
+    assert serial["_solve"] <= 112 and serial["_shoot"] <= 913
+    assert serial["_march"] <= 77
+    assert forked["_solve"] == serial["_solve"] + 2
+    assert forked["_shoot"] == serial["_shoot"] + 2 * len(shots)

@@ -18,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import csv_bodies
+from conftest import _assert_no_child_left, _count_calls, _cpus
 from ptone import _ode, cli, modelspace, radial
 
 
@@ -665,20 +666,6 @@ def test_m1_eig_shoots_once_per_p(monkeypatch, capsys):
 # multi-row commands: rows split over one process per CPU
 
 
-def _cpus(monkeypatch, n):
-    """Make `cli._rows` see n CPUs, and count the processes it forks."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-    forks = []
-    fork = os.fork
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-    return forks
-
-
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def _outputs(monkeypatch, capsys, tmp_path, n, argv):
     """(exit code, CSV body, JSON text, stderr, forks) of argv on n CPUs."""
     forks = _cpus(monkeypatch, n)
@@ -792,6 +779,54 @@ def test_rows_of_any_size_and_a_lost_child(monkeypatch):
                        "status 1792 and sent no rows"):
         cli._rows(lost, combos)
     _assert_no_child_left()
+
+
+def test_a_row_that_cannot_be_pickled_names_itself(monkeypatch):
+    # A child whose row cannot be pickled sends a RuntimeError naming the
+    # row and exits 1; the same rows succeed in one process.
+    combos = [(float(p), 2, 0.0, 1.0) for p in range(2, 8)]
+
+    def row(p, m, c, r):
+        return {"p": p, "m": m, "c": c, "r": r,
+                "f": (lambda: p) if p == 6.0 else None}
+
+    _cpus(monkeypatch, 1)
+    assert [got["p"] for got in cli._rows(row, combos)] == [
+        combo[0] for combo in combos]
+    forks = _cpus(monkeypatch, 3)
+    statuses = []
+    waitpid = os.waitpid
+
+    def spy(pid, options):
+        got = waitpid(pid, options)
+        statuses.append(got[1])
+        return got
+
+    monkeypatch.setattr(os, "waitpid", spy)
+    with pytest.raises(RuntimeError, match="^row 4 could not be pickled in "
+                       "row worker 1: .*lambda"):
+        cli._rows(row, combos)
+    assert len(forks) == 2 and sorted(statuses) == [0, 256]
+    _assert_no_child_left()
+
+
+def test_forked_rows_leave_their_solves_in_this_process(monkeypatch,
+                                                        tmp_path):
+    # The children send back every shot and built solution, so solving
+    # each row's problem here and reading its arrays takes no shot and
+    # no march.
+    forks = _cpus(monkeypatch, 3)
+    radial.clear_solver_cache()
+    combos = cli._combos({"p": [2.0, 3.0], "m": [1, 2], "c": [-1.0, 0.0, 1.0],
+                          "r": [1.0]})
+    rows = cli.sweep_rows(combos)
+    assert len(rows) == 12 and len(forks) == 2
+    _assert_no_child_left()
+    counts = _count_calls(monkeypatch, tmp_path / "calls")
+    for p, m, c, r in combos:
+        sol = radial.solve_ball_eigenvalue(radial.ball_problem(p, m, c, r))
+        assert sol.omega.size == sol.n_grid and not sol.omega.flags.writeable
+    assert counts() == {}
 
 
 def test_integration_failure_exits_three(monkeypatch, capsys):

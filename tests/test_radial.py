@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 import re
 import warnings
 from array import array
@@ -1486,6 +1487,40 @@ def test_stored_steps_are_read_only():
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[...] = 0.0
+
+
+@pytest.mark.parametrize("state", ["unbuilt", "built", "evaluated"])
+@pytest.mark.parametrize("problem", _LAZY_PROBLEMS, ids=["ball", "annulus"])
+def test_solution_pickle_round_trip(problem, state):
+    # A solution comes back from a pickle (a forked child's cache) with
+    # what it had built, read-only, and the same bits in every array and
+    # every evaluate.
+    sol = _fresh_solve(problem)
+    t = np.linspace(sol._left, sol.r, 1001)
+    if state != "unbuilt":
+        sol.omega
+    if state == "evaluated":
+        sol.evaluate(t)
+    copy = pickle.loads(pickle.dumps(sol))
+    assert copy is not sol and copy._built() == sol._built() == {
+        "unbuilt": (), "built": radial._BUILT[:4] + radial._BUILT[5:],
+        "evaluated": radial._BUILT}[state]
+    for name in copy._built():
+        got, want = getattr(copy, name), getattr(sol, name)
+        for a, b in zip(got, want) if name == "_steps" else [(got, want)]:
+            if isinstance(a, np.ndarray):
+                assert not a.flags.writeable and a.tobytes() == b.tobytes()
+            else:
+                assert a == b
+    assert copy.problem.cache_key(1e-12) == sol.problem.cache_key(1e-12)
+    assert copy.problem.profile.cache_key() == sol.problem.profile.cache_key()
+    assert (copy.n_grid, copy._ts, copy._ys) == (sol.n_grid, sol._ts, sol._ys)
+    for got, want in zip(copy.evaluate(t), sol.evaluate(t)):
+        assert got.tobytes() == want.tobytes()
+    assert copy.evaluate(0.75) == sol.evaluate(0.75)
+    _assert_same_solution(copy, sol)
+    for arr in copy._steps:
+        assert not arr.flags.writeable
 
 
 def test_residual_detects_doctored_eigenvalue():
