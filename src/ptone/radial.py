@@ -877,6 +877,10 @@ def fork_map(fn, items):
     one CPU forks nothing.  The rows keep their order, and the exception
     raised is that of the lowest failing index, the one a single loop
     meets first.  Every child is reaped before this returns or raises.
+
+    Items that share a shot or a solution belong in one item: split
+    apart, they land in different processes, each of which solves it
+    (the m = 1 rows of one p in `acceptance.CROSS_RUNS` share one shot).
     """
     n = 1
     if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):

@@ -10,7 +10,7 @@ the flat clause's bound W <= lambda (2-p) omega^{p-1} / m.
 import pytest
 
 from conftest import _assert_no_child_left, _count_calls, _cpus
-from ptone import acceptance, radial
+from ptone import acceptance
 
 
 @pytest.fixture(scope="module")
@@ -144,23 +144,30 @@ def test_battery_is_the_same_on_any_cpu_count(passes):
             [list(map(type, row.values())) for row in three.rows]
 
 
-def test_battery_repeats_no_march_across_processes(passes, monkeypatch):
+def test_battery_repeats_no_march_across_processes(passes):
     # The children send back every shot and solution, so a criterion
-    # reads what an earlier one built in any process.  The one repeat:
-    # CROSS_MATRIX first reaches p = 2.5, m = 1 (a shot that every
-    # warping shares) at c = -1, 0 and 1, rows 27-29, which three
-    # processes take one each; the two other workers each solve it.
+    # reads what an earlier one built in any process, and the cases that
+    # share a solution or a shot run in one process (`CROSS_RUNS` and the
+    # cuts of criteria 11-13), so no two processes take one.
     serial, forked = passes[1][1], passes[3][1]
-    shots = []
-    shoot = radial._shoot
-    monkeypatch.setattr(radial, "_shoot", lambda problem, lam: shots.append(
-        lam) or shoot(problem, lam))
-    radial.solve_ball_eigenvalue(radial.ball_problem(2.5, 1, 0.0, 1.0),
-                                 use_cache=False)
     assert forked["_march"] == serial["_march"] > 0
     # The serial pass's work budget: each pin is the count measured when
     # it was set; a change that takes fewer lowers it.
     assert serial["_solve"] <= 112 and serial["_shoot"] <= 913
     assert serial["_march"] <= 77
-    assert forked["_solve"] == serial["_solve"] + 2
-    assert forked["_shoot"] == serial["_shoot"] + 2 * len(shots)
+    assert forked["_solve"] == serial["_solve"]
+    assert forked["_shoot"] == serial["_shoot"]
+
+
+def test_each_multi_case_criterion_forks(monkeypatch):
+    # On 3 CPUs the criteria that split their cases fork, criterion 15
+    # through `cli._rows`, and the others run in this process.
+    forks = _cpus(monkeypatch, 3)
+    forked = set()
+    for number, _, fn in acceptance.REGISTRY:
+        before = len(forks)
+        fn()
+        if len(forks) > before:
+            forked.add(number)
+    _assert_no_child_left()
+    assert forked == {2, 3, 4, 6, 7, 9, 10, 11, 12, 13, 15}
