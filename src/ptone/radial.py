@@ -27,8 +27,8 @@ obtained by balancing the leading terms of the integrated equation.
 
 The eigenvalue is the smallest lam whose omega first vanishes exactly at
 r.  The first zero is strictly decreasing in lam, so the solver brackets
-(halving, then doubling lam from half a Barta-type seed until a zero
-appears before r) and then runs Brent's method on the continuous miss
+(halving, then doubling lam from half the seed `_barta_seed` until a
+zero appears before r) and then runs Brent's method on the continuous miss
 
     g(lam) = omega(r)              if omega has no zero before r,
     g(lam) = omega'(z) (r - z)     if its first zero is z <= r,
@@ -684,21 +684,20 @@ class RadialSolution:
 
 
 def _barta_seed(problem):
-    """Positive lower seed for bracketing, from an explicit test profile.
+    """Positive seed for bracketing, near the eigenvalue.
 
-    Balls use eta = 1 - (t/r)^beta, whose Barta ratio has a finite positive
-    pole limit for every p; annuli fall back to a 1-d string estimate
-    rescaled by the weight spread.  Either way the caller halves the seed
-    and keeps halving while a zero still appears, so the seed only needs
-    to be a sane order of magnitude.
+    Balls use the Barta ratio of eta = 1 - (t/r)^beta, a lower bound
+    with a finite positive pole limit for every p.  An annulus uses the
+    string eigenvalue (p-1)(pi_p/L)^p of its own interval of length L:
+    exact at m = 1, where the weight f^(m-1) is 1, and no longer a lower
+    bound at m >= 2, where the weight can push lam either way.  Either
+    way the caller halves the seed and keeps halving while a zero still
+    appears, which guards a half seed that lies above lam.
     """
     p, m = problem.p, problem.m
     d = problem.domain
     if d.kind == "annulus":
-        fm = problem.weight(np.linspace(d.left, d.right, 257))
-        lo, hi = float(np.min(fm)), float(np.max(fm))
-        base = (p - 1.0) * (pi_p(p) / (d.right - d.left)) ** p
-        return base * (lo / hi if hi > 0 else 1.0)
+        return (p - 1.0) * (pi_p(p) / (d.right - d.left)) ** p
     r = d.right
     beta = p / (p - 1.0)
     t = np.linspace(r / 256.0, r * (1 - 1.0 / 512.0), 256)

@@ -154,7 +154,7 @@ def test_battery_repeats_no_march_across_processes(passes):
     # The serial pass's work budget: each pin is the count measured when
     # it was set; a change that takes fewer lowers it.
     assert serial["_solve"] <= 112 and serial["_shoot"] <= 913
-    assert serial["_march"] <= 77
+    assert serial["_march"] <= 71
     assert forked["_solve"] == serial["_solve"]
     assert forked["_shoot"] == serial["_shoot"]
 
