@@ -14,15 +14,15 @@ Criteria 2, 3, 4, 6, 7 and 9-13 run their independent cases through
 rows, and the checks and the detail are read off the rows.  A case is
 one solution: cases that would share a shot or a march are one case,
 or two processes would each take it.  So criteria 3, 4 and 6 take the
-three m = 1 rows of one p, which share one shot, as one case
+three m = 1 rows of one p, which share one shot and march, as one case
 (`CROSS_RUNS`); criterion 11 runs both surfaces in one case per p,
 criterion 12 the plane check in the r = 1.2 case of its p, and
 criterion 13 the sandwich in its (2, 2, 0) case.  Criterion 4 draws
 every row's perturbations here, in row order, before the map.  The map
-leaves the children's solves in this process's cache, so later
-criteria repeat no shot or march.  The rows are those of one loop, bit
-for bit, in the same order, on any CPU count.  Criteria 1, 5, 8 and 14
-run in this process.
+leaves the children's shot records, with everything their solutions
+built, in this process's cache, so later criteria repeat no shot or
+march.  The rows are those of one loop, bit for bit, in the same order,
+on any CPU count.  Criteria 1, 5, 8 and 14 run in this process.
 
 A criterion that fails is reported as such; nothing here downgrades a
 tolerance to force a pass.  Criterion 9's flat clause checks the full
@@ -57,10 +57,11 @@ CROSS_MATRIX = [(p, m, c)
                 for c in (-1.0, 0.0, 1.0)]
 
 #: CROSS_MATRIX's row indices cut into runs that share one shot.  At
-#: m = 1 a shot reads no warping (`RadialProblem.cache_key`), so the
-#: rows (p, 1, c), c = -1, 0, 1, make one run; every other row is a run
-#: of its own.  A run is one case of `radial.fork_map` (`_cross_rows`),
-#: so no two processes take the same shot.
+#: m = 1 a shot and its builds read no warping
+#: (`RadialProblem.cache_key`), so the rows (p, 1, c), c = -1, 0, 1, make
+#: one run; every other row is a run of its own.  A run is one case of
+#: `radial.fork_map` (`_cross_rows`), so no two processes take the same
+#: shot.
 CROSS_RUNS = [list(run) for _, run in itertools.groupby(
     range(len(CROSS_MATRIX)),
     key=lambda i: CROSS_MATRIX[i][:2] if CROSS_MATRIX[i][1] == 1 else i)]

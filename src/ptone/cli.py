@@ -163,21 +163,28 @@ def format_csv(fieldnames, rows, meta=None):
     return buf.getvalue()
 
 
-def _emit(args, fieldnames, rows, command):
-    meta = "ptone %s  %s" % (
+def _meta(command):
+    """The leading ``#`` line's text: the command and the UTC time."""
+    return "ptone %s  %s" % (
         command, datetime.now(timezone.utc).isoformat(timespec="seconds"))
-    text = format_csv(fieldnames, rows, meta=meta)
+
+
+def _write_json(path, payload):
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _emit(args, fieldnames, rows, command):
+    text = format_csv(fieldnames, rows, meta=_meta(command))
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
     if args.json:
-        payload = {"command": command, "rows": [
-            {k: _json_value(v) for k, v in row.items()} for row in rows]}
-        with open(args.json, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.json, {"command": command, "rows": [
+            {k: _json_value(v) for k, v in row.items()} for row in rows]})
 
 
 def _combos(v):
@@ -397,19 +404,15 @@ def cmd_selftest(args):
         print(res.status_line())
     failures = [res for res in results if not res.passed]
     if args.out:
-        meta = "ptone selftest  %s" % datetime.now(
-            timezone.utc).isoformat(timespec="seconds")
         with open(args.out, "w") as fh:
             fh.write(format_csv(["criterion", "record", "field", "value"],
-                                selftest_manifest_rows(results), meta=meta))
+                                selftest_manifest_rows(results),
+                                meta=_meta("selftest")))
     if args.json:
-        payload = {"command": "selftest", "criteria": [
+        _write_json(args.json, {"command": "selftest", "criteria": [
             {"number": res.number, "name": res.name, "passed": res.passed,
              "detail": res.detail, "runtime_s": res.runtime}
-            for res in results]}
-        with open(args.json, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            for res in results]})
     if failures:
         print("\nFAILURE MANIFEST")
         sys.stdout.write(format_csv(

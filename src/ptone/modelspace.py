@@ -283,8 +283,8 @@ class WarpingProfile:
         # uses it for the O(t^{m+2}) flux correction.
         self.f3_0 = float(f3_0)
         self._data_key = data_key
-        # A profile is shared through the solver cache and its copies
-        # (`__reduce__`); nobody may change its interpolant in place.
+        # A profile is shared by every solve on it; nobody may change
+        # its interpolant in place.
         for arr in pchip or ():
             arr.setflags(write=False)
         if pchip is None:
@@ -293,12 +293,6 @@ class WarpingProfile:
             self.f_expr, names = _tabulated_warping(pchip)
         self.f_names = types.MappingProxyType(names)
         self.f_scalar = _compile_warping(self.f_expr, tuple(names))(**names)
-
-    def __reduce__(self):
-        # Its constructor's arguments; __init__ rebuilds the compiled f.
-        return (WarpingProfile, (self.kind, self.c, self.eps, self.r_max,
-                                 self._pchip, self.label, self.f3_0,
-                                 self._data_key))
 
     def eval(self, t):
         """Return (f, f', f'') at t (scalar or array), t in [0, r_max]."""

@@ -50,7 +50,6 @@ unit ball with m = 1, lam sits above (p-1)(pi_p/2)^p by 3.9e-12
 from the left endpoint with omega(a) = 0 and unit initial flux instead.
 """
 
-import functools
 import math
 import os
 import pickle
@@ -199,7 +198,7 @@ class RadialProblem:
         return self.profile.eval(t)[0] ** (self.m - 1)
 
     def cache_key(self, tol):
-        """The key of the shot result at tol: what a shot reads.
+        """The key of the shot record at tol: what a shot reads.
 
         (p, m, weight key, (kind, left, right), tol), where the weight
         key is the profile's `cache_key()`, or None when m = 1.  At m = 1
@@ -210,7 +209,11 @@ class RadialProblem:
         m - 1 = 0, the ball `_barta_seed` reads f'/f only times m - 1 = 0
         at nodes where f > 0, and `weight` returns ones.  Each such term
         is a signed zero and leaves every sum as it was, so every warping
-        shares one m = 1 shot, bit for bit.
+        shares one m = 1 shot, bit for bit.  No build of its solutions
+        (`RadialSolution.__getattr__`) reads more: the march walks the
+        same form, nodes before t0 take `_Startup.state`, omega' and the
+        residual read `weight`, and the peak and scale read the shot's
+        mesh.  So every warping shares the m = 1 builds too.
         """
         d = self.domain
         return (self.p, self.m,
@@ -409,16 +412,20 @@ def _omega_prime(problem, t, phi):
     return out
 
 
-# The names a solution builds after construction, each stored on first
-# use: the four `__getattr__` builds in one march, then the march's
-# recorded steps and an annulus's peak and scale.
-_BUILT = ("grid", "omega", "omega_prime", "residual", "_steps", "_t_peak",
-          "_scale")
-_DENSE = frozenset(_BUILT[:4])
+# The names a solution builds on first use, each stored in its shot
+# record's builds (`_CACHE`): the four dense names of one march and the
+# march's recorded steps by (n_grid, name), and an annulus's peak and
+# scale by name, once per shot.
+_DENSE = ("grid", "omega", "omega_prime", "residual")
+_PER_SHOT = ("_t_peak", "_scale")
 
 
 class RadialSolution:
     """A solved radial eigenpair with dense evaluation.
+
+    A view of one shot record (lam, ts, ys, steps, builds) for a problem
+    and a grid size: each solve returns a new one, with its own problem
+    and closures, so `critical` and `surfaces` read its own warping.
 
     Public arrays live on a uniform grid of n_grid nodes over the closed
     domain, marched from the stored adaptive trajectory by fixed
@@ -429,19 +436,18 @@ class RadialSolution:
 
     `grid`, `omega`, `omega_prime` and `residual` are one build step: the
     first read of any of them marches the grid once and audits it, and
-    all four are stored, so a caller that needs only `lam` pays for no
-    march.  The three arrays are read-only, and a cache hit shares them
-    with every other holder of the solution.
+    all four are stored in the record's builds, so a caller that needs
+    only `lam` pays for no march.  The three arrays are read-only, and
+    every view of the record shares them.
     """
 
-    def __init__(self, problem, lam, ts, ys, iterations, n_grid):
+    def __init__(self, problem, record, n_grid):
         self.problem = problem
         self.p = problem.p
         self.m = problem.m
+        lam, self._ts, self._ys, steps, self._builds = record
         self.lam = float(lam)
-        self.iterations = int(iterations)
-        self._ts = ts
-        self._ys = ys
+        self.iterations = int(steps)
         self._rhs, _, self._walk = _make_rhs(
             self.p, self.m, problem.profile, self.lam)
         d = problem.domain
@@ -452,30 +458,41 @@ class RadialSolution:
         self.n_grid = n_grid
 
     def __getattr__(self, name):
-        # Python calls this only when normal lookup fails; the build
-        # stores all four names, so it runs once per solution.
-        if name not in _DENSE:
+        # Python calls this only when normal lookup fails, so on every
+        # read of a built name: it lives in the record's builds, built
+        # there on the first read.
+        if name in _PER_SHOT:
+            key = name
+        elif name in _DENSE or name == "_steps":
+            key = (self.n_grid, name)
+        else:
             raise AttributeError("%r object has no attribute %r"
                                  % (type(self).__name__, name))
-        self._build(None)
-        return getattr(self, name)
+        builds = self._builds
+        if key not in builds:
+            if name in _DENSE:
+                self._build(None)
+            else:
+                builds[key] = getattr(self, "_make" + name)()
+        return builds[key]
 
     def _build(self, rec):
         """March the grid, recording its steps into rec unless rec is None,
         and store the four dense names unless they are stored."""
         grid, omega, phi = self._march(rec)
-        if "grid" in self.__dict__:
+        n, builds = self.n_grid, self._builds
+        if (n, "grid") in builds:
             return
-        self.grid = grid
-        self.omega, self.omega_prime = self._states(grid, omega, phi)
-        # Solutions are memoized and shared: an in-place write by one
-        # caller would corrupt every later cache hit.
-        for arr in (self.grid, self.omega, self.omega_prime):
+        omega, omega_prime = self._states(grid, omega, phi)
+        # Every view of the record shares the arrays: an in-place write
+        # by one caller would corrupt every later solve of it.
+        for arr in (grid, omega, omega_prime):
             arr.setflags(write=False)
-        self.residual = eigen_equation_residual(self)
+        builds.update({(n, "grid"): grid, (n, "omega"): omega,
+                       (n, "omega_prime"): omega_prime})
+        builds[n, "residual"] = eigen_equation_residual(self)
 
-    @functools.cached_property
-    def _t_peak(self):
+    def _make_t_peak(self):
         """An annulus's interior peak, where the flux Phi crosses zero.
 
         None on a ball.  omega' ~ |Phi|^(1/(p-1)) is not smooth there, so
@@ -489,8 +506,7 @@ class RadialSolution:
         return _refine_zero(self._rhs, self._walk, ts, ys, k,
                             1e-12 * (ts[-1] - ts[0]), comp=1)[0]
 
-    @functools.cached_property
-    def _scale(self):
+    def _make_scale(self):
         """1 / omega(_t_peak) on an annulus, 1 on a ball.
 
         The mesh-node maximum undershoots the peak by O(step^2).  omega at
@@ -616,8 +632,7 @@ class RadialSolution:
         phi *= self._scale ** (self.p - 1.0)
         return w, _omega_prime(self.problem, x, phi)
 
-    @functools.cached_property
-    def _steps(self):
+    def _make_steps(self):
         """The grid march's steps, `_ode.dense_steps` of its record.
 
         Built on the first `evaluate` by one march of the grid that records
@@ -656,26 +671,6 @@ class RadialSolution:
         if tt.ndim == 0:
             return float(w[0]), float(wp[0])
         return w.reshape(tt.shape), wp.reshape(tt.shape)
-
-    def _built(self):
-        """The names of `_BUILT` this solution has built, in that order."""
-        return tuple(name for name in _BUILT if name in self.__dict__)
-
-    def __reduce__(self):
-        # The problem, the shot result, n_grid and the built names:
-        # __init__ rebuilds the closures, and `__setstate__` the rest.
-        return (RadialSolution, (self.problem, self.lam, self._ts, self._ys,
-                                 self.iterations, self.n_grid),
-                {name: self.__dict__[name] for name in self._built()})
-
-    def __setstate__(self, built):
-        # A pickle loads arrays writable; a solution's arrays are shared
-        # by every cache hit, so they are read-only again.
-        for value in built.values():
-            for arr in value if isinstance(value, tuple) else (value,):
-                if isinstance(arr, np.ndarray):
-                    arr.setflags(write=False)
-        self.__dict__.update(built)
 
     def __repr__(self):
         return ("RadialSolution(p=%g, m=%d, %s, lam=%.12g, iterations=%d)"
@@ -742,7 +737,9 @@ def _solve(problem, tol):
     tight `_shoot`.  A doubling rung below lam_hi is read only for its
     sign: a loose shot (`_loose_zero_free`) decides it where it can, and
     the tight shot where it cannot, so the bracket, Brent's path and
-    every bit of the result are those of tight shots alone.
+    every bit of the result are those of tight shots alone.  The rung
+    after a halving holds a tight shot with a zero already, and takes no
+    loose one.
 
     steps counts the Brent steps after the bracketing shots.  A
     NonConvergenceError (IntegrationError included) leaves with the
@@ -773,7 +770,8 @@ def _solve(problem, tol):
         lam_hi = lam_lo
         for _ in range(60):
             lam_hi *= 2.0
-            if not _loose_zero_free(problem, lam_hi) and miss(lam_hi) <= 0.0:
+            if ((lam_hi in shots or not _loose_zero_free(problem, lam_hi))
+                    and miss(lam_hi) <= 0.0):
                 break
         else:
             raise NonConvergenceError("no omega zero after 60 doublings of lam")
@@ -796,59 +794,51 @@ def _solve(problem, tol):
     return lam, ts, ys, steps
 
 
-# Shot results (lam, mesh, Brent steps) by `RadialProblem.cache_key(tol)`,
-# which names only what a shot reads: at m = 1 it leaves out the warping,
-# so every warping shares one shot.  Solutions by that key, the
-# profile's own key and n_grid: a solution carries its own problem, and
-# `critical` and `surfaces` read its profile.  A solve that differs only
-# in n_grid, or at m = 1 only in the warping, builds its solution from
-# the cached shot result and takes no shot.  The caches are per process;
-# `fork_map` sends each child's additions back to the parent.
-_SOLVE_CACHE = {}
-_SHOT_CACHE = {}
+# Shot records (lam, ts, ys, Brent steps, builds) by
+# `RadialProblem.cache_key(tol)`, which names only what a shot reads: at
+# m = 1 it leaves out the warping, so every warping shares one shot.
+# builds holds what the solutions of that shot build on first use
+# (`RadialSolution.__getattr__`), none of which reads more of the
+# problem than the shot does, so every solution of the shot shares
+# them.  A solve that differs only in n_grid, or at m = 1 only in the
+# warping, takes no shot, and at the same n_grid marches nothing the
+# record holds.  The cache is per process; `fork_map` sends each
+# child's additions back to the parent.
+_CACHE = {}
 _MIN_GRID = 5   # the residual audit's five-point stencil
 
 
 def clear_solver_cache():
-    """Drop memoized eigensolves and their shot results (used by
-    determinism checks)."""
-    _SOLVE_CACHE.clear()
-    _SHOT_CACHE.clear()
+    """Drop memoized eigensolves and their builds (used by determinism
+    checks)."""
+    _CACHE.clear()
 
 
-def _cache_news(held):
-    """(shots, solutions) of the caches that are not in held.
-
-    held is (shot keys, {solve key: built names}) as they were at the
-    fork.  shots holds every shot result added since, and solutions
-    every solution added or built further (`_BUILT`).
-    """
-    shot_keys, built = held
-    return ({key: shot for key, shot in _SHOT_CACHE.items()
-             if key not in shot_keys},
-            {key: sol for key, sol in _SOLVE_CACHE.items()
-             if sol._built() != built.get(key)})
-
-
-def _merge_cache_news(shots, solutions):
-    """Add the keys the caches lack, and give a solution they hold the
-    built state it lacks."""
-    for key, shot in shots.items():
-        _SHOT_CACHE.setdefault(key, shot)
-    for key, sol in solutions.items():
-        held = _SOLVE_CACHE.setdefault(key, sol)
-        for name in sol._built():
-            held.__dict__.setdefault(name, sol.__dict__[name])
+def _merge_cache_news(records):
+    """Add the keys `_CACHE` lacks, and to a record it holds the builds
+    it lacks; every array merged in is read-only, as it was built."""
+    for key, record in records.items():
+        for value in record[4].values():
+            for arr in value if isinstance(value, tuple) else (value,):
+                if isinstance(arr, np.ndarray):
+                    arr.setflags(write=False)
+        builds = _CACHE.setdefault(key, record)[4]
+        for name, value in record[4].items():
+            builds.setdefault(name, value)
 
 
 def _pickled_share(w, got, held):
-    """(bytes, exit status) a child sends: its share and `_cache_news`.
+    """(bytes, exit status) a child sends: its share, and every record
+    of `_CACHE` that is new or has gained builds since held, the
+    {key: build names} at the fork.
 
     A share with a row (or exception) that cannot be pickled becomes the
     (index, RuntimeError) of the first such row, and exit status 1.
     """
+    news = {key: record for key, record in _CACHE.items()
+            if record[4].keys() != held.get(key)}
     try:
-        return pickle.dumps((got,) + _cache_news(held)), 0
+        return pickle.dumps((got, news)), 0
     except Exception:
         for i, value in [got] if isinstance(got, tuple) else got:
             try:
@@ -857,7 +847,7 @@ def _pickled_share(w, got, held):
                 error = RuntimeError(
                     "row %d could not be pickled in row worker %d: %s: %s"
                     % (i, w, type(exc).__name__, exc))
-                return pickle.dumps(((i, error), {}, {})), 1
+                return pickle.dumps(((i, error), {})), 1
         raise
 
 
@@ -868,16 +858,17 @@ def fork_map(fn, items):
     most one per item: this process takes items 0, n, 2n, ... and each of
     n - 1 forked children takes items w, w + n, ... and pickles down a
     pipe its rows, or the exception of its first failing item, with
-    every shot result it added to the caches and every solution it added
-    or built further.  A share that cannot be pickled is sent as a
-    RuntimeError naming its row (`_pickled_share`).  This process merges
-    the caches (`_merge_cache_news`), so they hold what one loop would
-    have left and no later solve repeats a shot or a march.  One item or
+    every shot record it added to the cache or gave new builds, against
+    the record keys and build names held at the fork.  A share that
+    cannot be pickled is sent as a RuntimeError naming its row
+    (`_pickled_share`).  This process merges the records
+    (`_merge_cache_news`), so the cache holds what one loop would have
+    left and no later solve repeats a shot or a march.  One item or
     one CPU forks nothing.  The rows keep their order, and the exception
     raised is that of the lowest failing index, the one a single loop
     meets first.  Every child is reaped before this returns or raises.
 
-    Items that share a shot or a solution belong in one item: split
+    Items that share a shot or a march belong in one item: split
     apart, they land in different processes, each of which solves it
     (the m = 1 rows of one p in `acceptance.CROSS_RUNS` share one shot).
     """
@@ -902,8 +893,8 @@ def fork_map(fn, items):
             if pid == 0:
                 status = 1
                 try:
-                    held = (set(_SHOT_CACHE), {key: sol._built() for key, sol
-                                               in _SOLVE_CACHE.items()})
+                    held = {key: set(record[4])
+                            for key, record in _CACHE.items()}
                     data, status = _pickled_share(w, share(w), held)
                     with os.fdopen(wfd, "wb") as fh:
                         fh.write(data)
@@ -923,8 +914,8 @@ def fork_map(fn, items):
                 "row worker %d ended with wait status %d and sent no rows"
                 % (w, status))))
             continue
-        got, shots, solutions = pickle.loads(data)
-        _merge_cache_news(shots, solutions)
+        got, records = pickle.loads(data)
+        _merge_cache_news(records)
         shares.append(got)
     failures = [got for got in shares if isinstance(got, tuple)]
     if failures:
@@ -936,13 +927,13 @@ def fork_map(fn, items):
 def _solve_memoized(problem, kind, tol, n_grid, use_cache):
     """The body of both solve functions, for a domain of the given kind.
 
-    Checks the domain kind, n_grid and tol.  Returns the cached solution
-    of (shot key, profile key, n_grid) if there is one, and otherwise
-    builds one from the cached shot result of the shot key
-    (`RadialProblem.cache_key`), solving for it if there is none, and
-    stores both.  The shot key leaves out the warping at m = 1, where
-    the shot reads none of it, so an m = 1 solve on another warping
-    takes no shot; its solution is built for its own problem.
+    Checks the domain kind, n_grid and tol.  Returns a new view of the
+    shot record of `RadialProblem.cache_key(tol)`, solving for it and
+    storing it if `_CACHE` holds none (without use_cache, a view of a
+    fresh record that is stored nowhere).  The key leaves out the warping
+    at m = 1, where the shot reads none of it, so an m = 1 solve on
+    another warping takes no shot and shares the record's builds; its
+    view holds its own problem.
     """
     if problem.domain.kind != kind:
         raise ValueError("solve_%s_eigenvalue needs a domain of kind %r, "
@@ -956,16 +947,11 @@ def _solve_memoized(problem, kind, tol, n_grid, use_cache):
         raise ValueError("tol=%r: the relative bracket width needs "
                          "2**-52 <= tol < 1" % (tol,))
     if not use_cache:
-        return RadialSolution(problem, *_solve(problem, tol), n_grid)
+        return RadialSolution(problem, _solve(problem, tol) + ({},), n_grid)
     key = problem.cache_key(tol)
-    solve_key = (key, problem.profile.cache_key(), n_grid)
-    sol = _SOLVE_CACHE.get(solve_key)
-    if sol is None:
-        if key not in _SHOT_CACHE:
-            _SHOT_CACHE[key] = _solve(problem, tol)
-        sol = RadialSolution(problem, *_SHOT_CACHE[key], n_grid)
-        _SOLVE_CACHE[solve_key] = sol
-    return sol
+    if key not in _CACHE:
+        _CACHE[key] = _solve(problem, tol) + ({},)
+    return RadialSolution(problem, _CACHE[key], n_grid)
 
 
 def solve_ball_eigenvalue(problem, tol=_DEFAULT_TOL, n_grid=_DEFAULT_GRID,
@@ -974,12 +960,12 @@ def solve_ball_eigenvalue(problem, tol=_DEFAULT_TOL, n_grid=_DEFAULT_GRID,
 
     Returns a RadialSolution whose omega is positive on [0, r), decreasing,
     and vanishes at r up to the eigenvalue tolerance.  Solves are
-    memoized per process: the shot result by what the shot reads (p, m,
-    domain, tol, and the warping unless m = 1; `RadialProblem.cache_key`),
-    and the solution by that, the warping and n_grid.  Another n_grid
-    takes no shot, and neither does an m = 1 solve on another warping:
-    with weight f^0 = 1 its shot reads no bit of the profile.  Solves are
-    pure, so the caches are transparent.
+    memoized per process by what the shot reads (p, m, domain, tol, and
+    the warping unless m = 1; `RadialProblem.cache_key`), together with
+    what the solutions build.  Another n_grid takes no shot, and neither
+    does an m = 1 solve on another warping: with weight f^0 = 1 its shot
+    and builds read no bit of the profile.  Solves are pure, so the
+    cache is transparent.
     """
     return _solve_memoized(problem, "ball", tol, n_grid, use_cache)
 

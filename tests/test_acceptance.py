@@ -145,16 +145,16 @@ def test_battery_is_the_same_on_any_cpu_count(passes):
 
 
 def test_battery_repeats_no_march_across_processes(passes):
-    # The children send back every shot and solution, so a criterion
-    # reads what an earlier one built in any process, and the cases that
-    # share a solution or a shot run in one process (`CROSS_RUNS` and the
+    # The children send back every shot record with its builds, so a
+    # criterion reads what an earlier one built in any process, and the
+    # cases that share a shot run in one process (`CROSS_RUNS` and the
     # cuts of criteria 11-13), so no two processes take one.
     serial, forked = passes[1][1], passes[3][1]
     assert forked["_march"] == serial["_march"] > 0
     # The serial pass's work budget: each pin is the count measured when
     # it was set; a change that takes fewer lowers it.
     assert serial["_solve"] <= 112 and serial["_shoot"] <= 913
-    assert serial["_march"] <= 71
+    assert serial["_march"] <= 63
     assert forked["_solve"] == serial["_solve"]
     assert forked["_shoot"] == serial["_shoot"]
 

@@ -1,5 +1,4 @@
 import math
-import pickle
 import re
 from types import MappingProxyType
 
@@ -181,34 +180,8 @@ def test_tabulated_rejects_non_finite_samples(bad, where):
         tabulated(t, f)
 
 
-_T = np.linspace(0.0, 1.05, 2001)
-
-
-@pytest.mark.parametrize("make", [
-    lambda: space_form(-1.0), lambda: perturbed(-1.0, 0.1),
-    lambda: tabulated(_T, np.sinh(_T), label="tab-sinh")],
-    ids=["spaceform", "perturbed", "tabulated"])
-def test_profile_pickle_round_trip(make):
-    # A profile comes back from a pickle (inside a forked child's
-    # solutions) with the same key, the same compiled f and the same
-    # bits, its interpolant read-only.
-    prof = make()
-    copy = pickle.loads(pickle.dumps(prof))
-    assert copy is not prof
-    assert (copy.cache_key(), copy.describe(), copy.f_expr, copy.f3_0) == (
-        prof.cache_key(), prof.describe(), prof.f_expr, prof.f3_0)
-    assert dict(copy.f_names) == dict(prof.f_names)
-    t = np.linspace(0.0, 1.0, 257)
-    for got, want in zip(copy.eval(t), prof.eval(t)):
-        assert got.tobytes() == want.tobytes()
-    assert [copy.f_scalar(x) for x in t.tolist()] == [
-        prof.f_scalar(x) for x in t.tolist()]
-    for got, want in zip(copy._pchip or (), prof._pchip or ()):
-        assert not got.flags.writeable and got.tobytes() == want.tobytes()
-
-
 def test_tabulated_coefficients_are_read_only():
-    # Profiles are shared through the solver cache; callers must not be
+    # A profile is shared by every solve on it; callers must not be
     # able to change one in place.  The caller's own arrays stay writable.
     t = np.linspace(0.0, 1.0, 2001)
     f = np.sinh(t)

@@ -1,6 +1,5 @@
 import itertools
 import math
-import pickle
 import re
 import warnings
 from array import array
@@ -13,6 +12,7 @@ from scipy.integrate import RK45, solve_ivp
 from scipy.special import j0, jn_zeros
 
 import oracles
+from conftest import _assert_no_child_left, _cpus
 from ptone import _ode, acceptance, modelspace, radial
 from ptone.radial import (Annulus, Ball, RadialProblem, ball_problem,
                           eigen_equation_residual, pi_p,
@@ -150,9 +150,9 @@ def test_march_matches_p2_closed_forms(m, form, n):
 
 def _refined(sol, n_grid):
     """A fresh solution from sol's shot on n_grid nodes: its own march,
-    node to node, independent of sol's."""
-    return radial.RadialSolution(sol.problem, sol.lam, sol._ts, sol._ys,
-                                 sol.iterations, n_grid)
+    node to node, independent of sol's (a record with no builds)."""
+    return radial.RadialSolution(sol.problem, (sol.lam, sol._ts, sol._ys,
+                                               sol.iterations, {}), n_grid)
 
 
 @pytest.mark.parametrize("p,m,c", [
@@ -1076,7 +1076,7 @@ def test_work_budget_of_annuli(monkeypatch):
             ((0.5, 1.5), (0.01, 1.0))):
         problem = RadialProblem(p, m, modelspace.space_form(c), Annulus(a, b))
         assert solve_annulus_eigenvalue(problem, use_cache=False).lam > 0.0
-    _assert_within(counts, {"tight": 561, "loose": 106})
+    _assert_within(counts, {"tight": 561, "loose": 103})
 
 
 def _solve_bits(problem):
@@ -1356,7 +1356,7 @@ def test_evaluate_refuses_points_outside_the_domain(problem, t):
     assert w[0] == sol.omega[0] and w[1] == sol.omega[-1]
 
 
-def test_cached_solution_is_read_only():
+def test_cached_solution_is_read_only(monkeypatch):
     problem = ball_problem(2.0, 2, 0.0, 1.0)
     fresh = solve_ball_eigenvalue(problem, use_cache=False)
     sol = solve_ball_eigenvalue(problem)
@@ -1369,8 +1369,10 @@ def test_cached_solution_is_read_only():
             arr[:] = 0.0
         with pytest.raises(ValueError):
             arr *= 2.0
+    # another solve shares the record's arrays, with no shot and no march
+    shots, sizes = _shot_spy(monkeypatch), _count_marches(monkeypatch)
     again = solve_ball_eigenvalue(problem)
-    assert again is sol
+    assert again.omega is sol.omega and shots == [] and sizes == []
     assert again.omega.max() == peak == pytest.approx(1.0, abs=1e-12)
 
 
@@ -1458,8 +1460,8 @@ def test_first_evaluate_is_the_one_march(monkeypatch, problem):
     scan = np.linspace(sol._left, sol.r, 3001)
     first = sol.evaluate(scan)
     assert sizes == [-sol.n_grid]
-    assert "omega" in vars(sol) and sol.residual > 0.0
-    assert sizes == [-sol.n_grid]
+    assert sol.omega is sol._builds[sol.n_grid, "omega"]
+    assert sol.residual > 0.0 and sizes == [-sol.n_grid]
 
     def refuse(*args, **kwargs):
         raise AssertionError("a second evaluate stepped")
@@ -1515,7 +1517,7 @@ def test_every_fixed_step_is_a_walk(monkeypatch, problem):
 
 
 def test_stored_steps_are_read_only():
-    # The steps are shared by every holder of a cached solution.
+    # The steps are shared by every solution of the shot record.
     sol = solve_ball_eigenvalue(ball_problem(2.0, 2, 0.0, 1.0))
     sol.evaluate(0.5)
     for arr in sol._steps:
@@ -1524,38 +1526,55 @@ def test_stored_steps_are_read_only():
             arr[...] = 0.0
 
 
-@pytest.mark.parametrize("state", ["unbuilt", "built", "evaluated"])
-@pytest.mark.parametrize("problem", _LAZY_PROBLEMS, ids=["ball", "annulus"])
-def test_solution_pickle_round_trip(problem, state):
-    # A solution comes back from a pickle (a forked child's cache) with
-    # what it had built, read-only, and the same bits in every array and
-    # every evaluate.
-    sol = _fresh_solve(problem)
-    t = np.linspace(sol._left, sol.r, 1001)
-    if state != "unbuilt":
-        sol.omega
-    if state == "evaluated":
-        sol.evaluate(t)
-    copy = pickle.loads(pickle.dumps(sol))
-    assert copy is not sol and copy._built() == sol._built() == {
-        "unbuilt": (), "built": radial._BUILT[:4] + radial._BUILT[5:],
-        "evaluated": radial._BUILT}[state]
-    for name in copy._built():
-        got, want = getattr(copy, name), getattr(sol, name)
-        for a, b in zip(got, want) if name == "_steps" else [(got, want)]:
-            if isinstance(a, np.ndarray):
-                assert not a.flags.writeable and a.tobytes() == b.tobytes()
-            else:
-                assert a == b
-    assert copy.problem.cache_key(1e-12) == sol.problem.cache_key(1e-12)
-    assert copy.problem.profile.cache_key() == sol.problem.profile.cache_key()
-    assert (copy.n_grid, copy._ts, copy._ys) == (sol.n_grid, sol._ts, sol._ys)
-    for got, want in zip(copy.evaluate(t), sol.evaluate(t)):
-        assert got.tobytes() == want.tobytes()
-    assert copy.evaluate(0.75) == sol.evaluate(0.75)
-    _assert_same_solution(copy, sol)
-    for arr in copy._steps:
+def test_m1_builds_are_shared_by_every_warping(monkeypatch):
+    # At m = 1 no build reads more of the problem than the shot does
+    # (`RadialProblem.cache_key`): the solves on S_-1, S_0, S_1 and
+    # tab-sinh march once and share one set of read-only arrays, each bit
+    # for bit a cold solve of its own problem.  At m = 2 every warping
+    # marches its own.
+    radial.clear_solver_cache()
+    sizes = _count_marches(monkeypatch)
+    sols = [solve_ball_eigenvalue(RadialProblem(2.5, 1, prof, Ball(1.0)))
+            for prof in _warpings(Ball(1.0))]
+    assert len(sols) == 4
+    for sol in sols:
+        assert sol.omega is sols[0].omega and sol.grid is sols[0].grid
+        assert sol.omega_prime is sols[0].omega_prime
+    assert sizes == [sols[0].n_grid]
+    for sol in sols:
+        _assert_same_solution(sol, _fresh_solve(sol.problem))
+    del sizes[:]
+    for c in (-1.0, 0.0, 1.0):
+        solve_ball_eigenvalue(ball_problem(2.5, 2, c, 1.0)).omega
+    assert len(sizes) == 3
+
+
+def test_forked_builds_come_home(monkeypatch):
+    # This process solves for lam only; a forked child reads omega and
+    # evaluates.  The child's builds come back into the shot record,
+    # read-only, so this process's solution reads them with no march.
+    problem = _LAZY_PROBLEMS[1]
+    radial.clear_solver_cache()
+    sol = solve_annulus_eigenvalue(problem)
+    t = np.linspace(sol._left, sol.r, 101)
+
+    def case(i):
+        if i == 0:
+            return None
+        child = solve_annulus_eigenvalue(problem)
+        return [a.tobytes() for a in (child.omega,) + child.evaluate(t)]
+
+    _cpus(monkeypatch, 2)
+    sizes = _count_marches(monkeypatch)
+    _, sent = radial.fork_map(case, [0, 1])
+    _assert_no_child_left()
+    assert sizes == []
+    got = [sol.omega] + list(sol.evaluate(t))
+    assert sizes == [] and [a.tobytes() for a in got] == sent
+    for arr in (sol.grid, sol.omega, sol.omega_prime) + sol._steps:
         assert not arr.flags.writeable
+    assert sol._scale > 1.0 and sol.residual > 0.0 and sizes == []
+    _assert_same_solution(sol, _fresh_solve(problem))
 
 
 def test_residual_detects_doctored_eigenvalue():
@@ -1593,11 +1612,14 @@ def test_shot_first_zero_monotone_in_lambda():
     assert radial._shoot(problem, 0.9 * lam_star)[2] > 0.0
 
 
-def test_solver_cache_and_determinism():
+def test_solver_cache_and_determinism(monkeypatch):
     radial.clear_solver_cache()
     problem = ball_problem(2.0, 2, 1.0, 0.7)
     first = solve_ball_eigenvalue(problem)
-    assert solve_ball_eigenvalue(problem) is first
+    first.omega
+    shots, sizes = _shot_spy(monkeypatch), _count_marches(monkeypatch)
+    hit = solve_ball_eigenvalue(problem)
+    assert hit.omega is first.omega and shots == [] and sizes == []
     radial.clear_solver_cache()
     again = solve_ball_eigenvalue(problem)
     assert again is not first and again.lam == first.lam
