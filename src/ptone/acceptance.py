@@ -10,8 +10,9 @@ timings, no timestamps) -- the selftest CSV body must be byte-identical
 between runs.
 
 Criteria 2, 3, 4, 6, 7 and 9-13 run their independent cases through
-`radial.fork_map`, one process per usable CPU: each case returns its
-rows, and the checks and the detail are read off the rows.  A case is
+`radial.fork_map`, one process per usable CPU, each process pulling
+the next case when it finishes one: each case returns its rows, and
+the checks and the detail are read off the rows.  A case is
 one solution: cases that would share a shot or a march are one case,
 or two processes would each take it.  So criteria 3, 4 and 6 take the
 three m = 1 rows of one p, which share one shot and march, as one case
@@ -22,7 +23,9 @@ every row's perturbations here, in row order, before the map.  The map
 leaves the children's shot records, with everything their solutions
 built, in this process's cache, so later criteria repeat no shot or
 march.  The rows are those of one loop, bit for bit, in the same order,
-on any CPU count.  Criteria 1, 5, 8 and 14 run in this process.
+on any CPU count.  Criterion 15 maps its two cold emissions, each of
+which runs its rows in one loop (a map inside a map forks nothing).
+Criteria 1, 5, 8 and 14 run in this process.
 
 A criterion that fails is reported as such; nothing here downgrades a
 tolerance to force a pass.  Criterion 9's flat clause checks the full
@@ -668,10 +671,17 @@ def criterion_14():
 
 @_criterion(15, "harness determinism")
 def criterion_15():
-    """Harness determinism: the sweep battery emits byte-identical CSV."""
+    """Harness determinism: the sweep battery emits byte-identical CSV.
+
+    The two emissions are the two items of one `radial.fork_map`, so on
+    two CPUs they run side by side.  Each is cold: it clears the cache of
+    the process that runs it, and its rows run there in one loop (a map
+    inside a map forks nothing).  Each clears the cache again when it is
+    done, so a child sends no records home: they serve only this check.
+    """
     from . import cli
 
-    def battery():
+    def battery(_):
         radial.clear_solver_cache()
         # The r* rows first: their scan's recording march also builds the
         # grid that three sweep rows read, where the other order marches
@@ -680,10 +690,10 @@ def criterion_15():
                                 (2.0, 2, 1.0, 1.4), (3.0, 2, -1.0, 1.0)])
         rows = cli.sweep_rows([(p, 2, c, 1.0) for p in (2.0, 3.0)
                                for c in (-1.0, 0.0, 1.0)])
+        radial.clear_solver_cache()
         return cli.format_csv(None, rows + rstar)
 
-    first = battery()
-    second = battery()
+    first, second = radial.fork_map(battery, ["first", "second"])
     identical = first == second
     rows = [{"check": "csv bodies identical", "bytes": len(first),
              "identical": identical}]

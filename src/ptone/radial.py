@@ -53,6 +53,7 @@ from the left endpoint with omega(a) = 0 and unit initial flux instead.
 import math
 import os
 import pickle
+import struct
 import sys
 from array import array
 from bisect import bisect_left
@@ -425,7 +426,8 @@ class RadialSolution:
 
     A view of one shot record (lam, ts, ys, steps, builds) for a problem
     and a grid size: each solve returns a new one, with its own problem
-    and closures, so `critical` and `surfaces` read its own warping.
+    and, built on their first read, its own closures, so `critical` and
+    `surfaces` read its own warping.
 
     Public arrays live on a uniform grid of n_grid nodes over the closed
     domain, marched from the stored adaptive trajectory by fixed
@@ -448,19 +450,26 @@ class RadialSolution:
         lam, self._ts, self._ys, steps, self._builds = record
         self.lam = float(lam)
         self.iterations = int(steps)
-        self._rhs, _, self._walk = _make_rhs(
-            self.p, self.m, problem.profile, self.lam)
         d = problem.domain
-        self._startup = (_Startup(self.p, self.m, problem.profile, self.lam)
-                         if d.kind == "ball" else None)
         self._left = d.left
         self.r = d.right
         self.n_grid = n_grid
 
     def __getattr__(self, name):
-        # Python calls this only when normal lookup fails, so on every
-        # read of a built name: it lives in the record's builds, built
-        # there on the first read.
+        # Python calls this only when normal lookup fails: on the first
+        # read of the view's own closures, which it then stores on the
+        # view, so a solve read only for lam builds none, and on every
+        # read of a built name, which lives in the record's builds,
+        # built there on the first read.
+        if name in ("_rhs", "_walk"):
+            self._rhs, _, self._walk = _make_rhs(
+                self.p, self.m, self.problem.profile, self.lam)
+            return self.__dict__[name]
+        if name == "_startup":
+            self._startup = (
+                _Startup(self.p, self.m, self.problem.profile, self.lam)
+                if self.problem.domain.kind == "ball" else None)
+            return self._startup
         if name in _PER_SHOT:
             key = name
         elif name in _DENSE or name == "_steps":
@@ -499,7 +508,7 @@ class RadialSolution:
         the march grades its steps toward it.  Built on the first march,
         like `_scale`: a solve read only for lam does no peak work.
         """
-        if self._startup is not None:
+        if self.problem.domain.kind == "ball":
             return None
         ts, ys = self._ts, self._ys
         k = next(k for k in range(1, len(ts)) if ys[k][1] <= 0.0)
@@ -560,7 +569,7 @@ class RadialSolution:
         t0, (u0, v0) = self._ts[0], self._ys[0]
         span = self.r - self._left
         wall, peak = self.p, self.p / (self.p - 1.0)
-        if self._startup is not None:
+        if self.problem.domain.kind == "ball":
             points = [(self._left, _POLE_RATIO, peak),
                       (self.r, _KINK_RATIO, wall)]
         else:
@@ -827,100 +836,158 @@ def _merge_cache_news(records):
             builds.setdefault(name, value)
 
 
-def _pickled_share(w, got, held):
-    """(bytes, exit status) a child sends: its share, and every record
-    of `_CACHE` that is new or has gained builds since held, the
-    {key: build names} at the fork.
+def _pickled_share(done, failure, news):
+    """(bytes, exit status) of one worker's share of a `fork_map`: done,
+    its (index, row) pairs; failure, the (index, exception) it stopped
+    at, or None; and news, the records it sends home.
 
-    A share with a row (or exception) that cannot be pickled becomes the
-    (index, RuntimeError) of the first such row, and exit status 1.
+    A row or exception that cannot be pickled and unpickled (a lambda,
+    or an exception whose __init__ takes other arguments than its args)
+    makes the share ([], (i, RuntimeError naming row i), {}) of the
+    first such row i, with exit status 1.  A worker's rows all come
+    before its failure.
     """
-    news = {key: record for key, record in _CACHE.items()
-            if record[4].keys() != held.get(key)}
     try:
-        return pickle.dumps((got, news)), 0
+        pickle.loads(pickle.dumps((done, failure)))
+        return pickle.dumps((done, failure, news)), 0
     except Exception:
-        for i, value in [got] if isinstance(got, tuple) else got:
+        for i, value in done + ([failure] if failure else []):
             try:
-                pickle.dumps(value)
+                pickle.loads(pickle.dumps(value))
             except Exception as exc:
-                error = RuntimeError(
-                    "row %d could not be pickled in row worker %d: %s: %s"
-                    % (i, w, type(exc).__name__, exc))
-                return pickle.dumps(((i, error), {})), 1
+                error = RuntimeError("row %d could not be pickled: %s: %s"
+                                     % (i, type(exc).__name__, exc))
+                return pickle.dumps(([], (i, error), {})), 1
         raise
+
+
+# A map's work queue: (start, stop) chunks of its indices, written whole
+# into a pipe before the first fork.  They fill at most 4096 bytes, the
+# least a Linux pipe holds (one page), so the write never blocks; a map
+# forks only where os.sched_getaffinity exists, on Linux.
+_CHUNK = struct.Struct("=qq")
+_MAX_CHUNKS = 4096 // _CHUNK.size
+
+# True in every process of a map while it runs: a map called then runs
+# its items in one loop.
+_in_map = False
 
 
 def fork_map(fn, items):
     """[fn(item) for item in items], in one process per usable CPU.
 
     The items run in n processes, one per CPU this process may use and at
-    most one per item: this process takes items 0, n, 2n, ... and each of
-    n - 1 forked children takes items w, w + n, ... and pickles down a
-    pipe its rows, or the exception of its first failing item, with
-    every shot record it added to the cache or gave new builds, against
-    the record keys and build names held at the fork.  A share that
-    cannot be pickled is sent as a RuntimeError naming its row
-    (`_pickled_share`).  This process merges the records
-    (`_merge_cache_news`), so the cache holds what one loop would have
-    left and no later solve repeats a shot or a march.  One item or
-    one CPU forks nothing.  The rows keep their order, and the exception
-    raised is that of the lowest failing index, the one a single loop
-    meets first.  Every child is reaped before this returns or raises.
+    most one per item: this process and n - 1 forked children.  Each
+    worker pulls the next unclaimed index from one queue as soon as it
+    finishes its last item, until the queue is empty; a worker whose
+    item fails empties it, so the others stop after their current item.
+    The queue is a pipe that holds every index in increasing order
+    (chunks of consecutive indices past _MAX_CHUNKS items), so a worker
+    that dies blocks no other.  Each child pickles down a pipe its rows
+    and its failure, with every shot record it added to the cache or
+    gave new builds, against the record keys and build names held at the
+    fork.  This process merges the records (`_merge_cache_news`), so the
+    cache holds what one loop would have left and no later solve repeats
+    a shot or a march.  A fork that fails leaves the items to the workers
+    already started.  Every child is reaped before this returns or raises.
 
-    Items that share a shot or a march belong in one item: split
-    apart, they land in different processes, each of which solves it
+    The rows keep their order, and the exception raised is that of the
+    lowest failing index, the one a single loop meets first: indices go
+    out in increasing order and a worker stops only at its own failure,
+    so every lower index has run.  No outcome depends on which process
+    took an item.  A row or exception that cannot be pickled is a
+    RuntimeError naming its row, in this process too
+    (`_pickled_share`).  A child that sends nothing raises, before any
+    row's exception, a RuntimeError with its worker number and wait
+    status (that of the lowest such number).
+
+    One item, one CPU, or a map called while a map runs (from an item,
+    in this process or in a child) forks nothing: its items run in one
+    loop.  Items that share a shot or a march belong in one item: split
+    apart, they may land in different processes, each of which solves it
     (the m = 1 rows of one p in `acceptance.CROSS_RUNS` share one shot).
     """
+    global _in_map
     n = 1
-    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
-        n = min(len(items), len(os.sched_getaffinity(0))) or 1
+    if (not _in_map and hasattr(os, "fork")
+            and hasattr(os, "sched_getaffinity")):
+        n = min(len(items), len(os.sched_getaffinity(0)))
+    if n <= 1:
+        return [fn(item) for item in items]
 
-    def share(w):
+    def share():
         done = []
-        for i in range(w, len(items), n):
-            try:
-                done.append((i, fn(items[i])))
-            except Exception as exc:
-                return i, exc
-        return done
+        while True:
+            chunk = os.read(queue, _CHUNK.size)
+            if not chunk:
+                return done, None
+            for i in range(*_CHUNK.unpack(chunk)):
+                try:
+                    done.append((i, fn(items[i])))
+                except Exception as exc:
+                    # Every lower index is taken and no higher one can
+                    # change the outcome: empty the queue.
+                    while os.read(queue, 4096):
+                        pass
+                    return done, (i, exc)
 
-    shares, children, sent = [], [], []
+    size = -(-len(items) // _MAX_CHUNKS)
+    queue, wfd = os.pipe()
+    try:
+        os.write(wfd, b"".join(_CHUNK.pack(i, min(i + size, len(items)))
+                               for i in range(0, len(items), size)))
+    finally:
+        os.close(wfd)
+    children, sent = [], []
+    _in_map = True
     try:
         for w in range(1, n):
-            rfd, wfd = os.pipe()
-            pid = os.fork()
+            fds = ()
+            try:
+                fds = os.pipe()
+                pid = os.fork()
+            except OSError:
+                for fd in fds:
+                    os.close(fd)
+                break
             if pid == 0:
                 status = 1
                 try:
                     held = {key: set(record[4])
                             for key, record in _CACHE.items()}
-                    data, status = _pickled_share(w, share(w), held)
-                    with os.fdopen(wfd, "wb") as fh:
+                    done, failure = share()
+                    news = {key: record for key, record in _CACHE.items()
+                            if record[4].keys() != held.get(key)}
+                    data, status = _pickled_share(done, failure, news)
+                    with os.fdopen(fds[1], "wb") as fh:
                         fh.write(data)
                 finally:
                     os._exit(status)
-            os.close(wfd)
-            children.append((w, pid, rfd))
-        shares.append(share(0))
+            os.close(fds[1])
+            children.append((w, pid, fds[0]))
+        got = share()
+        data, status = _pickled_share(*got, {})
+        shares = [pickle.loads(data)[:2] if status else got]
     finally:
+        _in_map = False
+        os.close(queue)
         for w, pid, rfd in children:
             with os.fdopen(rfd, "rb") as fh:
                 data = fh.read()
             sent.append((w, data, os.waitpid(pid, 0)[1]))
     for w, data, status in sent:
         if not data:
-            shares.append((w, RuntimeError(
+            raise RuntimeError(
                 "row worker %d ended with wait status %d and sent no rows"
-                % (w, status))))
-            continue
-        got, records = pickle.loads(data)
+                % (w, status))
+        done, failure, records = pickle.loads(data)
         _merge_cache_news(records)
-        shares.append(got)
-    failures = [got for got in shares if isinstance(got, tuple)]
+        shares.append((done, failure))
+    failures = [failure for _, failure in shares if failure]
     if failures:
-        raise min(failures, key=lambda got: got[0])[1]
-    return [row for _, row in sorted((pair for got in shares for pair in got),
+        raise min(failures, key=lambda failure: failure[0])[1]
+    return [row for _, row in sorted((pair for done, _ in shares
+                                      for pair in done),
                                      key=lambda pair: pair[0])]
 
 

@@ -161,7 +161,7 @@ def test_battery_repeats_no_march_across_processes(passes):
 
 def test_each_multi_case_criterion_forks(monkeypatch):
     # On 3 CPUs the criteria that split their cases fork, criterion 15
-    # through `cli._rows`, and the others run in this process.
+    # its two emissions, and the others run in this process.
     forks = _cpus(monkeypatch, 3)
     forked = set()
     for number, _, fn in acceptance.REGISTRY:

@@ -18,7 +18,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import csv_bodies
-from conftest import _assert_no_child_left, _count_calls, _cpus
+from conftest import (_assert_no_child_left, _count_calls, _cpus,
+                      _one_item_each)
 from ptone import _ode, cli, modelspace, radial
 
 
@@ -721,8 +722,9 @@ def _fail_at(monkeypatch, failures):
 
 
 @pytest.mark.parametrize("failures,code,message", [
-    # On three CPUs this process takes rows 0 and 3 (p = 2 and 3.5), the
-    # children rows 1 and 4, and 2 and 5.
+    # On three CPUs any process may take any row.  The ids name one
+    # schedule: this process takes rows 0 and 3 (p = 2 and 3.5), and the
+    # children the others.
     ({2.0: ValueError("r=7 at p=2")}, 2, "invalid input: r=7 at p=2"),
     ({3.0: radial.NonConvergenceError("stuck at p=3")}, 3,
      "non-convergence: stuck at p=3"),
@@ -738,7 +740,7 @@ def _fail_at(monkeypatch, failures):
         "parent-before-child"])
 def test_failing_row_exits_as_one_loop_does(failures, code, message,
                                             monkeypatch, capsys, tmp_path):
-    # A row that raises, in this process or in a child, gives the exit
+    # A row that raises, in whichever process takes it, gives the exit
     # code and message of one loop over the rows: that of the lowest
     # failing index.  No child outlives the command.
     _fail_at(monkeypatch, failures)
@@ -758,56 +760,65 @@ def test_failing_row_keeps_its_exception_type(monkeypatch):
     _assert_no_child_left()
 
 
-def test_rows_of_any_size_and_a_lost_child(monkeypatch):
+def test_rows_of_any_size_and_a_lost_child(monkeypatch, tmp_path):
     # Rows larger than a pipe's buffer arrive whole; a child that ends
-    # without sending its rows is an error, and is reaped.
-    _cpus(monkeypatch, 3)
+    # without sending its rows is an error, and is reaped.  Each holds
+    # whichever row the child takes.
     parent = os.getpid()
-    combos = [(float(p), 2, 0.0, 1.0) for p in range(2, 8)]
+    combos = [(float(p), 2, 0.0, 1.0) for p in (2, 3)]
 
     def big(p, m, c, r):
-        return {"p": p, "m": m, "c": c, "r": r, "blob": "%g" % p * 40000}
+        return {"p": p, "m": m, "c": c, "r": r, "blob": "%g" % p * 100000}
 
-    assert cli._rows(big, combos) == [big(*combo) for combo in combos]
+    for first in ("parent", "child"):
+        with pytest.MonkeyPatch.context() as mp:
+            start = _one_item_each(mp, tmp_path / ("big-" + first), first)
+            assert cli._rows(lambda *combo: start() or big(*combo),
+                             combos) == [big(*combo) for combo in combos]
 
-    def lost(p, m, c, r):
-        if p == 3.0 and os.getpid() != parent:
-            os._exit(7)
-        return big(p, m, c, r)
+        def lost(*combo):
+            start()
+            if os.getpid() != parent:
+                os._exit(7)
+            return big(*combo)
 
-    with pytest.raises(RuntimeError, match="row worker 1 ended with wait "
-                       "status 1792 and sent no rows"):
-        cli._rows(lost, combos)
-    _assert_no_child_left()
+        with pytest.MonkeyPatch.context() as mp:
+            start = _one_item_each(mp, tmp_path / ("lost-" + first), first)
+            with pytest.raises(RuntimeError, match="row worker 1 ended with "
+                               "wait status 1792 and sent no rows"):
+                cli._rows(lost, combos)
+        _assert_no_child_left()
 
 
-def test_a_row_that_cannot_be_pickled_names_itself(monkeypatch):
-    # A child whose row cannot be pickled sends a RuntimeError naming the
-    # row and exits 1; the same rows succeed in one process.
-    combos = [(float(p), 2, 0.0, 1.0) for p in range(2, 8)]
+def test_a_row_that_cannot_be_pickled_names_itself(monkeypatch, tmp_path):
+    # A row that cannot be pickled is a RuntimeError naming the row in
+    # whichever process ran it, and a child that ran it exits 1; the same
+    # rows succeed in one process.
+    combos = [(float(p), 2, 0.0, 1.0) for p in (2, 3)]
 
     def row(p, m, c, r):
         return {"p": p, "m": m, "c": c, "r": r,
-                "f": (lambda: p) if p == 6.0 else None}
+                "f": (lambda: p) if p == 3.0 else None}
 
     _cpus(monkeypatch, 1)
-    assert [got["p"] for got in cli._rows(row, combos)] == [
-        combo[0] for combo in combos]
-    forks = _cpus(monkeypatch, 3)
-    statuses = []
-    waitpid = os.waitpid
+    assert [got["p"] for got in cli._rows(row, combos)] == [2.0, 3.0]
+    for first, status in (("parent", 256), ("child", 0)):
+        with pytest.MonkeyPatch.context() as mp:
+            start = _one_item_each(mp, tmp_path / first, first)
+            statuses = []
+            waitpid = os.waitpid
 
-    def spy(pid, options):
-        got = waitpid(pid, options)
-        statuses.append(got[1])
-        return got
+            def spy(pid, options):
+                got = waitpid(pid, options)
+                statuses.append(got[1])
+                return got
 
-    monkeypatch.setattr(os, "waitpid", spy)
-    with pytest.raises(RuntimeError, match="^row 4 could not be pickled in "
-                       "row worker 1: .*lambda"):
-        cli._rows(row, combos)
-    assert len(forks) == 2 and sorted(statuses) == [0, 256]
-    _assert_no_child_left()
+            mp.setattr(os, "waitpid", spy)
+            with pytest.raises(RuntimeError, match="^row 1 could not be "
+                               "pickled: .*lambda"):
+                cli._rows(lambda *combo: start() or row(*combo), combos)
+        assert statuses == [status]
+        _assert_no_child_left()
 
 
 def test_forked_rows_leave_their_solves_in_this_process(monkeypatch,

@@ -1,6 +1,9 @@
+import errno
 import itertools
 import math
+import os
 import re
+import time
 import warnings
 from array import array
 from types import MappingProxyType, SimpleNamespace
@@ -12,7 +15,8 @@ from scipy.integrate import RK45, solve_ivp
 from scipy.special import j0, jn_zeros
 
 import oracles
-from conftest import _assert_no_child_left, _cpus
+from conftest import (_assert_no_child_left, _cpus, _one_item_each,
+                      _wait_for_lines)
 from ptone import _ode, acceptance, modelspace, radial
 from ptone.radial import (Annulus, Ball, RadialProblem, ball_problem,
                           eigen_equation_residual, pi_p,
@@ -1549,7 +1553,7 @@ def test_m1_builds_are_shared_by_every_warping(monkeypatch):
     assert len(sizes) == 3
 
 
-def test_forked_builds_come_home(monkeypatch):
+def test_forked_builds_come_home(monkeypatch, tmp_path):
     # This process solves for lam only; a forked child reads omega and
     # evaluates.  The child's builds come back into the shot record,
     # read-only, so this process's solution reads them with no march.
@@ -1557,14 +1561,15 @@ def test_forked_builds_come_home(monkeypatch):
     radial.clear_solver_cache()
     sol = solve_annulus_eigenvalue(problem)
     t = np.linspace(sol._left, sol.r, 101)
+    start = _one_item_each(monkeypatch, tmp_path / "started", "parent")
 
     def case(i):
+        start()
         if i == 0:
             return None
         child = solve_annulus_eigenvalue(problem)
         return [a.tobytes() for a in (child.omega,) + child.evaluate(t)]
 
-    _cpus(monkeypatch, 2)
     sizes = _count_marches(monkeypatch)
     _, sent = radial.fork_map(case, [0, 1])
     _assert_no_child_left()
@@ -1576,6 +1581,202 @@ def test_forked_builds_come_home(monkeypatch):
     assert sol._scale > 1.0 and sol.residual > 0.0 and sizes == []
     _assert_same_solution(sol, _fresh_solve(problem))
 
+
+
+# The work queue of `radial.fork_map`
+
+
+def _open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+def test_a_slow_item_holds_up_no_other(monkeypatch, tmp_path):
+    # While the process that took item 0 waits in it, the other process
+    # pulls every later item.  A static split would leave item 2 behind
+    # item 0.
+    _cpus(monkeypatch, 2)
+    done = tmp_path / "done"
+    done.write_text("")
+
+    def item(i):
+        if i == 0:
+            _wait_for_lines(done, 9, 10.0)
+        else:
+            with open(done, "a") as fh:
+                fh.write("%d\n" % i)
+        return os.getpid()
+
+    pids = radial.fork_map(item, range(10))
+    _assert_no_child_left()
+    assert len(set(pids)) == 2 and pids[0] not in pids[1:]
+
+
+def test_twenty_thousand_items_on_three_workers(monkeypatch):
+    # More items than the queue's pipe holds as single indices go out in
+    # chunks; every row comes back in order, and no fd is left open.
+    forks = _cpus(monkeypatch, 3)
+    fds = _open_fds()
+    assert radial._MAX_CHUNKS < 20000
+    got = radial.fork_map(lambda i: (i * i, os.getpid()), range(20000))
+    assert [row for row, _ in got] == [i * i for i in range(20000)]
+    assert len(forks) == 2 and _open_fds() == fds
+    _assert_no_child_left()
+
+
+def test_a_map_inside_a_map_forks_nothing(monkeypatch):
+    # An item's own map, in this process or in a child, runs in one loop
+    # in the process of the item; the next map forks again.
+    forks = _cpus(monkeypatch, 3)
+
+    def outer(i):
+        return os.getpid(), radial.fork_map(lambda j: os.getpid(), range(4))
+
+    for pid, inner in radial.fork_map(outer, range(6)):
+        assert inner == [pid] * 4
+    assert len(forks) == 2
+    with pytest.raises(ValueError, match="^inner$"):
+        radial.fork_map(lambda i: radial.fork_map(_raise_inner, [i]),
+                        range(3))
+    assert len(forks) == 4
+    radial.fork_map(abs, [0, 1])
+    assert len(forks) == 5
+    _assert_no_child_left()
+
+
+def _raise_inner(i):
+    raise ValueError("inner")
+
+
+def test_a_failing_item_empties_the_queue(monkeypatch, tmp_path):
+    # Once item 0 fails no later item can change the outcome, so the
+    # other worker stops after its current item: few of 200 items run.
+    _cpus(monkeypatch, 2)
+    ran = tmp_path / "ran"
+    ran.write_text("")
+
+    def item(i):
+        with open(ran, "a") as fh:
+            fh.write("%d\n" % i)
+        if i == 0:
+            raise ValueError("row 0")
+        time.sleep(0.005)
+
+    with pytest.raises(ValueError, match="^row 0$"):
+        radial.fork_map(item, range(200))
+    _assert_no_child_left()
+    assert len(ran.read_text().split()) < 100
+
+
+def test_a_failed_fork_leaves_the_map_to_its_workers(monkeypatch):
+    # A fork that fails (here the second of two) closes its pipe; the
+    # workers already started finish the map with the rows of a serial
+    # run, every fd is closed, and no child is left.
+    forks = _cpus(monkeypatch, 3)
+    fork = os.fork
+
+    def second_fails():
+        if forks:
+            raise OSError(errno.EAGAIN, "fork refused")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", second_fails)
+    fds = _open_fds()
+    assert radial.fork_map(lambda i: i * i, range(12)) == [
+        i * i for i in range(12)]
+    assert len(forks) == 1 and _open_fds() == fds
+    _assert_no_child_left()
+
+
+_SCHEDULES = ["parent", "child"]
+
+
+@pytest.mark.parametrize("first", _SCHEDULES)
+def test_a_lost_child_is_one_error_on_any_schedule(monkeypatch, tmp_path,
+                                                   first):
+    # A child that dies in its item raises the RuntimeError of its worker
+    # number and wait status, whichever item it took, and before the
+    # exception of any row, lower or higher, that this process raised.
+    parent = os.getpid()
+    start = _one_item_each(monkeypatch, tmp_path / "started", first)
+
+    def item(i):
+        start()
+        if os.getpid() != parent:
+            os._exit(7)
+        raise ValueError("row %d" % i)
+
+    with pytest.raises(RuntimeError, match="^row worker 1 ended with wait "
+                       "status 1792 and sent no rows$"):
+        radial.fork_map(item, [0, 1])
+    _assert_no_child_left()
+
+
+class _TwoArgError(Exception):
+    # Pickles, but unpickling calls _TwoArgError(args[0]) and fails.
+    def __init__(self, a, b):
+        super().__init__("%s %s" % (a, b))
+
+
+@pytest.mark.parametrize("first", _SCHEDULES)
+@pytest.mark.parametrize("rows, error, message", [
+    ({1: "row"}, RuntimeError, r"^row 1 could not be pickled: .*lambda"),
+    ({1: "exception"}, RuntimeError, r"^row 1 could not be pickled: "),
+    ({1: "two-arg"}, RuntimeError,
+     r"^row 1 could not be pickled: TypeError: .*__init__"),
+    ({1: "two-arg-row"}, RuntimeError,
+     r"^row 1 could not be pickled: TypeError: .*__init__"),
+    ({0: "raise", 1: "row"}, ValueError, r"^row 0$"),
+    ({0: "row", 1: "raise"}, RuntimeError, r"^row 0 could not be pickled: "),
+], ids=["row", "exception", "two-arg", "two-arg-row", "lower-raise",
+        "lower-row"])
+def test_an_unpicklable_row_is_one_error_on_any_schedule(
+        monkeypatch, tmp_path, first, rows, error, message):
+    # A row, or a raised exception, that cannot be pickled and unpickled
+    # is a RuntimeError naming its row in either process, ranked by its
+    # index with the rows that raise; in one process the rows succeed.
+    def item(i, start=lambda: None):
+        start()
+        kind = rows.get(i)
+        if kind == "raise":
+            raise ValueError("row %d" % i)
+        if kind == "exception":
+            raise ValueError(lambda: i)
+        if kind == "two-arg":
+            raise _TwoArgError(i, "two")
+        if kind == "two-arg-row":
+            return _TwoArgError(i, "two")
+        return (lambda: i) if kind == "row" else i
+
+    if set(rows.values()) <= {"row", "two-arg-row"}:
+        _cpus(monkeypatch, 1)
+        assert [type(row) for row in radial.fork_map(item, [0, 1])] == [
+            type(item(i)) for i in (0, 1)]
+    start = _one_item_each(monkeypatch, tmp_path / "started", first)
+    with pytest.raises(error, match=message):
+        radial.fork_map(lambda i: item(i, start), [0, 1])
+    _assert_no_child_left()
+
+
+def test_a_cached_lam_solve_builds_no_closures(monkeypatch):
+    # A cached solve read only for lam builds neither the view's
+    # right-hand side and walk nor a ball's pole expansion, and lam keeps
+    # the bits of a cold solve.
+    problems = [RadialProblem(2.5, 2, prof, Ball(1.0))
+                for prof in _warpings(Ball(1.0))]
+    cold = [solve_ball_eigenvalue(problem, use_cache=False).lam.hex()
+            for problem in problems]
+    radial.clear_solver_cache()
+    for problem in problems:
+        solve_ball_eigenvalue(problem)
+    made = []
+    make_rhs = radial._make_rhs
+    monkeypatch.setattr(radial, "_make_rhs",
+                        lambda *args: made.append(args) or make_rhs(*args))
+    monkeypatch.setattr(radial, "_Startup",
+                        lambda *args: made.append(args))
+    assert [solve_ball_eigenvalue(problem).lam.hex()
+            for problem in problems] == cold
+    assert made == []
 
 def test_residual_detects_doctored_eigenvalue():
     sol = solve_ball_eigenvalue(ball_problem(2.0, 2, 0.0, 1.0))
