@@ -1,4 +1,4 @@
-"""Dormand-Prince 5(4) integration for two-state systems, generated per form.
+"""Dormand-Prince 5(4) integration for two-state systems, per form.
 
 The radial eigenvalue ODE is a smooth two-dimensional first-order system
 away from the pole, so an embedded 5(4) Runge-Kutta pair with proportional
@@ -7,12 +7,14 @@ a pair of floats because the shooting loop integrates (omega, flux) states
 millions of times and tuple arithmetic beats tiny numpy arrays by a wide
 margin there.
 
-The integrators are generated per right-hand-side form, not written once
+A form has two loops: the adaptive `integrate` of the shots, generated
+in Python, and the fixed-step `walk` of the grid march, compiled C.
+
+`integrate` is generated per right-hand-side form, not written once
 over a callable f: `compile_form` writes the form's slopes, and the
 weight expression they read, into each stage of the one template of a
-step (`_STAGES`), and writes those stages into two loops: the adaptive
-`integrate` of the shots (`_INTEGRATE`), whose tolerance is an
-argument, and the fixed-step `walk` (`_WALK`).  It compiles the result
+step (`_STAGES`), writes those stages into the adaptive loop
+(`_INTEGRATE`), whose tolerance is an argument, and compiles the result
 once per process.  The weight is source in the stages too: a closed
 form as its formula (sinh(rc * s) / rc, say), a tabulated one as a
 binary search of its knots and the cubic of the interval found.
@@ -20,12 +22,24 @@ Every operation and its operands are those of a step over f (seven
 calls of f, each packing a tuple) driven by a loop that calls the step,
 so every result keeps its bits; the tests keep those as the references.
 
+`walk` is one C kernel for every form (`C_SOURCE`, `walker`).  Its step
+is the same template (`_stage_lines`), each line a C statement, and its
+slopes and warpings are spelled in C with the operand order of their
+Python source, through functions that repeat CPython's float power,
+division and math-module calls.  So every state it writes keeps the
+bits of the Python step, and where that step would raise, the walk
+raises the same exception.  The system C compiler builds the kernel
+with C_FLAGS (no contraction to fused multiply-adds, no fast math, no
+builtins) on the first import, and the library is kept in the package's
+__pycache__, named by a sha256 of its source and flags (`_load`).  A
+later import loads it from there, and a forked process inherits it.
+
 The pair's coefficients exist once, as the tables `_C`, `_A`, `_B`, `_E`
 (the error weights) and `_DENSE_P`.  `_STAGES` and `_ERROR` are written
 from them, each coefficient as a float literal (its repr, which reads
 back as the same float), with each sum's operands in the order of the
 tables, so both loops read their coefficients as constants, not as
-module globals.
+module globals; the C compiler reads each literal as the same float.
 
 `walk` takes the fixed steps of a plan, a list of starts and lengths,
 without error control: the fifth-order solution, six right-hand-side
@@ -40,17 +54,27 @@ further right-hand-side evaluation.  A one-step plan from the accepted
 mesh node before a zero of the state serves the zero refinement of a
 shot and of an annulus's flux (one step per root-finder evaluation).
 
-Every step state (t, h and the states and slopes) is a Python float,
-never a numpy scalar, whose arithmetic costs several times a float's;
-callers cast once, where numpy values enter.
+Every state of a shot's step (t, h and the states and slopes) is a
+Python float, never a numpy scalar, whose arithmetic costs several
+times a float's; callers cast once, where numpy values enter.  `walk`
+returns Python floats too.
 
 `brent` is the package's one root-finder: the eigenvalue miss, the zeros
 of a state component inside one step, the catenoid band end, and the
 flux constant of a Rayleigh inverse-iteration step.
 """
 
+import contextlib
+import ctypes
+import errno
 import functools
+import hashlib
 import math
+import os
+import shutil
+import subprocess
+import tempfile
+from array import array
 
 import numpy as np
 
@@ -150,12 +174,11 @@ _STAGES = tuple(
     for c_prev, c, row in zip(_C, _C[1:], _A + (_B,)))
 _ERROR = "h * (%s)" % _weighted(_E)
 
-# The two loops of a form around its stages, as source.  {stages} is one
-# step from (t, h, u, v, k1u, k1v) to the new state (w, phi) and its
-# slope (k7u, k7v), and {eu}, {ev} the error estimate of `_ERROR`.
-#
-# integrate is the adaptive loop of the shots.  Its error scales and step
-# clamps select what abs, max and min would, without a call.
+# The adaptive loop of the shots around a form's stages, as source.
+# {stages} is one step from (t, h, u, v, k1u, k1v) to the new state
+# (w, phi) and its slope (k7u, k7v), and {eu}, {ev} the error estimate
+# of `_ERROR`.  Its error scales and step clamps select what abs, max and
+# min would, without a call.
 _INTEGRATE = """\
     def integrate(t0, t1, y0, tol):
         span = t1 - t0
@@ -209,27 +232,6 @@ _INTEGRATE = """\
         return ts, ys
 """
 
-# walk is the fixed-step loop: the step j from ts[j] of length hs[j], its
-# end state written straight into the caller's buffers and, when rec is
-# not None, its {record} appended to rec.  (The stages of a weighted form
-# take the name s for a point.)
-_WALK = """\
-    def walk(ts, hs, u, v, k1u, k1v, out_w, out_phi, rec):
-        for j in range(len(ts)):
-            t = ts[j]
-            h = hs[j]
-{stages}
-            if rec is not None:
-                rec.fromlist([{record}])
-            u = w
-            v = phi
-            k1u = k7u
-            k1v = k7v
-            out_w[j] = w
-            out_phi[j] = phi
-        return u, v, k1u, k1v
-"""
-
 
 def _stage_lines(weight, dw, dphi, indent):
     """`_STAGES` with the slopes written out, as lines of source.
@@ -251,8 +253,8 @@ def _stage_lines(weight, dw, dphi, indent):
 
 
 def form_source(params, weight, dw, dphi):
-    """The source of `compile_form`'s make for one form: `_INTEGRATE` and
-    `_WALK` around the stages of `_stage_lines`, every coefficient a float
+    """The source of `compile_form`'s make for one form: `_INTEGRATE`
+    around the stages of `_stage_lines`, every coefficient a float
     literal (the repr of its table entry), so no step reads a module
     global."""
     stages = "\n".join(_stage_lines(weight, dw, dphi, 12))
@@ -262,8 +264,7 @@ def form_source(params, weight, dw, dphi):
     lines += ["        return (%s), (%s)" % (dw, dphi),
               _INTEGRATE.format(stages=stages, eu=_ERROR.format(y="u"),
                                 ev=_ERROR.format(y="v")),
-              _WALK.format(stages=stages, record=", ".join(RECORD)),
-              "    return f, integrate, walk"]
+              "    return f, integrate"]
     return "\n".join(lines) + "\n"
 
 
@@ -274,8 +275,7 @@ def compile_form(params, weight, dw, dphi):
     The form is source over the names in `params` (a comma list): the
     slopes `dw` and `dphi` of the state (w, phi), which may read the
     weight fm = `weight`, an expression of the point s (None: the form
-    has no weight).  make binds the names and returns (f, integrate,
-    walk):
+    has no weight).  make binds the names and returns (f, integrate):
 
     f(s, w, phi) -> (dw, dphi) is the right-hand side.
 
@@ -290,15 +290,6 @@ def compile_form(params, weight, dw, dphi):
     omega.  It raises IntegrationError on step-size underflow, NaN
     propagation or more than 1000000 steps.
 
-    walk(ts, hs, u, v, k1u, k1v, out_w, out_phi, rec) takes, for each j
-    in order, the fixed step of length hs[j] from ts[j], starting from
-    the state (u, v) with k1 = f(ts[0], u, v) and each later step from
-    the state and slope (FSAL) the one before ends on.  It writes step
-    j's end state to out_w[j] and out_phi[j], appends each step's
-    `RECORD` to rec unless rec is None, and returns the last end state
-    and its slope (u, v, k1u, k1v).  Its callers pass Python floats and
-    lists: a list item store costs a fraction of a numpy one.
-
     Each form is compiled once per process, on its first use: the cache
     holds one entry per form its callers write, at most 30 for `radial`.
     """
@@ -306,6 +297,406 @@ def compile_form(params, weight, dw, dphi):
     exec(compile(form_source(params, weight, dw, dphi), "<dp form>", "exec"),
          globals(), made)
     return made["make"]
+
+
+# The fixed-step walk as C.  Its step is `_stage_lines` with the weight
+# and the slopes as calls, each line a C statement: the stages of the
+# tables, every coefficient the same literal.  The slopes are those of
+# `radial._SLOPES` and the warpings those of `modelspace`, each spelled
+# with the operand order of its Python source, and every operation that
+# raises in Python (a power, sin or sinh, a division) goes through a
+# function that does what CPython's does (Objects/floatobject.c,
+# float_pow and float_div; Modules/mathmodule.c, math_1) and records
+# what it would have raised.  So every result keeps its bits, and a
+# walk stops where the Python loop raised, saying what it raised
+# (`_FAULTS`).
+C_SOURCE = r"""
+#include <errno.h>
+#include <math.h>
+
+enum { FINE, POW_RANGE, POW_DOMAIN, MATH_RANGE, MATH_DOMAIN, DIVISION,
+       ZERO_POWER, COMPLEX };
+enum { FLAT, SINE, SINH, PCHIP };
+
+/* A right-hand-side form and its numbers (`_Form`). */
+struct form {
+    int p2;            /* p == 2 */
+    int weight;        /* 0: none, 1: f, 2: f ** mm1 */
+    int warping;       /* FLAT (s), SINE, SINH or PCHIP */
+    int perturbed;     /* times (1.0 + eps * s * s) */
+    long top;          /* PCHIP: the number of knots less one */
+    double lam, nlam, em1, pm1, mm1, rc, eps;
+    const double *knots;   /* PCHIP: top + 1 knots */
+    const double *table;   /* PCHIP: rows c0, c1, c2, c3 of top each */
+};
+
+static void fail(int *err, int code)
+{
+    if (!*err)
+        *err = code;
+}
+
+static int odd(double y)
+{
+    return fmod(fabs(y), 2.0) == 1.0;
+}
+
+/* x ** y, as float_pow: its special cases, then pow of |x|. */
+static double power(double x, double y, int *err)
+{
+    int negate = 0;
+    double r;
+
+    if (y == 0.0)
+        return 1.0;
+    if (isnan(x))
+        return x;
+    if (isnan(y))
+        return x == 1.0 ? 1.0 : y;
+    if (isinf(y)) {
+        x = fabs(x);
+        if (x == 1.0)
+            return 1.0;
+        return (y > 0.0) == (x > 1.0) ? fabs(y) : 0.0;
+    }
+    if (isinf(x)) {
+        if (y > 0.0)
+            return odd(y) ? x : fabs(x);
+        return odd(y) ? copysign(0.0, x) : 0.0;
+    }
+    if (x == 0.0) {
+        if (y < 0.0)
+            fail(err, ZERO_POWER);
+        return odd(y) ? x : 0.0;
+    }
+    if (x < 0.0) {
+        if (y != floor(y)) {
+            fail(err, COMPLEX);
+            return NAN;
+        }
+        x = -x;
+        negate = odd(y);
+    }
+    if (x == 1.0)
+        return negate ? -1.0 : 1.0;
+    errno = 0;
+    r = pow(x, y);
+    if (errno == 0 && isinf(r))
+        errno = ERANGE;
+    else if (errno == ERANGE && r == 0.0)
+        errno = 0;
+    if (errno)
+        fail(err, errno == ERANGE ? POW_RANGE : POW_DOMAIN);
+    return negate ? -r : r;
+}
+
+/* a / b, as float_div. */
+static double divide(double a, double b, int *err)
+{
+    if (b == 0.0) {
+        fail(err, DIVISION);
+        return NAN;
+    }
+    return a / b;
+}
+
+/* fn(x), as math_1 (glibc's sin and sinh set no errno but EDOM and
+   ERANGE). */
+static double math1(double (*fn)(double), double x, int can_overflow,
+                    int *err)
+{
+    double r;
+
+    errno = 0;
+    r = fn(x);
+    if (isnan(r) && !isnan(x))
+        fail(err, MATH_DOMAIN);
+    else if (isinf(r) && isfinite(x))
+        fail(err, can_overflow ? MATH_RANGE : MATH_DOMAIN);
+    else if (isfinite(r) && errno && !(errno == ERANGE && fabs(r) < 1.5))
+        fail(err, errno == ERANGE ? MATH_RANGE : MATH_DOMAIN);
+    return r;
+}
+
+/* The PCHIP cubic of the interval bisect_right(knots, s, 1, top) - 1. */
+static double pchip(const struct form *f, double s)
+{
+    const double *c0 = f->table, *c1 = c0 + f->top, *c2 = c1 + f->top,
+        *c3 = c2 + f->top;
+    long lo = 1, hi = f->top, mid;
+    double ds, ds2;
+
+    while (lo < hi) {
+        mid = (lo + hi) / 2;
+        if (s < f->knots[mid])
+            hi = mid;
+        else
+            lo = mid + 1;
+    }
+    lo -= 1;
+    ds = s - f->knots[lo];
+    ds2 = ds * ds;
+    return c3[lo] + c2[lo] * ds + c1[lo] * ds2 + c0[lo] * (ds2 * ds);
+}
+
+/* The weight fm at the point s: f, or f ** mm1. */
+static double weight(const struct form *f, double s, int *err)
+{
+    double x;
+
+    if (!f->weight)
+        return 1.0;
+    if (f->warping == PCHIP)
+        x = pchip(f, s);
+    else if (f->warping == FLAT)
+        x = s;
+    else if (f->warping == SINE)
+        x = divide(math1(sin, f->rc * s, 0, err), f->rc, err);
+    else
+        x = divide(math1(sinh, f->rc * s, 1, err), f->rc, err);
+    if (f->perturbed)
+        x = x * (1.0 + f->eps * s * s);
+    return f->weight == 1 ? x : power(x, f->mm1, err);
+}
+
+/* omega' and Phi' (`radial._SLOPES`). */
+static double dw(const struct form *f, double phi, double fm, int *err)
+{
+    if (f->p2)
+        return f->weight ? divide(phi, fm, err) : phi;
+    if (f->weight)
+        return phi >= 0.0 ? power(divide(phi, fm, err), f->em1, err)
+                          : -power(divide(-phi, fm, err), f->em1, err);
+    return phi >= 0.0 ? power(phi, f->em1, err)
+                      : -power(-phi, f->em1, err);
+}
+
+static double dphi(const struct form *f, double w, double fm, int *err)
+{
+    if (f->p2)
+        return f->weight ? f->nlam * fm * w : f->nlam * w;
+    if (f->weight)
+        return w >= 0.0 ? f->nlam * fm * power(w, f->pm1, err)
+                        : f->lam * fm * power(-w, f->pm1, err);
+    return w >= 0.0 ? f->nlam * power(w, f->pm1, err)
+                    : f->lam * power(-w, f->pm1, err);
+}
+
+/* The n steps (ts[j], hs[j]) from the state and slope in state, as
+   `walker` describes them; returns FINE, or the fault of the first step
+   that meets one, before that step writes anything. */
+int walk(const struct form *f, long n, const double *ts, const double *hs,
+         double *state, double *out_w, double *out_phi, double *rec)
+{
+    double t, h, s, fm, w, phi, u = state[0], v = state[1],
+        k1u = state[2], k1v = state[3], k2u, k2v, k3u, k3v, k4u, k4v,
+        k5u, k5v, k6u, k6v, k7u, k7v;
+    int err = FINE;
+    long j;
+
+    for (j = 0; j < n; j++) {
+        t = ts[j];
+        h = hs[j];
+@STAGES@
+        if (err)
+            return err;
+        if (rec) {
+@RECORD@
+            rec += @WIDTH@;
+        }
+        u = w;
+        v = phi;
+        k1u = k7u;
+        k1v = k7v;
+        out_w[j] = w;
+        out_phi[j] = phi;
+    }
+    state[0] = u;
+    state[1] = v;
+    state[2] = k1u;
+    state[3] = k1v;
+    return FINE;
+}
+""".replace("@STAGES@", "\n".join(
+    line + ";" for line in _stage_lines("weight(f, s, &err)",
+                                        "dw(f, phi, fm, &err)",
+                                        "dphi(f, w, fm, &err)", 8))).replace(
+    "@RECORD@", "\n".join("            rec[%d] = %s;" % item
+                          for item in enumerate(RECORD))).replace(
+    "@WIDTH@", str(len(RECORD)))
+C_FLAGS = ("-std=c99", "-O2", "-fPIC", "-shared", "-ffp-contract=off",
+           "-fno-fast-math", "-fno-builtin")
+
+# The warpings of the kernel, numbered as its enum numbers them: S_c at
+# c = 0, c > 0 and c < 0, and a PCHIP.
+FLAT, SINE, SINH, PCHIP = range(4)
+
+# What each fault of the kernel raises, in the order of its enum: what
+# CPython raises there, with its message.  A negative number to a
+# fractional power is a complex number in Python, and the next
+# comparison of the state it enters raises.
+_FAULTS = (None,
+           (OverflowError, errno.ERANGE, os.strerror(errno.ERANGE)),
+           (ValueError, errno.EDOM, os.strerror(errno.EDOM)),
+           (OverflowError, "math range error"),
+           (ValueError, "math domain error"),
+           (ZeroDivisionError, "float division by zero"),
+           (ZeroDivisionError, "0.0 cannot be raised to a negative power"),
+           (TypeError, "'>=' not supported between instances of 'complex' "
+                       "and 'float'"))
+
+
+def _load(directory):
+    """The kernel of C_SOURCE, built with C_FLAGS, loaded from directory.
+
+    The library's name carries a sha256 of the source and flags and one
+    of its own bytes; a library of this source whose bytes match its name
+    is loaded as it is.  Otherwise the system C compiler builds one to a
+    temporary name in directory, which is then renamed into place, so a
+    process never sees a partly written library, and two processes that
+    build at once each load a whole one.  Libraries of other sources are
+    removed.  Raises OSError when directory cannot be written, and
+    ImportError, with the compiler's message, when the compiler cannot
+    run or fails.
+    """
+    key = hashlib.sha256("\0".join(C_FLAGS + (C_SOURCE,)).encode())
+    stem = "_walk.%s." % key.hexdigest()[:20]
+    for name in sorted(os.listdir(directory)):
+        path = os.path.join(directory, name)
+        if name.startswith(stem) and name.endswith(".so"):
+            with open(path, "rb") as fh:
+                digest = hashlib.sha256(fh.read()).hexdigest()[:20]
+            if name == stem + digest + ".so":
+                return ctypes.CDLL(path)
+    fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=directory)
+    os.close(fd)
+    try:
+        try:
+            built = subprocess.run(
+                ("cc",) + C_FLAGS + ("-o", tmp, "-x", "c", "-", "-lm"),
+                input=C_SOURCE.encode(), capture_output=True)
+        except OSError as exc:
+            raise ImportError("ptone._ode needs a C compiler, cc: %s"
+                              % exc) from exc
+        if built.returncode:
+            raise ImportError("cc could not build ptone._ode's walk:\n"
+                              + built.stderr.decode(errors="replace"))
+        with open(tmp, "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()[:20]
+        # readable by whoever may read the source, as a .pyc is
+        os.chmod(tmp, os.stat(__file__).st_mode & 0o777 | 0o200)
+        path = os.path.join(directory, stem + digest + ".so")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+    for name in os.listdir(directory):
+        if name.startswith("_walk.") and not name.startswith(stem):
+            with contextlib.suppress(OSError):
+                os.remove(os.path.join(directory, name))
+    return ctypes.CDLL(path)
+
+
+def _library():
+    """The kernel, kept in the package's __pycache__ beside the .pyc
+    files, or built in a private temporary directory, removed once
+    loaded, where that cannot be written."""
+    cache = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                         "__pycache__")
+    try:
+        os.makedirs(cache, exist_ok=True)
+        return _load(cache)
+    except OSError:
+        private = tempfile.mkdtemp()
+        try:
+            return _load(private)
+        finally:
+            shutil.rmtree(private, ignore_errors=True)
+
+
+class _Form(ctypes.Structure):
+    _fields_ = [("p2", ctypes.c_int), ("weight", ctypes.c_int),
+                ("warping", ctypes.c_int), ("perturbed", ctypes.c_int),
+                ("top", ctypes.c_long)] + [
+        (name, ctypes.c_double)
+        for name in ("lam", "nlam", "em1", "pm1", "mm1", "rc", "eps")] + [
+        ("knots", ctypes.c_void_p), ("table", ctypes.c_void_p)]
+
+
+_c_walk = _library().walk
+_c_walk.argtypes = (ctypes.POINTER(_Form), ctypes.c_long) + (
+    ctypes.c_void_p,) * 6
+_c_walk.restype = ctypes.c_int
+
+
+def walker(p2, weight, numbers, warping):
+    """The fixed-step walk of one right-hand-side form, compiled.
+
+    The form is that of `radial._make_rhs`: p2 says p == 2, weight is
+    0 (none), 1 (f) or 2 (f ** mm1), numbers are (lam, nlam, em1, pm1,
+    mm1), and warping is f as (kind, perturbed, rc, eps, knots, table),
+    a profile's `f_walk`: kind is FLAT, SINE or SINH, for S_c at c = 0,
+    c > 0 and c < 0, times (1.0 + eps * s * s) if perturbed, or PCHIP,
+    whose knots and table are the float64 arrays of a tabulated
+    profile's interpolant (`modelspace._pchip`), read by address.
+
+    walk(ts, hs, u, v, k1u, k1v, out_w, out_phi, rec) takes, for each j
+    in order, the fixed step of length hs[j] from ts[j], starting from
+    the state (u, v) with k1 = f(ts[0], u, v) and each later step from
+    the state and slope (FSAL) the one before ends on.  ts and hs are
+    sequences of floats of one length.  It writes step j's end state to
+    out_w[j] and out_phi[j] (lists or float64 arrays), appends each
+    step's `RECORD` to rec (an array('d')) unless rec is None, and
+    returns the last end state and its slope (u, v, k1u, k1v) as Python
+    floats.  Where the Python arithmetic of a step would raise, it
+    raises the same exception, and writes and appends nothing.  (A
+    negative weight, which no profile has on its domain, makes a Python
+    slope complex; the walk raises the TypeError of the comparison the
+    complex state meets next, where the Python step could meet another
+    error on the way.)
+    """
+    kind, perturbed, rc, eps, knots, table = warping
+    top, addresses = 0, (None, None)
+    if kind == PCHIP:
+        top = len(knots) - 1
+        if not all(a.dtype == np.float64 and a.flags.c_contiguous
+                   for a in (knots, table)) or table.shape[1:] != (top,) \
+                or len(table) < 4:
+            raise ValueError("walker: a PCHIP needs C-contiguous float64 "
+                             "knots and a table of at least 4 rows, one "
+                             "column per interval")
+        addresses = knots.ctypes.data, table.ctypes.data
+    form = _Form(p2, weight, kind, perturbed, top, *numbers, rc, eps,
+                 *addresses)
+    width = len(RECORD)
+
+    def walk(ts, hs, u, v, k1u, k1v, out_w, out_phi, rec):
+        n = len(ts)
+        if len(hs) != n:
+            raise ValueError("walk: %d starts but %d lengths"
+                             % (n, len(hs)))
+        ts, hs = array("d", ts), array("d", hs)
+        state = array("d", (u, v, k1u, k1v))
+        w, phi = array("d", bytes(8 * n)), array("d", bytes(8 * n))
+        at = None
+        if rec is not None:
+            base = len(rec)
+            rec.frombytes(bytes(8 * width * n))
+            at = rec.buffer_info()[0] + 8 * base
+        fault = _c_walk(form, n, ts.buffer_info()[0], hs.buffer_info()[0],
+                        state.buffer_info()[0], w.buffer_info()[0],
+                        phi.buffer_info()[0], at)
+        if fault:
+            if rec is not None:
+                del rec[base:]
+            exc, *args = _FAULTS[fault]
+            raise exc(*args)
+        out_w[:n] = w
+        out_phi[:n] = phi
+        return tuple(state)
+
+    walk.tables = knots, table      # the kernel reads them by address
+    return walk
 
 
 def dense_steps(rec):

@@ -31,12 +31,14 @@ Profiles come in three kinds:
 
 Each profile also carries f as one expression over the point s,
 `f_expr`, with the values of the names it reads, `f_names`, a read-only
-mapping.  It is the one copy of f as scalar code: the pure-Python
+mapping.  It is the one copy of f as Python code: the pure-Python
 `f_scalar` is compiled from it, and the solver writes it into the
 stages of its generated integrators (`radial._make_rhs`).  For the
 closed forms it is the formula; for a tabulated profile it is a binary
 search of the knots and the power sum of the cubic it finds, with the
-knots and coefficients held as tuples.
+knots and coefficients held as tuples.  `f_walk` names the same f for
+the compiled fixed-step walk (`_ode.walker`), whose C source spells
+each kind with the same operations.
 
 Everything here is a pure function of its inputs; profiles are immutable
 after construction and safe to share between threads.
@@ -49,6 +51,8 @@ import types
 from bisect import bisect_right
 
 import numpy as np
+
+from . import _ode
 
 # Absolute tolerance for the curvature check: closed-form profiles satisfy
 # their bounds exactly, so this only absorbs rounding.
@@ -187,8 +191,9 @@ def _pchip(t, f):
     return x, table
 
 
-def _pchip_eval(pchip, t):
-    """(f, f', f'') of a PCHIP (x, table) at t, summed as PPoly sums them.
+def _pchip_eval(pchip, t, f_only=False):
+    """(f, f', f'') of a PCHIP (x, table) at t, summed as PPoly sums them;
+    (f,) alone with f_only, from the table's first four rows.
 
     The interval is the count of interior knots <= t, which equals
     PPoly's searchsorted(x, t, "right") - 1 clamped to [0, n-2], so the
@@ -200,38 +205,42 @@ def _pchip_eval(pchip, t):
     i = np.searchsorted(x[1:-1], t, "right")
     s = t - x[i]
     s2 = s * s
-    k = table[:, i]
-    return (0.0 + k[3] + k[2] * s + k[1] * s2 + k[0] * (s2 * s),
-            0.0 + k[6] + k[5] * s + k[4] * s2,
-            0.0 + k[8] + k[7] * s)
+    k = table[:4 if f_only else 9, i]
+    f = 0.0 + k[3] + k[2] * s + k[1] * s2 + k[0] * (s2 * s)
+    if f_only:
+        return (f,)
+    return f, 0.0 + k[6] + k[5] * s + k[4] * s2, 0.0 + k[8] + k[7] * s
 
 
 def _scalar_warping(kind, c, eps):
-    """The warping of a closed-form profile as source: (expr, names).
+    """The warping of a closed-form profile: (expr, names, walk).
 
     expr is one expression over the point s, and names maps the other
     names it reads to their values: S_c is sin(rc * s) / rc, s or
     sinh(rc * s) / rc, and a perturbed profile multiplies it by
-    (1.0 + eps * s * s).  This is the one copy of each closed form:
-    `f_scalar` is compiled from it, and the solver writes it into the
-    stages of its generated loops (`radial._make_rhs`).
+    (1.0 + eps * s * s).  This is the one copy of each closed form in
+    Python: `f_scalar` is compiled from it, and the solver writes it
+    into the stages of its generated loops (`radial._make_rhs`).  walk
+    is the same f as the compiled walk reads it (`_ode.walker`): its
+    kind and the same values.
     """
     if c > 0:
-        expr, names = "sin(rc * s) / rc", {"rc": math.sqrt(c),
-                                            "sin": math.sin}
+        expr, names, walk = "sin(rc * s) / rc", {"rc": math.sqrt(c),
+                                                  "sin": math.sin}, _ode.SINE
     elif c == 0:
-        expr, names = "s", {}
+        expr, names, walk = "s", {}, _ode.FLAT
     else:
-        expr, names = "sinh(rc * s) / rc", {"rc": math.sqrt(-c),
-                                             "sinh": math.sinh}
+        expr, names, walk = "sinh(rc * s) / rc", {
+            "rc": math.sqrt(-c), "sinh": math.sinh}, _ode.SINH
     if kind == "perturbed":
         expr = "(%s) * (1.0 + eps * s * s)" % expr
         names["eps"] = eps
-    return expr, names
+    return expr, names, (walk, kind == "perturbed", names.get("rc", 0.0),
+                         names.get("eps", 0.0), None, None)
 
 
 def _tabulated_warping(pchip):
-    """The warping of a PCHIP (x, table) as source: (expr, names).
+    """The warping of a PCHIP (x, table): (expr, names, walk).
 
     expr finds the interval by bisect_right on the knots with lo = 1 and
     hi = n - 1, which returns `_pchip_eval`'s interval plus one, clamped
@@ -239,7 +248,9 @@ def _tabulated_warping(pchip):
     + c1 d^2 + c0 d^3 with d^2 = d d and d^3 = (d d) d, as `_pchip_eval`
     does.  So every value equals the interpolant's bit for bit (and so
     scipy's, which a test checks).  The assignment expressions bind
-    iv, ds and ds2 in the function that evaluates expr.
+    iv, ds and ds2 in the function that evaluates expr.  walk is the
+    same f as the compiled walk reads it (`_ode.walker`), from x and the
+    table themselves.
     """
     x, table = pchip
     c0, c1, c2, c3 = (tuple(row) for row in table[:4].tolist())
@@ -248,7 +259,8 @@ def _tabulated_warping(pchip):
             " + c1[iv] * (ds2 := ds * ds) + c0[iv] * (ds2 * ds)")
     return expr, {"knots": tuple(x.tolist()), "top": len(x) - 1,
                   "c0": c0, "c1": c1, "c2": c2, "c3": c3,
-                  "bisect_right": bisect_right}
+                  "bisect_right": bisect_right}, (
+        _ode.PCHIP, False, 0.0, 0.0, x, table)
 
 
 @functools.cache
@@ -288,21 +300,37 @@ class WarpingProfile:
         for arr in pchip or ():
             arr.setflags(write=False)
         if pchip is None:
-            self.f_expr, names = _scalar_warping(kind, c, eps)
+            self.f_expr, names, self.f_walk = _scalar_warping(kind, c, eps)
         else:
-            self.f_expr, names = _tabulated_warping(pchip)
+            self.f_expr, names, self.f_walk = _tabulated_warping(pchip)
         self.f_names = types.MappingProxyType(names)
         self.f_scalar = _compile_warping(self.f_expr, tuple(names))(**names)
 
-    def eval(self, t):
-        """Return (f, f', f'') at t (scalar or array), t in [0, r_max]."""
-        scalar = np.ndim(t) == 0
+    def _nodes(self, t):
+        """t as a float array, checked to lie in [0, r_max]."""
         tt = np.asarray(t, dtype=float)
         # Written as "not inside", so NaN fails the check too.
         if not (np.all(tt >= -1e-15)
                 and np.all(tt <= self.r_max * (1 + 1e-12))):
             raise ValueError("t outside the profile domain [0, %g] or not a "
                              "number" % self.r_max)
+        return tt
+
+    def eval_f(self, t):
+        """Return f at t, by the operations by which `eval` computes it."""
+        tt = self._nodes(t)
+        if self.kind == "tabulated":
+            (f,) = _pchip_eval(self._pchip, tt, f_only=True)
+        else:
+            f = s_c(self.c, tt)
+            if self.kind == "perturbed":
+                f = f * (1.0 + self.eps * tt * tt)
+        return float(f) if np.ndim(t) == 0 else np.asarray(f, float)
+
+    def eval(self, t):
+        """Return (f, f', f'') at t (scalar or array), t in [0, r_max]."""
+        scalar = np.ndim(t) == 0
+        tt = self._nodes(t)
         if self.kind == "spaceform":
             f = s_c(self.c, tt)
             f1 = c_c(self.c, tt)

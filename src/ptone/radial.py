@@ -196,7 +196,7 @@ class RadialProblem:
         """The weight f^{m-1} at the nodes t; ones for m = 1."""
         if self.m == 1:
             return np.ones(np.shape(t))
-        return self.profile.eval(t)[0] ** (self.m - 1)
+        return self.profile.eval_f(t) ** (self.m - 1)
 
     def cache_key(self, tol):
         """The key of the shot record at tol: what a shot reads.
@@ -256,14 +256,16 @@ def _make_rhs(p, m, profile, lam):
     """(rhs, integrate, walk) of the trial-lam system (`_ode`).
 
     rhs(t, omega, Phi) -> (omega', Phi') is the right-hand side;
-    integrate and walk are its adaptive and fixed-step Dormand-Prince
-    loops (`_ode.compile_form`).  The form's slopes are
+    integrate is its adaptive Dormand-Prince loop (`_ode.compile_form`)
+    and walk its fixed-step one (`_ode.walker`).  The form's slopes are
     `_SLOPES`, and its weight is chosen by min(m - 1, 2): none, the
     profile's f_expr, or (f_expr) ** mm1.  Every warping, closed-form or
-    tabulated, is thus written into every stage.  Each form (at most 30:
-    7 warping expressions times 2 weight powers, plus unweighted, times
-    p = 2 or not) is compiled on its first use in the process; this
-    binds lam, the exponents and the profile's f_names.
+    tabulated, is thus written into every stage of integrate.  Each form
+    (at most 30: 7 warping expressions times 2 weight powers, plus
+    unweighted, times p = 2 or not) is compiled on its first use in the
+    process; this binds lam, the exponents and the profile's f_names.
+    walk takes the same form and numbers, and the profile's f_walk,
+    which it reads only where the form has a weight.
     """
     k = min(m - 1, 2)
     params = "lam, nlam, em1, pm1, mm1"
@@ -274,7 +276,9 @@ def _make_rhs(p, m, profile, lam):
         params += "".join(", " + n for n in profile.f_names)
         args += profile.f_names.values()
     make = _ode.compile_form(params, weight, *_SLOPES[p == 2.0, k > 0])
-    return make(*args)
+    rhs, integrate = make(*args)
+    return rhs, integrate, _ode.walker(p == 2.0, k, args[:5],
+                                       profile.f_walk)
 
 
 class _Startup:
@@ -545,9 +549,10 @@ class RadialSolution:
     def _march(self, rec=None):
         """(grid, omega, Phi) on the solution's grid, by one walk of one plan.
 
-        The plan takes fixed Dormand-Prince 5(4) steps (the generated
+        The plan takes fixed Dormand-Prince 5(4) steps (the compiled
         `walk`, `_make_rhs`) from the shot's first mesh node (t0, ys[0])
-        node to node.  The states are unscaled, and those of a ball's
+        node to node, and the walk writes each step's end state into a
+        float64 array.  The states are unscaled, and those of a ball's
         nodes before t0 are unset: `_states` reads both.
 
         A gap takes one step, unless it is longer than span/_ANCHOR_STEPS
@@ -611,19 +616,21 @@ class RadialSolution:
         plan_t += starts[i:]
         plan_h += hs[i:]
 
-        out_w = [0.0] * len(plan_t)
-        out_phi = [0.0] * len(plan_t)
+        # Column 0 holds the start state and column j + 1 the end state
+        # of step j: each node takes that of the last step up to it, or
+        # the start state where there is none.
+        states = np.empty((2, len(plan_t) + 1))
+        states[:, 0] = u0, v0
         u, v, _, _ = self._walk(plan_t, plan_h, u0, v0,
-                                *self._rhs(t0, u0, v0), out_w, out_phi, rec)
+                                *self._rhs(t0, u0, v0), states[0, 1:],
+                                states[1, 1:], rec)
         if rec is not None:
             rec.extend((tl[-1], 1.0, u, v) + (0.0,) * (len(_ode.RECORD) - 4))
-        # Each node takes the end state of the last step up to it, or the
-        # start state where there is none.
         at = np.cumsum(ends)
         omega = np.empty(self.n_grid)
         phi = np.empty(self.n_grid)
-        omega[pre:] = np.array([u0] + out_w, float)[at]
-        phi[pre:] = np.array([v0] + out_phi, float)[at]
+        omega[pre:] = states[0, at]
+        phi[pre:] = states[1, at]
         return grid, omega, phi
 
     def _states(self, x, w, phi):

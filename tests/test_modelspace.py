@@ -232,10 +232,27 @@ def test_eval_rejects_non_finite_points(bad):
     t = np.linspace(0.0, 1.0, 2001)
     for prof in (space_form(-1.0), space_form(0.0), space_form(1.0),
                  perturbed(0.0, 0.1, r_max=2.0), tabulated(t, np.sinh(t))):
-        with pytest.raises(ValueError, match="profile domain"):
-            prof.eval(bad)
-        with pytest.raises(ValueError, match="profile domain"):
-            prof.eval(np.array([0.25, bad, 0.5]))
+        for evaluate in (prof.eval, prof.eval_f):
+            with pytest.raises(ValueError, match="profile domain"):
+                evaluate(bad)
+            with pytest.raises(ValueError, match="profile domain"):
+                evaluate(np.array([0.25, bad, 0.5]))
+
+
+def test_eval_f_is_the_f_of_eval():
+    # RadialProblem.weight reads f alone; it must be eval's f bit for
+    # bit, below the Taylor cutoff of s_c too, scalar or in an array.
+    rng = np.random.default_rng(6)
+    t = np.linspace(0.0, 2.0, 2001)
+    for prof in (space_form(-1.0), space_form(0.0), space_form(1.0),
+                 perturbed(-1.0, 0.1, r_max=1.5),
+                 perturbed(1.0, 0.1, r_max=1.5), tabulated(t, np.sinh(t))):
+        pts = np.concatenate([[0.0, 1e-7, prof.r_max], 10.0 ** rng.uniform(
+            -9, -6, 50), rng.uniform(0.0, prof.r_max, 2000)])
+        assert np.array_equal(prof.eval_f(pts), prof.eval(pts)[0])
+        for x in pts[:60].tolist():
+            f = prof.eval_f(x)
+            assert type(f) is float and f.hex() == prof.eval(x)[0].hex()
 
 
 def _reference_warpings():

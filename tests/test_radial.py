@@ -792,6 +792,36 @@ def test_generated_run_matches_steps(p, m):
         assert bits(rec) == bits(record)
 
 
+@pytest.mark.parametrize("p,m,c,t,h,state,fault", [
+    # the flux power phi ** (1/(p-1)) = 1e20 ** 20 leaves the float range
+    (1.05, 1, 0.0, 0.5, 0.01, (0.5, 1e20, 0.0, 0.0), OverflowError),
+    # the weight sinh(s) / 1 at s = 800.2 does
+    (2.5, 2, -1.0, 800.0, 1.0, (0.5, -0.25, 0.0, 0.0), OverflowError),
+    # the weight f(s) = s is 0 at the stage point s = 0 + 0.2 * 0, and
+    # the slope phi / fm divides by it
+    (2.5, 2, 0.0, 0.0, 0.0, (0.5, -0.25, 0.0, 0.0), ZeroDivisionError),
+], ids=["power", "sinh", "zero-weight"])
+def test_walk_raises_what_the_python_step_raises(p, m, c, t, h, state,
+                                                 fault):
+    # Where the Python arithmetic of a step raises, the compiled walk
+    # stops and raises the same type with the same message (the CLI
+    # prints both), and leaves the record as it was.  The generated
+    # Python walk it replaced raised these three too.
+    prof = modelspace.space_form(c)
+    walk = radial._make_rhs(p, m, prof, 7.25)[2]
+    rec = array("d", [1.0])
+    with pytest.raises(fault) as got:
+        walk([t], [h], *state, [0.0], [0.0], rec)
+    assert rec.tolist() == [1.0]
+
+    def f(s, w, phi):
+        return _generic_slopes(p, m, prof.f_scalar, 7.25, s, w, phi)
+
+    with pytest.raises(fault) as want:
+        _reference_dp_step(f, t, h, *state)
+    assert str(got.value) == str(want.value)
+
+
 def test_evaluate_reads_each_steps_dense_output():
     # Inside a step of the grid march, evaluate must give the step's
     # dense output, formed from the stages of a reference step from the
@@ -1214,17 +1244,6 @@ def test_solve_errors_name_the_problem(monkeypatch):
 # solution-object invariants
 
 
-class _TypedBuffer:
-    """An output buffer that records the type of every value written."""
-
-    def __init__(self, out):
-        self.out, self.types = out, set()
-
-    def __setitem__(self, j, x):
-        self.types.add(type(x))
-        self.out[j] = x
-
-
 def _fresh_ball(c=0.0, r=1.0):
     return solve_ball_eigenvalue(ball_problem(2.5, 2, c, r), use_cache=False)
 
@@ -1243,16 +1262,17 @@ def _fresh_ball(c=0.0, r=1.0):
 ], ids=["grid-c-1", "grid-c0", "grid-c1", "evaluate-pole", "evaluate-band",
         "annulus-grid", "evaluate-scan", "shots"])
 def test_steps_run_on_python_floats(run, monkeypatch):
-    # A numpy scalar in a step state makes every later step of its march
+    # A numpy scalar in a step state makes every later step of a shot
     # cost about twice its time on floats; the ball marches of a 2048-node
     # grid and of a dense query from the pole once ran on them.
     # Every step of the shots and of the march comes from _make_rhs: the
     # shots' (tight and loose) from integrate, the march's and the zero
-    # refinements' from walk, recording for `evaluate`.  The trial lam,
-    # what each of them is given (a shot's tolerance too) and what it
-    # returns (a shot's every node and state, which its stages computed
-    # from lam and the weight), the starts and lengths of a walk and
-    # every state it writes are checked.
+    # refinements' from the compiled walk, recording for `evaluate`.  The
+    # trial lam, what integrate is given (a shot's tolerance too) and
+    # what it returns (a shot's every node and state, which its stages
+    # computed from lam and the weight), what each walk is given and the
+    # last state and slope it returns (which a shot's miss reads) are
+    # checked.  The walk writes its states into float64 buffers.
     types = set()
     make_rhs = radial._make_rhs
 
@@ -1269,10 +1289,8 @@ def test_steps_run_on_python_floats(run, monkeypatch):
 
         def typed_walk(ts, hs, u, v, ku, kv, out_w, out_phi, rec):
             types.update(map(type, (*ts, *hs, u, v, ku, kv)))
-            w, phi = _TypedBuffer(out_w), _TypedBuffer(out_phi)
-            last = walk(ts, hs, u, v, ku, kv, w, phi, rec)
+            last = walk(ts, hs, u, v, ku, kv, out_w, out_phi, rec)
             types.update(map(type, last))
-            types.update(w.types | phi.types)
             return last
         return rhs, typed_integrate, typed_walk
 
